@@ -26,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Iterator
 
+from .linear import LinearCombination, add_term
 from .scalars import ScalarExpr
 
 ABSORB = "absorb"
@@ -114,76 +115,17 @@ def _contraction(g1: OpGen, g2: OpGen) -> ScalarExpr | None:
     return ScalarExpr.one()
 
 
-class GradedExpr:
+class GradedExpr(LinearCombination):
     """Finite sum of canonical words with exact scalar coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, ScalarExpr] | None = None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[w] = c
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("GradedExpr is immutable")
-
-    # -- constructors ----------------------------------------------------
-
-    @staticmethod
-    def zero() -> "GradedExpr":
-        return GradedExpr()
-
-    @staticmethod
-    def unit(coeff: ScalarExpr | None = None) -> "GradedExpr":
-        return GradedExpr({(): coeff if coeff is not None else ScalarExpr.one()})
-
-    @staticmethod
-    def of(gen: OpGen, coeff: ScalarExpr | None = None) -> "GradedExpr":
-        return GradedExpr({(gen,): coeff if coeff is not None else ScalarExpr.one()})
-
-    # -- linear structure --------------------------------------------------
-
-    def __add__(self, other: "GradedExpr") -> "GradedExpr":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = acc.get(w, ScalarExpr.zero()) + c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return GradedExpr(acc)
-
-    def __sub__(self, other: "GradedExpr") -> "GradedExpr":
-        return self + other.scale(ScalarExpr.rational(-1))
-
-    def __neg__(self) -> "GradedExpr":
-        return self.scale(ScalarExpr.rational(-1))
-
-    def scale(self, s: ScalarExpr) -> "GradedExpr":
-        return GradedExpr({w: c * s for w, c in self.terms.items()})
-
-    def map_coeff(self, fn) -> "GradedExpr":
-        return GradedExpr({w: fn(c) for w, c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedExpr):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
+    @classmethod
+    def of(cls, gen: OpGen, coeff: ScalarExpr | None = None) -> "GradedExpr":
+        return cls({(gen,): coeff if coeff is not None else ScalarExpr.one()})
 
     def __iter__(self) -> Iterator[tuple[tuple, ScalarExpr]]:
         return iter(sorted(self.terms.items(), key=lambda wc: tuple(g.sort_key() for g in wc[0])))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
     def scalar_part(self) -> ScalarExpr:
         """Coefficient of the empty word (the identity operator)."""
@@ -191,9 +133,6 @@ class GradedExpr:
 
     def operator_part(self) -> "GradedExpr":
         return GradedExpr({w: c for w, c in self.terms.items() if w})
-
-    def word_parity(self, word: tuple) -> int:
-        return sum(g.parity for g in word) % 2
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -268,11 +207,7 @@ def koszul_product(a: GradedExpr, b: GradedExpr, rule: str = "physical") -> Grad
         for w2, c2 in b.terms.items():
             c12 = c1 * c2
             for mult, w in _normalize_word(w1 + w2, rule):
-                s = acc.get(w, ScalarExpr.zero()) + c12 * mult
-                if s.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                add_term(acc, w, c12 * mult)
     return GradedExpr(acc)
 
 
@@ -281,11 +216,7 @@ def normal_order(e: GradedExpr) -> GradedExpr:
     acc: dict[tuple, ScalarExpr] = {}
     for w, c in e.terms.items():
         for mult, nw in _normalize_word(w, "modified"):
-            s = acc.get(nw, ScalarExpr.zero()) + c * mult
-            if s.is_zero():
-                acc.pop(nw, None)
-            else:
-                acc[nw] = s
+            add_term(acc, nw, c * mult)
     return GradedExpr(acc)
 
 

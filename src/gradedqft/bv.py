@@ -40,6 +40,7 @@ from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData
+from .linear import LinearCombination, add_into, add_term
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -116,91 +117,34 @@ def _sort_word(word: tuple):
     return sign, tuple(w)
 
 
-class FiberPoly:
+class FiberPoly(LinearCombination):
     """Polynomial in graded fiber coordinates with exact coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: Mapping[tuple, ScalarExpr] | None = None):
-        clean = {}
-        for w, c in (terms or {}).items():
-            if not c.is_zero():
-                clean[w] = c
-        object.__setattr__(self, "terms", clean)
+    @classmethod
+    def coord(cls, c: FiberCoord, coeff: ScalarExpr | None = None) -> "FiberPoly":
+        return cls({(c,): coeff if coeff is not None else ScalarExpr.one()})
 
-    def __setattr__(self, *a):
-        raise AttributeError("FiberPoly is immutable")
-
-    @staticmethod
-    def zero() -> "FiberPoly":
-        return FiberPoly()
-
-    @staticmethod
-    def unit(c: ScalarExpr | None = None) -> "FiberPoly":
-        return FiberPoly({(): c if c is not None else ScalarExpr.one()})
-
-    @staticmethod
-    def coord(c: FiberCoord, coeff: ScalarExpr | None = None) -> "FiberPoly":
-        return FiberPoly({(c,): coeff if coeff is not None else ScalarExpr.one()})
-
-    @staticmethod
-    def word(coords: Sequence[FiberCoord], coeff: ScalarExpr | None = None) -> "FiberPoly":
+    @classmethod
+    def word(cls, coords: Sequence[FiberCoord],
+             coeff: ScalarExpr | None = None) -> "FiberPoly":
         res = _sort_word(tuple(coords))
         if res is None:
-            return FiberPoly()
+            return cls()
         sign, w = res
         c = coeff if coeff is not None else ScalarExpr.one()
-        return FiberPoly({w: c * sign})
-
-    def __add__(self, other: "FiberPoly") -> "FiberPoly":
-        acc = dict(self.terms)
-        for w, c in other.terms.items():
-            s = acc.get(w, ScalarExpr.zero()) + c
-            if s.is_zero():
-                acc.pop(w, None)
-            else:
-                acc[w] = s
-        return FiberPoly(acc)
-
-    def __sub__(self, other: "FiberPoly") -> "FiberPoly":
-        return self + other.scale(ScalarExpr.rational(-1))
-
-    def __neg__(self) -> "FiberPoly":
-        return self.scale(ScalarExpr.rational(-1))
-
-    def scale(self, s: ScalarExpr) -> "FiberPoly":
-        return FiberPoly({w: c * s for w, c in self.terms.items()})
+        return cls({w: c * sign})
 
     def __mul__(self, other: "FiberPoly") -> "FiberPoly":
         acc: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
                 res = _sort_word(w1 + w2)
-                if res is None:
-                    continue
-                sign, w = res
-                c = c1 * c2 * sign
-                s = acc.get(w, ScalarExpr.zero()) + c
-                if s.is_zero():
-                    acc.pop(w, None)
-                else:
-                    acc[w] = s
+                if res is not None:
+                    sign, w = res
+                    add_term(acc, w, c1 * c2 * sign)
         return FiberPoly(acc)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FiberPoly):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
 
     def parity(self) -> str:
         seen = {sum(c.parity for c in w) % 2 for w in self.terms}
@@ -237,24 +181,19 @@ def left_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
         for j, cj in enumerate(w):
             if cj == coord:
                 sign = -1 if (p_i and pref % 2) else 1
-                nw = w[:j] + w[j + 1:]
-                s = acc.get(nw, ScalarExpr.zero()) + c * sign
-                if s.is_zero():
-                    acc.pop(nw, None)
-                else:
-                    acc[nw] = s
+                add_term(acc, w[:j] + w[j + 1:], c * sign)
             pref += cj.parity
     return FiberPoly(acc)
 
 
 def right_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
-    acc = FiberPoly.zero()
+    acc: dict = {}
     p_i = coord.parity
     for w, c in f.terms.items():
         pf = sum(x.parity for x in w) % 2
         sign = -1 if (p_i and pf) else 1
-        acc = acc + left_deriv(FiberPoly({w: c * sign}), coord)
-    return acc
+        add_into(acc, left_deriv(FiberPoly({w: c * sign}), coord).terms)
+    return FiberPoly(acc)
 
 
 def partial_deriv(f: FiberPoly, coord: FiberCoord,
@@ -286,17 +225,13 @@ def _pairs_for(*polys: FiberPoly) -> set:
 
 def bv_laplacian(f: FiberPoly) -> FiberPoly:
     """Delta f = sum_i D_i Dtilde^i f."""
-    acc = FiberPoly.zero()
-    for yc, ac in _pairs_for(f):
-        acc = acc + left_deriv(left_deriv(f, ac), yc)
-    return acc
+    return FiberPoly.sum(left_deriv(left_deriv(f, ac), yc)
+                         for yc, ac in _pairs_for(f))
 
 
 def _half_pairing(f: FiberPoly, g: FiberPoly, pairs) -> FiberPoly:
-    acc = FiberPoly.zero()
-    for yc, ac in pairs:
-        acc = acc + right_deriv(f, ac) * left_deriv(g, yc)
-    return acc
+    return FiberPoly.sum(right_deriv(f, ac) * left_deriv(g, yc)
+                         for yc, ac in pairs)
 
 
 def bv_bracket(f: FiberPoly, g: FiberPoly) -> FiberPoly:
@@ -317,14 +252,9 @@ def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
     for w, c in f.terms.items():
         for j, cj in enumerate(w):
             res = _sort_word(w[:j] + (cj.lift(lam),) + w[j + 1:])
-            if res is None:
-                continue
-            sign, nw = res
-            s = acc.get(nw, ScalarExpr.zero()) + c * sign
-            if s.is_zero():
-                acc.pop(nw, None)
-            else:
-                acc[nw] = s
+            if res is not None:
+                sign, nw = res
+                add_term(acc, nw, c * sign)
     return FiberPoly(acc)
 
 
@@ -348,7 +278,7 @@ class VerticalDerivation:
         return comp
 
     def __call__(self, f: FiberPoly) -> FiberPoly:
-        acc = FiberPoly.zero()
+        acc: dict = {}
         for w, c in f.terms.items():
             pref = 0
             for j, cj in enumerate(w):
@@ -357,9 +287,9 @@ class VerticalDerivation:
                     sign = -1 if (self.parity and pref % 2) else 1
                     piece = FiberPoly.word(w[:j], c * sign) * comp * \
                         FiberPoly.word(w[j + 1:])
-                    acc = acc + piece
+                    add_into(acc, piece.terms)
                 pref += cj.parity
-        return acc
+        return FiberPoly(acc)
 
 
 # --- the gauge theory ------------------------------------------------------
@@ -409,9 +339,6 @@ class TheorySpec:
     def gen_entry(self, li: int, i: int, j: int) -> ScalarExpr:
         return ScalarExpr.gaussian(self.lie.generators[li][i][j])
 
-    def c_const(self, i: int, j: int, h: int) -> Fraction:
-        return self.lie.constants[i][j][h]
-
     def all_base_coords(self) -> list:
         out = []
         for al in range(4):
@@ -427,50 +354,51 @@ class TheorySpec:
         return out
 
 
+def _generator_entries(theory: TheorySpec, i: int, transposed: bool = False):
+    """(li, j, e) over the nonzero entries e = (l_li)_{ij}, or (l_li)_{ji}."""
+    for li in range(theory.d_lie):
+        for j in range(theory.n_f):
+            e = theory.gen_entry(li, j, i) if transposed else theory.gen_entry(li, i, j)
+            if not e.is_zero():
+                yield li, j, e
+
+
+def _constant_entries(constants, li: int):
+    """(jj, hh, c) over the nonzero structure constants c = c^li_{jj hh}."""
+    d = len(constants)
+    for jj in range(d):
+        for hh in range(d):
+            if constants[li][jj][hh]:
+                yield jj, hh, constants[li][jj][hh]
+
+
+def _covariant_domega(theory: TheorySpec, constants, li: int, lam: int) -> FiberPoly:
+    return FiberPoly.coord(theory.omega(li, (lam,))) + FiberPoly.sum(
+        FiberPoly.word((theory.omega(jj), theory.a_gauge(hh, lam)),
+                       ScalarExpr.rational(c))
+        for jj, hh, c in _constant_entries(constants, li))
+
+
 def brst_components(theory: TheorySpec, constants=None) -> dict:
     """The BRST component table; ``constants`` may override the Lie ones
     (negative controls corrupt a single entry)."""
     cs = constants if constants is not None else theory.lie.constants
     comp: dict[FiberCoord, FiberPoly] = {}
-    d = theory.d_lie
-
     for al in range(4):
         for i in range(theory.n_f):
-            acc = FiberPoly.zero()
-            accb = FiberPoly.zero()
-            for li in range(d):
-                for j in range(theory.n_f):
-                    e = theory.gen_entry(li, i, j)
-                    if not e.is_zero():
-                        acc = acc + FiberPoly.word(
-                            (theory.omega(li), theory.psi(al, j)), e)
-                    et = theory.gen_entry(li, j, i)
-                    if not et.is_zero():
-                        accb = accb + FiberPoly.word(
-                            (theory.psibar(al, j), theory.omega(li)), et)
-            comp[theory.psi(al, i)] = acc
-            comp[theory.psibar(al, i)] = accb
-
-    for li in range(d):
+            comp[theory.psi(al, i)] = FiberPoly.sum(
+                FiberPoly.word((theory.omega(li), theory.psi(al, j)), e)
+                for li, j, e in _generator_entries(theory, i))
+            comp[theory.psibar(al, i)] = FiberPoly.sum(
+                FiberPoly.word((theory.psibar(al, j), theory.omega(li)), e)
+                for li, j, e in _generator_entries(theory, i, transposed=True))
+    for li in range(theory.d_lie):
         for lam in range(4):
-            acc = FiberPoly.coord(theory.omega(li, (lam,)))
-            for jj in range(d):
-                for hh in range(d):
-                    c = cs[li][jj][hh]
-                    if c:
-                        acc = acc + FiberPoly.word(
-                            (theory.omega(jj), theory.a_gauge(hh, lam)),
-                            ScalarExpr.rational(c))
-            comp[theory.a_gauge(li, lam)] = acc
-        acc = FiberPoly.zero()
-        for jj in range(d):
-            for hh in range(d):
-                c = cs[li][jj][hh]
-                if c:
-                    acc = acc + FiberPoly.word(
-                        (theory.omega(jj), theory.omega(hh)),
-                        ScalarExpr.rational(F(c) / 2))
-        comp[theory.omega(li)] = acc
+            comp[theory.a_gauge(li, lam)] = _covariant_domega(theory, cs, li, lam)
+        comp[theory.omega(li)] = FiberPoly.sum(
+            FiberPoly.word((theory.omega(jj), theory.omega(hh)),
+                           ScalarExpr.rational(F(c) / 2))
+            for jj, hh, c in _constant_entries(cs, li))
         comp[theory.omegabar(li)] = FiberPoly.coord(theory.nl(li))
         comp[theory.nl(li)] = FiberPoly.zero()
     return comp
@@ -478,10 +406,6 @@ def brst_components(theory: TheorySpec, constants=None) -> dict:
 
 def brst_operator(theory: TheorySpec, constants=None) -> VerticalDerivation:
     return VerticalDerivation(brst_components(theory, constants), parity=1)
-
-
-def brst_S(f: FiberPoly, theory: TheorySpec) -> FiberPoly:
-    return brst_operator(theory)(f)
 
 
 def ghost_number_derivation(theory: TheorySpec) -> VerticalDerivation:
@@ -497,109 +421,90 @@ def ghost_number_derivation(theory: TheorySpec) -> VerticalDerivation:
 # --- Lagrangians ------------------------------------------------------------
 
 def covariant_dpsi(theory: TheorySpec, al: int, i: int, lam: int) -> FiberPoly:
-    acc = FiberPoly.coord(theory.psi(al, i, (lam,)))
-    for li in range(theory.d_lie):
-        for j in range(theory.n_f):
-            e = theory.gen_entry(li, i, j)
-            if not e.is_zero():
-                acc = acc + FiberPoly.word(
-                    (theory.a_gauge(li, lam), theory.psi(al, j)), -e)
-    return acc
+    return FiberPoly.coord(theory.psi(al, i, (lam,))) + FiberPoly.sum(
+        FiberPoly.word((theory.a_gauge(li, lam), theory.psi(al, j)), -e)
+        for li, j, e in _generator_entries(theory, i))
 
 
 def covariant_dpsibar(theory: TheorySpec, al: int, i: int, lam: int) -> FiberPoly:
-    acc = FiberPoly.coord(theory.psibar(al, i, (lam,)))
-    for li in range(theory.d_lie):
-        for j in range(theory.n_f):
-            e = theory.gen_entry(li, j, i)
-            if not e.is_zero():
-                acc = acc + FiberPoly.word(
-                    (theory.a_gauge(li, lam), theory.psibar(al, j)), e)
-    return acc
+    return FiberPoly.coord(theory.psibar(al, i, (lam,))) + FiberPoly.sum(
+        FiberPoly.word((theory.a_gauge(li, lam), theory.psibar(al, j)), e)
+        for li, j, e in _generator_entries(theory, i, transposed=True))
 
 
 def covariant_domega(theory: TheorySpec, li: int, lam: int) -> FiberPoly:
-    acc = FiberPoly.coord(theory.omega(li, (lam,)))
-    for jj in range(theory.d_lie):
-        for hh in range(theory.d_lie):
-            c = theory.c_const(li, jj, hh)
-            if c:
-                acc = acc + FiberPoly.word(
-                    (theory.omega(jj), theory.a_gauge(hh, lam)),
-                    ScalarExpr.rational(c))
-    return acc
+    return _covariant_domega(theory, theory.lie.constants, li, lam)
 
 
 def field_strength(theory: TheorySpec, li: int, lam: int, nu: int) -> FiberPoly:
-    acc = FiberPoly.coord(theory.a_gauge(li, nu, (lam,))) - \
-        FiberPoly.coord(theory.a_gauge(li, lam, (nu,)))
-    for jj in range(theory.d_lie):
-        for hh in range(theory.d_lie):
-            c = theory.c_const(li, jj, hh)
-            if c:
-                acc = acc + FiberPoly.word(
-                    (theory.a_gauge(jj, lam), theory.a_gauge(hh, nu)),
-                    ScalarExpr.rational(-c))
-    return acc
+    return FiberPoly.coord(theory.a_gauge(li, nu, (lam,))) - \
+        FiberPoly.coord(theory.a_gauge(li, lam, (nu,))) + FiberPoly.sum(
+            FiberPoly.word((theory.a_gauge(jj, lam), theory.a_gauge(hh, nu)),
+                           ScalarExpr.rational(-c))
+            for jj, hh, c in _constant_entries(theory.lie.constants, li))
 
 
 def lagrangian_matter(theory: TheorySpec) -> FiberPoly:
     """(i/2)(psibar gamma grad psi - grad psibar gamma psi) - m psibar psi."""
     half_i = ScalarExpr.i() * ScalarExpr.rational(F(1, 2))
-    acc = FiberPoly.zero()
+    acc: dict = {}
     for al in range(4):
         for be in range(4):
             for lam in range(4):
                 g = GAMMA[lam].rows[al][be]
                 if g.is_zero():
                     continue
-                gs = ScalarExpr.gaussian(g)
+                gs = half_i * ScalarExpr.gaussian(g)
                 for i in range(theory.n_f):
-                    acc = acc + (FiberPoly.coord(theory.psibar(al, i)) *
-                                 covariant_dpsi(theory, be, i, lam)).scale(half_i * gs)
-                    acc = acc - (covariant_dpsibar(theory, al, i, lam) *
-                                 FiberPoly.coord(theory.psi(be, i))).scale(half_i * gs)
+                    add_into(acc, (FiberPoly.coord(theory.psibar(al, i)) *
+                                   covariant_dpsi(theory, be, i, lam)).scale(gs).terms)
+                    add_into(acc, (covariant_dpsibar(theory, al, i, lam) *
+                                   FiberPoly.coord(theory.psi(be, i))).scale(-gs).terms)
             if al == be:
                 for i in range(theory.n_f):
-                    acc = acc - FiberPoly.word(
-                        (theory.psibar(al, i), theory.psi(be, i)), theory.mass)
-    return acc
+                    add_into(acc, FiberPoly.word(
+                        (theory.psibar(al, i), theory.psi(be, i)), -theory.mass).terms)
+    return FiberPoly(acc)
 
 
 def lagrangian_gauge(theory: TheorySpec) -> FiberPoly:
     """-(1/4) F^I_{lam nu} F_I^{lam nu}."""
-    acc = FiberPoly.zero()
+    acc: dict = {}
     quarter = ScalarExpr.rational(F(-1, 4))
     for li in range(theory.d_lie):
         for lam in range(4):
             for nu in range(4):
                 f1 = field_strength(theory, li, lam, nu)
-                acc = acc + (f1 * f1).scale(
-                    quarter * ScalarExpr.rational(METRIC[lam] * METRIC[nu]))
-    return acc
+                add_into(acc, (f1 * f1).scale(
+                    quarter * ScalarExpr.rational(METRIC[lam] * METRIC[nu])).terms)
+    return FiberPoly(acc)
 
 
 def gauge_fix_f(theory: TheorySpec, li: int) -> FiberPoly:
     """f^I = d_lam (g^{lam mu} A^I_mu) in orthonormal flat coordinates."""
-    acc = FiberPoly.zero()
-    for lam in range(4):
-        acc = acc + FiberPoly.coord(
-            theory.a_gauge(li, lam, (lam,)), ScalarExpr.rational(METRIC[lam]))
-    return acc
+    return FiberPoly.sum(
+        FiberPoly.coord(theory.a_gauge(li, lam, (lam,)),
+                        ScalarExpr.rational(METRIC[lam]))
+        for lam in range(4))
+
+
+def _antighost_partner(theory: TheorySpec, li: int) -> FiberPoly:
+    """f^I + (xi/2) n^I, the factor of omegabar_I in the gauge fermion."""
+    return gauge_fix_f(theory, li) + FiberPoly.coord(
+        theory.nl(li), theory.xi * ScalarExpr.rational(F(1, 2)))
 
 
 def lagrangian_ghost(theory: TheorySpec) -> FiberPoly:
     """g^{lam mu} omegabar_{I,lam} grad_mu omega^I + n_I (f^I + xi/2 n^I)."""
-    acc = FiberPoly.zero()
+    acc: dict = {}
     for li in range(theory.d_lie):
         for lam in range(4):
-            acc = acc + (FiberPoly.coord(theory.omegabar(li, (lam,))) *
-                         covariant_domega(theory, li, lam)).scale(
-                             ScalarExpr.rational(METRIC[lam]))
-        acc = acc + FiberPoly.coord(theory.nl(li)) * gauge_fix_f(theory, li)
-        acc = acc + FiberPoly.word((theory.nl(li), theory.nl(li)),
-                                   theory.xi * ScalarExpr.rational(F(1, 2)))
-    return acc
+            add_into(acc, (FiberPoly.coord(theory.omegabar(li, (lam,))) *
+                           covariant_domega(theory, li, lam)).scale(
+                               ScalarExpr.rational(METRIC[lam])).terms)
+        add_into(acc, (FiberPoly.coord(theory.nl(li)) *
+                       _antighost_partner(theory, li)).terms)
+    return FiberPoly(acc)
 
 
 @dataclass(frozen=True)
@@ -617,50 +522,33 @@ class GhostDecomposition:
 def ghost_lagrangian_decompose(theory: TheorySpec) -> GhostDecomposition:
     """L_ghost = (S A) Atilde + (S omegabar) omegabartilde = S K + d_H M."""
     s = brst_operator(theory)
-    lhs = FiberPoly.zero()
+    partners = [_antighost_partner(theory, li) for li in range(theory.d_lie)]
+    acc: dict = {}
     for li in range(theory.d_lie):
         for lam in range(4):
             atilde = FiberPoly.coord(
                 theory.omegabar(li, (lam,)), ScalarExpr.rational(-METRIC[lam]))
-            lhs = lhs + s(FiberPoly.coord(theory.a_gauge(li, lam))) * atilde
-        obt = gauge_fix_f(theory, li) + FiberPoly.coord(
-            theory.nl(li), theory.xi * ScalarExpr.rational(F(1, 2)))
-        lhs = lhs + s(FiberPoly.coord(theory.omegabar(li))) * obt
-    k = FiberPoly.zero()
-    for li in range(theory.d_lie):
-        k = k + FiberPoly.coord(theory.omegabar(li)) * (
-            gauge_fix_f(theory, li) + FiberPoly.coord(
-                theory.nl(li), theory.xi * ScalarExpr.rational(F(1, 2))))
-    dh_m = FiberPoly.zero()
-    for lam in range(4):
-        m_lam = FiberPoly.zero()
-        for li in range(theory.d_lie):
-            m_lam = m_lam + (FiberPoly.coord(theory.omegabar(li)) *
-                             covariant_domega(theory, li, lam)).scale(
-                                 ScalarExpr.rational(METRIC[lam]))
-        dh_m = dh_m + horizontal_diff(m_lam, lam)
+            add_into(acc, (s(FiberPoly.coord(theory.a_gauge(li, lam))) * atilde).terms)
+        add_into(acc, (s(FiberPoly.coord(theory.omegabar(li))) * partners[li]).terms)
+    lhs = FiberPoly(acc)
+    k = FiberPoly.sum(FiberPoly.coord(theory.omegabar(li)) * partners[li]
+                      for li in range(theory.d_lie))
+    dh_m = FiberPoly.sum(horizontal_diff(m_lam, lam)
+                         for lam, m_lam in enumerate(brst_M_components(theory)))
     s_k = s(k)
     return GhostDecomposition(lhs, s_k, dh_m, lhs - (s_k + dh_m))
 
 
 def brst_M_components(theory: TheorySpec) -> list:
     """M^lam = g^{lam mu} omegabar_I grad_mu omega^I."""
-    out = []
-    for lam in range(4):
-        m_lam = FiberPoly.zero()
-        for li in range(theory.d_lie):
-            m_lam = m_lam + (FiberPoly.coord(theory.omegabar(li)) *
-                             covariant_domega(theory, li, lam)).scale(
-                                 ScalarExpr.rational(METRIC[lam]))
-        out.append(m_lam)
-    return out
+    return [FiberPoly.sum((FiberPoly.coord(theory.omegabar(li)) *
+                           covariant_domega(theory, li, lam)).scale(
+                               ScalarExpr.rational(METRIC[lam]))
+                          for li in range(theory.d_lie))
+            for lam in range(4)]
 
 
 # --- variational calculus ---------------------------------------------------
-
-def _jet1_coords(f: FiberPoly) -> set:
-    return {c for c in f.coords() if len(c.jet) == 1}
-
 
 def _base_coords(f: FiberPoly) -> set:
     return {FiberCoord(c.sector, c.kind, c.idx, ()) for c in f.coords()}
@@ -678,16 +566,16 @@ def jet_deriv(f: FiberPoly, base: FiberCoord, jet: tuple) -> FiberPoly:
 
 def euler_lagrange(lagr: FiberPoly, base: FiberCoord, order: int = 1) -> FiberPoly:
     """E_i(l) = D_i l - d_lam D^lam_i l (+ d_lam d_mu D^{lam mu}_i l)."""
-    acc = left_deriv(lagr, base)
+    acc = dict(left_deriv(lagr, base).terms)
     for lam in range(4):
-        acc = acc - horizontal_diff(jet_deriv(lagr, base, (lam,)), lam)
+        add_into(acc, (-horizontal_diff(jet_deriv(lagr, base, (lam,)), lam)).terms)
     if order >= 2:
         for lam in range(4):
             for mu in range(4):
                 term = jet_deriv(lagr, base, (lam, mu))
                 if not term.is_zero():
-                    acc = acc + horizontal_diff(horizontal_diff(term, mu), lam)
-    return acc
+                    add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
+    return FiberPoly(acc)
 
 
 def noether_current(v: VerticalDerivation, lagr: FiberPoly,
@@ -706,9 +594,7 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     n_forms = list(n_forms) if n_forms is not None else \
         [FiberPoly.zero() for _ in range(4)]
     varied = v(lagr)
-    dh_n = FiberPoly.zero()
-    for lam in range(4):
-        dh_n = dh_n + horizontal_diff(n_forms[lam], lam)
+    dh_n = FiberPoly.sum(horizontal_diff(n_forms[lam], lam) for lam in range(4))
     resid = varied - dh_n
     if not resid.is_zero():
         raise NotASymmetryError("delta[v] L is not the stated horizontal "
@@ -716,31 +602,30 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     bases = {b for b in _base_coords(lagr) if b.kind == "field"}
     currents = []
     for lam in range(4):
-        j = -n_forms[lam]
+        acc = dict((-n_forms[lam]).terms)
         for b in bases:
             comp = v.on_coord(b)
             if comp.is_zero():
                 continue
             first = jet_deriv(lagr, b, (lam,))
             if order >= 2:
-                for mu in range(4):
-                    first = first - horizontal_diff(jet_deriv(lagr, b, (lam, mu)), mu)
-            j = j + comp * first
+                first = first - FiberPoly.sum(
+                    horizontal_diff(jet_deriv(lagr, b, (lam, mu)), mu)
+                    for mu in range(4))
+            add_into(acc, (comp * first).terms)
             if order >= 2:
                 for mu in range(4):
                     second = jet_deriv(lagr, b, (lam, mu))
                     if not second.is_zero():
-                        j = j + horizontal_diff(comp, mu) * second
-        currents.append(j)
+                        add_into(acc, (horizontal_diff(comp, mu) * second).terms)
+        currents.append(FiberPoly(acc))
     # off-shell conservation: d_lam J^lam = -sum v^i E_i(l) (+ d N absorbed)
-    div = FiberPoly.zero()
-    for lam in range(4):
-        div = div + horizontal_diff(currents[lam], lam)
-    onshell = FiberPoly.zero()
+    div = FiberPoly.sum(horizontal_diff(currents[lam], lam) for lam in range(4))
+    onshell: dict = {}
     for b in bases:
         comp = v.on_coord(b)
         if not comp.is_zero():
-            onshell = onshell + comp * euler_lagrange(lagr, b, order)
-    if not (div + onshell).is_zero():
+            add_into(onshell, (comp * euler_lagrange(lagr, b, order)).terms)
+    if not (div + FiberPoly(onshell)).is_zero():
         raise BVError("internal error: Noether conservation identity failed")
     return currents

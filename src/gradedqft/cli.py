@@ -31,6 +31,7 @@ from .fields import FieldPoint, ModeLattice, conjugate_field, field, \
 from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities
+from .linear import add_term
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -392,7 +393,7 @@ class Evaluator:
             acc = {}
             for w1, c1 in ea.terms.items():
                 for w2, c2 in eb.terms.items():
-                    acc[w1 + w2] = acc.get(w1 + w2, ScalarExpr.zero()) + c1 * c2
+                    add_term(acc, w1 + w2, c1 * c2)
             return GradedExpr(acc)
         if fname == "pprod":
             need(2)

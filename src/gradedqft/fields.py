@@ -43,6 +43,7 @@ from .algebra import (
     super_bracket,
 )
 from .gammas import GAMMA, METRIC
+from .linear import add_into, add_term
 from .scalars import (
     GaussianRational,
     ModeIndex,
@@ -294,60 +295,84 @@ def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
 
 # --- field constructors ---------------------------------------------------
 
+def _generic_expansions(s: str) -> dict:
+    """Table entries of a generic sector s; its operator sector is s too."""
+    # anti-particle absorption in the conjugate: +1 for bosons, -1 for fermions
+    odd = -1 if FIELD_SECTORS[s] else 1
+    return {
+        ("field", s): ((ABSORB, UPPER, s, +1, 1, None), (EMIT, UPPER, s, -1, 1, None)),
+        ("conjugate", s): ((ABSORB, LOWER, s, +1, odd, None),
+                           (EMIT, LOWER, s, -1, 1, None)),
+        ("star", s): ((EMIT, UPPER, s, +1, 1, None), (ABSORB, UPPER, s, -1, 1, None)),
+        ("conj_C", s): ((ABSORB, LOWER, s, -1, 1, None), (EMIT, LOWER, s, +1, 1, None)),
+        ("conj_C_star", s): ((EMIT, LOWER, s, -1, 1, None),
+                             (ABSORB, LOWER, s, +1, 1, None)),
+    }
+
+
+#: (constructor, field sector) -> rows of the expansion over one lattice
+#: mode: (species, index position, operator sector, phase sign, sign,
+#: dressing).  Phase sign +1 is e^{-i<p,x>}, -1 its conjugate.  A Dirac
+#: row repeats over the two spin slots s with coefficient k[al][s + o]
+#: (dressing ("k", o)) or kinv[s + o][al] (("kinv", o)); every other row
+#: keeps the component's own internal index.
+_EXPANSIONS = {
+    **_generic_expansions("scalar"),
+    **_generic_expansions("fermion"),
+    ("field", "dirac"): (
+        (ABSORB, UPPER, "dirac_particle", +1, 1, ("k", 0)),
+        (EMIT, UPPER, "dirac_antiparticle", -1, 1, ("k", 2))),
+    ("field", "gauge"): ((ABSORB, UPPER, "gauge", +1, 1, None),
+                         (EMIT, UPPER, "gauge", -1, 1, None)),
+    ("field", "ghost"): ((ABSORB, UPPER, "ghost", +1, 1, None),
+                         (EMIT, UPPER, "antighost", -1, 1, None)),
+    ("conjugate", "dirac"): (
+        (ABSORB, LOWER, "dirac_antiparticle", +1, -1, ("kinv", 2)),
+        (EMIT, LOWER, "dirac_particle", -1, 1, ("kinv", 0))),
+    ("conjugate", "ghost"): ((ABSORB, LOWER, "antighost", +1, -1, None),
+                             (EMIT, LOWER, "ghost", -1, 1, None)),
+}
+
+
+def _expand(kind: str, sector: str, component, x: FieldPoint,
+            lattice: ModeLattice) -> FieldExpr:
+    """Mode sum of one table entry; the caller has vetted ``sector``."""
+    rows = _EXPANSIONS[(kind, sector)]
+    if sector == "gauge":
+        lam, li = component
+        internal = (lam, li)
+    else:
+        internal = (int(component),)
+    dirac = sector == "dirac"
+    acc: dict = {}
+    for mode in lattice.modes:
+        w = lattice.weight(sector, mode)
+        esq = lattice.energy_sq(sector, mode)
+        phase = {sign: plane_phase(sign, esq, mode.momentum, [(1, x)])
+                 for sign in (+1, -1)}
+        k, kinv = dirac_dressing(lattice, mode) if dirac else (None, None)
+        for slot in (range(2) if dirac else (None,)):
+            for species, position, op_sector, ph, sign, dressing in rows:
+                if dressing is None:
+                    coeff, idx = w * phase[ph], internal
+                else:
+                    mat, off = dressing
+                    al = internal[0]
+                    entry = k[al][slot + off] if mat == "k" else kinv[slot + off][al]
+                    coeff, idx = entry * w * phase[ph], (slot,)
+                if sign != 1:
+                    coeff = coeff * ScalarExpr.rational(sign)
+                add_term(acc, (OpGen(species, position, op_sector, mode.id, idx),),
+                         coeff)
+    return FieldExpr(GradedExpr(acc), sector, component, x, lattice)
+
+
 def field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
     """The free field component at x (particle absorption plus
     anti-particle emission)."""
-    if sector in ("scalar", "fermion"):
-        a = int(component)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            expr = expr + GradedExpr.of(gen_absorb_up(sector, mode, (a,)), w * ph_m)
-            expr = expr + GradedExpr.of(gen_emit_up(sector, mode, (a,)), w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    if sector == "dirac":
-        al = int(component)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            k, _ = dirac_dressing(lattice, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            for aa in range(2):
-                expr = expr + GradedExpr.of(
-                    gen_absorb_up("dirac_particle", mode, (aa,)),
-                    k[al][aa] * w * ph_m)
-                expr = expr + GradedExpr.of(
-                    gen_emit_up("dirac_antiparticle", mode, (aa,)),
-                    k[al][aa + 2] * w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    if sector == "gauge":
-        lam, li = component
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            expr = expr + GradedExpr.of(gen_absorb_up("gauge", mode, (lam, li)), w * ph_m)
-            expr = expr + GradedExpr.of(gen_emit_up("gauge", mode, (lam, li)), w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    if sector == "ghost":
-        li = int(component)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            expr = expr + GradedExpr.of(gen_absorb_up("ghost", mode, (li,)), w * ph_m)
-            expr = expr + GradedExpr.of(gen_emit_up("antighost", mode, (li,)), w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    raise FieldError(f"unknown field sector {sector!r}")
+    if ("field", sector) not in _EXPANSIONS:
+        raise FieldError(f"unknown field sector {sector!r}")
+    return _expand("field", sector, component, x, lattice)
 
 
 def conjugate_field(sector: str, component, x: FieldPoint,
@@ -356,88 +381,27 @@ def conjugate_field(sector: str, component, x: FieldPoint,
     absorption, the latter with +1 for bosons and -1 for fermions."""
     if sector in ("gauge", "nl"):
         raise RealSectorError(f"sector {sector!r} is real; no conjugate field")
-    if sector in ("scalar", "fermion"):
-        a = int(component)
-        sign = F(1) if FIELD_SECTORS[sector] == 0 else F(-1)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            expr = expr + GradedExpr.of(gen_absorb_dn(sector, mode, (a,)),
-                                        w * ph_m * ScalarExpr.rational(sign))
-            expr = expr + GradedExpr.of(gen_emit_dn(sector, mode, (a,)), w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    if sector == "dirac":
-        al = int(component)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            _, kinv = dirac_dressing(lattice, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            for aa in range(2):
-                expr = expr + GradedExpr.of(
-                    gen_absorb_dn("dirac_antiparticle", mode, (aa,)),
-                    kinv[aa + 2][al] * w * ph_m * ScalarExpr.rational(-1))
-                expr = expr + GradedExpr.of(
-                    gen_emit_dn("dirac_particle", mode, (aa,)),
-                    kinv[aa][al] * w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    if sector == "ghost":
-        li = int(component)
-        expr = GradedExpr.zero()
-        for mode in lattice.modes:
-            w = lattice.weight(sector, mode)
-            esq = lattice.energy_sq(sector, mode)
-            ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-            ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-            expr = expr + GradedExpr.of(gen_absorb_dn("antighost", mode, (li,)),
-                                        w * ph_m * ScalarExpr.rational(-1))
-            expr = expr + GradedExpr.of(gen_emit_dn("ghost", mode, (li,)), w * ph_p)
-        return FieldExpr(expr, sector, component, x, lattice)
-    raise FieldError(f"unknown field sector {sector!r}")
+    if ("conjugate", sector) not in _EXPANSIONS:
+        raise FieldError(f"unknown field sector {sector!r}")
+    return _expand("conjugate", sector, component, x, lattice)
 
 
 def star_field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
     """Operator transpose of the field: emissions ride the absorption
     phase and vice versa (generic sectors only)."""
-    if sector not in ("scalar", "fermion"):
+    if ("star", sector) not in _EXPANSIONS:
         raise FieldError("star_field is defined for the generic sectors")
-    a = int(component)
-    expr = GradedExpr.zero()
-    for mode in lattice.modes:
-        w = lattice.weight(sector, mode)
-        esq = lattice.energy_sq(sector, mode)
-        ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-        ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-        expr = expr + GradedExpr.of(gen_emit_up(sector, mode, (a,)), w * ph_m)
-        expr = expr + GradedExpr.of(gen_absorb_up(sector, mode, (a,)), w * ph_p)
-    return FieldExpr(expr, sector, component, x, lattice)
+    return _expand("star", sector, component, x, lattice)
 
 
 def conj_C_field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
                  star: bool = False) -> FieldExpr:
     """Plain complex conjugate of the field (and its transpose when
     ``star``): lowered-index operators with observer-dependent phases."""
-    if sector not in ("scalar", "fermion"):
+    kind = "conj_C_star" if star else "conj_C"
+    if (kind, sector) not in _EXPANSIONS:
         raise FieldError("conj_C_field is defined for the generic sectors")
-    a = int(component)
-    expr = GradedExpr.zero()
-    for mode in lattice.modes:
-        w = lattice.weight(sector, mode)
-        esq = lattice.energy_sq(sector, mode)
-        ph_m = plane_phase(+1, esq, mode.momentum, [(1, x)])
-        ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
-        if star:
-            expr = expr + GradedExpr.of(gen_emit_dn(sector, mode, (a,)), w * ph_p)
-            expr = expr + GradedExpr.of(gen_absorb_dn(sector, mode, (a,)), w * ph_m)
-        else:
-            expr = expr + GradedExpr.of(gen_absorb_dn(sector, mode, (a,)), w * ph_p)
-            expr = expr + GradedExpr.of(gen_emit_dn(sector, mode, (a,)), w * ph_m)
-    return FieldExpr(expr, sector, component, x, lattice)
+    return _expand(kind, sector, component, x, lattice)
 
 
 def species_phase_consistent(f: FieldExpr) -> bool:
@@ -473,10 +437,6 @@ def field_supercommutator(f: FieldExpr, g: FieldExpr) -> ScalarExpr:
     if not op.is_zero():
         raise FieldError("field super-commutator is not central")
     return br.scalar_part()
-
-
-def supercommutator_matrix(fs: Sequence[FieldExpr], gs: Sequence[FieldExpr]):
-    return [[field_supercommutator(f, g) for g in gs] for f in fs]
 
 
 def propagator_D(sign: int, points: Sequence[tuple], lattice: ModeLattice,
@@ -609,12 +569,9 @@ def equal_time_report(lattice: ModeLattice, constants=None,
     for al in dirac_range:
         for be in range(4):
             # Pi_al = i (psibar gamma0)_al
-            pi_al = GradedExpr.zero()
-            for rho in range(4):
-                g0 = GAMMA[0].rows[rho][al]
-                if not g0.is_zero():
-                    pi_al = pi_al + psib[rho].expr.scale(
-                        i_ * ScalarExpr.gaussian(g0))
+            pi_al = GradedExpr.sum(
+                psib[rho].expr.scale(i_ * ScalarExpr.gaussian(g0))
+                for rho, g0 in enumerate(GAMMA[0].column(al)) if not g0.is_zero())
             br = super_bracket(pi_al, psi[be].expr)
             d_ab = ScalarExpr.one() if al == be else ScalarExpr.zero()
             checks.append(_check(
@@ -626,11 +583,9 @@ def equal_time_report(lattice: ModeLattice, constants=None,
     psibu = [conjugate_field("dirac", al, x, lattice) for al in dirac_range]
     for al in dirac_range:
         for be in range(4):
-            g0psi = GradedExpr.zero()
-            for rho in range(4):
-                g0 = GAMMA[0].rows[be][rho]
-                if not g0.is_zero():
-                    g0psi = g0psi + psiu[rho].expr.scale(ScalarExpr.gaussian(g0))
+            g0psi = GradedExpr.sum(
+                psiu[rho].expr.scale(ScalarExpr.gaussian(g0))
+                for rho, g0 in enumerate(GAMMA[0].rows[be]) if not g0.is_zero())
             br = super_bracket(psibu[al].expr, g0psi)
             d_ab = ScalarExpr.rational(F(1, 2) / m) if al == be else ScalarExpr.zero()
             checks.append(_check(
@@ -701,31 +656,28 @@ def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
     def pi_up(mu: int, lj: int) -> GradedExpr:
         # g^{mu nu}(-A_{J nu,0} + A_{J 0,nu} - c_{JKH} A^K_nu A^H_0)
         #   - g^{mu 0} g^{nu rho} A^J_{nu,rho}
-        acc = GradedExpr.zero()
-        for nu in range(4):
-            gmn = METRIC[mu] if nu == mu else None
-            if gmn is None:
-                continue
-            acc = acc + a_at[(nu, lj, "y")].deriv(0).expr.scale(
-                ScalarExpr.rational(-gmn))
-            acc = acc + a_at[(0, lj, "y")].deriv(nu).expr.scale(
-                ScalarExpr.rational(gmn))
-            if constants is not None:
-                d = len(constants)
-                for kk in range(d):
-                    for hh in range(d):
-                        c = constants[lj][kk][hh]
-                        if c == 0:
-                            continue
-                        prod = koszul_product(
-                            a_at[(nu, kk, "y")].expr, a_at[(0, hh, "y")].expr,
-                            "modified")
-                        acc = acc + prod.scale(ScalarExpr.rational(-gmn * c))
+        # the metric is diagonal: only nu = mu contributes to g^{mu nu}
+        gmn = METRIC[mu]
+        acc = dict(a_at[(mu, lj, "y")].deriv(0).expr.scale(
+            ScalarExpr.rational(-gmn)).terms)
+        add_into(acc, a_at[(0, lj, "y")].deriv(mu).expr.scale(
+            ScalarExpr.rational(gmn)).terms)
+        if constants is not None:
+            d = len(constants)
+            for kk in range(d):
+                for hh in range(d):
+                    c = constants[lj][kk][hh]
+                    if c == 0:
+                        continue
+                    prod = koszul_product(
+                        a_at[(mu, kk, "y")].expr, a_at[(0, hh, "y")].expr,
+                        "modified")
+                    add_into(acc, prod.scale(ScalarExpr.rational(-gmn * c)).terms)
         if mu == 0:
             for nu in range(4):
-                acc = acc + a_at[(nu, lj, "y")].deriv(nu).expr.scale(
-                    ScalarExpr.rational(-METRIC[nu]))
-        return acc
+                add_into(acc, a_at[(nu, lj, "y")].deriv(nu).expr.scale(
+                    ScalarExpr.rational(-METRIC[nu])).terms)
+        return GradedExpr(acc)
 
     for lam in range(4):
         for mu in range(4):
@@ -760,8 +712,8 @@ def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
     checks = []
     for li in range(lattice.lie_dim):
         for lj in range(lattice.lie_dim):
-            pi = field("ghost", li, y, lattice).deriv(0).expr.scale(
-                ScalarExpr.rational(-1))
+            acc = dict(field("ghost", li, y, lattice).deriv(0).expr.scale(
+                ScalarExpr.rational(-1)).terms)
             if constants is not None:
                 d = len(constants)
                 for kk in range(d):
@@ -773,8 +725,8 @@ def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
                             field("ghost", kk, y, lattice).expr,
                             field("gauge", (0, hh), y, lattice).expr,
                             "modified")
-                        acc = prod.scale(ScalarExpr.rational(-c))
-                        pi = pi + acc
+                        add_into(acc, prod.scale(ScalarExpr.rational(-c)).terms)
+            pi = GradedExpr(acc)
             omb = conjugate_field("ghost", lj, x, lattice)
             br = super_bracket(omb.expr, pi)
             want = (i_ * dlat) if li == lj else ScalarExpr.zero()

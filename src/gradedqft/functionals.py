@@ -34,6 +34,7 @@ from .fields import (
     field,
 )
 from .gammas import GAMMA, METRIC
+from .linear import add_into, add_term
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -89,67 +90,52 @@ def spatial_integral(density: GradedExpr, x: FieldPoint) -> GradedExpr:
 
 # --- closed-form targets -------------------------------------------------
 
-def _numop(emit_gen: OpGen, absorb_gen: OpGen, coeff: ScalarExpr) -> GradedExpr:
-    return GradedExpr({(emit_gen, absorb_gen): coeff})
+def _number_sum(lattice: ModeLattice, first: tuple, second: tuple, slots,
+                coeff, second_sign: int = 1) -> GradedExpr:
+    """sum_p coeff(p) (N_first + second_sign N_second), summed over the
+    internal slots.  ``first``/``second`` are (operator sector, index
+    position of the emission); N is the number operator a+ a of one slot."""
+    acc: dict = {}
+    for mode in lattice.modes:
+        c = coeff(mode)
+        c2 = c if second_sign == 1 else -c
+        for a in slots:
+            for (sector, pos), cc in ((first, c), (second, c2)):
+                back = LOWER if pos == UPPER else UPPER
+                add_term(acc, (OpGen(EMIT, pos, sector, mode.id, (a,)),
+                               OpGen(ABSORB, back, sector, mode.id, (a,))), cc)
+    return GradedExpr(acc)
 
 
 def scalar_h_target(lattice: ModeLattice, sector: str = "scalar") -> GradedExpr:
     """(1/2) sum_p E (a+^b a_b + a+_b a^b)."""
-    acc = GradedExpr.zero()
-    for mode in lattice.modes:
-        half_e = lattice.energy(sector, mode) * ScalarExpr.rational(F(1, 2))
-        for b in lattice.internal_range(sector):
-            acc = acc + _numop(OpGen(EMIT, UPPER, sector, mode.id, (b,)),
-                               OpGen(ABSORB, LOWER, sector, mode.id, (b,)), half_e)
-            acc = acc + _numop(OpGen(EMIT, LOWER, sector, mode.id, (b,)),
-                               OpGen(ABSORB, UPPER, sector, mode.id, (b,)), half_e)
-    return acc
+    return _number_sum(
+        lattice, (sector, UPPER), (sector, LOWER), lattice.internal_range(sector),
+        lambda mode: lattice.energy(sector, mode) * ScalarExpr.rational(F(1, 2)))
+
+
+_DIRAC_PAIR = (("dirac_particle", LOWER), ("dirac_antiparticle", UPPER))
 
 
 def dirac_charge_target(lattice: ModeLattice) -> GradedExpr:
     """sum_p (1/2m)(a+_A a^A - c+^A c_A)."""
     inv2m = ScalarExpr.rational(F(1, 2) / lattice.mass("dirac"))
-    acc = GradedExpr.zero()
-    for mode in lattice.modes:
-        for a in range(2):
-            acc = acc + _numop(OpGen(EMIT, LOWER, "dirac_particle", mode.id, (a,)),
-                               OpGen(ABSORB, UPPER, "dirac_particle", mode.id, (a,)),
-                               inv2m)
-            acc = acc + _numop(OpGen(EMIT, UPPER, "dirac_antiparticle", mode.id, (a,)),
-                               OpGen(ABSORB, LOWER, "dirac_antiparticle", mode.id, (a,)),
-                               -inv2m)
-    return acc
+    return _number_sum(lattice, *_DIRAC_PAIR, range(2), lambda mode: inv2m,
+                       second_sign=-1)
 
 
 def dirac_momentum_target(lattice: ModeLattice, lam: int) -> GradedExpr:
     """sum_p (p_lam/2m)(a+_A a^A + c+^A c_A)."""
     inv2m = ScalarExpr.rational(F(1, 2) / lattice.mass("dirac"))
-    acc = GradedExpr.zero()
-    for mode in lattice.modes:
-        coeff = lattice.p_lambda("dirac", mode, lam) * inv2m
-        for a in range(2):
-            acc = acc + _numop(OpGen(EMIT, LOWER, "dirac_particle", mode.id, (a,)),
-                               OpGen(ABSORB, UPPER, "dirac_particle", mode.id, (a,)),
-                               coeff)
-            acc = acc + _numop(OpGen(EMIT, UPPER, "dirac_antiparticle", mode.id, (a,)),
-                               OpGen(ABSORB, LOWER, "dirac_antiparticle", mode.id, (a,)),
-                               coeff)
-    return acc
+    return _number_sum(lattice, *_DIRAC_PAIR, range(2),
+                       lambda mode: lattice.p_lambda("dirac", mode, lam) * inv2m)
 
 
 def ghost_momentum_target(lattice: ModeLattice, lam: int) -> GradedExpr:
     """sum_p p_lam (k+^I k_I + g+_I g^I)."""
-    acc = GradedExpr.zero()
-    for mode in lattice.modes:
-        coeff = lattice.p_lambda("ghost", mode, lam)
-        for li in range(lattice.lie_dim):
-            acc = acc + _numop(OpGen(EMIT, UPPER, "antighost", mode.id, (li,)),
-                               OpGen(ABSORB, LOWER, "antighost", mode.id, (li,)),
-                               coeff)
-            acc = acc + _numop(OpGen(EMIT, LOWER, "ghost", mode.id, (li,)),
-                               OpGen(ABSORB, UPPER, "ghost", mode.id, (li,)),
-                               coeff)
-    return acc
+    return _number_sum(lattice, ("antighost", UPPER), ("ghost", LOWER),
+                       range(lattice.lie_dim),
+                       lambda mode: lattice.p_lambda("ghost", mode, lam))
 
 
 def fp_charge_target(lattice: ModeLattice, lam: int) -> GradedExpr:
@@ -158,21 +144,13 @@ def fp_charge_target(lattice: ModeLattice, lam: int) -> GradedExpr:
     The ghost-number grading forces the relative minus sign between the
     two quanta; the 4-momentum, by contrast, weighs both with +1.
     """
-    acc = GradedExpr.zero()
     g = ScalarExpr.rational(METRIC[lam])
-    for mode in lattice.modes:
-        e = lattice.energy("ghost", mode)
-        inv2e = lattice.inv_two_energy("ghost", mode)
-        # p_lam / E = p_lam * 2 * (2E)^{-1}
-        coeff = _I * g * lattice.p_lambda("ghost", mode, lam) * inv2e * ScalarExpr.rational(2)
-        for li in range(lattice.lie_dim):
-            acc = acc + _numop(OpGen(EMIT, LOWER, "ghost", mode.id, (li,)),
-                               OpGen(ABSORB, UPPER, "ghost", mode.id, (li,)),
-                               coeff)
-            acc = acc + _numop(OpGen(EMIT, UPPER, "antighost", mode.id, (li,)),
-                               OpGen(ABSORB, LOWER, "antighost", mode.id, (li,)),
-                               -coeff)
-    return acc
+    # p_lam / E = p_lam * 2 * (2E)^{-1}
+    return _number_sum(
+        lattice, ("ghost", LOWER), ("antighost", UPPER), range(lattice.lie_dim),
+        lambda mode: _I * g * lattice.p_lambda("ghost", mode, lam) *
+        lattice.inv_two_energy("ghost", mode) * ScalarExpr.rational(2),
+        second_sign=-1)
 
 
 # --- functional builders ---------------------------------------------------
@@ -186,50 +164,49 @@ def dirac_charge(lattice: ModeLattice) -> FunctionalResult:
     x = _point()
     psi = [field("dirac", a, x, lattice) for a in range(4)]
     psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
-    dens = GradedExpr.zero()
+    dens: dict = {}
     for al in range(4):
         for be in range(4):
             g = GAMMA[0].rows[al][be]
             if g.is_zero():
                 continue
-            dens = dens + density_product(psib[al], psi[be]).scale(
-                ScalarExpr.gaussian(g))
-    red = spatial_integral(dens, x)
+            add_into(dens, density_product(psib[al], psi[be]).scale(
+                ScalarExpr.gaussian(g)).terms)
+    red = spatial_integral(GradedExpr(dens), x)
     return FunctionalResult("dirac_charge", red, dirac_charge_target(lattice))
 
 
 def four_momentum(sector: str, lam: int, lattice: ModeLattice) -> FunctionalResult:
     x = _point()
+    dens: dict = {}
     if sector == "dirac":
         psi = [field("dirac", a, x, lattice) for a in range(4)]
         psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
-        dens = GradedExpr.zero()
         for al in range(4):
             for be in range(4):
                 g = GAMMA[0].rows[al][be]
                 if g.is_zero():
                     continue
                 gs = ScalarExpr.gaussian(g)
-                dens = dens + density_product(psib[al].deriv(lam), psi[be]).scale(
-                    -(ScalarExpr.rational(F(1, 2)) * _I * gs))
-                dens = dens + density_product(psib[al], psi[be].deriv(lam)).scale(
-                    ScalarExpr.rational(F(1, 2)) * _I * gs)
-        red = spatial_integral(dens, x)
+                add_into(dens, density_product(psib[al].deriv(lam), psi[be]).scale(
+                    -(ScalarExpr.rational(F(1, 2)) * _I * gs)).terms)
+                add_into(dens, density_product(psib[al], psi[be].deriv(lam)).scale(
+                    ScalarExpr.rational(F(1, 2)) * _I * gs).terms)
+        red = spatial_integral(GradedExpr(dens), x)
         return FunctionalResult(f"dirac_momentum[{lam}]", red,
                                 dirac_momentum_target(lattice, lam))
     if sector == "ghost":
-        dens = GradedExpr.zero()
         for li in range(lattice.lie_dim):
             omb = conjugate_field("ghost", li, x, lattice)
             om = field("ghost", li, x, lattice)
-            dens = dens + density_product(omb.deriv(0), om.deriv(lam))
-            dens = dens + density_product(omb.deriv(lam), om.deriv(0))
+            add_into(dens, density_product(omb.deriv(0), om.deriv(lam)).terms)
+            add_into(dens, density_product(omb.deriv(lam), om.deriv(0)).terms)
             if lam == 0:
                 for nu in range(4):
-                    dens = dens + density_product(
+                    add_into(dens, density_product(
                         omb.deriv(nu), om.deriv(nu)).scale(
-                            ScalarExpr.rational(-METRIC[nu]))
-        red = spatial_integral(dens, x)
+                            ScalarExpr.rational(-METRIC[nu])).terms)
+        red = spatial_integral(GradedExpr(dens), x)
         return FunctionalResult(f"ghost_momentum[{lam}]", red,
                                 ghost_momentum_target(lattice, lam))
     raise FunctionalError(f"no 4-momentum builder for sector {sector!r}")
@@ -241,20 +218,20 @@ def scalar_h_pieces(lattice: ModeLattice, sector: str = "scalar"):
     x = _point()
     half = ScalarExpr.rational(F(1, 2))
     m = lattice.mass(sector)
-    t_piece = GradedExpr.zero()
-    g_piece = GradedExpr.zero()
-    m_piece = GradedExpr.zero()
+    t_piece: dict = {}
+    g_piece: dict = {}
+    m_piece: dict = {}
     for a in lattice.internal_range(sector):
         fb = conjugate_field(sector, a, x, lattice)
         ff = field(sector, a, x, lattice)
-        t_piece = t_piece + density_product(fb.deriv(0), ff.deriv(0)).scale(half)
+        add_into(t_piece, density_product(fb.deriv(0), ff.deriv(0)).scale(half).terms)
         for i in range(1, 4):
-            g_piece = g_piece + density_product(fb.deriv(i), ff.deriv(i)).scale(
-                half * ScalarExpr.rational(-METRIC[i]))
-        m_piece = m_piece + density_product(fb, ff).scale(
-            half * ScalarExpr.rational(m * m))
-    return (spatial_integral(t_piece, x), spatial_integral(g_piece, x),
-            spatial_integral(m_piece, x))
+            add_into(g_piece, density_product(fb.deriv(i), ff.deriv(i)).scale(
+                half * ScalarExpr.rational(-METRIC[i])).terms)
+        add_into(m_piece, density_product(fb, ff).scale(
+            half * ScalarExpr.rational(m * m)).terms)
+    return tuple(spatial_integral(GradedExpr(piece), x)
+                 for piece in (t_piece, g_piece, m_piece))
 
 
 def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
@@ -264,11 +241,11 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
         red = t_p + g_p + m_p
         return FunctionalResult(f"{sector}_hamiltonian", red,
                                 scalar_h_target(lattice, sector))
+    dens: dict = {}
     if sector == "dirac":
         psi = [field("dirac", a, x, lattice) for a in range(4)]
         psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
         m = lattice.mass("dirac")
-        dens = GradedExpr.zero()
         for al in range(4):
             for be in range(4):
                 for i in range(1, 4):
@@ -276,24 +253,25 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
                     if g.is_zero():
                         continue
                     gs = ScalarExpr.gaussian(g) * _I * ScalarExpr.rational(F(1, 2))
-                    dens = dens + density_product(psib[al].deriv(i), psi[be]).scale(gs)
-                    dens = dens + density_product(psib[al], psi[be].deriv(i)).scale(-gs)
+                    add_into(dens, density_product(
+                        psib[al].deriv(i), psi[be]).scale(gs).terms)
+                    add_into(dens, density_product(
+                        psib[al], psi[be].deriv(i)).scale(-gs).terms)
                 if al == be:
-                    dens = dens + density_product(psib[al], psi[be]).scale(
-                        ScalarExpr.rational(m))
-        red = spatial_integral(dens, x)
+                    add_into(dens, density_product(psib[al], psi[be]).scale(
+                        ScalarExpr.rational(m)).terms)
+        red = spatial_integral(GradedExpr(dens), x)
         return FunctionalResult("dirac_hamiltonian", red,
                                 dirac_momentum_target(lattice, 0))
     if sector == "ghost":
-        dens = GradedExpr.zero()
         for li in range(lattice.lie_dim):
             omb = conjugate_field("ghost", li, x, lattice)
             om = field("ghost", li, x, lattice)
-            dens = dens + density_product(omb.deriv(0), om.deriv(0))
+            add_into(dens, density_product(omb.deriv(0), om.deriv(0)).terms)
             for i in range(1, 4):
-                dens = dens + density_product(omb.deriv(i), om.deriv(i)).scale(
-                    ScalarExpr.rational(-METRIC[i]))
-        red = spatial_integral(dens, x)
+                add_into(dens, density_product(omb.deriv(i), om.deriv(i)).scale(
+                    ScalarExpr.rational(-METRIC[i])).terms)
+        red = spatial_integral(GradedExpr(dens), x)
         return FunctionalResult("ghost_hamiltonian", red,
                                 ghost_momentum_target(lattice, 0))
     raise FunctionalError(f"no free Hamiltonian for sector {sector!r}")
@@ -302,13 +280,13 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
 def fp_current_integral(lam: int, lattice: ModeLattice) -> FunctionalResult:
     """g^{lam mu} integral of (d_mu omegabar_I omega^I - omegabar_I d_mu omega^I)."""
     x = _point()
-    dens = GradedExpr.zero()
+    g = ScalarExpr.rational(METRIC[lam])
+    dens: dict = {}
     for li in range(lattice.lie_dim):
         omb = conjugate_field("ghost", li, x, lattice)
         om = field("ghost", li, x, lattice)
-        g = ScalarExpr.rational(METRIC[lam])
-        dens = dens + density_product(omb.deriv(lam), om).scale(g)
-        dens = dens + density_product(omb, om.deriv(lam)).scale(-g)
-    red = spatial_integral(dens, x)
+        add_into(dens, density_product(omb.deriv(lam), om).scale(g).terms)
+        add_into(dens, density_product(omb, om.deriv(lam)).scale(-g).terms)
+    red = spatial_integral(GradedExpr(dens), x)
     return FunctionalResult(f"fp_current[{lam}]", red,
                             fp_charge_target(lattice, lam))

@@ -323,10 +323,6 @@ def dirac_frame(p: OnShellMomentum) -> DiracFrame:
     return DiracFrame(d, (m.column(0), m.column(1)), (m.column(2), m.column(3)))
 
 
-def matrix_to_scalar_entries(m: SpinMatrix) -> list[list[ScalarExpr]]:
-    return [[ScalarExpr.gaussian(x) for x in r] for r in m.rows]
-
-
 def slash_symbolic(p: OnShellMomentum) -> list[list[ScalarExpr]]:
     """p_lambda gamma^lambda with the energy kept as an exact radical."""
     e = p.energy_scalar()

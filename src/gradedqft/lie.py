@@ -158,6 +158,17 @@ def structure_constants(generators: Sequence[Matrix]) -> tuple:
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
 
 
+def corrupt_constants(constants, at: tuple) -> tuple:
+    """A copy of the structure constants with +1 at [i][j][h] and -1 at
+    [i][h][j], at = (i, j, h): the index antisymmetry survives, so the
+    damage shows only in identities that need the true constants."""
+    i, j, h = at
+    bad = [[list(row) for row in plane] for plane in constants]
+    bad[i][j][h] += 1
+    bad[i][h][j] -= 1
+    return tuple(tuple(tuple(row) for row in plane) for plane in bad)
+
+
 def trace_metric(generators: Sequence[Matrix]) -> tuple[tuple, tuple]:
     """(G, H): G_IJ = Re Tr(l_I l_J) as Fractions and the Hermitian form
     H_IJ = Tr(l_I+ l_J) as Gaussian rationals (complex on mixed bases)."""

@@ -479,16 +479,6 @@ class ScalarExpr:
     def n_terms(self) -> int:
         return len(self.terms)
 
-    def constant_value(self) -> GaussianRational:
-        """The value of an expression that must be a pure number."""
-        if not self.terms:
-            return GR_ZERO
-        if len(self.terms) == 1:
-            term, c = next(iter(self.terms.items()))
-            if term == ((), (), ()):
-                return c
-        raise ScalarError(f"not a pure number: {self}")
-
     # -- calculus on phases and symbols ----------------------------------
 
     def d_dt(self, tname: str) -> "ScalarExpr":

@@ -12,6 +12,7 @@ from gradedqft.algebra import (
     super_bracket,
 )
 from gradedqft.fields import (
+    FieldError,
     FieldPoint,
     LatticeError,
     ModeLattice,
@@ -106,6 +107,46 @@ def test_real_sector_has_no_conjugate():
     lat = one_mode_lattice()
     with pytest.raises(RealSectorError):
         conjugate_field("gauge", (0, 0), X, lat)
+
+
+_COMPONENTS = {"scalar": 1, "fermion": 0, "dirac": 3, "gauge": (2, 1),
+               "ghost": 1, "nl": 0, "bogus": 0}
+_CONSTRUCTORS = {
+    "field": field,
+    "conjugate_field": conjugate_field,
+    "star_field": star_field,
+    "conj_C_field": conj_C_field,
+    "conj_C_field(star)": lambda *a: conj_C_field(*a, star=True),
+}
+_BUILDS = {
+    "field": {"scalar", "fermion", "dirac", "gauge", "ghost"},
+    "conjugate_field": {"scalar", "fermion", "dirac", "ghost"},
+    "star_field": {"scalar", "fermion"},
+    "conj_C_field": {"scalar", "fermion"},
+    "conj_C_field(star)": {"scalar", "fermion"},
+}
+
+
+@pytest.mark.parametrize("ctor", sorted(_CONSTRUCTORS))
+@pytest.mark.parametrize("sector", sorted(_COMPONENTS))
+def test_constructor_table_builds_or_raises(ctor, sector):
+    lat = sym_lattice(lie_dim=2)
+    make = _CONSTRUCTORS[ctor]
+    if sector in _BUILDS[ctor]:
+        f = make(sector, _COMPONENTS[sector], X, lat)
+        assert f.sector == sector and f.component == _COMPONENTS[sector]
+        # one absorption and one emission slot per mode (Dirac: per spin slot)
+        per_mode = 4 if sector == "dirac" else 2
+        assert f.expr.n_terms <= per_mode * len(lat.modes)
+        assert {w[0].species for w in f.expr.terms} == {ABSORB, EMIT}
+        return
+    if ctor == "conjugate_field" and sector in ("gauge", "nl"):
+        with pytest.raises(RealSectorError):
+            make(sector, _COMPONENTS[sector], X, lat)
+        return
+    with pytest.raises(FieldError) as info:
+        make(sector, _COMPONENTS[sector], X, lat)
+    assert type(info.value) is FieldError
 
 
 def test_boson_conjugate_equals_C_star():
@@ -341,3 +382,15 @@ def test_species_phase_pairing_invariant():
             assert species_phase_consistent(f.deriv(lam))
     # the operator transpose deliberately breaks the pairing
     assert not species_phase_consistent(star_field("scalar", 0, X, lat))
+
+
+def test_species_phase_pairing_invariant_gauge_indices():
+    from gradedqft.fields import species_phase_consistent
+    lat = sym_lattice(lie_dim=2)
+    for lam in range(4):
+        for li in range(2):
+            f = field("gauge", (lam, li), X, lat)
+            assert f.expr.n_terms == 2 * len(lat.modes)
+            assert species_phase_consistent(f)
+            for nu in range(4):
+                assert species_phase_consistent(f.deriv(nu))
