@@ -27,7 +27,7 @@ from fractions import Fraction
 from . import bv
 from . import lie as lie_mod
 from .fields import FieldPoint, ModeLattice, conjugate_field, field, \
-    field_supercommutator, propagator_D, propagator_D_total
+    propagator_D, propagator_D_total
 from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities

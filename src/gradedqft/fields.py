@@ -39,7 +39,6 @@ from .algebra import (
     GradedExpr,
     OpGen,
     koszul_product,
-    normal_order,
     super_bracket,
 )
 from .gammas import GAMMA, METRIC
@@ -445,18 +444,17 @@ def propagator_D(sign: int, points: Sequence[tuple], lattice: ModeLattice,
     ``deriv`` inserts the -i p_lambda factor of the derivative."""
     if sign not in (1, -1):
         raise FieldError("propagator sign must be +1 or -1")
-    out = ScalarExpr.zero()
-    for mode in lattice.modes:
+
+    def mode_term(mode) -> ScalarExpr:
         esq = lattice.energy_sq(fsector, mode)
         term = lattice.inv_two_energy(fsector, mode) * \
             plane_phase(sign, esq, mode.momentum, points)
         if deriv is None:
-            term = term * ScalarExpr.rational(sign)
-        else:
-            term = term * ScalarExpr.gaussian(GaussianRational(0, -1)) * \
-                lattice.p_lambda(fsector, mode, deriv)
-        out = out + term
-    return out
+            return term * ScalarExpr.rational(sign)
+        return term * ScalarExpr.gaussian(GaussianRational(0, -1)) * \
+            lattice.p_lambda(fsector, mode, deriv)
+
+    return ScalarExpr.sum(mode_term(mode) for mode in lattice.modes)
 
 
 def propagator_D_total(points, lattice, fsector, deriv=None) -> ScalarExpr:
@@ -466,8 +464,8 @@ def propagator_D_total(points, lattice, fsector, deriv=None) -> ScalarExpr:
 
 def delta_lattice(points: Sequence[tuple], lattice: ModeLattice) -> ScalarExpr:
     """sum_p e^{i p . (sum_j c_j x_j)} -- the lattice spatial delta."""
-    out = ScalarExpr.zero()
-    for mode in lattice.modes:
+
+    def mode_phase(mode) -> ScalarExpr:
         entries = []
         for c, pt in points:
             if isinstance(pt.x, str):
@@ -475,8 +473,9 @@ def delta_lattice(points: Sequence[tuple], lattice: ModeLattice) -> ScalarExpr:
             else:
                 dot = sum(p * xv for p, xv in zip(mode.momentum, pt.x)) * F(c)
                 entries.append((("c",), ((1, dot),) if dot else ()))
-        out = out + ScalarExpr.phase(entries)
-    return out
+        return ScalarExpr.phase(entries)
+
+    return ScalarExpr.sum(mode_phase(mode) for mode in lattice.modes)
 
 
 # --- equal-time suite -----------------------------------------------------

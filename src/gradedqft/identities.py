@@ -34,7 +34,7 @@ from .fields import (
     star_field,
 )
 from .gammas import GAMMA, METRIC, OnShellMomentum, SpinMatrix, anticommutator, \
-    boost_K_float, boost_parts, dirac_frame, gamma, shell_projectors
+    boost_K_float, dirac_frame, gamma, shell_projectors
 from .linear import add_into
 from .scalars import GaussianRational, ScalarExpr
 

@@ -99,73 +99,137 @@ def canonical_sqrt(q: Rational) -> tuple[Fraction, int]:
 
 
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    __slots__ = ("re", "im")
+    Stored as one integer triple ``(a, b, den)`` meaning ``(a + b*i)/den``,
+    with ``den > 0`` and ``gcd(a, b, den) = 1``.  Each value has exactly one
+    triple, so equality is triple equality; each operation takes one gcd.
+    """
+
+    __slots__ = ("_t",)
 
     def __init__(self, re: Rational = 0, im: Rational = 0):
-        object.__setattr__(self, "re", _frac(re))
-        object.__setattr__(self, "im", _frac(im))
+        if type(re) is int and type(im) is int:
+            t = (re, im, 1)
+        else:
+            re, im = _frac(re), _frac(im)
+            p, q = re.denominator, im.denominator
+            den = p // math.gcd(p, q) * q
+            t = (re.numerator * (den // p), im.numerator * (den // q), den)
+        object.__setattr__(self, "_t", t)
 
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._t[0], self._t[2])
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._t[1], self._t[2])
+
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        if d1 == d2:
+            return _reduced(a1 + a2, b1 + b2, d1)
+        return _reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
 
     def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        a1, b1, d1 = self._t
+        a2, b2, d2 = other._t
+        if d1 == d2:
+            return _reduced(a1 - a2, b1 - b2, d1)
+        return _reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
 
     def __mul__(self, other) -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re * other, self.im * other)
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        a1, b1, d1 = self._t
+        a2, b2, d2 = t
+        return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "GaussianRational":
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(self.re / other, self.im / other)
-        n = other.re * other.re + other.im * other.im
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        a2, b2, d2 = t
+        n = a2 * a2 + b2 * b2
         if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return self * GaussianRational(other.re / n, -other.im / n)
+        a1, b1, d1 = self._t
+        # (a1 + b1*i)/d1 * d2*(a2 - b2*i)/n
+        return _reduced((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, d1 * n)
 
     def __neg__(self) -> "GaussianRational":
-        return GaussianRational(-self.re, -self.im)
+        a, b, den = self._t
+        return _adopt((-a, -b, den))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        a, b, den = self._t
+        return _adopt((a, -b, den))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._t[0] == 0 and self._t[1] == 0
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            return self.im == 0 and self.re == other
-        if isinstance(other, GaussianRational):
-            return self.re == other.re and self.im == other.im
-        return NotImplemented
+        t = _triple(other)
+        if t is None:
+            return NotImplemented
+        return self._t == t
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        a, b, den = self._t
+        if b:
+            return hash(self._t)
+        # a real value hashes like the equal int or Fraction
+        return hash(a if den == 1 else Fraction(a, den))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        a, b, den = self._t
+        return complex(a / den, b / den)
 
     def __abs__(self) -> float:
         return abs(complex(self))
 
     def __repr__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}i)"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return f"{im}i"
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{abs(im)}i)"
+
+
+def _adopt(t: tuple) -> GaussianRational:
+    """Wrap a triple that is already reduced."""
+    out = object.__new__(GaussianRational)
+    object.__setattr__(out, "_t", t)
+    return out
+
+
+def _reduced(a: int, b: int, den: int) -> GaussianRational:
+    """(a + b*i)/den for integers with den > 0, reduced by one gcd."""
+    g = math.gcd(a, b, den)
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    return _adopt((a, b, den))
+
+
+def _triple(x) -> tuple | None:
+    """The reduced triple of a GaussianRational, int or Fraction."""
+    if isinstance(x, GaussianRational):
+        return x._t
+    if isinstance(x, int):
+        return (x, 0, 1)
+    if isinstance(x, Fraction):
+        return (x.numerator, 0, x.denominator)
+    return None
 
 
 GR_ZERO = GaussianRational(0)
@@ -223,6 +287,7 @@ def qsum_sqrt(q: Rational) -> QSum:
 #          value = QSum for 'c'/'t', (Fraction, Fraction, Fraction) for 'x'
 
 Term = tuple
+_CONST: Term = ((), (), ())  # the key of a pure coefficient
 
 
 def sym_key(name: str, token: tuple | None = None) -> tuple:
@@ -308,10 +373,11 @@ class ScalarExpr:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Term, GaussianRational] | None = None, _raw=False):
+        """``_raw=True`` adopts ``terms``: a fresh dict already in canonical form."""
         if terms is None:
             object.__setattr__(self, "terms", {})
         elif _raw:
-            object.__setattr__(self, "terms", dict(terms))
+            object.__setattr__(self, "terms", terms)
         else:
             object.__setattr__(self, "terms", _normalize(terms))
 
@@ -336,7 +402,7 @@ class ScalarExpr:
     def gaussian(c: GaussianRational) -> "ScalarExpr":
         if c.is_zero():
             return _ZERO
-        return ScalarExpr({((), (), ()): c}, _raw=True)
+        return ScalarExpr({_CONST: c}, _raw=True)
 
     @staticmethod
     def i() -> "ScalarExpr":
@@ -401,6 +467,14 @@ class ScalarExpr:
         ph = _phase_normal(entries)
         return ScalarExpr({((), (), ph): GR_ONE}, _raw=True)
 
+    @staticmethod
+    def sum(parts: Iterable["ScalarExpr"]) -> "ScalarExpr":
+        """The sum of ``parts``, accumulated in place on one dict."""
+        acc: dict[Term, GaussianRational] = {}
+        for part in parts:
+            _add_into(acc, part.terms)
+        return ScalarExpr(acc, _raw=True)
+
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -409,12 +483,7 @@ class ScalarExpr:
         if not other.terms:
             return self
         acc = dict(self.terms)
-        for t, c in other.terms.items():
-            s = acc.get(t, GR_ZERO) + c
-            if s.is_zero():
-                acc.pop(t, None)
-            else:
-                acc[t] = s
+        _add_into(acc, other.terms)
         return ScalarExpr(acc, _raw=True)
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
@@ -424,10 +493,15 @@ class ScalarExpr:
         return ScalarExpr({t: -c for t, c in self.terms.items()}, _raw=True)
 
     def __mul__(self, other) -> "ScalarExpr":
-        if isinstance(other, (int, Fraction)):
-            other = ScalarExpr.rational(other)
-        elif isinstance(other, GaussianRational):
-            other = ScalarExpr.gaussian(other)
+        # A constant factor scales the coefficients of the other operand.
+        if not isinstance(other, ScalarExpr):
+            if isinstance(other, (int, Fraction, GaussianRational)):
+                return _scaled(self, other)
+            return NotImplemented
+        if len(other.terms) == 1 and _CONST in other.terms:
+            return _scaled(self, other.terms[_CONST])
+        if len(self.terms) == 1 and _CONST in self.terms:
+            return _scaled(other, self.terms[_CONST])
         raw: dict[Term, GaussianRational] = {}
         for (s1, d1, p1), c1 in self.terms.items():
             for (s2, d2, p2), c2 in other.terms.items():
@@ -483,7 +557,7 @@ class ScalarExpr:
 
     def d_dt(self, tname: str) -> "ScalarExpr":
         """Derivative along the time symbol (phases only)."""
-        out = _ZERO
+        acc: dict[Term, GaussianRational] = {}
         key = ("t", tname)
         for (s, d, p), c in self.terms.items():
             coeff = dict(p).get(key)
@@ -493,19 +567,19 @@ class ScalarExpr:
             factor = ScalarExpr(
                 {(((("rad", dd), 1),) if dd != 1 else (), (), ()):
                  GaussianRational(0, cc) for dd, cc in coeff})
-            out = out + ScalarExpr({(s, d, p): c}, _raw=True) * factor
-        return out
+            _add_into(acc, (ScalarExpr({(s, d, p): c}, _raw=True) * factor).terms)
+        return ScalarExpr(acc, _raw=True)
 
     def d_dx(self, xname: str, j: int) -> "ScalarExpr":
         """Derivative along component j of the spatial symbol (phases only)."""
-        out = _ZERO
+        acc: dict[Term, GaussianRational] = {}
         key = ("x", xname)
         for (s, d, p), c in self.terms.items():
             vec = dict(p).get(key)
             if vec is None or vec[j] == 0:
                 continue
-            out = out + ScalarExpr({(s, d, p): c * GaussianRational(0, vec[j])}, _raw=True)
-        return out
+            acc[(s, d, p)] = c * GaussianRational(0, vec[j])  # keys stay distinct
+        return ScalarExpr(acc, _raw=True)
 
     def partial_symbol(self, name: str) -> "ScalarExpr":
         """d/d(name) for a plain named symbol."""
@@ -567,7 +641,7 @@ class ScalarExpr:
                        allow_free_sum: bool = True) -> "ScalarExpr":
         """Sum over the mode-index variable, consuming sifting deltas."""
         tok = var_tok(var)
-        out = _ZERO
+        acc: dict[Term, GaussianRational] = {}
         for (s, d, p), c in self.terms.items():
             partner = None
             for pair in d:
@@ -579,14 +653,14 @@ class ScalarExpr:
                     break
             one = ScalarExpr({(s, d, p): c}, _raw=True)
             if partner is not None:
-                out = out + _substitute_token(one, tok, partner)
+                _add_into(acc, _substitute_token(one, tok, partner).terms)
             else:
                 if not allow_free_sum:
                     raise UnboundIndexError(
                         f"index {var!r} is not bound by any delta")
                 for mid in mode_ids:
-                    out = out + _substitute_token(one, tok, mode_tok(mid))
-        return out
+                    _add_into(acc, _substitute_token(one, tok, mode_tok(mid)).terms)
+        return ScalarExpr(acc, _raw=True)
 
     # -- numeric evaluation ----------------------------------------------
 
@@ -681,6 +755,30 @@ def _substitute_token(e: ScalarExpr, old: tuple, new: tuple) -> ScalarExpr:
     return ScalarExpr(raw)
 
 
+def _add_into(acc: dict, terms: Mapping[Term, GaussianRational]) -> None:
+    """acc += terms in place; a cancelled entry is dropped."""
+    for t, c in terms.items():
+        prev = acc.get(t)
+        if prev is None:
+            acc[t] = c
+            continue
+        s = prev + c
+        if s.is_zero():
+            del acc[t]
+        else:
+            acc[t] = s
+
+
+def _scaled(e: ScalarExpr, k) -> ScalarExpr:
+    """e times the constant k.  A nonzero constant keeps every term key
+    canonical and every coefficient nonzero, so no _normalize is needed."""
+    if k == 0:
+        return _ZERO
+    if k == 1:
+        return e
+    return ScalarExpr({t: c * k for t, c in e.terms.items()}, _raw=True)
+
+
 def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
     out: dict[Term, GaussianRational] = {}
     work = list(raw.items())
@@ -704,7 +802,7 @@ def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
         for key, e in syms:
             kind = key[0]
             if kind == "rad" and e >= 2:
-                coeff = coeff * (Fraction(key[1]) ** (e // 2))
+                coeff = coeff * key[1] ** (e // 2)
                 e = e % 2
             elif kind in ("wgt", "kw") and e >= 2:
                 sq = _square_value(key) ** (e // 2)
@@ -763,8 +861,8 @@ def _qsum_str(v: QSum) -> str:
 
 
 _ZERO = ScalarExpr({}, _raw=True)
-_ONE = ScalarExpr({((), (), ()): GR_ONE}, _raw=True)
-_I = ScalarExpr({((), (), ()): GR_I}, _raw=True)
+_ONE = ScalarExpr({_CONST: GR_ONE}, _raw=True)
+_I = ScalarExpr({_CONST: GR_I}, _raw=True)
 
 
 class ModeIndex:

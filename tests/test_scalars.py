@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gradedqft.scalars import (
     GaussianRational,
@@ -210,3 +212,150 @@ def test_partial_symbol():
     xi = ScalarExpr.symbol("xi")
     e = rat(3) * xi * xi + rat(2) * xi + ONE
     assert e.partial_symbol("xi") == rat(6) * xi + rat(2)
+
+
+# --- integer-backed GaussianRational against a (Fraction, Fraction) reference
+
+FAST = settings(derandomize=True, max_examples=120, deadline=None)
+
+rationals = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1)]),
+    st.integers(-50, 50).map(F),
+    st.fractions(max_denominator=10 ** 30),
+)
+gaussians = st.builds(GaussianRational, rationals, rationals)
+
+
+def _ref_repr(re, im):
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im}i"
+    return f"({re}{'+' if im > 0 else '-'}{abs(im)}i)"
+
+
+def _assert_matches(g, re, im):
+    a, b, den = g._t
+    assert den > 0 and gcd(a, b, den) == 1
+    assert (g.re, g.im) == (re, im)
+    assert repr(g) == _ref_repr(re, im)
+    assert g == GaussianRational(re, im)
+    assert hash(g) == hash(GaussianRational(re, im))
+    if im == 0:
+        assert g == re and hash(g) == hash(re)
+    else:
+        assert g != re
+
+
+@FAST
+@given(gaussians, gaussians)
+def test_gaussian_rational_matches_fraction_reference(x, y):
+    a, b, c, d = x.re, x.im, y.re, y.im
+    _assert_matches(x, a, b)
+    _assert_matches(x + y, a + c, b + d)
+    _assert_matches(x - y, a - c, b - d)
+    _assert_matches(x * y, a * c - b * d, a * d + b * c)
+    _assert_matches(-x, -a, -b)
+    _assert_matches(x.conjugate(), a, -b)
+    assert (x == y) == ((a, b) == (c, d))
+    assert x.is_zero() == (a == 0 and b == 0)
+    assert complex(x) == complex(float(a), float(b))
+    n = c * c + d * d
+    if n:
+        _assert_matches(x / y, (a * c + b * d) / n, (b * c - a * d) / n)
+    else:
+        with pytest.raises(ZeroDivisionError, match="zero GaussianRational"):
+            x / y
+
+
+@FAST
+@given(gaussians, rationals)
+def test_gaussian_rational_mixes_with_int_and_fraction(x, r):
+    a, b = x.re, x.im
+    scalars = [r] + ([r.numerator] if r.denominator == 1 else [])
+    for k in scalars:
+        _assert_matches(x * k, a * k, b * k)
+        _assert_matches(k * x, a * k, b * k)
+        if k:
+            _assert_matches(x / k, a / k, b / k)
+
+
+def test_gaussian_rational_eq_hash_contract():
+    assert len({GaussianRational(2), 2}) == 1
+    assert len({GaussianRational(F(1, 2)), F(1, 2), GaussianRational(F(2, 4))}) == 1
+    assert {GaussianRational(0): "z"}[0] == "z"
+    assert GaussianRational(0, 1) != 0 and GaussianRational(1, 1) != 1
+    assert GaussianRational(F(3, 6), F(-2, 4))._t == (1, -1, 2)
+    assert repr(GaussianRational(F(-1, 3), F(-2, 3))) == "(-1/3-2/3i)"
+
+
+@pytest.mark.parametrize("zero", [0, F(0), GaussianRational(0)])
+def test_gaussian_rational_division_by_zero_message(zero):
+    with pytest.raises(ZeroDivisionError, match="^division by zero GaussianRational$"):
+        GaussianRational(1, 2) / zero
+
+
+# --- constant-operand fast paths of ScalarExpr.__mul__ ------------------
+
+_ATOMS = [
+    ScalarExpr.symbol("a"),
+    ScalarExpr.symbol("f", var_tok("q")),
+    ScalarExpr.sqrt_rational(2),               # ('rad', 2)
+    ScalarExpr.sqrt_rational(3),
+    ScalarExpr.mode_weight(F(2)),              # ('wgt', 2)
+    ScalarExpr.boost_weight(F(1), F(2)),       # ('kw', 1, 2)
+    ScalarExpr.delta(var_tok("p"), var_tok("q")),
+    ScalarExpr.delta(var_tok("q"), mode_tok(1)),
+    ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(2)))]),
+    ScalarExpr.phase([(("x", "x"), (F(1), F(-1, 2), F(0)))]),
+]
+
+_terms = st.tuples(gaussians, st.lists(st.sampled_from(_ATOMS), max_size=3))
+multi_term = st.lists(_terms, min_size=2, max_size=4).map(
+    lambda ts: ScalarExpr.sum(_product([ScalarExpr.gaussian(c)] + atoms) for c, atoms in ts)
+).filter(lambda e: e.n_terms >= 2)
+
+
+def _product(factors):
+    out = factors[0]
+    for f in factors[1:]:
+        out = out * f
+    return out
+
+
+def _constant_forms(k):
+    """k as every operand type the fast paths accept."""
+    forms = [k, ScalarExpr.gaussian(k)]
+    if k.im == 0:
+        forms.append(k.re)
+        if k.re.denominator == 1:
+            forms.append(k.re.numerator)
+    return forms
+
+
+@FAST
+@given(multi_term, st.one_of(st.sampled_from([GaussianRational(0), GaussianRational(1)]), gaussians))
+def test_constant_fast_paths_equal_general_product(e, k):
+    # (K + z) * e - z * e takes the general double loop on every product,
+    # since no operand is a one-term constant; z is a fresh symbol.
+    z = ScalarExpr.symbol("z_fresh")
+    general = (ScalarExpr.gaussian(k) + z) * e - z * e
+    for form in _constant_forms(k):
+        for prod in (e * form, form * e):
+            assert prod == general
+            assert ScalarExpr(dict(prod.terms)).terms == prod.terms  # canonical
+    if k.is_zero():
+        assert (e * k).is_zero() and (k * e).is_zero()
+    if k == 1:
+        assert e * k == e == k * e
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(multi_term, max_size=3))
+def test_sum_equals_repeated_addition(parts):
+    parts = parts + [-p for p in parts[:1]]  # include a full cancellation
+    folded = ZERO
+    for p in parts:
+        folded = folded + p
+    assert ScalarExpr.sum(parts) == folded
+    assert list(ScalarExpr.sum(parts).terms) == list(folded.terms)  # same order
