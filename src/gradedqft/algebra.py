@@ -5,8 +5,10 @@ stands left of every absorption, and inside each block generators are
 sorted by (sector, mode, index position, internal index).  Reordering a
 pair of odd generators costs a sign; under the *physical* rule, moving an
 absorption past a matching emission additionally produces the contraction
-(the super-bracket value), while the *modified* rule drops it.  Normal
-ordering is exactly the modified-rule rewrite.
+(the super-bracket value, `_contraction`), while the *modified* rule drops
+it.  Normal ordering is exactly the modified-rule rewrite.  The rewrite
+itself is `linear.canonical_terms`; this module supplies the letters and
+the contraction.
 
 Generator species and index position together select one of the four
 elementary operators of a complex sector:
@@ -26,9 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .linear import LinearCombination, add_term
+from .linear import LinearCombination, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 ABSORB = "absorb"
@@ -60,7 +61,7 @@ class MixedParityError(AlgebraError):
     """A super-bracket operand did not have definite parity."""
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True)
 class OpGen:
     """One elementary generator, identified by species, index position,
     sector, lattice mode id and internal index tuple."""
@@ -124,9 +125,6 @@ class GradedExpr(LinearCombination):
     def of(cls, gen: OpGen, coeff: ScalarExpr | None = None) -> "GradedExpr":
         return cls({(gen,): coeff if coeff is not None else ScalarExpr.one()})
 
-    def __iter__(self) -> Iterator[tuple[tuple, ScalarExpr]]:
-        return iter(sorted(self.terms.items(), key=lambda wc: tuple(g.sort_key() for g in wc[0])))
-
     def scalar_part(self) -> ScalarExpr:
         """Coefficient of the empty word (the identity operator)."""
         return self.terms.get((), ScalarExpr.zero())
@@ -134,90 +132,25 @@ class GradedExpr(LinearCombination):
     def operator_part(self) -> "GradedExpr":
         return GradedExpr({w: c for w, c in self.terms.items() if w})
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in self:
-            ws = "·".join(repr(g) for g in w) if w else "1"
-            bits.append(f"({c!r})·{ws}")
-        return " + ".join(bits)
 
-
-def parity_of(e: GradedExpr) -> str:
-    """'even', 'odd' or 'mixed' (zero counts as even)."""
-    seen = set()
-    for w in e.terms:
-        seen.add(sum(g.parity for g in w) % 2)
-    if not seen:
-        return "even"
-    if len(seen) > 1:
-        return "mixed"
-    return "even" if seen.pop() == 0 else "odd"
-
-
-def _normalize_word(word: tuple, rule: str) -> list[tuple[ScalarExpr, tuple]]:
-    """Rewrite a word into canonical order.
-
-    Returns a list of (coefficient multiplier, canonical word).  Under the
-    physical rule crossing a matching absorption/emission pair adds the
-    contraction term; under the modified rule it does not.
-    """
-    out: list[tuple[ScalarExpr, tuple]] = []
-    stack: list[tuple[ScalarExpr, tuple]] = [(ScalarExpr.one(), word)]
-    while stack:
-        coeff, w = stack.pop()
-        pos = _first_inversion(w)
-        if pos is None:
-            if _has_odd_square(w):
-                continue
-            out.append((coeff, w))
-            continue
-        g1, g2 = w[pos], w[pos + 1]
-        sign = -1 if (g1.parity and g2.parity) else 1
-        swapped = w[:pos] + (g2, g1) + w[pos + 2:]
-        stack.append((coeff * sign if sign < 0 else coeff, swapped))
-        if rule == "physical":
-            c = _contraction(g1, g2)
-            if c is not None:
-                stack.append((coeff * c, w[:pos] + w[pos + 2:]))
-    return out
-
-
-def _first_inversion(w: tuple) -> int | None:
-    for i in range(len(w) - 1):
-        if w[i].sort_key() > w[i + 1].sort_key():
-            return i
-    return None
-
-
-def _has_odd_square(w: tuple) -> bool:
-    for i in range(len(w) - 1):
-        if w[i] == w[i + 1] and w[i].parity:
-            return True
-    return False
+#: 'even', 'odd' or 'mixed' (zero counts as even)
+parity_of = GradedExpr.parity
 
 
 def koszul_product(a: GradedExpr, b: GradedExpr, rule: str = "physical") -> GradedExpr:
     """Product in the graded algebra with normal reordering."""
     if rule not in ("physical", "modified"):
         raise AlgebraError(f"unknown product rule {rule!r}")
-    acc: dict[tuple, ScalarExpr] = {}
-    for w1, c1 in a.terms.items():
-        for w2, c2 in b.terms.items():
-            c12 = c1 * c2
-            for mult, w in _normalize_word(w1 + w2, rule):
-                add_term(acc, w, c12 * mult)
-    return GradedExpr(acc)
+    return a.product(b, _contraction if rule == "physical" else None)
 
 
 def normal_order(e: GradedExpr) -> GradedExpr:
     """Pure reordering under the modified rule; idempotent."""
     acc: dict[tuple, ScalarExpr] = {}
     for w, c in e.terms.items():
-        for mult, nw in _normalize_word(w, "modified"):
+        for mult, nw in canonical_terms(w):
             add_term(acc, nw, c * mult)
-    return GradedExpr(acc)
+    return GradedExpr._wrap(acc)
 
 
 def super_bracket(a: GradedExpr, b: GradedExpr) -> GradedExpr:

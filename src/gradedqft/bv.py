@@ -3,8 +3,8 @@
 Coordinates are graded classical fiber/jet symbols: for every field
 coordinate y there is an antifield coordinate with inverted parity, and
 jet labels up to second order.  Polynomials are kept Koszul-canonical
-(words sorted, odd squares killed, signs folded into the coefficients),
-so equality is dictionary equality.
+by `linear.canonical_terms` (words sorted, odd squares killed, signs
+folded into the coefficients), so equality is dictionary equality.
 
 Graded derivative conventions:
 
@@ -40,7 +40,7 @@ from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData
-from .linear import LinearCombination, add_into, add_term
+from .linear import LinearCombination, add_into, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -63,7 +63,7 @@ class NotASymmetryError(BVError):
 SECTOR_PARITY = {"psi": 1, "psibar": 1, "A": 0, "omega": 1, "omegabar": 1, "n": 0}
 
 
-@dataclass(frozen=True, slots=True, order=True)
+@dataclass(frozen=True, slots=True)
 class FiberCoord:
     sector: str
     kind: str  # 'field' | 'anti'
@@ -85,6 +85,9 @@ class FiberCoord:
         p = SECTOR_PARITY[self.sector]
         return p if self.kind == "field" else 1 - p
 
+    def sort_key(self) -> tuple:
+        return (self.sector, self.kind, self.idx, self.jet)
+
     def partner(self) -> "FiberCoord":
         return FiberCoord(self.sector, "anti" if self.kind == "field" else "field",
                           self.idx, self.jet)
@@ -99,28 +102,12 @@ class FiberCoord:
         return f"{self.sector}{tilde}{list(self.idx)}{jets}"
 
 
-def _sort_word(word: tuple):
-    """(sign, canonical word) or None when an odd coordinate repeats."""
-    w = list(word)
-    sign = 1
-    # insertion sort, counting odd-odd transpositions
-    for i in range(1, len(w)):
-        j = i
-        while j > 0 and w[j - 1] > w[j]:
-            if w[j - 1].parity and w[j].parity:
-                sign = -sign
-            w[j - 1], w[j] = w[j], w[j - 1]
-            j -= 1
-    for a, b in zip(w, w[1:]):
-        if a == b and a.parity:
-            return None
-    return sign, tuple(w)
-
-
 class FiberPoly(LinearCombination):
     """Polynomial in graded fiber coordinates with exact coefficients."""
 
     __slots__ = ()
+
+    __mul__ = LinearCombination.product
 
     @classmethod
     def coord(cls, c: FiberCoord, coeff: ScalarExpr | None = None) -> "FiberPoly":
@@ -129,30 +116,8 @@ class FiberPoly(LinearCombination):
     @classmethod
     def word(cls, coords: Sequence[FiberCoord],
              coeff: ScalarExpr | None = None) -> "FiberPoly":
-        res = _sort_word(tuple(coords))
-        if res is None:
-            return cls()
-        sign, w = res
         c = coeff if coeff is not None else ScalarExpr.one()
-        return cls({w: c * sign})
-
-    def __mul__(self, other: "FiberPoly") -> "FiberPoly":
-        acc: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
-                res = _sort_word(w1 + w2)
-                if res is not None:
-                    sign, w = res
-                    add_term(acc, w, c1 * c2 * sign)
-        return FiberPoly(acc)
-
-    def parity(self) -> str:
-        seen = {sum(c.parity for c in w) % 2 for w in self.terms}
-        if not seen:
-            return "even"
-        if len(seen) > 1:
-            return "mixed"
-        return "odd" if seen.pop() else "even"
+        return cls({w: c * f for f, w in canonical_terms(tuple(coords))})
 
     def coords(self) -> set:
         out = set()
@@ -163,37 +128,28 @@ class FiberPoly(LinearCombination):
     def partial_symbol(self, name: str) -> "FiberPoly":
         return FiberPoly({w: c.partial_symbol(name) for w, c in self.terms.items()})
 
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        bits = []
-        for w, c in sorted(self.terms.items()):
-            ws = "·".join(repr(x) for x in w) if w else "1"
-            bits.append(f"({c!r})·{ws}")
-        return " + ".join(bits)
 
-
-def left_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
+def _derivative(f: FiberPoly, coord: FiberCoord, right: bool) -> FiberPoly:
+    """The loop behind left_deriv and right_deriv."""
     acc: dict = {}
     p_i = coord.parity
     for w, c in f.terms.items():
-        pref = 0
+        # the right derivative adds the whole-term sign (-1)^{|i||w|}
+        pref = sum(x.parity for x in w) if right else 0
         for j, cj in enumerate(w):
             if cj == coord:
                 sign = -1 if (p_i and pref % 2) else 1
                 add_term(acc, w[:j] + w[j + 1:], c * sign)
             pref += cj.parity
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
+
+
+def left_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
+    return _derivative(f, coord, right=False)
 
 
 def right_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
-    acc: dict = {}
-    p_i = coord.parity
-    for w, c in f.terms.items():
-        pf = sum(x.parity for x in w) % 2
-        sign = -1 if (p_i and pf) else 1
-        add_into(acc, left_deriv(FiberPoly({w: c * sign}), coord).terms)
-    return FiberPoly(acc)
+    return _derivative(f, coord, right=True)
 
 
 def partial_deriv(f: FiberPoly, coord: FiberCoord,
@@ -251,11 +207,9 @@ def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
     acc: dict = {}
     for w, c in f.terms.items():
         for j, cj in enumerate(w):
-            res = _sort_word(w[:j] + (cj.lift(lam),) + w[j + 1:])
-            if res is not None:
-                sign, nw = res
+            for sign, nw in canonical_terms(w[:j] + (cj.lift(lam),) + w[j + 1:]):
                 add_term(acc, nw, c * sign)
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
 
 
 class VerticalDerivation:

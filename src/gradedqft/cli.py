@@ -85,7 +85,8 @@ def load_config(path: str | None) -> dict:
                 raise ConfigError(f"unknown config section {section!r}")
             if not isinstance(table, dict):
                 raise ConfigError(f"section {section!r} must be a table")
-            cfg[section].update(table)
+            for key, value in table.items():
+                _set_known(cfg, section, key, value)
         return cfg
     parser = configparser.ConfigParser()
     try:
@@ -99,8 +100,52 @@ def load_config(path: str | None) -> dict:
         if section not in cfg:
             raise ConfigError(f"unknown config section [{section}]")
         for key, raw in parser.items(section):
-            cfg[section][key] = _literal(raw)
+            _set_known(cfg, section, key, _literal(raw))
     return cfg
+
+
+def _set_known(cfg: dict, section: str, key: str, value) -> None:
+    if key not in cfg[section]:
+        raise ConfigError(f"unknown key {key!r} in section [{section}] "
+                          f"(have {sorted(cfg[section])})")
+    cfg[section][key] = value
+
+
+def _number(value, what: str) -> Fraction:
+    try:
+        return F(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise ConfigError(f"{what}: expected a number, got {value!r}") from None
+
+
+def _integer(value, what: str, minimum: int | None = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{what} must be >= {minimum}, got {value}")
+    return value
+
+
+def _momenta(value, what: str) -> list:
+    try:
+        return [tuple(_number(x, what) for x in m) for m in value]
+    except TypeError:
+        raise ConfigError(f"{what} must be a list of momentum lists, "
+                          f"got {value!r}") from None
+
+
+def _corruption(value, dim: int) -> tuple:
+    """theory.corrupt_constant (i, j, h), checked against the Lie algebra:
+    j == h would add and remove +1 at the same entry and corrupt nothing."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 3
+            and all(isinstance(x, int) and not isinstance(x, bool)
+                    and 0 <= x < dim for x in value)):
+        raise ConfigError("theory.corrupt_constant must be three indices "
+                          f"[i, j, h] in range({dim}), got {value!r}")
+    if value[1] == value[2]:
+        raise ConfigError("theory.corrupt_constant [i, j, h] needs j != h, "
+                          f"got {value!r}")
+    return tuple(value)
 
 
 def _cube():
@@ -119,9 +164,10 @@ def context_from_config(cfg: dict) -> RunContext:
     else:
         data = lie_mod.LieData.from_generators(name)
     lat_cfg = cfg["lattice"]
-    momenta = [tuple(F(x) for x in m) for m in lat_cfg["momenta"]]
-    masses = {k: F(v) for k, v in lat_cfg["masses"].items()}
-    scalar_dim = int(lat_cfg.get("scalar_dim", 2))
+    momenta = _momenta(lat_cfg["momenta"], "lattice.momenta")
+    masses = {k: _number(v, f"lattice.masses[{k!r}]")
+              for k, v in lat_cfg["masses"].items()}
+    scalar_dim = _integer(lat_cfg.get("scalar_dim", 2), "lattice.scalar_dim", 1)
     lattice = ModeLattice.make(momenta, masses, scalar_dim=scalar_dim,
                                lie_dim=data.dim)
     nz = [m for m in momenta if any(x != 0 for x in m)]
@@ -134,8 +180,8 @@ def context_from_config(cfg: dict) -> RunContext:
     lattice_nozero = ModeLattice.make(nz, masses, scalar_dim=scalar_dim,
                                       lie_dim=data.dim)
     pm = lat_cfg.get("propagator_momenta", "cube")
-    prop_momenta = _cube() if pm == "cube" else [tuple(F(x) for x in m)
-                                                 for m in pm]
+    prop_momenta = _cube() if pm == "cube" else \
+        _momenta(pm, "lattice.propagator_momenta")
     lattice_prop = ModeLattice.make(prop_momenta, masses,
                                     scalar_dim=scalar_dim, lie_dim=data.dim)
     corrupt = theory_cfg.get("corrupt_constant")
@@ -144,11 +190,11 @@ def context_from_config(cfg: dict) -> RunContext:
         lattice=lattice, lattice_nozero=lattice_nozero,
         lattice_prop=lattice_prop, lie=data,
         theory=bv.TheorySpec.make(data),
-        seed=int(cfg["run"]["seed"]),
+        seed=_integer(cfg["run"]["seed"], "run.seed"),
         oracle_enabled=bool(orc_cfg.get("enabled", True)),
-        oracle_n_max=int(orc_cfg.get("n_max", 3)),
-        oracle_cap=int(orc_cfg.get("cap", 1024)),
-        corrupt_constant=tuple(corrupt) if corrupt else None)
+        oracle_n_max=_integer(orc_cfg.get("n_max", 3), "oracle.n_max", 1),
+        oracle_cap=_integer(orc_cfg.get("cap", 1024), "oracle.cap", 1),
+        corrupt_constant=_corruption(corrupt, data.dim) if corrupt else None)
 
 
 def run_verify(cfg: dict, suites=None, timings: bool = False,

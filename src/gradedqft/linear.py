@@ -3,8 +3,10 @@
 Both algebras of the engine -- graded operator words (`algebra`) and BV
 fiber/jet polynomials (`bv`) -- are finite sums  sum_w c_w w  with
 `ScalarExpr` coefficients, keyed by canonical word tuples.  This module
-holds their one linear structure; the subclasses add only word semantics
-(products, parity, printing).
+holds their one linear structure and their one Z2-graded word rule:
+canonical order, Koszul signs and (for operator words) Wick contractions
+all come from `canonical_terms`.  A letter provides only `sort_key()`,
+which must be injective, and `parity` (0 or 1).
 
 A zero coefficient is never stored, so equality is dictionary equality.
 Loops accumulate in place on a plain dict through `add_term` and
@@ -39,6 +41,49 @@ def add_into(acc: dict, terms: Mapping) -> None:
     """Add every (key, coefficient) of ``terms`` into ``acc`` in place."""
     for key, c in terms.items():
         add_term(acc, key, c)
+
+
+def canonical_terms(word: tuple, contract=None) -> list:
+    """The word in canonical order, as a list of (factor, canonical word).
+
+    The word is insertion-sorted on keys computed once, resolving the
+    leftmost inversion first; each swap of two odd letters flips the sign
+    of the factor.  With a ``contract(left, right)`` callback, an inverted
+    pair whose contraction is not None first branches into the word
+    without the pair, weighted by the contraction (Wick's rule); that
+    branch's terms come before the swapped word's.  A sorted word that
+    repeats an odd letter is zero and yields no term.  The factor is the
+    int 1 or -1 unless a contraction multiplied into it.
+    """
+    out: list = []
+    _insertion_sort(list(word), [g.sort_key() for g in word], 1, 1,
+                    contract, out)
+    return out
+
+
+def _insertion_sort(w: list, keys: list, start: int, factor, contract,
+                    out: list) -> None:
+    """Sort w[start:] into the sorted prefix w[:start]; append to out."""
+    for i in range(start, len(w)):
+        j = i
+        while j and keys[j - 1] > keys[j]:
+            left, right = w[j - 1], w[j]
+            if contract is not None:
+                c = contract(left, right)
+                if c is not None:
+                    # w without the pair keeps a sorted prefix of length i - 1
+                    _insertion_sort(w[:j - 1] + w[j + 1:],
+                                    keys[:j - 1] + keys[j + 1:], i - 1,
+                                    factor * c, contract, out)
+            if left.parity and right.parity:
+                factor = -factor
+            w[j - 1], w[j] = right, left
+            keys[j - 1], keys[j] = keys[j], keys[j - 1]
+            j -= 1
+    for k in range(len(w) - 1):
+        if keys[k] == keys[k + 1] and w[k].parity:
+            return
+    out.append((factor, tuple(w)))
 
 
 class LinearCombination:
@@ -107,3 +152,33 @@ class LinearCombination:
     @property
     def n_terms(self) -> int:
         return len(self.terms)
+
+    def product(self, other, contract=None):
+        """Sum over word pairs of c1 c2 canonical_terms(w1 + w2, contract)."""
+        acc: dict = {}
+        for w1, c1 in self.terms.items():
+            for w2, c2 in other.terms.items():
+                terms = canonical_terms(w1 + w2, contract)
+                if terms:
+                    c12 = c1 * c2
+                    for f, w in terms:
+                        add_term(acc, w, c12 * f)
+        return self._wrap(acc)
+
+    def parity(self) -> str:
+        """'even', 'odd' or 'mixed' by total letter parity; zero is even."""
+        seen = {sum(g.parity for g in w) % 2 for w in self.terms}
+        if len(seen) > 1:
+            return "mixed"
+        return "odd" if seen == {1} else "even"
+
+    def __iter__(self):
+        """(word, coefficient) pairs, words in lexicographic key order."""
+        return iter(sorted(self.terms.items(),
+                           key=lambda wc: tuple(g.sort_key() for g in wc[0])))
+
+    def __repr__(self) -> str:
+        if not self.terms:
+            return "0"
+        return " + ".join(f"({c!r})·{'·'.join(map(repr, w)) if w else '1'}"
+                          for w, c in self)

@@ -186,3 +186,61 @@ def test_custom_generator_config():
     assert ctx.lie.dim == 1 and ctx.lie.dim_f == 2
     report = run_verify(cfg, suites=["brst"])
     assert report["failed"] == 0
+
+
+@pytest.mark.parametrize("suffix,text", [
+    (".ini", "[run]\nsed = 9\n"),
+    (".json", json.dumps({"run": {"sed": 9}})),
+    (".json", json.dumps({"oracle": {"n_max": 3, "capp": 8}})),
+], ids=["ini", "json", "json-oracle"])
+def test_unknown_key_in_known_section_rejected(tmp_path, suffix, text):
+    p = tmp_path / f"typo{suffix}"
+    p.write_text(text)
+    with pytest.raises(ConfigError, match="unknown key"):
+        load_config(str(p))
+
+
+@pytest.mark.parametrize("section,key,value,match", [
+    ("lattice", "masses", {"scalar": "abc", "fermion": 1, "dirac": 1},
+     "masses"),
+    ("lattice", "momenta", [["x", 0, 0], [1, 0, 0]], "momenta"),
+    ("lattice", "momenta", [1, 2], "momenta"),
+    ("lattice", "propagator_momenta", [[1, 0, "q"]], "propagator_momenta"),
+    ("oracle", "n_max", -1, "n_max"),
+    ("oracle", "n_max", 0, "n_max"),
+    ("oracle", "cap", 0, "cap"),
+    ("oracle", "n_max", "3", "n_max"),
+    ("theory", "corrupt_constant", [0, 1, 1], "j != h"),
+    ("theory", "corrupt_constant", [-1, 0, 1], "range"),
+    ("theory", "corrupt_constant", [5, 0, 1], "range"),
+    ("theory", "corrupt_constant", [0, 1], "range"),
+    ("lattice", "scalar_dim", 0, "scalar_dim"),
+    ("run", "seed", "abc", "seed"),
+], ids=["mass-nonnumeric", "momentum-nonnumeric", "momentum-not-a-list",
+        "propagator-momentum-nonnumeric", "n_max-negative", "n_max-zero",
+        "cap-zero", "n_max-string", "corrupt-j-equals-h", "corrupt-negative",
+        "corrupt-out-of-range", "corrupt-two-indices", "scalar_dim-zero",
+        "seed-nonnumeric"])
+def test_bad_config_value_rejected(section, key, value, match):
+    cfg = load_config(None)
+    cfg[section][key] = value
+    with pytest.raises(ConfigError, match=match):
+        context_from_config(cfg)
+
+
+def test_corrupt_constant_checked_against_the_lie_algebra():
+    cfg = fast_cfg()  # u1: one generator, so only index 0 exists
+    cfg["theory"]["corrupt_constant"] = [0, 0, 1]
+    with pytest.raises(ConfigError, match="range\\(1\\)"):
+        context_from_config(cfg)
+    cfg["theory"]["lie"] = "su2"
+    assert context_from_config(cfg).corrupt_constant == (0, 0, 1)
+
+
+def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps({"oracle": {"n_max": -1}}))
+    assert main(["verify", "--suite", "algebra", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_max" in err
+    assert "Traceback" not in err

@@ -1,13 +1,15 @@
 """The shared linear-combination core behind GradedExpr and FiberPoly."""
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
-from gradedqft.algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen
-from gradedqft.bv import FiberCoord, FiberPoly
-from gradedqft.linear import LinearCombination, add_into, add_term
+from gradedqft.algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
+    _contraction, koszul_product
+from gradedqft.bv import SECTOR_PARITY, FiberCoord, FiberPoly
+from gradedqft.linear import LinearCombination, add_into, add_term, canonical_terms
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -129,3 +131,154 @@ def test_real_words_round_trip():
     assert GradedExpr.sum([g, h, -g]) == h
     y = FiberCoord("A", "field", (0, 0), ())
     assert FiberPoly.sum([FiberPoly.coord(y)] * 3) == FiberPoly.coord(y, Q(3))
+
+
+# --- the canonicaliser against the two sorters it replaced ------------------
+#
+# Verbatim copies of the earlier operator-word (`_normalize_word` with its
+# helpers) and fiber-word (`_sort_word`) sorters.  `canonical_terms` must give
+# the same (factor, word) list in the same order: term order reaches the
+# floating-point sums of the oracle and so the report bytes.
+
+def _normalize_word(word: tuple, rule: str) -> list[tuple[ScalarExpr, tuple]]:
+    """Rewrite a word into canonical order.
+
+    Returns a list of (coefficient multiplier, canonical word).  Under the
+    physical rule crossing a matching absorption/emission pair adds the
+    contraction term; under the modified rule it does not.
+    """
+    out: list[tuple[ScalarExpr, tuple]] = []
+    stack: list[tuple[ScalarExpr, tuple]] = [(ScalarExpr.one(), word)]
+    while stack:
+        coeff, w = stack.pop()
+        pos = _first_inversion(w)
+        if pos is None:
+            if _has_odd_square(w):
+                continue
+            out.append((coeff, w))
+            continue
+        g1, g2 = w[pos], w[pos + 1]
+        sign = -1 if (g1.parity and g2.parity) else 1
+        swapped = w[:pos] + (g2, g1) + w[pos + 2:]
+        stack.append((coeff * sign if sign < 0 else coeff, swapped))
+        if rule == "physical":
+            c = _contraction(g1, g2)
+            if c is not None:
+                stack.append((coeff * c, w[:pos] + w[pos + 2:]))
+    return out
+
+
+def _first_inversion(w: tuple) -> int | None:
+    for i in range(len(w) - 1):
+        if w[i].sort_key() > w[i + 1].sort_key():
+            return i
+    return None
+
+
+def _has_odd_square(w: tuple) -> bool:
+    for i in range(len(w) - 1):
+        if w[i] == w[i + 1] and w[i].parity:
+            return True
+    return False
+
+
+def _sort_word(word: tuple):
+    """(sign, canonical word) or None when an odd coordinate repeats."""
+    w = list(word)
+    sign = 1
+    # insertion sort, counting odd-odd transpositions
+    for i in range(1, len(w)):
+        j = i
+        while j > 0 and w[j - 1] > w[j]:
+            if w[j - 1].parity and w[j].parity:
+                sign = -sign
+            w[j - 1], w[j] = w[j], w[j - 1]
+            j -= 1
+    for a, b in zip(w, w[1:]):
+        if a == b and a.parity:
+            return None
+    return sign, tuple(w)
+
+
+@dataclass(frozen=True, order=True)
+class _OrderedCoord(FiberCoord):
+    """FiberCoord with the generated field-tuple ordering `_sort_word` used."""
+
+
+def _as_scalar(f):
+    return ScalarExpr.one() * f
+
+
+def _random_opgen(rng):
+    sector = rng.choice(["scalar", "fermion", "gauge", "ghost", "nl",
+                         "dirac_particle"])
+    internal = (rng.randrange(4), rng.randrange(2)) if sector == "gauge" \
+        else (rng.randrange(2),)
+    return OpGen(rng.choice([ABSORB, EMIT]), rng.choice([UPPER, LOWER]),
+                 sector, rng.randrange(2), internal)
+
+
+def _with_partner(g):
+    return g, OpGen(EMIT if g.species == ABSORB else ABSORB,
+                    LOWER if g.position == UPPER else UPPER,
+                    g.sector, g.mode, g.internal)
+
+
+def _random_coord(rng):
+    return FiberCoord(rng.choice(list(SECTOR_PARITY)),
+                      rng.choice(["field", "anti"]), (rng.randrange(2),),
+                      rng.choice([(), (0,), (0, 1), (1, 1)]))
+
+
+@pytest.mark.parametrize("rule", ["physical", "modified"])
+def test_canonical_terms_match_operator_reference(rule):
+    rng = random.Random(7)
+    contract = _contraction if rule == "physical" else None
+    seen = {"branched": 0, "killed": 0, "metric": 0}
+    for _ in range(400):
+        # a small alphabet of letters and their contraction partners makes
+        # repeated letters and contracting pairs common
+        alphabet = [g for _ in range(rng.randint(1, 3))
+                    for g in _with_partner(_random_opgen(rng))]
+        word = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        want = _normalize_word(word, rule)
+        got = canonical_terms(word, contract)
+        assert [(_as_scalar(f), w) for f, w in got] == want, word
+        seen["branched"] += len(want) > 1
+        seen["killed"] += not want
+        seen["metric"] += any(g.sector == "gauge" for g in word) and len(want) > 1
+    assert seen["killed"]
+    if rule == "physical":
+        assert seen["branched"] and seen["metric"]
+
+
+def test_canonical_terms_match_fiber_reference():
+    rng = random.Random(11)
+    killed = signed = 0
+    for _ in range(400):
+        alphabet = [_random_coord(rng) for _ in range(rng.randint(1, 5))]
+        word = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
+        ref = _sort_word(tuple(_OrderedCoord(c.sector, c.kind, c.idx, c.jet)
+                               for c in word))
+        want = [] if ref is None else \
+            [(ref[0], tuple(FiberCoord(c.sector, c.kind, c.idx, c.jet)
+                            for c in ref[1]))]
+        assert canonical_terms(word) == want, word
+        killed += ref is None
+        signed += ref is not None and ref[0] < 0
+    assert killed and signed
+
+
+def test_products_keep_the_reference_term_order():
+    rng = random.Random(23)
+    for _ in range(60):
+        gens = [_random_opgen(rng) for _ in range(3)]
+        a, b = (GradedExpr({tuple(rng.choice(gens) for _ in range(rng.randint(0, 3))):
+                            Q(rng.randint(1, 3)) for _ in range(3)})
+                for _ in range(2))
+        want: dict = {}
+        for w1, c1 in a.terms.items():
+            for w2, c2 in b.terms.items():
+                for mult, w in _normalize_word(w1 + w2, "physical"):
+                    add_term(want, w, c1 * c2 * mult)
+        assert list(koszul_product(a, b).terms.items()) == list(want.items())
