@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import bv
 from . import lie as lie_mod
-from .fields import FieldPoint, ModeLattice, conjugate_field, field, \
-    propagator_D, propagator_D_total
+from .fields import FieldPoint, LatticeError, ModeLattice, conjugate_field, \
+    field, propagator_D, propagator_D_total
 from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities
@@ -126,6 +126,15 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _flag(value, what: str) -> bool:
+    """A JSON ``true``/``false``, or INI ``true``/``false`` in any case."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.lower() in ("true", "false"):
+        return value.lower() == "true"
+    raise ConfigError(f"{what} must be true or false, got {value!r}")
+
+
 def _momenta(value, what: str) -> list:
     try:
         return [tuple(_number(x, what) for x in m) for m in value]
@@ -148,6 +157,14 @@ def _corruption(value, dim: int) -> tuple:
     return tuple(value)
 
 
+def _lattice(momenta, masses, scalar_dim: int, lie_dim: int, what: str):
+    try:
+        return ModeLattice.make(momenta, masses, scalar_dim=scalar_dim,
+                                lie_dim=lie_dim)
+    except LatticeError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
 def _cube():
     return [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
             for k in (-1, 0, 1)]
@@ -168,8 +185,7 @@ def context_from_config(cfg: dict) -> RunContext:
     masses = {k: _number(v, f"lattice.masses[{k!r}]")
               for k, v in lat_cfg["masses"].items()}
     scalar_dim = _integer(lat_cfg.get("scalar_dim", 2), "lattice.scalar_dim", 1)
-    lattice = ModeLattice.make(momenta, masses, scalar_dim=scalar_dim,
-                               lie_dim=data.dim)
+    lattice = _lattice(momenta, masses, scalar_dim, data.dim, "lattice")
     nz = [m for m in momenta if any(x != 0 for x in m)]
     for m in nz:
         neg = tuple(-x for x in m)
@@ -177,13 +193,12 @@ def context_from_config(cfg: dict) -> RunContext:
             nz.append(neg)
     if not nz:
         raise ConfigError("lattice needs at least one nonzero momentum")
-    lattice_nozero = ModeLattice.make(nz, masses, scalar_dim=scalar_dim,
-                                      lie_dim=data.dim)
+    lattice_nozero = _lattice(nz, masses, scalar_dim, data.dim, "lattice")
     pm = lat_cfg.get("propagator_momenta", "cube")
     prop_momenta = _cube() if pm == "cube" else \
         _momenta(pm, "lattice.propagator_momenta")
-    lattice_prop = ModeLattice.make(prop_momenta, masses,
-                                    scalar_dim=scalar_dim, lie_dim=data.dim)
+    lattice_prop = _lattice(prop_momenta, masses, scalar_dim, data.dim,
+                            "lattice.propagator_momenta")
     corrupt = theory_cfg.get("corrupt_constant")
     orc_cfg = cfg["oracle"]
     return RunContext(
@@ -191,10 +206,11 @@ def context_from_config(cfg: dict) -> RunContext:
         lattice_prop=lattice_prop, lie=data,
         theory=bv.TheorySpec.make(data),
         seed=_integer(cfg["run"]["seed"], "run.seed"),
-        oracle_enabled=bool(orc_cfg.get("enabled", True)),
+        oracle_enabled=_flag(orc_cfg.get("enabled", True), "oracle.enabled"),
         oracle_n_max=_integer(orc_cfg.get("n_max", 3), "oracle.n_max", 1),
         oracle_cap=_integer(orc_cfg.get("cap", 1024), "oracle.cap", 1),
-        corrupt_constant=_corruption(corrupt, data.dim) if corrupt else None)
+        corrupt_constant=None if corrupt is None
+        else _corruption(corrupt, data.dim))
 
 
 def run_verify(cfg: dict, suites=None, timings: bool = False,

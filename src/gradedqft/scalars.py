@@ -287,7 +287,40 @@ def qsum_sqrt(q: Rational) -> QSum:
 #          value = QSum for 'c'/'t', (Fraction, Fraction, Fraction) for 'x'
 
 Term = tuple
-_CONST: Term = ((), (), ())  # the key of a pure coefficient
+
+
+class _Key(tuple):
+    """A hash-consed term key (Filliâtre and Conchon, "Type-safe modular
+    hash-consing", 2006).  :func:`_intern` keeps one object per distinct
+    ``(syms, deltas, phase)``, so dict lookups of interned keys succeed on
+    identity, and the hash is the plain tuple's hash, computed once: without
+    the cache every lookup rehashes the Fractions nested in the phase and
+    weight symbols."""
+
+    def __new__(cls, t: tuple) -> "_Key":
+        self = tuple.__new__(cls, t)
+        self._h = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._h
+
+
+# The key of a pure coefficient, the only key of every rational constant,
+# stays a plain tuple: its C-level hash of three empty tuples is cheaper
+# than the Python-level call that returns a cached hash.
+_CONST: Term = ((), (), ())
+_KEYS: dict[Term, Term] = {_CONST: _CONST}
+
+
+def _intern(t: tuple) -> Term:
+    """The one key object equal to the term key ``t``; every key this
+    module builds passes through here."""
+    k = _KEYS.get(t)
+    if k is None:
+        k = _Key(t)
+        _KEYS[k] = k
+    return k
 
 
 def sym_key(name: str, token: tuple | None = None) -> tuple:
@@ -410,14 +443,14 @@ class ScalarExpr:
 
     @staticmethod
     def symbol(name: str, token: tuple | None = None) -> "ScalarExpr":
-        return ScalarExpr({(((sym_key(name, token), 1),), (), ()): GR_ONE}, _raw=True)
+        return _monomial(((sym_key(name, token), 1),), (), ())
 
     @staticmethod
     def radical(d: int) -> "ScalarExpr":
         """sqrt(d) for a squarefree integer d >= 1."""
         if d == 1:
             return _ONE
-        return ScalarExpr({(((("rad", d), 1),), (), ()): GR_ONE}, _raw=True)
+        return _monomial(((("rad", d), 1),), (), ())
 
     @staticmethod
     def sqrt_rational(q: Rational) -> "ScalarExpr":
@@ -441,7 +474,7 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * c))
-        return ScalarExpr({(((("wgt", r), 1),), (), ()): GR_ONE}, _raw=True)
+        return _monomial(((("wgt", r), 1),), (), ())
 
     @staticmethod
     def boost_weight(m: Rational, r: Rational) -> "ScalarExpr":
@@ -450,7 +483,7 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * m * (c + m)))
-        return ScalarExpr({(((("kw", m, r), 1),), (), ()): GR_ONE}, _raw=True)
+        return _monomial(((("kw", m, r), 1),), (), ())
 
     @staticmethod
     def delta(t1: tuple, t2: tuple) -> "ScalarExpr":
@@ -459,13 +492,12 @@ class ScalarExpr:
             return _ZERO
         if p is None:
             return _ONE
-        return ScalarExpr({((), (p,), ()): GR_ONE}, _raw=True)
+        return _monomial((), (p,), ())
 
     @staticmethod
     def phase(entries: Iterable[tuple]) -> "ScalarExpr":
         """exp(i * (linear form)) from (key, value) entries."""
-        ph = _phase_normal(entries)
-        return ScalarExpr({((), (), ph): GR_ONE}, _raw=True)
+        return _monomial((), (), _phase_normal(entries))
 
     @staticmethod
     def sum(parts: Iterable["ScalarExpr"]) -> "ScalarExpr":
@@ -502,21 +534,31 @@ class ScalarExpr:
             return _scaled(self, other.terms[_CONST])
         if len(self.terms) == 1 and _CONST in self.terms:
             return _scaled(other, self.terms[_CONST])
+        # Merge coefficients on the raw product key first, then expand each
+        # raw key last-first: the order in which _normalize visits them,
+        # so the terms come out in the same order.
         raw: dict[Term, GaussianRational] = {}
-        for (s1, d1, p1), c1 in self.terms.items():
-            for (s2, d2, p2), c2 in other.terms.items():
-                syms: dict = {}
-                for k, e in list(s1) + list(s2):
-                    syms[k] = syms.get(k, 0) + e
-                term = (
-                    tuple(sorted((k, e) for k, e in syms.items() if e)),
-                    tuple(sorted(set(d1) | set(d2))),
-                    _phase_mul(p1, p2),
-                )
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                key = _PRODUCT.get((k1, k2))
+                if key is None:
+                    key = _memo_product(k1, k2)
                 c = c1 * c2
-                prev = raw.get(term)
-                raw[term] = c if prev is None else prev + c
-        return ScalarExpr(raw)
+                prev = raw.get(key)
+                raw[key] = c if prev is None else prev + c
+        out: dict[Term, GaussianRational] = {}
+        for key, c in reversed(raw.items()):
+            if c.is_zero():
+                continue
+            for term, f in _EXPANSION[key]:
+                cf = c if f is GR_ONE else c * f
+                prev = out.get(term)
+                s = cf if prev is None else prev + cf
+                if s.is_zero():
+                    del out[term]
+                else:
+                    out[term] = s
+        return ScalarExpr(out, _raw=True)
 
     __rmul__ = __mul__
 
@@ -532,7 +574,7 @@ class ScalarExpr:
         """Complex conjugation; formal symbols are treated as real."""
         acc: dict[Term, GaussianRational] = {}
         for (s, d, p), c in self.terms.items():
-            acc[(s, d, _phase_neg(p))] = c.conjugate()
+            acc[_intern((s, d, _phase_neg(p)))] = c.conjugate()
         return ScalarExpr(acc, _raw=True)
 
     def is_zero(self) -> bool:
@@ -558,27 +600,27 @@ class ScalarExpr:
     def d_dt(self, tname: str) -> "ScalarExpr":
         """Derivative along the time symbol (phases only)."""
         acc: dict[Term, GaussianRational] = {}
-        key = ("t", tname)
-        for (s, d, p), c in self.terms.items():
-            coeff = dict(p).get(key)
+        tkey = ("t", tname)
+        for key, c in self.terms.items():
+            coeff = dict(key[2]).get(tkey)
             if not coeff:
                 continue
             # multiply by i * (sum of c_d * sqrt(d))
             factor = ScalarExpr(
                 {(((("rad", dd), 1),) if dd != 1 else (), (), ()):
                  GaussianRational(0, cc) for dd, cc in coeff})
-            _add_into(acc, (ScalarExpr({(s, d, p): c}, _raw=True) * factor).terms)
+            _add_into(acc, (ScalarExpr({key: c}, _raw=True) * factor).terms)
         return ScalarExpr(acc, _raw=True)
 
     def d_dx(self, xname: str, j: int) -> "ScalarExpr":
         """Derivative along component j of the spatial symbol (phases only)."""
         acc: dict[Term, GaussianRational] = {}
-        key = ("x", xname)
-        for (s, d, p), c in self.terms.items():
-            vec = dict(p).get(key)
+        xkey = ("x", xname)
+        for key, c in self.terms.items():
+            vec = dict(key[2]).get(xkey)
             if vec is None or vec[j] == 0:
                 continue
-            acc[(s, d, p)] = c * GaussianRational(0, vec[j])  # keys stay distinct
+            acc[key] = c * GaussianRational(0, vec[j])  # keys stay distinct
         return ScalarExpr(acc, _raw=True)
 
     def partial_symbol(self, name: str) -> "ScalarExpr":
@@ -594,7 +636,7 @@ class ScalarExpr:
                 del sdict[key]
             else:
                 sdict[key] = e - 1
-            term = (tuple(sorted(sdict.items())), d, p)
+            term = _intern((tuple(sorted(sdict.items())), d, p))
             prev = acc.get(term, GR_ZERO)
             acc[term] = prev + c * e
         return ScalarExpr(acc, _raw=True)
@@ -602,13 +644,14 @@ class ScalarExpr:
     def translate_space(self, xname: str, shift_name: str) -> "ScalarExpr":
         """Substitute x -> x + a, with a the named shift vector symbol."""
         acc: dict[Term, GaussianRational] = {}
-        for (s, d, p), c in self.terms.items():
+        for key, c in self.terms.items():
+            s, d, p = key
             vec = dict(p).get(("x", xname))
             if vec is None:
-                acc[(s, d, p)] = acc.get((s, d, p), GR_ZERO) + c
+                acc[key] = acc.get(key, GR_ZERO) + c
                 continue
             newp = _phase_normal(list(p) + [(("x", shift_name), vec)])
-            t = (s, d, newp)
+            t = _intern((s, d, newp))
             acc[t] = acc.get(t, GR_ZERO) + c
         return ScalarExpr(acc, _raw=True)
 
@@ -616,16 +659,16 @@ class ScalarExpr:
         """Integrate over the spatial symbol: lattice plane waves are
         orthonormal, so a term survives iff its x-coefficient vanishes."""
         acc: dict[Term, GaussianRational] = {}
-        for (s, d, p), c in self.terms.items():
-            pd = dict(p)
+        for key, c in self.terms.items():
+            pd = dict(key[2])
             if ("x", xname) in pd:
                 continue
             if strict:
-                for key in pd:
-                    if key[0] == "x":
+                for pkey in pd:
+                    if pkey[0] == "x":
                         raise NonIntegrablePhaseError(
-                            f"phase depends on foreign position {key[1]!r}")
-            acc[(s, d, p)] = acc.get((s, d, p), GR_ZERO) + c
+                            f"phase depends on foreign position {pkey[1]!r}")
+            acc[key] = acc.get(key, GR_ZERO) + c
         return ScalarExpr(acc, _raw=True)
 
     def has_time_dependence(self) -> bool:
@@ -642,16 +685,16 @@ class ScalarExpr:
         """Sum over the mode-index variable, consuming sifting deltas."""
         tok = var_tok(var)
         acc: dict[Term, GaussianRational] = {}
-        for (s, d, p), c in self.terms.items():
+        for key, c in self.terms.items():
             partner = None
-            for pair in d:
+            for pair in key[1]:
                 if pair[0] == tok:
                     partner = pair[1]
                     break
                 if pair[1] == tok:
                     partner = pair[0]
                     break
-            one = ScalarExpr({(s, d, p): c}, _raw=True)
+            one = ScalarExpr({key: c}, _raw=True)
             if partner is not None:
                 _add_into(acc, _substitute_token(one, tok, partner).terms)
             else:
@@ -750,7 +793,7 @@ def _substitute_token(e: ScalarExpr, old: tuple, new: tuple) -> ScalarExpr:
                 keep.append(pr)
         if dead:
             continue
-        term = (term_syms, tuple(sorted(set(keep))), p)
+        term = _intern((term_syms, tuple(sorted(set(keep))), p))
         raw[term] = raw.get(term, GR_ZERO) + c
     return ScalarExpr(raw)
 
@@ -777,6 +820,42 @@ def _scaled(e: ScalarExpr, k) -> ScalarExpr:
     if k == 1:
         return e
     return ScalarExpr({t: c * k for t, c in e.terms.items()}, _raw=True)
+
+
+def _monomial(syms: tuple, deltas: tuple, phase: tuple) -> ScalarExpr:
+    """The one-term expression 1 * syms * deltas * phase (already canonical)."""
+    return ScalarExpr({_intern((syms, deltas, phase)): GR_ONE}, _raw=True)
+
+
+# The memoized monomial product.  A finite lattice has few distinct
+# monomials, so the same key pairs meet again and again.
+_PRODUCT: dict[tuple[Term, Term], Term] = {}  # (k1, k2) -> raw product key
+_EXPANSION: dict[Term, tuple] = {}  # raw key -> _normalize({raw: 1}) items
+
+
+def _raw_product(k1: Term, k2: Term) -> Term:
+    """The key of the product of two monomials before :func:`_normalize`:
+    symbol exponents added, delta sets united, phases merged."""
+    (s1, d1, p1), (s2, d2, p2) = k1, k2
+    syms: dict = {}
+    for k, e in s1 + s2:
+        syms[k] = syms.get(k, 0) + e
+    return _intern((
+        tuple(sorted((k, e) for k, e in syms.items() if e)),
+        tuple(sorted(set(d1) | set(d2))),
+        _phase_mul(p1, p2),
+    ))
+
+
+def _memo_product(k1: Term, k2: Term) -> Term:
+    """Record the raw product key of ``k1 * k2`` and, once per raw key, its
+    normalized expansion ``((key, factor), ...)``: normalization is linear
+    in the coefficient, so ``c * raw`` expands to ``c * factor`` per key,
+    in this order."""
+    raw = _PRODUCT[k1, k2] = _raw_product(k1, k2)
+    if raw not in _EXPANSION:
+        _EXPANSION[raw] = tuple(_normalize({raw: GR_ONE}).items())
+    return raw
 
 
 def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
@@ -810,10 +889,9 @@ def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
                 e = e % 2
             if e:
                 keep_s.append((key, e))
-        term = (tuple(sorted(keep_s)), tuple(sorted(set(keep_d))), phase)
+        term = _intern((tuple(sorted(keep_s)), tuple(sorted(set(keep_d))), phase))
         if mult is not None:
-            for (s2, d2, p2), c2 in (ScalarExpr({term: coeff}, _raw=True) * mult).terms.items():
-                work.append(((s2, d2, p2), c2))
+            work.extend((ScalarExpr({term: coeff}, _raw=True) * mult).terms.items())
             continue
         prev = out.get(term)
         s = coeff if prev is None else prev + coeff

@@ -244,3 +244,74 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n_max" in err
     assert "Traceback" not in err
+
+
+def _ini(tmp_path, text):
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+    return load_config(str(p))
+
+
+@pytest.mark.parametrize("raw,expected", [
+    ("false", False), ("FALSE", False), ("False", False),
+    ("true", True), ("TRUE", True), ("True", True),
+], ids=["false", "FALSE", "False", "true", "TRUE", "True"])
+def test_ini_oracle_enabled_is_read_as_a_bool(tmp_path, raw, expected):
+    cfg = _ini(tmp_path, f"[oracle]\nenabled = {raw}\n")
+    assert context_from_config(cfg).oracle_enabled is expected
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_json_oracle_enabled_bool(tmp_path, value):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"oracle": {"enabled": value}}))
+    assert context_from_config(load_config(str(p))).oracle_enabled is value
+
+
+@pytest.mark.parametrize("raw", ["no", "off", "0", "1", "[]", "maybe"])
+def test_ini_oracle_enabled_rejects_non_bool(tmp_path, raw):
+    cfg = _ini(tmp_path, f"[oracle]\nenabled = {raw}\n")
+    with pytest.raises(ConfigError, match="oracle.enabled"):
+        context_from_config(cfg)
+
+
+@pytest.mark.parametrize("value", [0, 1, None, "yes", []])
+def test_json_oracle_enabled_rejects_non_bool(tmp_path, value):
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps({"oracle": {"enabled": value}}))
+    with pytest.raises(ConfigError, match="oracle.enabled"):
+        context_from_config(load_config(str(p)))
+
+
+@pytest.mark.parametrize("value", [[], 0, ""], ids=["empty-list", "zero", "empty-string"])
+def test_falsy_corrupt_constant_is_rejected(value):
+    cfg = load_config(None)
+    cfg["theory"]["corrupt_constant"] = value
+    with pytest.raises(ConfigError, match="corrupt_constant"):
+        context_from_config(cfg)
+
+
+_BAD_LATTICES = {
+    "duplicate-momentum": ("momenta = [[1, 0, 0], [1, 0, 0]]", "duplicate"),
+    "duplicate-propagator-momentum":
+        ("propagator_momenta = [[0, 1, 0], [0, 1, 0]]", "propagator_momenta"),
+    "zero-scalar-mass":
+        ('masses = {"scalar": 0, "fermion": 1, "dirac": 1}', "positive mass"),
+    "negative-dirac-mass":
+        ('masses = {"scalar": 1, "fermion": 1, "dirac": -1}', "positive mass"),
+    "massive-gauge": ('masses = {"gauge": 1}', "gauge sector must be massless"),
+    "massive-ghost": ('masses = {"ghost": 2}', "ghost sector must be massless"),
+}
+
+
+@pytest.mark.parametrize("verb", [["verify", "--suite", "algebra"], ["dump-lattice"]],
+                         ids=["verify", "dump-lattice"])
+@pytest.mark.parametrize("case", sorted(_BAD_LATTICES))
+def test_bad_lattice_exits_2_without_traceback(tmp_path, capsys, verb, case):
+    line, match = _BAD_LATTICES[case]
+    p = tmp_path / "lattice.ini"
+    p.write_text(f"[lattice]\n{line}\n")
+    assert main(verb + ["--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lattice") and match in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

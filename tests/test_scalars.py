@@ -17,6 +17,10 @@ from gradedqft.scalars import (
     qsum_sqrt,
     scalar_add,
     var_tok,
+    _CONST,
+    _delta_pair,
+    _phase_mul,
+    _scaled,
 )
 
 F = Fraction
@@ -359,3 +363,169 @@ def test_sum_equals_repeated_addition(parts):
         folded = folded + p
     assert ScalarExpr.sum(parts) == folded
     assert list(ScalarExpr.sum(parts).terms) == list(folded.terms)  # same order
+
+
+# --- memoized monomial product against the direct product it replaces ----
+
+def _ref_mul(a, b):
+    """ScalarExpr product without interned keys or the product memo: each
+    key pair builds its raw key (_phase_mul), the raw dict is normalized."""
+    if len(b.terms) == 1 and _CONST in b.terms:
+        return _scaled(a, b.terms[_CONST])
+    if len(a.terms) == 1 and _CONST in a.terms:
+        return _scaled(b, a.terms[_CONST])
+    raw = {}
+    for (s1, d1, p1), c1 in a.terms.items():
+        for (s2, d2, p2), c2 in b.terms.items():
+            syms = {}
+            for k, e in list(s1) + list(s2):
+                syms[k] = syms.get(k, 0) + e
+            term = (
+                tuple(sorted((k, e) for k, e in syms.items() if e)),
+                tuple(sorted(set(d1) | set(d2))),
+                _phase_mul(p1, p2),
+            )
+            c = c1 * c2
+            prev = raw.get(term)
+            raw[term] = c if prev is None else prev + c
+    return ScalarExpr(_ref_normalize(raw), _raw=True)
+
+
+def _ref_square_value(key):
+    if key[0] == "wgt":
+        c, d = canonical_sqrt(F(1) / key[1])
+        return _ref_mul(ScalarExpr.radical(d), rat(c / 2))
+    m, r = key[1], key[2]
+    c, d = canonical_sqrt(r)
+    return _ref_mul(_ref_mul(ScalarExpr.radical(d), rat(c)) - rat(m),
+                    rat(F(1) / (2 * m * (r - m * m))))
+
+
+def _ref_normalize(raw):
+    out = {}
+    work = list(raw.items())
+    while work:
+        (syms, deltas, phase), coeff = work.pop()
+        if coeff is None or coeff.is_zero():
+            continue
+        dead = False
+        keep_d = []
+        for t1, t2 in deltas:
+            pr = _delta_pair(t1, t2)
+            if pr == 0:
+                dead = True
+                break
+            if pr is not None:
+                keep_d.append(pr)
+        if dead:
+            continue
+        mult = None
+        keep_s = []
+        for key, e in syms:
+            kind = key[0]
+            if kind == "rad" and e >= 2:
+                coeff = coeff * key[1] ** (e // 2)
+                e = e % 2
+            elif kind in ("wgt", "kw") and e >= 2:
+                sq = ONE
+                for _ in range(e // 2):
+                    sq = _ref_mul(sq, _ref_square_value(key))
+                mult = sq if mult is None else _ref_mul(mult, sq)
+                e = e % 2
+            if e:
+                keep_s.append((key, e))
+        term = (tuple(sorted(keep_s)), tuple(sorted(set(keep_d))), phase)
+        if mult is not None:
+            for (s2, d2, p2), c2 in _ref_mul(ScalarExpr({term: coeff}, _raw=True), mult).terms.items():
+                work.append(((s2, d2, p2), c2))
+            continue
+        prev = out.get(term)
+        s = coeff if prev is None else prev + coeff
+        if s.is_zero():
+            out.pop(term, None)
+        else:
+            out[term] = s
+    return out
+
+
+_W = ScalarExpr.mode_weight(F(2))          # w**2 = sqrt(2)/4
+_K = ScalarExpr.boost_weight(F(1), F(2))   # k**2 = (sqrt(2) - 1)/2
+_R2 = ScalarExpr.sqrt_rational(2)
+_X, _Y = ScalarExpr.symbol("x"), ScalarExpr.symbol("y")
+
+# unit-size coefficients, so that products of repeated atoms cancel
+_units = st.sampled_from([GaussianRational(1), GaussianRational(-1), GaussianRational(0, 1),
+                          GaussianRational(F(1, 4)), GaussianRational(F(-1, 2))])
+_monomials = st.tuples(st.one_of(_units, gaussians),
+                       st.lists(st.sampled_from(_ATOMS + [_W, _K]), max_size=3))
+weighted = st.lists(_monomials, min_size=1, max_size=4).map(
+    lambda ts: ScalarExpr.sum(_product([ScalarExpr.gaussian(c)] + atoms) for c, atoms in ts))
+
+_CANCELLING = [
+    # w**2 expands onto sqrt(2)/4 and cancels the sqrt(2) term after expansion
+    (_W + ONE, _W - rat(F(1, 4)) * _R2),
+    # the cross terms cancel on the raw key before any expansion
+    (_K + _X, _K - _X),
+    (_W * _K + _X * _W, _W * _K - _X * _W),
+    (_K * ScalarExpr.delta(var_tok("p"), var_tok("q")) + _W, _K * _W - _R2),
+    # the constant cancels (1 * -2 against sqrt(2)**2), then k**2 adds -1/2
+    # back: the re-added term moves to the end
+    (_K + _R2 + ONE, _K + _R2 - rat(2)),
+]
+
+
+def _check_against_reference(a, b):
+    prod = a * b
+    assert list(prod.terms.items()) == list(_ref_mul(a, b).terms.items())  # same order
+    for key in prod.terms:
+        assert hash(key) == hash(tuple(key))
+        (same,) = ScalarExpr({tuple(key): GaussianRational(1)}).terms
+        assert same is key
+
+
+@pytest.mark.parametrize("a,b", _CANCELLING, ids=range(len(_CANCELLING)))
+def test_memoized_product_cancellations_match_reference(a, b):
+    _check_against_reference(a, b)
+    _check_against_reference(b, a)
+    _check_against_reference(a, a)
+
+
+@FAST
+@given(weighted, weighted)
+def test_memoized_product_matches_reference(a, b):
+    _check_against_reference(a, b)
+    _check_against_reference(a * b, a)
+
+
+def test_equal_term_keys_are_one_object():
+    p = ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(2))), (("x", "x"), (F(1), F(0), F(-1, 2)))])
+    f_q = ScalarExpr.symbol("f", var_tok("q"))
+    xi = ScalarExpr.symbol("xi")
+    routes = [
+        (_X * _Y, _Y * _X),
+        (p, p.conjugate().conjugate()),
+        (p * p, ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(8))),
+                                  (("x", "x"), (F(2), F(0), F(-1)))])),
+        (_W * _W * _X, _X * _R2),
+        (_W * _W * _W * _W, rat(F(1, 8))),  # the constant key
+        (ScalarExpr.delta(var_tok("p"), var_tok("q")) * _X,
+         _X * ScalarExpr.delta(var_tok("q"), var_tok("p"))),
+        (delta_contract(f_q * ScalarExpr.delta(var_tok("p"), var_tok("q")), "q", [0, 1]),
+         ScalarExpr.symbol("f", var_tok("p"))),
+        ((xi * xi * p).partial_symbol("xi"), xi * p),
+        (p.d_dt("t"), _R2 * p),
+        (p.translate_space("x", "a"),
+         p * ScalarExpr.phase([(("x", "a"), (F(1), F(0), F(-1, 2)))])),
+        ((p * ScalarExpr.phase([(("x", "x"), (F(-1), F(0), F(1, 2)))])).spatial_integrate("x"),
+         ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(2)))])),
+    ]
+    for x, y in routes:
+        kx, ky = list(x.terms), list(y.terms)
+        assert kx == ky
+        assert all(k1 is k2 for k1, k2 in zip(kx, ky))
+        assert all(hash(k) == hash(tuple(k)) for k in kx)
+    # a plain tuple finds an interned key, and a rebuilt expression reuses it
+    (key,) = (p * _X).terms
+    assert (p * _X).terms[tuple(key)] == GaussianRational(1)
+    (again,) = ScalarExpr({tuple(key): GaussianRational(3)}).terms
+    assert again is key
