@@ -27,8 +27,8 @@ metric as weight in the gauge case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .gammas import METRIC
 from .linear import LinearCombination, add_term, canonical_terms
 from .scalars import ScalarExpr
 
@@ -36,9 +36,6 @@ ABSORB = "absorb"
 EMIT = "emit"
 UPPER = "upper"
 LOWER = "lower"
-
-#: metric signature (+,-,-,-) used for the gauge-sector contraction weight
-METRIC_DIAG = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1))
 
 #: sector id -> (parity, is_real)
 SECTORS = {
@@ -110,7 +107,7 @@ def _contraction(g1: OpGen, g2: OpGen) -> ScalarExpr | None:
         lam2, i2 = g2.internal
         if lam1 != lam2 or i1 != i2:
             return None
-        return ScalarExpr.rational(METRIC_DIAG[lam1])
+        return ScalarExpr.rational(METRIC[lam1])
     if g1.internal != g2.internal:
         return None
     return ScalarExpr.one()

@@ -39,7 +39,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
-from .lie import LieData
+from .lie import LieData, constant_entries
 from .linear import LinearCombination, add_into, add_term, canonical_terms
 from .scalars import ScalarExpr
 
@@ -317,20 +317,11 @@ def _generator_entries(theory: TheorySpec, i: int, transposed: bool = False):
                 yield li, j, e
 
 
-def _constant_entries(constants, li: int):
-    """(jj, hh, c) over the nonzero structure constants c = c^li_{jj hh}."""
-    d = len(constants)
-    for jj in range(d):
-        for hh in range(d):
-            if constants[li][jj][hh]:
-                yield jj, hh, constants[li][jj][hh]
-
-
 def _covariant_domega(theory: TheorySpec, constants, li: int, lam: int) -> FiberPoly:
     return FiberPoly.coord(theory.omega(li, (lam,))) + FiberPoly.sum(
         FiberPoly.word((theory.omega(jj), theory.a_gauge(hh, lam)),
                        ScalarExpr.rational(c))
-        for jj, hh, c in _constant_entries(constants, li))
+        for jj, hh, c in constant_entries(constants, li))
 
 
 def brst_components(theory: TheorySpec, constants=None) -> dict:
@@ -352,7 +343,7 @@ def brst_components(theory: TheorySpec, constants=None) -> dict:
         comp[theory.omega(li)] = FiberPoly.sum(
             FiberPoly.word((theory.omega(jj), theory.omega(hh)),
                            ScalarExpr.rational(F(c) / 2))
-            for jj, hh, c in _constant_entries(cs, li))
+            for jj, hh, c in constant_entries(cs, li))
         comp[theory.omegabar(li)] = FiberPoly.coord(theory.nl(li))
         comp[theory.nl(li)] = FiberPoly.zero()
     return comp
@@ -395,7 +386,7 @@ def field_strength(theory: TheorySpec, li: int, lam: int, nu: int) -> FiberPoly:
         FiberPoly.coord(theory.a_gauge(li, lam, (nu,))) + FiberPoly.sum(
             FiberPoly.word((theory.a_gauge(jj, lam), theory.a_gauge(hh, nu)),
                            ScalarExpr.rational(-c))
-            for jj, hh, c in _constant_entries(theory.lie.constants, li))
+            for jj, hh, c in constant_entries(theory.lie.constants, li))
 
 
 def lagrangian_matter(theory: TheorySpec) -> FiberPoly:

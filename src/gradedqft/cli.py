@@ -26,8 +26,8 @@ from fractions import Fraction
 
 from . import bv
 from . import lie as lie_mod
-from .fields import FieldPoint, LatticeError, ModeLattice, conjugate_field, \
-    field, propagator_D, propagator_D_total
+from .fields import FieldError, FieldExpr, FieldPoint, LatticeError, ModeLattice, \
+    conjugate_field, field, propagator_D, propagator_D_total
 from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities
@@ -363,6 +363,17 @@ _INDEX_NAMES = {"I": 0, "J": 1, "H": 2, "a": 0, "b": 1, "c": 2, "alpha": 0,
 _POINTS = {"x": ("t", "x"), "y": ("t2", "y"), "z": ("t3", "z")}
 _MODES = {"p": 0, "q": 1, "r": 2}
 
+#: S(...) coordinate -> (TheorySpec method, index bounds from the theory);
+#: omitted trailing indices are 0
+_S_COORDS = {
+    "omega": ("omega", lambda th: (th.d_lie,)),
+    "omegabar": ("omegabar", lambda th: (th.d_lie,)),
+    "n": ("nl", lambda th: (th.d_lie,)),
+    "A": ("a_gauge", lambda th: (th.d_lie, 4)),
+    "psi": ("psi", lambda th: (4, th.n_f)),
+    "psibar": ("psibar", lambda th: (4, th.n_f)),
+}
+
 
 class Evaluator:
     """Evaluate mini-grammar expressions against the configured context."""
@@ -370,32 +381,38 @@ class Evaluator:
     def __init__(self, ctx: RunContext):
         self.ctx = ctx
 
+    def number(self, node) -> Fraction:
+        try:
+            return Fraction(node[1])
+        except ZeroDivisionError:
+            raise EvalError(f"division by zero in {node[1]!r}", node[2]) from None
+
     def point(self, node):
         kind, text, pos = node[:3]
         if kind == "name" and text in _POINTS:
             return FieldPoint.make(*_POINTS[text])
         raise EvalError(f"expected a point name (x, y, z), found {text!r}", pos)
 
-    def index(self, node):
+    def integer(self, node, names: dict, noun: str, bound: int | None) -> int:
+        """An integer literal or a name from ``names``; when ``bound`` is
+        given it must lie in 0..bound-1."""
         kind, text, pos = node[:3]
-        if kind == "num":
-            return int(Fraction(text))
-        if kind == "name" and text in _INDEX_NAMES:
-            return _INDEX_NAMES[text]
-        raise EvalError(f"expected an index, found {text!r}", pos)
+        if kind == "num" and (value := self.number(node)).denominator == 1:
+            value = int(value)
+        elif kind == "name" and text in names:
+            value = names[text]
+        else:
+            raise EvalError(f"{text!r} is not a valid {noun}", pos)
+        if bound is not None and value not in range(bound):
+            raise EvalError(f"{noun} {value} is outside 0..{bound - 1}", pos)
+        return value
+
+    def index(self, node, bound: int | None = None) -> int:
+        return self.integer(node, _INDEX_NAMES, "index", bound)
 
     def mode(self, node):
-        kind, text, pos = node[:3]
-        if kind == "num":
-            mid = int(Fraction(text))
-        elif kind == "name" and text in _MODES:
-            mid = _MODES[text]
-        else:
-            raise EvalError(f"expected a mode (p, q, r or a number), "
-                            f"found {text!r}", pos)
-        if mid >= len(self.ctx.lattice.modes):
-            raise EvalError(f"mode {mid} is outside the lattice", pos)
-        return self.ctx.lattice.modes[mid]
+        modes = self.ctx.lattice.modes
+        return modes[self.integer(node, _MODES, "mode", len(modes))]
 
     def sector(self, node):
         kind, text, pos = node[:3]
@@ -404,14 +421,28 @@ class Evaluator:
             return text
         raise EvalError(f"unknown sector {text!r}", pos)
 
+    def operator(self, node) -> GradedExpr:
+        """Evaluate ``node`` to an operator expression; a field gives its own."""
+        value = self.eval(node)
+        if isinstance(value, FieldExpr):
+            return value.expr
+        if not isinstance(value, GradedExpr):
+            raise EvalError("expected an operator expression", node[2])
+        return value
+
     def eval(self, node):
         kind = node[0]
         if kind == "num":
-            return ScalarExpr.rational(Fraction(node[1]))
+            return ScalarExpr.rational(self.number(node))
         if kind == "name":
             raise EvalError(f"unknown identifier {node[1]!r}", node[2])
         _, fname, pos, args = node
+        try:
+            return self.call(fname, pos, args)
+        except FieldError as exc:
+            raise EvalError(str(exc), pos) from None
 
+    def call(self, fname: str, pos: int, args: list):
         def need(n):
             if len(args) != n:
                 raise EvalError(
@@ -431,17 +462,16 @@ class Evaluator:
         if fname == "deriv":
             need(2)
             f = self.eval(args[0])
+            if not isinstance(f, FieldExpr):
+                raise EvalError("deriv needs a field", args[0][2])
             return f.deriv(self.index(args[1]))
         if fname == "scomm":
             need(2)
-            a, b = self.eval(args[0]), self.eval(args[1])
-            ea = a.expr if hasattr(a, "expr") else a
-            eb = b.expr if hasattr(b, "expr") else b
-            return super_bracket(ea, eb)
+            return super_bracket(self.operator(args[0]), self.operator(args[1]))
         if fname in ("absorb", "emit"):
             need(2)
             mode = self.mode(args[0])
-            idx = self.index(args[1])
+            idx = self.index(args[1], self.ctx.lattice.scalar_dim)
             species = ABSORB if fname == "absorb" else EMIT
             posn = UPPER if fname == "absorb" else LOWER
             return GradedExpr.of(OpGen(species, posn, "scalar", mode.id, (idx,)))
@@ -449,9 +479,7 @@ class Evaluator:
             # formal composition: reordering happens under normal(...) or
             # pprod(...) (the physical-rule product)
             need(2)
-            a, b = self.eval(args[0]), self.eval(args[1])
-            ea = a.expr if hasattr(a, "expr") else a
-            eb = b.expr if hasattr(b, "expr") else b
+            ea, eb = self.operator(args[0]), self.operator(args[1])
             acc = {}
             for w1, c1 in ea.terms.items():
                 for w2, c2 in eb.terms.items():
@@ -459,35 +487,27 @@ class Evaluator:
             return GradedExpr(acc)
         if fname == "pprod":
             need(2)
-            a, b = self.eval(args[0]), self.eval(args[1])
-            ea = a.expr if hasattr(a, "expr") else a
-            eb = b.expr if hasattr(b, "expr") else b
-            return koszul_product(ea, eb, "physical")
+            return koszul_product(self.operator(args[0]), self.operator(args[1]),
+                                  "physical")
         if fname == "normal":
             need(1)
-            e = self.eval(args[0])
-            return normal_order(e.expr if hasattr(e, "expr") else e)
+            return normal_order(self.operator(args[0]))
         if fname == "S":
             if not args:
                 raise EvalError("S needs a coordinate", pos)
             th = self.ctx.theory
             cname = args[0][1]
-            idx = [self.index(a) for a in args[1:]]
-            table = {
-                "omega": lambda: th.omega(idx[0] if idx else 0),
-                "omegabar": lambda: th.omegabar(idx[0] if idx else 0),
-                "n": lambda: th.nl(idx[0] if idx else 0),
-                "A": lambda: th.a_gauge(idx[0] if idx else 0,
-                                        idx[1] if len(idx) > 1 else 0),
-                "psi": lambda: th.psi(idx[0] if idx else 0,
-                                      idx[1] if len(idx) > 1 else 0),
-                "psibar": lambda: th.psibar(idx[0] if idx else 0,
-                                            idx[1] if len(idx) > 1 else 0),
-            }
-            if cname not in table:
+            if args[0][0] != "name" or cname not in _S_COORDS:
                 raise EvalError(f"unknown coordinate {cname!r}", args[0][2])
+            method, bounds = _S_COORDS[cname]
+            sizes = bounds(th)
+            if len(args) - 1 > len(sizes):
+                raise EvalError(f"S({cname}, ...) takes at most {len(sizes)} "
+                                f"index(es)", args[len(sizes) + 1][2])
+            idx = [self.index(a, n) for a, n in zip(args[1:], sizes)]
+            idx += [0] * (len(sizes) - len(idx))
             s = bv.brst_operator(th)
-            return s(bv.FiberPoly.coord(table[cname]()))
+            return s(bv.FiberPoly.coord(getattr(th, method)(*idx)))
         raise EvalError(f"unknown function {fname!r}", pos)
 
 

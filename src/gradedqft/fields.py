@@ -42,6 +42,7 @@ from .algebra import (
     super_bracket,
 )
 from .gammas import GAMMA, METRIC
+from .lie import constant_entries
 from .linear import add_into, add_term
 from .scalars import (
     GaussianRational,
@@ -68,9 +69,6 @@ class RealSectorError(FieldError):
 
 #: field sectors and their statistics (0 even, 1 odd)
 FIELD_SECTORS = {"scalar": 0, "fermion": 1, "dirac": 1, "gauge": 0, "ghost": 1}
-
-#: field sector -> operator sectors used by its expansion
-_MASSLESS = ("gauge", "ghost")
 
 
 @dataclass(frozen=True)
@@ -232,6 +230,8 @@ class FieldExpr:
 
     def deriv(self, lam: int) -> "FieldExpr":
         """Formal d/dx^lambda acting on the phases."""
+        if lam not in range(4):
+            raise FieldError(f"derivative index {lam!r} is outside 0..3")
         if lam == 0:
             if not isinstance(self.point.t, str):
                 raise FieldError("time derivative needs a symbolic time")
@@ -246,16 +246,8 @@ class FieldExpr:
 
 # --- elementary generators per sector -----------------------------------
 
-def gen_absorb_up(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
-    return OpGen(ABSORB, UPPER, sector, mode.id, idx)
-
-
 def gen_absorb_dn(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
     return OpGen(ABSORB, LOWER, sector, mode.id, idx)
-
-
-def gen_emit_up(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
-    return OpGen(EMIT, UPPER, sector, mode.id, idx)
 
 
 def gen_emit_dn(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
@@ -340,8 +332,12 @@ def _expand(kind: str, sector: str, component, x: FieldPoint,
     if sector == "gauge":
         lam, li = component
         internal = (lam, li)
+        inside = lam in range(4) and li in range(lattice.lie_dim)
     else:
         internal = (int(component),)
+        inside = internal[0] in lattice.internal_range(sector)
+    if not inside:
+        raise FieldError(f"component {component!r} is outside the {sector} sector")
     dirac = sector == "dirac"
     acc: dict = {}
     for mode in lattice.modes:
@@ -486,17 +482,219 @@ class IdentityCheck:
     anchor: str
     ok: bool
     residual_terms: int
-    note: str = ""
 
 
-def _check(name, anchor, computed, target, note="") -> IdentityCheck:
-    if isinstance(computed, GradedExpr) or isinstance(target, GradedExpr):
-        comp = computed if isinstance(computed, GradedExpr) else GradedExpr.unit(computed)
-        targ = target if isinstance(target, GradedExpr) else GradedExpr.unit(target)
-        resid = comp - targ
-        return IdentityCheck(name, anchor, resid.is_zero(), resid.n_terms, note)
+def _check(name: str, anchor: str, computed, target) -> IdentityCheck:
+    """``computed`` and ``target`` are both ScalarExpr or both GradedExpr."""
     resid = computed - target
-    return IdentityCheck(name, anchor, resid.is_zero(), resid.n_terms, note)
+    return IdentityCheck(name, anchor, resid.is_zero(), resid.n_terms)
+
+
+def _frame(lattice: ModeLattice):
+    """Equal-time points x, y and the lattice delta dlat(x - y); the
+    lattice must be closed under p -> -p."""
+    lattice.require_symmetric("the equal-time suite")
+    x = FieldPoint.make("t", "x")
+    y = FieldPoint.make("t", "y")
+    return x, y, delta_lattice([(1, x), (-1, y)], lattice)
+
+
+def _add_composite(acc: dict, constants, li: int, weight, left, right) -> None:
+    """acc += weight c_{li K H} left(K) right(H) under the modified rule,
+    with li lowered by delta; the abelian limit (no constants) adds nothing."""
+    if constants is None:
+        return
+    for kk, hh, c in constant_entries(constants, li):
+        prod = koszul_product(left[kk].expr, right[hh].expr, "modified")
+        add_into(acc, prod.scale(ScalarExpr.rational(weight * c)).terms)
+
+
+def _pair_checks(sector: str, indices: range, rows, dlat: ScalarExpr) -> list:
+    """One check per (i, j) and row (tag, anchor, pair, weight): the
+    super-commutator of the fields ``pair(i, j)`` must be
+    ``weight * dlat(x - y)`` when i == j and zero otherwise."""
+    zero = ScalarExpr.zero()
+    return [_check(f"{sector}.eqt.{tag}[{i}{j}]", anchor,
+                   field_supercommutator(*pair(i, j)),
+                   weight * dlat if weight is not None and i == j else zero)
+            for i in indices for j in indices
+            for tag, anchor, pair, weight in rows]
+
+
+def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
+    """[phi, phibar], [phi, phi], [Pi, Pi] and the time derivatives."""
+    x, y, dlat = _frame(lattice)
+    ab = lattice.internal_range("scalar")
+    i_ = ScalarExpr.i()
+    phi = [field("scalar", a, x, lattice) for a in ab]
+    phi_y = [field("scalar", a, y, lattice) for a in ab]
+    phib = [conjugate_field("scalar", a, y, lattice) for a in ab]
+    dphi = [f.deriv(0) for f in phi]
+    dphib = [f.deriv(0) for f in phib]
+    pi = [f.scale(ScalarExpr.rational(F(1, 2))) for f in dphib]
+    dphib_x = [conjugate_field("scalar", a, x, lattice).deriv(0) for a in ab]
+    rows = (
+        ("comm", "[phi^a(x), phibar_b(y)] = 0 at x0=y0",
+         lambda a, b: (phi[a], phib[b]), None),
+        ("dt_left", "[d0 phi^a(x), phibar_b(y)] = -i d^a_b dlat(x-y)",
+         lambda a, b: (dphi[a], phib[b]), -i_),
+        ("dt_right", "[phi^a(x), d0 phibar_b(y)] = +i d^a_b dlat(x-y)",
+         lambda a, b: (phi[a], dphib[b]), i_),
+        ("pi", "[phi^a(x), Pi_b(y)] = (i/2) d^a_b dlat(x-y), Pi = (1/2) d0 phibar",
+         lambda a, b: (phi[a], pi[b]), i_ * ScalarExpr.rational(F(1, 2))),
+        ("phiphi", "[phi^a(x), phi^b(y)] = 0",
+         lambda a, b: (phi[a], phi_y[b]), None),
+        ("pipi", "[Pi_a(x), Pi_b(y)] = 0 at x0=y0",
+         lambda a, b: (dphib_x[a], dphib[b]), None),
+    )
+    return _pair_checks("scalar", ab, rows, dlat)
+
+
+def _gamma0_sum(fields: list, coeffs, factor: ScalarExpr) -> GradedExpr:
+    """sum_rho factor * coeffs[rho] * fields[rho] over the nonzero coeffs."""
+    return GradedExpr.sum(fields[rho].scale(factor * ScalarExpr.gaussian(g))
+                          for rho, g in enumerate(coeffs) if not g.is_zero())
+
+
+def _dirac_checks(lattice: ModeLattice, constants=None) -> list:
+    """Pi = i (psibar gamma0) on sqrt(2m)-rescaled fields, and
+    {psibar, gamma0 psi} = (1/2m) d dlat on the unscaled ones."""
+    x, y, dlat = _frame(lattice)
+    i_ = ScalarExpr.i()
+    m = lattice.mass("dirac")
+    scale = ScalarExpr.sqrt_rational(2 * m)
+    psi = [field("dirac", al, y, lattice).expr for al in range(4)]
+    psib = [conjugate_field("dirac", al, x, lattice).expr for al in range(4)]
+    psi_s = [f.scale(scale) for f in psi]
+    psib_s = [f.scale(scale) for f in psib]
+    pi = [_gamma0_sum(psib_s, GAMMA[0].column(al), i_) for al in range(4)]
+    g0psi = [_gamma0_sum(psi, GAMMA[0].rows[be], ScalarExpr.one())
+             for be in range(4)]
+    zero = ScalarExpr.zero()
+    checks = []
+    for al in range(4):
+        for be in range(4):
+            want = i_ * dlat if al == be else zero
+            checks.append(_check(
+                f"dirac.eqt.pi_psi[{al}{be}]",
+                "{Pi_a(x), psi^b(y)} = i d^b_a dlat(x-y), Pi = i (psibar gamma0)",
+                super_bracket(pi[al], psi_s[be]), GradedExpr.unit(want)))
+    for al in range(4):
+        for be in range(4):
+            want = ScalarExpr.rational(F(1, 2) / m) * dlat if al == be else zero
+            checks.append(_check(
+                f"dirac.eqt.bar_g0psi[{al}{be}]",
+                "{psibar_a(x), (gamma0 psi)^b(y)} = (1/2m) d^b_a dlat(x-y)",
+                super_bracket(psib[al], g0psi[be]), GradedExpr.unit(want)))
+    return checks
+
+
+def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
+    """[A, Pi] in Feynman gauge, with the quadratic momentum terms kept."""
+    x, y, dlat = _frame(lattice)
+    lie = range(lattice.lie_dim)
+    a_x = [[field("gauge", (lam, li), x, lattice).expr for li in lie]
+           for lam in range(4)]
+    a_y = [[field("gauge", (lam, li), y, lattice) for li in lie]
+           for lam in range(4)]
+
+    def pi_up(mu: int, lj: int) -> GradedExpr:
+        # g^{mu nu}(-A_{J nu,0} + A_{J 0,nu} - c_{JKH} A^K_nu A^H_0)
+        #   - g^{mu 0} g^{nu rho} A^J_{nu,rho}
+        # the metric is diagonal: only nu = mu contributes to g^{mu nu}
+        gmn = METRIC[mu]
+        acc = dict(a_y[mu][lj].deriv(0).expr.scale(
+            ScalarExpr.rational(-gmn)).terms)
+        add_into(acc, a_y[0][lj].deriv(mu).expr.scale(
+            ScalarExpr.rational(gmn)).terms)
+        _add_composite(acc, constants, lj, -gmn, a_y[mu], a_y[0])
+        if mu == 0:
+            for nu in range(4):
+                add_into(acc, a_y[nu][lj].deriv(nu).expr.scale(
+                    ScalarExpr.rational(-METRIC[nu])).terms)
+        return GradedExpr(acc)
+
+    pi = [[pi_up(mu, lj) for lj in lie] for mu in range(4)]
+    minus_i_dlat = -(ScalarExpr.i() * dlat)
+    checks = []
+    for lam in range(4):
+        for mu in range(4):
+            for li in lie:
+                for lj in lie:
+                    want = minus_i_dlat if (lam == mu and li == lj) \
+                        else ScalarExpr.zero()
+                    checks.append(_check(
+                        f"gauge.eqt.A_pi[{lam}{mu}{li}{lj}]",
+                        "[A^I_lam(x), Pi^mu_J(y)] = -i d^mu_lam d^I_J dlat(x-y), xi=1",
+                        super_bracket(a_x[lam][li], pi[mu][lj]),
+                        GradedExpr.unit(want)))
+    # [A, A] = 0 at equal times (one representative pair per index choice)
+    for lam in range(4):
+        for mu in range(lam, 4):
+            checks.append(_check(
+                f"gauge.eqt.A_A[{lam}{mu}]",
+                "[A^I_lam(x), A^J_mu(y)] = 0 at x0=y0",
+                super_bracket(a_x[lam][0], a_y[mu][0].expr), GradedExpr.zero()))
+    return checks
+
+
+def _ghost_checks(lattice: ModeLattice, constants=None) -> list:
+    """The pairs with Pi_J[omega] = d0 omegabar_J, then the covariant Pi^I."""
+    x, y, dlat = _frame(lattice)
+    lie = range(lattice.lie_dim)
+    i_ = ScalarExpr.i()
+    om_x = [field("ghost", li, x, lattice) for li in lie]
+    om_y = [field("ghost", li, y, lattice) for li in lie]
+    omb_x = [conjugate_field("ghost", li, x, lattice) for li in lie]
+    omb_y = [conjugate_field("ghost", li, y, lattice) for li in lie]
+    a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
+    dom_x = [f.deriv(0) for f in om_x]
+    domb_x = [f.deriv(0) for f in omb_x]
+    domb_y = [f.deriv(0) for f in omb_y]
+    rows = (
+        ("dbar_om", "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",
+         lambda i, j: (domb_x[i], om_y[j]), i_),
+        ("dom_bar", "{d0 omega^I(x), omegabar_J(y)} = -i d^I_J dlat(x-y)",
+         lambda i, j: (dom_x[j], omb_y[i]), -i_),
+        ("bar_om", "{omegabar_I(x), omega^J(y)} = 0 at x0=y0",
+         lambda i, j: (omb_x[i], om_y[j]), None),
+        ("bar_A0", "{omegabar_I(x), A^J_0(y)} = 0",
+         lambda i, j: (omb_x[i], a0_y[j]), None),
+        ("om_pi", "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
+         lambda i, j: (om_x[i], domb_y[j]), i_),
+    )
+    return _pair_checks("ghost", lie, rows, dlat) + \
+        ghost_momentum_checks(lattice, constants)
+
+
+def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
+    """{omegabar_J(x), Pi^I(y)} = i d^I_J dlat with
+    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0)."""
+    x, y, dlat = _frame(lattice)
+    lie = range(lattice.lie_dim)
+    om_y = [field("ghost", li, y, lattice) for li in lie]
+    a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
+    omb_x = [conjugate_field("ghost", li, x, lattice).expr for li in lie]
+    pi = []
+    for li in lie:
+        acc = dict(om_y[li].deriv(0).expr.scale(ScalarExpr.rational(-1)).terms)
+        _add_composite(acc, constants, li, -1, om_y, a0_y)
+        pi.append(GradedExpr(acc))
+    i_dlat = ScalarExpr.i() * dlat
+    return [_check(f"ghost.eqt.bar_pi[{lj}{li}]",
+                   "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
+                   super_bracket(omb_x[lj], pi[li]),
+                   GradedExpr.unit(i_dlat if li == lj else ScalarExpr.zero()))
+            for li in lie for lj in lie]
+
+
+#: sector -> builder of its equal-time checks, in report order
+_SECTOR_CHECKS = {
+    "scalar": _scalar_checks,
+    "dirac": _dirac_checks,
+    "gauge": gauge_equal_time_checks,
+    "ghost": _ghost_checks,
+}
 
 
 def equal_time_report(lattice: ModeLattice, constants=None,
@@ -506,231 +704,5 @@ def equal_time_report(lattice: ModeLattice, constants=None,
     ``constants`` are the gauge structure constants (nested Fractions);
     when omitted the abelian limit is used for the composite momenta.
     """
-    lattice.require_symmetric("the equal-time suite")
-    t = "t"
-    x = FieldPoint.make(t, "x")
-    y = FieldPoint.make(t, "y")
-    xy = [(1, x), (-1, y)]
-    checks: list[IdentityCheck] = []
-    i_ = ScalarExpr.i()
-    dlat = delta_lattice(xy, lattice)
-
-    if "scalar" not in sectors:
-        phi = []
-    else:
-        phi = [field("scalar", a, x, lattice)
-               for a in lattice.internal_range("scalar")]
-    phib = [conjugate_field("scalar", a, y, lattice)
-            for a in lattice.internal_range("scalar")] if phi else []
-    for a in (lattice.internal_range("scalar") if phi else ()):
-        for b in lattice.internal_range("scalar"):
-            d_ab = ScalarExpr.one() if a == b else ScalarExpr.zero()
-            checks.append(_check(
-                f"scalar.eqt.comm[{a}{b}]",
-                "[phi^a(x), phibar_b(y)] = 0 at x0=y0",
-                field_supercommutator(phi[a], phib[b]), ScalarExpr.zero()))
-            checks.append(_check(
-                f"scalar.eqt.dt_left[{a}{b}]",
-                "[d0 phi^a(x), phibar_b(y)] = -i d^a_b dlat(x-y)",
-                field_supercommutator(phi[a].deriv(0), phib[b]),
-                -(i_ * d_ab * dlat)))
-            checks.append(_check(
-                f"scalar.eqt.dt_right[{a}{b}]",
-                "[phi^a(x), d0 phibar_b(y)] = +i d^a_b dlat(x-y)",
-                field_supercommutator(phi[a], phib[b].deriv(0)),
-                i_ * d_ab * dlat))
-            checks.append(_check(
-                f"scalar.eqt.pi[{a}{b}]",
-                "[phi^a(x), Pi_b(y)] = (i/2) d^a_b dlat(x-y), Pi = (1/2) d0 phibar",
-                field_supercommutator(phi[a], phib[b].deriv(0).scale(
-                    ScalarExpr.rational(F(1, 2)))),
-                i_ * d_ab * dlat * ScalarExpr.rational(F(1, 2))))
-            checks.append(_check(
-                f"scalar.eqt.phiphi[{a}{b}]",
-                "[phi^a(x), phi^b(y)] = 0",
-                field_supercommutator(phi[a], field("scalar", b, y, lattice)),
-                ScalarExpr.zero()))
-            checks.append(_check(
-                f"scalar.eqt.pipi[{a}{b}]",
-                "[Pi_a(x), Pi_b(y)] = 0 at x0=y0",
-                field_supercommutator(
-                    conjugate_field("scalar", a, x, lattice).deriv(0),
-                    phib[b].deriv(0)),
-                ScalarExpr.zero()))
-
-    # Dirac sector, with the sqrt(2m) rescaling absorbed
-    m = lattice.mass("dirac")
-    scale = ScalarExpr.sqrt_rational(2 * m)
-    dirac_range = range(4) if "dirac" in sectors else range(0)
-    psi = [field("dirac", al, y, lattice).scale(scale) for al in dirac_range]
-    psib = [conjugate_field("dirac", al, x, lattice).scale(scale)
-            for al in dirac_range]
-    for al in dirac_range:
-        for be in range(4):
-            # Pi_al = i (psibar gamma0)_al
-            pi_al = GradedExpr.sum(
-                psib[rho].expr.scale(i_ * ScalarExpr.gaussian(g0))
-                for rho, g0 in enumerate(GAMMA[0].column(al)) if not g0.is_zero())
-            br = super_bracket(pi_al, psi[be].expr)
-            d_ab = ScalarExpr.one() if al == be else ScalarExpr.zero()
-            checks.append(_check(
-                f"dirac.eqt.pi_psi[{al}{be}]",
-                "{Pi_a(x), psi^b(y)} = i d^b_a dlat(x-y), Pi = i (psibar gamma0)",
-                br, GradedExpr.unit(i_ * d_ab * dlat)))
-    # {psibar_a(x), (gamma0 psi)^b(y)} = (1/2m) d^b_a dlat with unscaled fields
-    psiu = [field("dirac", al, y, lattice) for al in dirac_range]
-    psibu = [conjugate_field("dirac", al, x, lattice) for al in dirac_range]
-    for al in dirac_range:
-        for be in range(4):
-            g0psi = GradedExpr.sum(
-                psiu[rho].expr.scale(ScalarExpr.gaussian(g0))
-                for rho, g0 in enumerate(GAMMA[0].rows[be]) if not g0.is_zero())
-            br = super_bracket(psibu[al].expr, g0psi)
-            d_ab = ScalarExpr.rational(F(1, 2) / m) if al == be else ScalarExpr.zero()
-            checks.append(_check(
-                f"dirac.eqt.bar_g0psi[{al}{be}]",
-                "{psibar_a(x), (gamma0 psi)^b(y)} = (1/2m) d^b_a dlat(x-y)",
-                br, GradedExpr.unit(d_ab * dlat)))
-
-    # gauge sector, Feynman gauge
-    if "gauge" in sectors:
-        checks.extend(gauge_equal_time_checks(lattice, constants))
-
-    # ghost sector
-    ghost_range = range(lattice.lie_dim) if "ghost" in sectors else range(0)
-    for li in ghost_range:
-        for lj in range(lattice.lie_dim):
-            om = field("ghost", lj, y, lattice)
-            omb = conjugate_field("ghost", li, x, lattice)
-            d_ij = ScalarExpr.one() if li == lj else ScalarExpr.zero()
-            checks.append(_check(
-                f"ghost.eqt.dbar_om[{li}{lj}]",
-                "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",
-                field_supercommutator(omb.deriv(0), om), i_ * d_ij * dlat))
-            checks.append(_check(
-                f"ghost.eqt.dom_bar[{li}{lj}]",
-                "{d0 omega^I(x), omegabar_J(y)} = -i d^I_J dlat(x-y)",
-                field_supercommutator(
-                    field("ghost", lj, x, lattice).deriv(0),
-                    conjugate_field("ghost", li, y, lattice)),
-                -(i_ * d_ij * dlat)))
-            checks.append(_check(
-                f"ghost.eqt.bar_om[{li}{lj}]",
-                "{omegabar_I(x), omega^J(y)} = 0 at x0=y0",
-                field_supercommutator(omb, om), ScalarExpr.zero()))
-            checks.append(_check(
-                f"ghost.eqt.bar_A0[{li}{lj}]",
-                "{omegabar_I(x), A^J_0(y)} = 0",
-                field_supercommutator(omb, field("gauge", (0, lj), y, lattice)),
-                ScalarExpr.zero()))
-            # {omega^I(x), Pi_J(y)} with Pi_J[omega] = d0 omegabar_J
-            checks.append(_check(
-                f"ghost.eqt.om_pi[{li}{lj}]",
-                "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
-                field_supercommutator(
-                    field("ghost", li, x, lattice),
-                    conjugate_field("ghost", lj, y, lattice).deriv(0)),
-                i_ * d_ij * dlat))
-    # {omegabar_J(x), Pi^I(y)} with the full covariant momentum
-    if "ghost" in sectors:
-        checks.extend(ghost_momentum_checks(lattice, constants))
-    return checks
-
-
-def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
-    """[A, Pi] in Feynman gauge, with the quadratic momentum terms kept."""
-    lattice.require_symmetric("the gauge equal-time suite")
-    t = "t"
-    x = FieldPoint.make(t, "x")
-    y = FieldPoint.make(t, "y")
-    dlat = delta_lattice([(1, x), (-1, y)], lattice)
-    i_ = ScalarExpr.i()
-    checks = []
-    a_at = {}
-    for lam in range(4):
-        for li in range(lattice.lie_dim):
-            a_at[(lam, li, "y")] = field("gauge", (lam, li), y, lattice)
-            a_at[(lam, li, "x")] = field("gauge", (lam, li), x, lattice)
-
-    def pi_up(mu: int, lj: int) -> GradedExpr:
-        # g^{mu nu}(-A_{J nu,0} + A_{J 0,nu} - c_{JKH} A^K_nu A^H_0)
-        #   - g^{mu 0} g^{nu rho} A^J_{nu,rho}
-        # the metric is diagonal: only nu = mu contributes to g^{mu nu}
-        gmn = METRIC[mu]
-        acc = dict(a_at[(mu, lj, "y")].deriv(0).expr.scale(
-            ScalarExpr.rational(-gmn)).terms)
-        add_into(acc, a_at[(0, lj, "y")].deriv(mu).expr.scale(
-            ScalarExpr.rational(gmn)).terms)
-        if constants is not None:
-            d = len(constants)
-            for kk in range(d):
-                for hh in range(d):
-                    c = constants[lj][kk][hh]
-                    if c == 0:
-                        continue
-                    prod = koszul_product(
-                        a_at[(mu, kk, "y")].expr, a_at[(0, hh, "y")].expr,
-                        "modified")
-                    add_into(acc, prod.scale(ScalarExpr.rational(-gmn * c)).terms)
-        if mu == 0:
-            for nu in range(4):
-                add_into(acc, a_at[(nu, lj, "y")].deriv(nu).expr.scale(
-                    ScalarExpr.rational(-METRIC[nu])).terms)
-        return GradedExpr(acc)
-
-    for lam in range(4):
-        for mu in range(4):
-            for li in range(lattice.lie_dim):
-                for lj in range(lattice.lie_dim):
-                    br = super_bracket(a_at[(lam, li, "x")].expr, pi_up(mu, lj))
-                    want = -(i_ * dlat) if (lam == mu and li == lj) else ScalarExpr.zero()
-                    checks.append(_check(
-                        f"gauge.eqt.A_pi[{lam}{mu}{li}{lj}]",
-                        "[A^I_lam(x), Pi^mu_J(y)] = -i d^mu_lam d^I_J dlat(x-y), xi=1",
-                        br, GradedExpr.unit(want)))
-    # [A, A] = 0 at equal times (one representative pair per index choice)
-    for lam in range(4):
-        for mu in range(lam, 4):
-            br = super_bracket(a_at[(lam, 0, "x")].expr, a_at[(mu, 0, "y")].expr)
-            checks.append(_check(
-                f"gauge.eqt.A_A[{lam}{mu}]",
-                "[A^I_lam(x), A^J_mu(y)] = 0 at x0=y0",
-                br, GradedExpr.zero()))
-    return checks
-
-
-def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
-    """{omegabar_J(x), Pi^I(y)} = i d^I_J dlat with
-    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0)."""
-    lattice.require_symmetric("the ghost momentum suite")
-    t = "t"
-    x = FieldPoint.make(t, "x")
-    y = FieldPoint.make(t, "y")
-    dlat = delta_lattice([(1, x), (-1, y)], lattice)
-    i_ = ScalarExpr.i()
-    checks = []
-    for li in range(lattice.lie_dim):
-        for lj in range(lattice.lie_dim):
-            acc = dict(field("ghost", li, y, lattice).deriv(0).expr.scale(
-                ScalarExpr.rational(-1)).terms)
-            if constants is not None:
-                d = len(constants)
-                for kk in range(d):
-                    for hh in range(d):
-                        c = constants[li][kk][hh]
-                        if c == 0:
-                            continue
-                        prod = koszul_product(
-                            field("ghost", kk, y, lattice).expr,
-                            field("gauge", (0, hh), y, lattice).expr,
-                            "modified")
-                        add_into(acc, prod.scale(ScalarExpr.rational(-c)).terms)
-            pi = GradedExpr(acc)
-            omb = conjugate_field("ghost", lj, x, lattice)
-            br = super_bracket(omb.expr, pi)
-            want = (i_ * dlat) if li == lj else ScalarExpr.zero()
-            checks.append(_check(
-                f"ghost.eqt.bar_pi[{lj}{li}]",
-                "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
-                br, GradedExpr.unit(want)))
-    return checks
+    return [check for sector, build in _SECTOR_CHECKS.items()
+            if sector in sectors for check in build(lattice, constants)]

@@ -157,6 +157,7 @@ GAMMA = (
     _gamma_spatial(3),
 )
 
+#: metric signature (+,-,-,-), the one copy every layer reads
 METRIC = (F(1), F(-1), F(-1), F(-1))
 
 

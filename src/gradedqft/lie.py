@@ -158,6 +158,15 @@ def structure_constants(generators: Sequence[Matrix]) -> tuple:
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
 
 
+def constant_entries(constants, li: int):
+    """(jj, hh, c) over the nonzero structure constants c = c^li_{jj hh}."""
+    d = len(constants)
+    for jj in range(d):
+        for hh in range(d):
+            if constants[li][jj][hh]:
+                yield jj, hh, constants[li][jj][hh]
+
+
 def corrupt_constants(constants, at: tuple) -> tuple:
     """A copy of the structure constants with +1 at [i][j][h] and -1 at
     [i][h][j], at = (i, j, h): the index antisymmetry survives, so the

@@ -19,6 +19,7 @@ import numpy as np
 
 from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
 from .fields import ModeLattice
+from .gammas import METRIC
 
 F = Fraction
 
@@ -82,8 +83,8 @@ class OracleSpace:
                 elif sector == "gauge":
                     for lam in range(4):
                         for li in range(ldim):
-                            eta = 1 if lam == 0 else -1
-                            keys.append(((sector, mode.id, "p", (lam, li)), False, eta))
+                            keys.append(((sector, mode.id, "p", (lam, li)), False,
+                                         int(METRIC[lam])))
                 else:
                     raise OracleError(f"sector {sector!r} has no oracle slots")
         keys.sort(key=lambda k: k[0])

@@ -315,3 +315,45 @@ def test_bad_lattice_exits_2_without_traceback(tmp_path, capsys, verb, case):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: lattice") and match in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+# bad eval expressions, each with the column of the offending call or index
+_BAD_EVALS = {
+    "conj-of-real-gauge": ("conj(gauge,0,y)", 0, "is real"),
+    "dirac-component": ("field(dirac,7,x)", 0, "outside the dirac sector"),
+    "deriv-index-9": ("deriv(field(scalar,0,x),9)", 0, "derivative index 9"),
+    "pprod-scalar-operand": ("pprod(absorb(p,0), 2)", 19, "operator"),
+    "normal-scalar-operand": ("normal(3)", 7, "operator"),
+    "scalar-component": ("field(scalar,5,x)", 0, "outside the scalar sector"),
+    "ghost-component": ("field(ghost,9,x)", 0, "outside the ghost sector"),
+    "deriv-index-negative": ("deriv(field(scalar,0,x),-1)", 0,
+                             "derivative index -1"),
+    "S-lie-index": ("S(omega, 7)", 9, "outside 0..2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_EVALS))
+def test_bad_eval_exits_2_without_traceback(capsys, case):
+    text, column, match = _BAD_EVALS[case]
+    assert main(["eval", text]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: column {column}: ")
+    assert match in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    cmd = [sys.executable, "-m", "gradedqft.cli", "verify", "--suite", "algebra",
+           "--suite", "bv", "--suite", "equal_time", "--format", "json"]
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(cmd, env=env, capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] and outs[0] == outs[1]

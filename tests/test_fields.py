@@ -28,7 +28,7 @@ from gradedqft.fields import (
     star_field,
 )
 from gradedqft.gammas import OnShellMomentum, shell_projector_symbolic
-from gradedqft.lie import su2
+from gradedqft.lie import su2, u1
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -354,6 +354,36 @@ def test_equal_time_report_with_su2_composites():
                            scalar_dim=1, lie_dim=3)
     checks = equal_time_report(lat, su2().constants)
     assert checks and all(c.ok for c in checks)
+
+
+def _equal_time_inventory(d: int) -> set:
+    """Names of every equal-time check for scalar_dim 2 and Lie dimension d."""
+    pairs = [f"{i}{j}" for i in range(2) for j in range(2)]
+    spins = [f"{al}{be}" for al in range(4) for be in range(4)]
+    lie = [f"{i}{j}" for i in range(d) for j in range(d)]
+    names = {f"scalar.eqt.{tag}[{ab}]" for ab in pairs
+             for tag in ("comm", "dt_left", "dt_right", "pi", "phiphi", "pipi")}
+    names |= {f"dirac.eqt.{tag}[{ab}]" for ab in spins
+              for tag in ("pi_psi", "bar_g0psi")}
+    names |= {f"gauge.eqt.A_pi[{lm}{ij}]" for lm in spins for ij in lie}
+    names |= {f"gauge.eqt.A_A[{lam}{mu}]" for lam in range(4)
+              for mu in range(lam, 4)}
+    names |= {f"ghost.eqt.{tag}[{ij}]" for ij in lie
+              for tag in ("dbar_om", "dom_bar", "bar_om", "bar_A0", "om_pi",
+                          "bar_pi")}
+    return names
+
+
+@pytest.mark.parametrize("lie_dim,constants,count", [
+    (3, su2().constants, 264), (3, None, 264), (1, u1().constants, 88)],
+    ids=["su2", "abelian-limit", "u1"])
+def test_equal_time_check_inventory(lie_dim, constants, count):
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], scalar_dim=2, lie_dim=lie_dim)
+    checks = equal_time_report(lat, constants)
+    names = [c.name for c in checks]
+    assert len(names) == count == len(set(names))
+    assert set(names) == _equal_time_inventory(lie_dim)
+    assert all(c.ok and c.residual_terms == 0 for c in checks)
 
 
 def test_equal_time_requires_symmetric_lattice():
