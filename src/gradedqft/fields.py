@@ -638,8 +638,10 @@ def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
     return checks
 
 
-def _ghost_checks(lattice: ModeLattice, constants=None) -> list:
-    """The pairs with Pi_J[omega] = d0 omegabar_J, then the covariant Pi^I."""
+def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
+    """The pairs with Pi_J[omega] = d0 omegabar_J, then
+    {omegabar_J(x), Pi^I(y)} = i d^I_J dlat with the covariant
+    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0)."""
     x, y, dlat = _frame(lattice)
     lie = range(lattice.lie_dim)
     i_ = ScalarExpr.i()
@@ -663,29 +665,18 @@ def _ghost_checks(lattice: ModeLattice, constants=None) -> list:
         ("om_pi", "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
          lambda i, j: (om_x[i], domb_y[j]), i_),
     )
-    return _pair_checks("ghost", lie, rows, dlat) + \
-        ghost_momentum_checks(lattice, constants)
-
-
-def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
-    """{omegabar_J(x), Pi^I(y)} = i d^I_J dlat with
-    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0)."""
-    x, y, dlat = _frame(lattice)
-    lie = range(lattice.lie_dim)
-    om_y = [field("ghost", li, y, lattice) for li in lie]
-    a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
-    omb_x = [conjugate_field("ghost", li, x, lattice).expr for li in lie]
     pi = []
     for li in lie:
         acc = dict(om_y[li].deriv(0).expr.scale(ScalarExpr.rational(-1)).terms)
         _add_composite(acc, constants, li, -1, om_y, a0_y)
         pi.append(GradedExpr(acc))
-    i_dlat = ScalarExpr.i() * dlat
-    return [_check(f"ghost.eqt.bar_pi[{lj}{li}]",
-                   "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
-                   super_bracket(omb_x[lj], pi[li]),
-                   GradedExpr.unit(i_dlat if li == lj else ScalarExpr.zero()))
-            for li in lie for lj in lie]
+    i_dlat = i_ * dlat
+    return _pair_checks("ghost", lie, rows, dlat) + [
+        _check(f"ghost.eqt.bar_pi[{lj}{li}]",
+               "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
+               super_bracket(omb_x[lj].expr, pi[li]),
+               GradedExpr.unit(i_dlat if li == lj else ScalarExpr.zero()))
+        for li in lie for lj in lie]
 
 
 #: sector -> builder of its equal-time checks, in report order
@@ -693,7 +684,7 @@ _SECTOR_CHECKS = {
     "scalar": _scalar_checks,
     "dirac": _dirac_checks,
     "gauge": gauge_equal_time_checks,
-    "ghost": _ghost_checks,
+    "ghost": ghost_momentum_checks,
 }
 
 
@@ -703,6 +694,10 @@ def equal_time_report(lattice: ModeLattice, constants=None,
 
     ``constants`` are the gauge structure constants (nested Fractions);
     when omitted the abelian limit is used for the composite momenta.
+    A name in ``sectors`` without equal-time checks is a FieldError.
     """
+    for sector in sectors:
+        if sector not in _SECTOR_CHECKS:
+            raise FieldError(f"no equal-time checks for sector {sector!r}")
     return [check for sector, build in _SECTOR_CHECKS.items()
             if sector in sectors for check in build(lattice, constants)]

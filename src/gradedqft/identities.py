@@ -312,8 +312,8 @@ def _table_identity(ctx, sector):
     pm = 1 if sector == "scalar" else -1
     sgn = ScalarExpr.rational(pm)
     bad = 0
-    for a in range(2):
-        for b in range(2):
+    for a in lat.internal_range(sector):
+        for b in lat.internal_range(sector):
             d_ab = ScalarExpr.one() if a == b else ScalarExpr.zero()
             f = field(sector, a, x, lat)
             fb = conjugate_field(sector, b, y, lat)

@@ -357,3 +357,13 @@ def test_report_bytes_do_not_depend_on_the_hash_seed():
         run = subprocess.run(cmd, env=env, capture_output=True, check=True)
         outs.append(run.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+def test_verify_passes_with_one_scalar_component(tmp_path):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[lattice]\nscalar_dim = 1\n")
+    out = tmp_path / "report.json"
+    assert main(["verify", "--config", str(cfg), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["failed"] == 0 and report["passed"] == len(report["identities"])
+    assert all(e["status"] == "pass" for e in report["identities"])

@@ -386,6 +386,37 @@ def test_equal_time_check_inventory(lie_dim, constants, count):
     assert all(c.ok and c.residual_terms == 0 for c in checks)
 
 
+def test_equal_time_report_rejects_an_unknown_sector():
+    with pytest.raises(FieldError, match="'gauges'"):
+        equal_time_report(sym_lattice(), sectors=("scalar", "gauges"))
+
+
+@pytest.mark.parametrize("momentum", ["gauge", "ghost"])
+def test_composite_is_the_structure_constant_sum(momentum):
+    from gradedqft.algebra import koszul_product
+    from gradedqft.fields import _add_composite
+    lat = sym_lattice(lie_dim=3)
+    y = FieldPoint.make("t", "y")
+    a0 = [field("gauge", (0, h), y, lat) for h in range(3)]
+    if momentum == "gauge":  # in Pi^1_J: -g^{11} c_{JKH} A^K_1 A^H_0
+        left, weight = [field("gauge", (1, k), y, lat) for k in range(3)], 1
+    else:  # in Pi^I: -c_{IKH} omega^K A^H_0
+        left, weight = [field("ghost", k, y, lat) for k in range(3)], -1
+    c = su2().constants
+    for li in range(3):
+        acc = {}
+        _add_composite(acc, c, li, weight, left, a0)
+        want = GradedExpr.sum(
+            koszul_product(left[k].expr, a0[h].expr, "modified")
+            .scale(ScalarExpr.rational(weight * c[li][k][h]))
+            for k in range(3) for h in range(3))
+        assert not want.is_zero()
+        assert (GradedExpr(acc) - want).is_zero()
+        abelian = {}
+        _add_composite(abelian, None, li, weight, left, a0)
+        assert abelian == {}
+
+
 def test_equal_time_requires_symmetric_lattice():
     lat = ModeLattice.make([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(LatticeError):
