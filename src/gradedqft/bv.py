@@ -12,6 +12,9 @@ Graded derivative conventions:
             (-1)^{|i| (|k1|+...+|k_{j-1}|)} y_k1 ... ^y_kj ... y_kr
     right:  f D~_i = (-1)^{|i||f|} D_i f   (per homogeneous term)
 
+Every derivative comes from `gradient`, one pass over the letters of f
+that returns the derivatives by all coordinates of f at once.
+
 The BV Laplacian is Delta f = sum_i D_i Dtilde^i f over field/antifield
 pairs, and the antibracket is
 
@@ -119,37 +122,31 @@ class FiberPoly(LinearCombination):
         c = coeff if coeff is not None else ScalarExpr.one()
         return cls({w: c * f for f, w in canonical_terms(tuple(coords))})
 
-    def coords(self) -> set:
-        out = set()
-        for w in self.terms:
-            out.update(w)
-        return out
-
     def partial_symbol(self, name: str) -> "FiberPoly":
         return FiberPoly({w: c.partial_symbol(name) for w, c in self.terms.items()})
 
 
-def _derivative(f: FiberPoly, coord: FiberCoord, right: bool) -> FiberPoly:
-    """The loop behind left_deriv and right_deriv."""
+def gradient(f: FiberPoly, right: bool = False) -> dict:
+    """{c: D_c f} (or {c: f D~_c} when ``right``) for every coordinate c of
+    f, keyed in order of first appearance; one pass over the letters."""
     acc: dict = {}
-    p_i = coord.parity
     for w, c in f.terms.items():
         # the right derivative adds the whole-term sign (-1)^{|i||w|}
         pref = sum(x.parity for x in w) if right else 0
         for j, cj in enumerate(w):
-            if cj == coord:
-                sign = -1 if (p_i and pref % 2) else 1
-                add_term(acc, w[:j] + w[j + 1:], c * sign)
-            pref += cj.parity
-    return FiberPoly._wrap(acc)
+            p_i = cj.parity
+            sign = -1 if (p_i and pref % 2) else 1
+            add_term(acc.setdefault(cj, {}), w[:j] + w[j + 1:], c * sign)
+            pref += p_i
+    return {cj: FiberPoly._wrap(d) for cj, d in acc.items()}
 
 
 def left_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
-    return _derivative(f, coord, right=False)
+    return gradient(f).get(coord, FiberPoly.zero())
 
 
 def right_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
-    return _derivative(f, coord, right=True)
+    return gradient(f, right=True).get(coord, FiberPoly.zero())
 
 
 def partial_deriv(f: FiberPoly, coord: FiberCoord,
@@ -169,25 +166,19 @@ def partial_deriv(f: FiberPoly, coord: FiberCoord,
     raise BVError(f"unknown derivative convention {convention!r}")
 
 
-def _pairs_for(*polys: FiberPoly) -> set:
-    """Field/antifield coordinate pairs appearing in any argument."""
-    pairs = set()
-    for f in polys:
-        for c in f.coords():
-            base = c if c.kind == "field" else c.partner()
-            pairs.add((base, base.partner()))
-    return pairs
-
-
 def bv_laplacian(f: FiberPoly) -> FiberPoly:
-    """Delta f = sum_i D_i Dtilde^i f."""
-    return FiberPoly.sum(left_deriv(left_deriv(f, ac), yc)
-                         for yc, ac in _pairs_for(f))
+    """Delta f = sum_i D_i Dtilde^i f, over the antifields Dtilde^i of f."""
+    return FiberPoly.sum(left_deriv(d, c.partner())
+                         for c, d in gradient(f).items() if c.kind == "anti")
 
 
-def _half_pairing(f: FiberPoly, g: FiberPoly, pairs) -> FiberPoly:
-    return FiberPoly.sum(right_deriv(f, ac) * left_deriv(g, yc)
-                         for yc, ac in pairs)
+def _half_pairing(f_right: dict, g_left: dict) -> FiberPoly:
+    """<f|1*|g> from the right gradient of f and the left gradient of g."""
+    acc: dict = {}
+    for c, df in f_right.items():
+        if c.kind == "anti" and (dg := g_left.get(c.partner())) is not None:
+            add_into(acc, (df * dg).terms)
+    return FiberPoly._wrap(acc)
 
 
 def bv_bracket(f: FiberPoly, g: FiberPoly) -> FiberPoly:
@@ -195,9 +186,8 @@ def bv_bracket(f: FiberPoly, g: FiberPoly) -> FiberPoly:
     pf, pg = f.parity(), g.parity()
     if "mixed" in (pf, pg):
         raise BVError("antibracket needs definite-parity operands")
-    pairs = _pairs_for(f, g)
-    first = _half_pairing(f, g, pairs)
-    second = _half_pairing(g, f, pairs)
+    first = _half_pairing(gradient(f, right=True), gradient(g))
+    second = _half_pairing(gradient(g, right=True), gradient(f))
     sgn = (-1) ** (((pf == "odd") + 1) * ((pg == "odd") + 1))
     return first - second.scale(ScalarExpr.rational(sgn))
 
@@ -495,32 +485,34 @@ def brst_M_components(theory: TheorySpec) -> list:
 
 # --- variational calculus ---------------------------------------------------
 
-def _base_coords(f: FiberPoly) -> set:
-    return {FiberCoord(c.sector, c.kind, c.idx, ()) for c in f.coords()}
+_HALF = ScalarExpr.rational(F(1, 2))
 
 
-def jet_deriv(f: FiberPoly, base: FiberCoord, jet: tuple) -> FiberPoly:
-    """Left derivative by the jet coordinate, with the symmetric-pair
+def _jet_deriv(grad: dict, base: FiberCoord, jet: tuple) -> FiberPoly:
+    """D^jet_base l looked up in grad = gradient(l), with the symmetric-pair
     weight 1/2 for distinct second-order labels."""
-    coord = FiberCoord(base.sector, base.kind, base.idx, tuple(sorted(jet)))
-    out = left_deriv(f, coord)
-    if len(jet) == 2 and jet[0] != jet[1]:
-        out = out.scale(ScalarExpr.rational(F(1, 2)))
-    return out
+    out = grad.get(FiberCoord(base.sector, base.kind, base.idx, tuple(sorted(jet))))
+    if out is None:
+        return FiberPoly.zero()
+    return out.scale(_HALF) if len(jet) == 2 and jet[0] != jet[1] else out
+
+
+def _euler_lagrange(grad: dict, base: FiberCoord, order: int) -> FiberPoly:
+    acc = dict(grad.get(base, FiberPoly.zero()).terms)
+    for lam in range(4):
+        add_into(acc, (-horizontal_diff(_jet_deriv(grad, base, (lam,)), lam)).terms)
+    if order >= 2:
+        for lam in range(4):
+            for mu in range(4):
+                term = _jet_deriv(grad, base, (lam, mu))
+                if not term.is_zero():
+                    add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
+    return FiberPoly(acc)
 
 
 def euler_lagrange(lagr: FiberPoly, base: FiberCoord, order: int = 1) -> FiberPoly:
     """E_i(l) = D_i l - d_lam D^lam_i l (+ d_lam d_mu D^{lam mu}_i l)."""
-    acc = dict(left_deriv(lagr, base).terms)
-    for lam in range(4):
-        add_into(acc, (-horizontal_diff(jet_deriv(lagr, base, (lam,)), lam)).terms)
-    if order >= 2:
-        for lam in range(4):
-            for mu in range(4):
-                term = jet_deriv(lagr, base, (lam, mu))
-                if not term.is_zero():
-                    add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
-    return FiberPoly(acc)
+    return _euler_lagrange(gradient(lagr), base, order)
 
 
 def noether_current(v: VerticalDerivation, lagr: FiberPoly,
@@ -544,33 +536,32 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     if not resid.is_zero():
         raise NotASymmetryError("delta[v] L is not the stated horizontal "
                                 "differential", resid)
-    bases = {b for b in _base_coords(lagr) if b.kind == "field"}
+    grad = gradient(lagr)
+    # the jet-stripped field coordinates of L, with v^i = v(base) where nonzero
+    bases = dict.fromkeys(FiberCoord(c.sector, c.kind, c.idx, ())
+                          for c in grad if c.kind == "field")
+    comps = {b: comp for b in bases if not (comp := v.on_coord(b)).is_zero()}
     currents = []
     for lam in range(4):
         acc = dict((-n_forms[lam]).terms)
-        for b in bases:
-            comp = v.on_coord(b)
-            if comp.is_zero():
-                continue
-            first = jet_deriv(lagr, b, (lam,))
+        for b, comp in comps.items():
+            first = _jet_deriv(grad, b, (lam,))
             if order >= 2:
                 first = first - FiberPoly.sum(
-                    horizontal_diff(jet_deriv(lagr, b, (lam, mu)), mu)
+                    horizontal_diff(_jet_deriv(grad, b, (lam, mu)), mu)
                     for mu in range(4))
             add_into(acc, (comp * first).terms)
             if order >= 2:
                 for mu in range(4):
-                    second = jet_deriv(lagr, b, (lam, mu))
+                    second = _jet_deriv(grad, b, (lam, mu))
                     if not second.is_zero():
                         add_into(acc, (horizontal_diff(comp, mu) * second).terms)
         currents.append(FiberPoly(acc))
     # off-shell conservation: d_lam J^lam = -sum v^i E_i(l) (+ d N absorbed)
     div = FiberPoly.sum(horizontal_diff(currents[lam], lam) for lam in range(4))
     onshell: dict = {}
-    for b in bases:
-        comp = v.on_coord(b)
-        if not comp.is_zero():
-            add_into(onshell, (comp * euler_lagrange(lagr, b, order)).terms)
+    for b, comp in comps.items():
+        add_into(onshell, (comp * _euler_lagrange(grad, b, order)).terms)
     if not (div + FiberPoly(onshell)).is_zero():
         raise BVError("internal error: Noether conservation identity failed")
     return currents

@@ -32,7 +32,7 @@ from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities
 from .linear import add_term
-from .scalars import ScalarExpr
+from .scalars import GaussianRational, ScalarExpr
 
 F = Fraction
 
@@ -165,6 +165,34 @@ def _lattice(momenta, masses, scalar_dim: int, lie_dim: int, what: str):
         raise ConfigError(f"{what}: {exc}") from None
 
 
+def _custom_lie(value) -> lie_mod.LieData:
+    """theory.lie given as generators: a non-empty list of equal-size square
+    matrices of numbers (complex entries allowed)."""
+    what = "theory.lie"
+    if not (isinstance(value, (list, tuple)) and value
+            and isinstance(value[0], (list, tuple)) and value[0]):
+        raise ConfigError(f"{what} must be a preset name or a non-empty list of "
+                          f"square matrices, got {value!r}")
+    n = len(value[0])
+    gens = []
+    for g in value:
+        if not (isinstance(g, (list, tuple)) and len(g) == n and all(
+                isinstance(r, (list, tuple)) and len(r) == n for r in g)):
+            raise ConfigError(f"{what} must hold square matrices of one size, "
+                              f"got {g!r}")
+        gens.append([[_gaussian(x, what) for x in r] for r in g])
+    try:
+        return lie_mod.LieData.from_generators(gens)
+    except lie_mod.LieError as exc:
+        raise ConfigError(f"{what}: {exc}") from None
+
+
+def _gaussian(value, what: str) -> GaussianRational:
+    if isinstance(value, complex):
+        return GaussianRational(_number(value.real, what), _number(value.imag, what))
+    return GaussianRational(_number(value, what))
+
+
 def _cube():
     return [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1)
             for k in (-1, 0, 1)]
@@ -179,7 +207,7 @@ def context_from_config(cfg: dict) -> RunContext:
                               f"(have {sorted(lie_mod.PRESETS)})")
         data = lie_mod.PRESETS[name]()
     else:
-        data = lie_mod.LieData.from_generators(name)
+        data = _custom_lie(name)
     lat_cfg = cfg["lattice"]
     momenta = _momenta(lat_cfg["momenta"], "lattice.momenta")
     masses = {k: _number(v, f"lattice.masses[{k!r}]")
@@ -386,6 +414,8 @@ class Evaluator:
             return Fraction(node[1])
         except ZeroDivisionError:
             raise EvalError(f"division by zero in {node[1]!r}", node[2]) from None
+        except ValueError:
+            raise EvalError(f"malformed number {node[1]!r}", node[2]) from None
 
     def point(self, node):
         kind, text, pos = node[:3]

@@ -86,12 +86,18 @@ class ModeLattice:
         modes = tuple(ModeIndex.make(i, m) for i, m in enumerate(momenta))
         seen = set()
         for m in modes:
+            if len(m.momentum) != 3:
+                raise LatticeError(f"momentum ({', '.join(map(str, m.momentum))}) "
+                                   "needs 3 components")
             if m.momentum in seen:
                 raise LatticeError(f"duplicate lattice momentum {m.momentum}")
             seen.add(m.momentum)
         mm = {"scalar": F(1), "fermion": F(1), "dirac": F(1),
               "gauge": F(0), "ghost": F(0)}
-        mm.update({k: F(v) for k, v in (masses or {}).items()})
+        for k, v in (masses or {}).items():
+            if k not in mm:
+                raise LatticeError(f"unknown mass sector {k!r} (have {sorted(mm)})")
+            mm[k] = F(v)
         for sec in ("gauge", "ghost"):
             if mm[sec] != 0:
                 raise LatticeError(f"{sec} sector must be massless")

@@ -603,13 +603,13 @@ def _bv_coords():
     return base + [c.partner() for c in base]
 
 
-def _bv_random(rng, coords, deg=4, nterms=3):
+def _bv_random(rng, coords, deg=4, nterms=3, bound=3):
     acc: dict = {}
     for _ in range(rng.randint(1, nterms)):
         k = rng.randint(0, deg)
         w = tuple(rng.choice(coords) for _ in range(k))
         add_into(acc, bv.FiberPoly.word(
-            w, ScalarExpr.rational(rng.randint(-3, 3))).terms)
+            w, ScalarExpr.rational(rng.randint(-bound, bound))).terms)
     return bv.FiberPoly(acc)
 
 
@@ -732,13 +732,7 @@ def brst_suite() -> list:
             coords = coords + [c.lift(1) for c in coords[: len(coords) // 2]]
             rng = ctx.rng(f"brst.{name}")
             for _ in range(100):
-                acc: dict = {}
-                for _ in range(rng.randint(1, 3)):
-                    k = rng.randint(0, 3)
-                    w = tuple(rng.choice(coords) for _ in range(k))
-                    add_into(acc, bv.FiberPoly.word(w, ScalarExpr.rational(
-                        rng.randint(-2, 2))).terms)
-                f = bv.FiberPoly(acc)
+                f = _bv_random(rng, coords, deg=3, bound=2)
                 bad += s(s(f)).n_terms
         return CheckResult.exact(bad)
 

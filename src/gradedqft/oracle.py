@@ -171,11 +171,9 @@ def _climb(e: GradedExpr) -> int:
 
 
 def residual(symbolic: GradedExpr, reference: GradedExpr,
-             space: OracleSpace, bindings=None, climb: int | None = None) -> float:
+             space: OracleSpace, bindings=None) -> float:
     """Max-abs entry of the matrix difference on the safe subspace."""
-    if climb is None:
-        climb = max(_climb(symbolic), _climb(reference), 1)
-    mask = space.safe_mask(climb)
+    mask = space.safe_mask(max(_climb(symbolic), _climb(reference), 1))
     m1 = represent(symbolic, space, bindings)
     m2 = represent(reference, space, bindings)
     diff = (m1 - m2)[np.ix_(mask, mask)]

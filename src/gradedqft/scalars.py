@@ -655,19 +655,19 @@ class ScalarExpr:
             acc[t] = acc.get(t, GR_ZERO) + c
         return ScalarExpr(acc, _raw=True)
 
-    def spatial_integrate(self, xname: str, strict: bool = True) -> "ScalarExpr":
+    def spatial_integrate(self, xname: str) -> "ScalarExpr":
         """Integrate over the spatial symbol: lattice plane waves are
-        orthonormal, so a term survives iff its x-coefficient vanishes."""
+        orthonormal, so a term survives iff its x-coefficient vanishes.
+        A surviving phase on any other position raises."""
         acc: dict[Term, GaussianRational] = {}
         for key, c in self.terms.items():
             pd = dict(key[2])
             if ("x", xname) in pd:
                 continue
-            if strict:
-                for pkey in pd:
-                    if pkey[0] == "x":
-                        raise NonIntegrablePhaseError(
-                            f"phase depends on foreign position {pkey[1]!r}")
+            for pkey in pd:
+                if pkey[0] == "x":
+                    raise NonIntegrablePhaseError(
+                        f"phase depends on foreign position {pkey[1]!r}")
             acc[key] = acc.get(key, GR_ZERO) + c
         return ScalarExpr(acc, _raw=True)
 

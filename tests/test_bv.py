@@ -10,10 +10,12 @@ from gradedqft.bv import (
     JetOrderError,
     bv_bracket,
     bv_laplacian,
+    gradient,
     horizontal_diff,
     left_deriv,
     right_deriv,
 )
+from gradedqft.linear import add_term
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -258,3 +260,90 @@ def test_noether_order_validation():
     v = ghost_number_derivation(th)
     with pytest.raises(BVError):
         noether_current(v, FiberPoly.unit(), None, order=3)
+
+
+def _reference_derivative(f: FiberPoly, coord: FiberCoord, right: bool) -> FiberPoly:
+    """The one-coordinate scan that `gradient` replaced, kept as a reference."""
+    acc: dict = {}
+    p_i = coord.parity
+    for w, c in f.terms.items():
+        # the right derivative adds the whole-term sign (-1)^{|i||w|}
+        pref = sum(x.parity for x in w) if right else 0
+        for j, cj in enumerate(w):
+            if cj == coord:
+                sign = -1 if (p_i and pref % 2) else 1
+                add_term(acc, w[:j] + w[j + 1:], c * sign)
+            pref += cj.parity
+    return FiberPoly._wrap(acc)
+
+
+def test_gradient_matches_the_one_coordinate_scan():
+    rng = random.Random(20261018)
+    coords = _COORDS + [even_y(0, (1,)), odd_th(1, (0, 2))]
+    absent = [even_y(5), odd_th(5), anti_of(even_y(5)), even_y(0, (3,))]
+    repeats = 0
+    for _ in range(150):
+        f = _random_poly(rng, coords, deg=5, nterms=4)
+        letters = list(dict.fromkeys(x for w in f.terms for x in w))
+        repeats += any(w.count(x) > 1 for w in f.terms for x in w)
+        for right in (False, True):
+            grad = gradient(f, right=right)
+            assert list(grad) == letters
+            for c in coords + absent:
+                want = _reference_derivative(f, c, right)
+                got = grad.get(c)
+                if c not in letters:
+                    assert got is None and want.is_zero()
+                    continue
+                assert got == want
+                assert list(got.terms) == list(want.terms)
+                deriv = right_deriv if right else left_deriv
+                assert deriv(f, c) == want
+    assert repeats > 10  # words with a repeated (even) letter
+
+
+_HASH_SEED_SCRIPT = """
+import random
+from gradedqft import bv, lie
+from gradedqft.scalars import ScalarExpr
+
+def terms(p):
+    return [(repr(w), repr(c)) for w, c in p.terms.items()]
+
+rng = random.Random(3)
+th = bv.TheorySpec.make(lie.su2())
+coords = th.all_base_coords()[:6]
+coords = coords + [c.partner() for c in coords]
+
+def poly():
+    return bv.FiberPoly.sum(
+        bv.FiberPoly.word(tuple(rng.choice(coords) for _ in range(3)),
+                          ScalarExpr.rational(rng.randint(1, 3)))
+        for _ in range(3))
+
+for _ in range(10):
+    f, g = poly(), poly()
+    if "mixed" not in (f.parity(), g.parity()):
+        print('B', terms(bv.bv_bracket(f, g)))
+    print('L', terms(bv.bv_laplacian(f * g)))
+lagr = bv.lagrangian_ghost(th)
+for order in (1, 2):
+    for cur in bv.noether_current(bv.ghost_number_derivation(th), lagr, None, order):
+        print('N', terms(cur))
+"""
+
+
+def test_bv_term_order_does_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _HASH_SEED_SCRIPT], env=env,
+                             capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0].count(b"\n") >= 8 and outs[0] == outs[1]

@@ -301,6 +301,10 @@ _BAD_LATTICES = {
         ('masses = {"scalar": 1, "fermion": 1, "dirac": -1}', "positive mass"),
     "massive-gauge": ('masses = {"gauge": 1}', "gauge sector must be massless"),
     "massive-ghost": ('masses = {"ghost": 2}', "ghost sector must be massless"),
+    "mass-key-typo": ('masses = {"scalr": 2}', "unknown mass sector 'scalr'"),
+    "two-vector-momentum": ("momenta = [[1, 0]]", "needs 3 components"),
+    "four-vector-momenta": ("momenta = [[1, 0, 0, 4], [-1, 0, 0, 4]]",
+                            "needs 3 components"),
 }
 
 
@@ -329,6 +333,9 @@ _BAD_EVALS = {
     "deriv-index-negative": ("deriv(field(scalar,0,x),-1)", 0,
                              "derivative index -1"),
     "S-lie-index": ("S(omega, 7)", 9, "outside 0..2"),
+    "two-slashes": ("1/2/3", 0, "malformed number '1/2/3'"),
+    "trailing-slash": ("3/", 0, "malformed number '3/'"),
+    "two-slashes-in-index": ("field(scalar,1/2/3,x)", 13, "malformed number"),
 }
 
 
@@ -367,3 +374,28 @@ def test_verify_passes_with_one_scalar_component(tmp_path):
     report = json.loads(out.read_text())
     assert report["failed"] == 0 and report["passed"] == len(report["identities"])
     assert all(e["status"] == "pass" for e in report["identities"])
+
+
+# custom theory.lie values that must stop with ConfigError: (value, message)
+_BAD_LIES = {
+    "not-anti-hermitian": ([[[1]]], "anti-Hermitian"),
+    "nilpotent-generator": ([[[0, 1], [0, 0]]], "anti-Hermitian"),
+    "a-number": (5, "preset name or a non-empty list"),
+    "empty-list": ([], "preset name or a non-empty list"),
+    "not-square": ([[[0, 1]]], "square matrices"),
+    "sizes-differ": ([[[0, 1], [-1, 0]], [[0]]], "square matrices of one size"),
+    "entry-not-a-number": ([[["a"]]], "expected a number"),
+}
+
+
+@pytest.mark.parametrize("verb", [["verify", "--suite", "algebra"], ["dump-lattice"]],
+                         ids=["verify", "dump-lattice"])
+@pytest.mark.parametrize("case", sorted(_BAD_LIES))
+def test_bad_custom_lie_exits_2_without_traceback(tmp_path, capsys, verb, case):
+    value, match = _BAD_LIES[case]
+    p = tmp_path / "lie.json"
+    p.write_text(json.dumps({"theory": {"lie": value}}))
+    assert main(verb + ["--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: theory.lie") and match in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
