@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gammas import METRIC
-from .linear import LinearCombination, add_term, canonical_terms
+from .linear import Letter, LinearCombination, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 ABSORB = "absorb"
@@ -58,10 +58,14 @@ class MixedParityError(AlgebraError):
     """A super-bracket operand did not have definite parity."""
 
 
-@dataclass(frozen=True, slots=True)
-class OpGen:
+_GENS: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class OpGen(Letter):
     """One elementary generator, identified by species, index position,
-    sector, lattice mode id and internal index tuple."""
+    sector, lattice mode id and internal index tuple; interned, one
+    object per field values."""
 
     species: str
     position: str
@@ -69,22 +73,21 @@ class OpGen:
     mode: int
     internal: tuple
 
-    def __post_init__(self):
-        if self.species not in (ABSORB, EMIT):
-            raise AlgebraError(f"bad species {self.species!r}")
-        if self.position not in (UPPER, LOWER):
-            raise AlgebraError(f"bad index position {self.position!r}")
-        if self.sector not in SECTORS:
-            raise AlgebraError(f"unknown sector {self.sector!r}")
-
-    @property
-    def parity(self) -> int:
-        return SECTORS[self.sector][0]
-
-    def sort_key(self) -> tuple:
+    def __new__(cls, species: str, position: str, sector: str, mode: int,
+                internal: tuple):
+        g = _GENS.get((cls, species, position, sector, mode, internal))
+        if g is not None:
+            return g
+        if species not in (ABSORB, EMIT):
+            raise AlgebraError(f"bad species {species!r}")
+        if position not in (UPPER, LOWER):
+            raise AlgebraError(f"bad index position {position!r}")
+        if sector not in SECTORS:
+            raise AlgebraError(f"unknown sector {sector!r}")
         # emissions first, then absorptions; blocks sorted by slot labels
-        return (0 if self.species == EMIT else 1,
-                self.sector, self.mode, self.position, self.internal)
+        key = (0 if species == EMIT else 1, sector, mode, position, internal)
+        return cls._interned(_GENS, (species, position, sector, mode, internal),
+                             SECTORS[sector][0], key)
 
     def __repr__(self) -> str:
         dag = "+" if self.species == EMIT else ""

@@ -39,11 +39,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData, constant_entries
-from .linear import LinearCombination, add_into, add_term, canonical_terms
+from .linear import Letter, LinearCombination, add_into, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -66,30 +67,33 @@ class NotASymmetryError(BVError):
 SECTOR_PARITY = {"psi": 1, "psibar": 1, "A": 0, "omega": 1, "omegabar": 1, "n": 0}
 
 
-@dataclass(frozen=True, slots=True)
-class FiberCoord:
+_COORDS: dict = {}
+
+
+@dataclass(frozen=True, slots=True, eq=False, init=False)
+class FiberCoord(Letter):
+    """A fiber/jet coordinate, interned: one object per field values."""
+
     sector: str
     kind: str  # 'field' | 'anti'
     idx: tuple
     jet: tuple  # sorted spacetime indices, length <= 2
 
-    def __post_init__(self):
-        if self.sector not in SECTOR_PARITY:
-            raise BVError(f"unknown sector {self.sector!r}")
-        if self.kind not in ("field", "anti"):
-            raise BVError(f"bad coordinate kind {self.kind!r}")
-        if len(self.jet) > 2:
+    def __new__(cls, sector: str, kind: str, idx: tuple, jet: tuple):
+        c = _COORDS.get((cls, sector, kind, idx, jet))
+        if c is not None:
+            return c
+        if sector not in SECTOR_PARITY:
+            raise BVError(f"unknown sector {sector!r}")
+        if kind not in ("field", "anti"):
+            raise BVError(f"bad coordinate kind {kind!r}")
+        if len(jet) > 2:
             raise JetOrderError("jet order is capped at 2")
-        if tuple(sorted(self.jet)) != self.jet:
+        if tuple(sorted(jet)) != jet:
             raise BVError("jet multi-index must be sorted")
-
-    @property
-    def parity(self) -> int:
-        p = SECTOR_PARITY[self.sector]
-        return p if self.kind == "field" else 1 - p
-
-    def sort_key(self) -> tuple:
-        return (self.sector, self.kind, self.idx, self.jet)
+        p = SECTOR_PARITY[sector]
+        values = (sector, kind, idx, jet)
+        return cls._interned(_COORDS, values, p if kind == "field" else 1 - p, values)
 
     def partner(self) -> "FiberCoord":
         return FiberCoord(self.sector, "anti" if self.kind == "field" else "field",
@@ -204,21 +208,26 @@ def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
 
 class VerticalDerivation:
     """Graded derivation determined by components on base field
-    coordinates, prolonged to jets, zero on antifields."""
+    coordinates, prolonged to jets, zero on antifields.
+
+    The components are read-only, so the prolonged value on each
+    coordinate is computed once per derivation."""
 
     def __init__(self, components: Mapping[FiberCoord, FiberPoly], parity: int):
-        self.components = dict(components)
+        self.components = MappingProxyType(dict(components))
         self.parity = parity
+        self._on: dict = {}
 
     def on_coord(self, c: FiberCoord) -> FiberPoly:
-        if c.kind == "anti":
-            return FiberPoly.zero()
-        base = FiberCoord(c.sector, c.kind, c.idx, ())
-        comp = self.components.get(base)
+        comp = self._on.get(c)
         if comp is None:
-            return FiberPoly.zero()
-        for lam in c.jet:
-            comp = horizontal_diff(comp, lam)
+            comp = self.components.get(FiberCoord(c.sector, c.kind, c.idx, ()))
+            if comp is None or c.kind == "anti":
+                comp = FiberPoly.zero()
+            else:
+                for lam in c.jet:
+                    comp = horizontal_diff(comp, lam)
+            self._on[c] = comp
         return comp
 
     def __call__(self, f: FiberPoly) -> FiberPoly:
@@ -226,14 +235,18 @@ class VerticalDerivation:
         for w, c in f.terms.items():
             pref = 0
             for j, cj in enumerate(w):
-                comp = self.on_coord(cj)
-                if not comp.is_zero():
-                    sign = -1 if (self.parity and pref % 2) else 1
-                    piece = FiberPoly.word(w[:j], c * sign) * comp * \
-                        FiberPoly.word(w[j + 1:])
-                    add_into(acc, piece.terms)
+                comp = self.on_coord(cj).terms
+                if comp:
+                    cs = c * (-1 if (self.parity and pref % 2) else 1)
+                    head, tail = w[:j], w[j + 1:]
+                    # head and tail are canonical, so sorting the spliced
+                    # word once gives the sign of word(head) * comp * word(tail)
+                    for u, cu in comp.items():
+                        cc = cs * cu
+                        for sign, nw in canonical_terms(head + u + tail):
+                            add_term(acc, nw, cc if sign == 1 else -cc)
                 pref += cj.parity
-        return FiberPoly(acc)
+        return FiberPoly._wrap(acc)
 
 
 # --- the gauge theory ------------------------------------------------------

@@ -112,6 +112,8 @@ def _set_known(cfg: dict, section: str, key: str, value) -> None:
 
 
 def _number(value, what: str) -> Fraction:
+    if isinstance(value, bool):  # F(True) == 1
+        raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
         return F(value)
     except (TypeError, ValueError, ZeroDivisionError):

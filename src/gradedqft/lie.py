@@ -131,6 +131,15 @@ class LieData:
         for g in gens:
             if not is_anti_hermitian(g):
                 raise LieError("generators must be anti-Hermitian")
+        # exact rank check: a generator in the span of the ones before it
+        # (for the first one: zero) leaves the structure constants not
+        # unique and the trace metric singular
+        cols = [[x for r in g for x in r] for g in gens]
+        for k in range(len(cols)):
+            if _solve_exact(cols[:k], cols[k]) is not None:
+                why = "l_0 is zero" if k == 0 else \
+                    f"l_{k} is a combination of the generators before it"
+                raise LieError(f"generators must be linearly independent: {why}")
         constants = structure_constants(gens)
         g_m, h_m = trace_metric(gens)
         return LieData(n, gens, constants, g_m, hermitian_real_part(h_m))

@@ -6,7 +6,8 @@ fiber/jet polynomials (`bv`) -- are finite sums  sum_w c_w w  with
 holds their one linear structure and their one Z2-graded word rule:
 canonical order, Koszul signs and (for operator words) Wick contractions
 all come from `canonical_terms`.  A letter provides only `sort_key()`,
-which must be injective, and `parity` (0 or 1).
+which must be injective, and `parity` (0 or 1); both letter classes
+derive from `Letter`, which interns them.
 
 A zero coefficient is never stored, so equality is dictionary equality.
 Loops accumulate in place on a plain dict through `add_term` and
@@ -21,6 +22,43 @@ from typing import Iterable, Mapping
 from .scalars import ScalarExpr
 
 _MINUS_ONE = ScalarExpr.rational(-1)
+
+
+class Letter:
+    """Base of the interned word letters (`algebra.OpGen`, `bv.FiberCoord`).
+
+    Letters are hash-consed (Filliatre and Conchon, "Type-safe modular
+    hash-consing", 2006): a subclass's ``__new__`` returns the one object
+    per (class, field values) from its table, so equality is identity.
+    The hash is the hash of the field tuple, computed once; the parity and
+    the sort key are stored.  Every word used as a dict key rehashes its
+    letters, so these lookups are the fiber and operator layers' hot path.
+    """
+
+    __slots__ = ("_h", "_key", "parity")
+
+    @classmethod
+    def _interned(cls, table: dict, values: tuple, parity: int, sort_key: tuple):
+        """Build ``cls(*values)``, already validated, and enter it in
+        ``table`` under ``(cls, *values)``."""
+        self = object.__new__(cls)
+        for name, v in zip(cls.__match_args__, values):
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "_h", hash(values))
+        object.__setattr__(self, "_key", sort_key)
+        object.__setattr__(self, "parity", parity)
+        table[(cls, *values)] = self
+        return self
+
+    def __hash__(self) -> int:
+        return self._h
+
+    def sort_key(self) -> tuple:
+        return self._key
+
+    def __reduce__(self):
+        # copies and unpickled letters go back through the table
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 def add_term(acc: dict, key, c: ScalarExpr) -> None:

@@ -228,3 +228,36 @@ def test_normal_order_involution_randomised():
         assert normal_order(e) == e
         raw = GradedExpr({tuple(_random_word(rng, 3)): ONE})
         assert normal_order(normal_order(raw)) == normal_order(raw)
+
+
+def test_generators_are_interned():
+    import copy
+    import pickle
+
+    from gradedqft.algebra import SECTORS
+    fields = (EMIT, UPPER, "gauge", 1, (2, 0))
+    g = OpGen(*fields)
+    assert OpGen(*fields) is g
+    assert OpGen(species=EMIT, position=UPPER, sector="gauge", mode=1,
+                 internal=(2, 0)) is g
+    assert hash(g) == hash(fields)
+    assert g.sort_key() == (0, "gauge", 1, UPPER, (2, 0))
+    assert OpGen(ABSORB, UPPER, "gauge", 1, (2, 0)).sort_key()[0] == 1
+    assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
+    for sector, (p, _real) in SECTORS.items():
+        assert OpGen(ABSORB, LOWER, sector, 0, (0,)).parity == p
+
+
+@pytest.mark.parametrize("fields,error", [
+    (("absorbs", UPPER, "scalar", 0, (0,)), "bad species"),
+    ((EMIT, "middle", "scalar", 0, (0,)), "bad index position"),
+    ((EMIT, UPPER, "scalr", 0, (0,)), "unknown sector"),
+], ids=["species", "position", "sector"])
+def test_rejected_generators_are_not_interned(fields, error):
+    from gradedqft import algebra
+    before = dict(algebra._GENS)
+    for _ in range(2):
+        with pytest.raises(algebra.AlgebraError, match=error):
+            OpGen(*fields)
+    assert algebra._GENS == before
+    assert (OpGen, *fields) not in algebra._GENS

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gradedqft.bv import (
+    SECTOR_PARITY,
     BVError,
     FiberCoord,
     FiberPoly,
@@ -15,7 +16,7 @@ from gradedqft.bv import (
     left_deriv,
     right_deriv,
 )
-from gradedqft.linear import add_term
+from gradedqft.linear import add_into, add_term
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -347,3 +348,116 @@ def test_bv_term_order_does_not_depend_on_the_hash_seed():
                              capture_output=True, check=True)
         outs.append(run.stdout)
     assert outs[0].count(b"\n") >= 8 and outs[0] == outs[1]
+
+
+def _reference_derivation(v, f: FiberPoly) -> FiberPoly:
+    """The word-product derivation the splice replaced, with the component
+    on every letter recomputed on each call, kept as a reference."""
+    def on_coord(c):
+        if c.kind == "anti":
+            return FiberPoly.zero()
+        base = FiberCoord(c.sector, c.kind, c.idx, ())
+        comp = v.components.get(base)
+        if comp is None:
+            return FiberPoly.zero()
+        for lam in c.jet:
+            comp = horizontal_diff(comp, lam)
+        return comp
+
+    acc: dict = {}
+    for w, c in f.terms.items():
+        pref = 0
+        for j, cj in enumerate(w):
+            comp = on_coord(cj)
+            if not comp.is_zero():
+                sign = -1 if (v.parity and pref % 2) else 1
+                piece = FiberPoly.word(w[:j], c * sign) * comp * \
+                    FiberPoly.word(w[j + 1:])
+                add_into(acc, piece.terms)
+            pref += cj.parity
+    return FiberPoly(acc)
+
+
+def _jet_alphabet(rng, bases):
+    """Each base coordinate with its antifield, a first-order jet and, but
+    for A (S A already holds a first-order jet), a second-order jet."""
+    out = []
+    for b in bases:
+        first = b.lift(rng.randrange(4))
+        out += [b, b.partner(), first]
+        if b.sector != "A":
+            out.append(first.lift(rng.randrange(4)))
+    return out
+
+
+@pytest.mark.parametrize("derivation", ["brst", "ghost_number"])
+@pytest.mark.parametrize("lie_name", ["u1", "su2", "su3"])
+def test_spliced_derivation_matches_the_word_products(lie_name, derivation):
+    from gradedqft import lie
+    from gradedqft.bv import TheorySpec, brst_operator, ghost_number_derivation
+    th = TheorySpec.make(lie.PRESETS[lie_name]())
+    v = brst_operator(th) if derivation == "brst" else ghost_number_derivation(th)
+    rng = random.Random(f"{lie_name}-{derivation}")
+    acting = list(v.components)
+    others = th.all_base_coords()
+    nonzero = 0
+    for _ in range(60):
+        bases = rng.sample(acting, min(3, len(acting))) + rng.sample(others, 2)
+        f = _random_poly(rng, _jet_alphabet(rng, bases), deg=4, nterms=4)
+        want = _reference_derivation(v, f)
+        got = v(f)
+        assert got.terms == want.terms
+        assert list(got.terms) == list(want.terms)
+        assert v(f).terms == want.terms  # the memo on coordinates stays valid
+        nonzero += not want.is_zero()
+    assert nonzero >= 30
+
+
+def test_fiber_coords_are_interned():
+    import copy
+    import pickle
+
+    fields = ("psi", "field", (1, 0), (0, 2))
+    c = FiberCoord(*fields)
+    assert FiberCoord(*fields) is c
+    assert FiberCoord(sector="psi", kind="field", idx=(1, 0), jet=(0, 2)) is c
+    assert hash(c) == hash(fields) and c.sort_key() == fields
+    assert copy.deepcopy(c) is c and pickle.loads(pickle.dumps(c)) is c
+    for sector, p in SECTOR_PARITY.items():
+        assert FiberCoord(sector, "field", (0,), ()).parity == p
+        assert FiberCoord(sector, "anti", (0,), ()).parity == 1 - p
+    assert c.partner() is FiberCoord("psi", "anti", (1, 0), (0, 2))
+    assert c.partner().partner() is c
+    assert even_y().lift(3).lift(1) is even_y(0, (1, 3))
+    assert odd_th(0, (2,)).lift(0) is FiberCoord("omega", "field", (0,), (0, 2))
+
+
+@pytest.mark.parametrize("fields,error", [
+    (("phi", "field", (0,), ()), "unknown sector"),
+    (("A", "dual", (0,), ()), "bad coordinate kind"),
+    (("A", "field", (0, 0), (0, 1, 2)), "capped at 2"),
+    (("A", "field", (0, 0), (2, 1)), "must be sorted"),
+], ids=["sector", "kind", "jet-order", "unsorted-jet"])
+def test_rejected_fiber_coords_are_not_interned(fields, error):
+    from gradedqft import bv
+    before = dict(bv._COORDS)
+    for _ in range(2):
+        with pytest.raises(BVError, match=error):
+            FiberCoord(*fields)
+    assert bv._COORDS == before
+    assert (FiberCoord, *fields) not in bv._COORDS
+
+
+def test_derivation_components_are_read_only():
+    from types import MappingProxyType
+
+    from gradedqft.bv import VerticalDerivation
+    th = odd_th()
+    comps = {th: P(th, odd_th(1))}
+    v = VerticalDerivation(comps, parity=1)
+    assert isinstance(v.components, MappingProxyType)
+    with pytest.raises(TypeError):
+        v.components[th] = FiberPoly.zero()
+    comps[th] = FiberPoly.zero()  # the derivation keeps its own copy
+    assert v.on_coord(th) == P(th, odd_th(1))
+    assert v.on_coord(th.lift(0)) == horizontal_diff(P(th, odd_th(1)), 0)

@@ -385,6 +385,11 @@ _BAD_LIES = {
     "not-square": ([[[0, 1]]], "square matrices"),
     "sizes-differ": ([[[0, 1], [-1, 0]], [[0]]], "square matrices of one size"),
     "entry-not-a-number": ([[["a"]]], "expected a number"),
+    "boolean-entry": ([[[False]]], "expected a number, got False"),
+    "zero-generator": ([[[0]]], "linearly independent: l_0 is zero"),
+    # the real su2 generator -(i/2) sigma_2, twice
+    "duplicated-su2-generator": ([[[0, -0.5], [0.5, 0]]] * 2,
+                                 "linearly independent: l_1 is a combination"),
 }
 
 
@@ -398,4 +403,28 @@ def test_bad_custom_lie_exits_2_without_traceback(tmp_path, capsys, verb, case):
     assert main(verb + ["--config", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: theory.lie") and match in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+# JSON booleans where a number belongs (Fraction(True) == 1): (config, where)
+_BOOLEAN_NUMBERS = {
+    "scalar-mass": ({"lattice": {"masses": {"scalar": True}}},
+                    "lattice.masses['scalar']"),
+    "momentum-component": ({"lattice": {"momenta": [[1, 0, False], [-1, 0, 0]]}},
+                           "lattice.momenta"),
+    "propagator-momentum": ({"lattice": {"propagator_momenta": [[True, 0, 0]]}},
+                            "lattice.propagator_momenta"),
+}
+
+
+@pytest.mark.parametrize("verb", [["verify", "--suite", "algebra"], ["dump-lattice"]],
+                         ids=["verify", "dump-lattice"])
+@pytest.mark.parametrize("case", sorted(_BOOLEAN_NUMBERS))
+def test_boolean_number_exits_2_without_traceback(tmp_path, capsys, verb, case):
+    cfg, where = _BOOLEAN_NUMBERS[case]
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(cfg))
+    assert main(verb + ["--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {where}: expected a number, got ")
     assert "Traceback" not in captured.err and captured.out == ""

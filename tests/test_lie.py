@@ -4,6 +4,7 @@ import pytest
 
 from gradedqft.lie import (
     LieData,
+    LieError,
     NonClosureError,
     antisymmetry_residual,
     jacobi_residual,
@@ -113,3 +114,24 @@ def test_signature_handles_zero_diagonal():
     assert signature([[F(0), F(1)], [F(1), F(0)]]) == (1, 1)
     assert signature([[F(2)]]) == (1, 0)
     assert signature([[F(0)]]) == (0, 0)
+
+
+_SU2 = su2().generators
+
+
+@pytest.mark.parametrize("gens,match", [
+    ([[[0]]], "l_0 is zero"),
+    ([_SU2[0], _SU2[1], _SU2[1]], "l_2 is a combination"),
+    ([_SU2[0], _SU2[1], _SU2[2],
+      tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(_SU2[0], _SU2[2]))],
+     "l_3 is a combination"),
+], ids=["zero", "duplicate", "sum"])
+def test_from_generators_requires_independent_generators(gens, match):
+    with pytest.raises(LieError, match=match):
+        LieData.from_generators(gens)
+
+
+def test_presets_pass_the_rank_check():
+    for preset in (u1, su2, su3):
+        data = preset()
+        assert LieData.from_generators(data.generators) == data
