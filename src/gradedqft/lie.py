@@ -127,6 +127,8 @@ class LieData:
     @staticmethod
     def from_generators(generators) -> "LieData":
         gens = tuple(_mat(g) for g in generators)
+        if not gens:
+            raise LieError("at least one generator is required")
         n = len(gens[0])
         for g in gens:
             if not is_anti_hermitian(g):

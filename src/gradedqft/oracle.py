@@ -1,27 +1,37 @@
 """Truncated Fock-space oracle: explicit matrices for the generators.
 
 Every (sector, mode, ladder family, internal index) combination occupies
-one slot.  Fermionic slots are 2-dimensional with Jordan-Wigner strings
-over the preceding fermionic slots, so the matrix algebra reproduces the
-Koszul signs of the symbolic kernel by construction.  Bosonic slots hold
-occupations 0..n_max with unnormalised ladders (creation entries 1,
-annihilation entries n, and the metric weight eta for gauge slots), which
-keeps every matrix entry an exact small integer; states whose occupation
-can climb past the cutoff are masked out of comparisons.
+one slot, and a basis state is one occupation per slot.  Fermionic slots
+are 2-dimensional and carry a Jordan-Wigner sign over the preceding
+fermionic slots, so the matrix algebra reproduces the Koszul signs of the
+symbolic kernel by construction.  Bosonic slots hold occupations
+0..n_max with unnormalised ladders (emission weight 1, absorption weight
+n, times the metric weight eta for gauge slots), which keeps every matrix
+entry an exact small integer; states whose occupation can climb past the
+cutoff are masked out of comparisons.
+
+A generator sends each basis state to at most one other, so it is held
+as a monomial matrix ``(rows, weights)``: column c maps to row rows[c]
+with factor weights[c], which is 0 where the ladder leaves the truncated
+space.  A word is composed in O(dim) per letter and scattered into the
+dense matrix once.  No matrix is built with the symbolic canonicaliser;
+only the symbolic side of `product_residual` calls `koszul_product`, and
+its matrix side keeps one dense product, which cross-checks the
+composition against plain matrix multiplication.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
 from .fields import ModeLattice
 from .gammas import METRIC
-
-F = Fraction
 
 
 class OracleError(Exception):
@@ -98,86 +108,122 @@ class OracleSpace:
         index = {s.key: i for i, s in enumerate(slots)}
         return OracleSpace(slots, index, dim, n_max)
 
-    def occupations(self) -> np.ndarray:
-        """(dimension, n_slots) occupation table, slot 0 most significant."""
+    @cached_property
+    def _occupations(self) -> np.ndarray:
         occ = np.zeros((self.dimension, len(self.slots)), dtype=np.int64)
         reps = self.dimension
         for j, s in enumerate(self.slots):
             reps //= s.dim
             pattern = np.repeat(np.arange(s.dim), reps)
             occ[:, j] = np.tile(pattern, self.dimension // (s.dim * reps))
+        occ.flags.writeable = False
         return occ
 
-    def safe_mask(self, climb: int = 1) -> np.ndarray:
-        """States whose bosonic occupations stay below cutoff after
-        raising at most ``climb`` quanta per slot."""
-        occ = self.occupations()
-        mask = np.ones(self.dimension, dtype=bool)
-        for j, s in enumerate(self.slots):
-            if not s.fermionic:
-                mask &= occ[:, j] <= self.n_max - climb
-        return mask
+    def occupations(self) -> np.ndarray:
+        """(dimension, n_slots) occupation table, slot 0 most significant;
+        built once per space and read-only."""
+        return self._occupations
+
+    def safe_mask(self, climb=1) -> np.ndarray:
+        """States whose bosonic occupations stay within the cutoff after
+        raising ``climb`` quanta in every slot, or ``climb[j]`` quanta in
+        slot j when ``climb`` is one count per slot."""
+        bosonic = [j for j, s in enumerate(self.slots) if not s.fermionic]
+        limit = self.n_max - np.broadcast_to(climb, (len(self.slots),))[bosonic]
+        return np.all(self.occupations()[:, bosonic] <= limit, axis=1)
 
 
-def build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
-    """Kronecker-factor matrix of one elementary generator."""
+def _monomial(space: OracleSpace, gen: OpGen) -> tuple:
+    """(rows, weights) of one elementary generator: column c maps to row
+    rows[c] with factor weights[c]."""
     key = slot_key(gen)
     if key not in space.index:
         raise OracleError(f"generator {gen!r} has no slot in this space")
     j = space.index[key]
-    mats = []
-    for i, s in enumerate(space.slots):
-        if i == j:
-            d = s.dim
-            m = np.zeros((d, d), dtype=np.complex128)
-            if gen.species == EMIT:
-                for n in range(d - 1):
-                    m[n + 1, n] = 1.0
-            else:
-                for n in range(d - 1):
-                    m[n, n + 1] = (n + 1) * s.eta
-            mats.append(m)
-        elif s.fermionic and i < j and space.slots[j].fermionic:
-            mats.append(np.diag([1.0, -1.0]).astype(np.complex128))
-        else:
-            mats.append(np.eye(s.dim, dtype=np.complex128))
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
+    s = space.slots[j]
+    occ = space.occupations()
+    n = occ[:, j]
+    stride = math.prod(t.dim for t in space.slots[j + 1:])
+    cols = np.arange(space.dimension)
+    if gen.species == EMIT:
+        live = n < s.dim - 1
+        rows = np.where(live, cols + stride, cols)
+        weights = live.astype(np.float64)
+    else:
+        rows = np.where(n > 0, cols - stride, cols)
+        weights = (n * s.eta).astype(np.float64)
+    if s.fermionic:
+        earlier = [i for i, t in enumerate(space.slots[:j]) if t.fermionic]
+        weights *= 1 - 2 * (occ[:, earlier].sum(axis=1) & 1)
+    return rows, weights
+
+
+def build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
+    """Dense matrix of one elementary generator, scattered from its
+    monomial ``(rows, weights)`` form."""
+    rows, weights = _monomial(space, gen)
+    m = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    nz = np.flatnonzero(weights)
+    m[rows[nz], nz] = weights[nz]
+    return m
 
 
 def represent(e: GradedExpr, space: OracleSpace, bindings=None) -> np.ndarray:
-    """Matrix of a graded expression; coefficients must evaluate."""
-    total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
-    cache: dict[OpGen, np.ndarray] = {}
+    """Matrix of a graded expression; coefficients must evaluate.
+
+    Each word is composed right to left on the monomial forms of its
+    letters, then added into the dense total at its nonzero entries."""
+    dim = space.dimension
+    total = np.zeros((dim, dim), dtype=np.complex128)
+    cols = np.arange(dim)
+    cache: dict[OpGen, tuple] = {}
     for word, coeff in e.terms.items():
-        m = np.eye(space.dimension, dtype=np.complex128)
-        for g in word:
+        rows, w = cols, np.ones(dim)
+        for g in reversed(word):
             if g not in cache:
-                cache[g] = build_operator(space, g)
-            m = m @ cache[g]
-        total += complex(coeff.evaluate(bindings)) * m
+                cache[g] = _monomial(space, g)
+            gr, gw = cache[g]
+            w = w * gw[rows]
+            rows = gr[rows]
+        c = complex(coeff.evaluate(bindings))
+        nz = np.flatnonzero(w)
+        total[rows[nz], nz] += c * w[nz]
     return total
 
 
-def _climb(e: GradedExpr) -> int:
-    worst = 0
+def _climb(e: GradedExpr, space: OracleSpace) -> np.ndarray:
+    """Per slot, the most bosonic quanta one word of ``e`` emits into it:
+    no intermediate state of that word climbs higher."""
+    worst = np.zeros(len(space.slots), dtype=np.int64)
     for word in e.terms:
-        c = sum(1 for g in word
-                if g.species == EMIT and SECTORS[g.sector][0] == 0)
-        worst = max(worst, c)
+        emitted = Counter(slot_key(g) for g in word
+                          if g.species == EMIT and SECTORS[g.sector][0] == 0)
+        for key, k in emitted.items():
+            j = space.index[key]
+            worst[j] = max(worst[j], k)
     return worst
+
+
+def _compared_mask(space: OracleSpace, climb: np.ndarray) -> np.ndarray:
+    """Safe states for a per-slot climb of at least one quantum; an empty
+    safe subspace compares nothing, which is an error, not a pass."""
+    climb = np.maximum(climb, 1)
+    mask = space.safe_mask(climb)
+    if not mask.any():
+        raise OracleError(f"a word climbs {int(climb.max())} quanta into one "
+                          f"slot with n_max={space.n_max}: the safe subspace "
+                          "is empty and nothing would be compared")
+    return mask
 
 
 def residual(symbolic: GradedExpr, reference: GradedExpr,
              space: OracleSpace, bindings=None) -> float:
     """Max-abs entry of the matrix difference on the safe subspace."""
-    mask = space.safe_mask(max(_climb(symbolic), _climb(reference), 1))
     m1 = represent(symbolic, space, bindings)
     m2 = represent(reference, space, bindings)
-    diff = (m1 - m2)[np.ix_(mask, mask)]
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
+                                            _climb(reference, space)))
+    return float(np.max(np.abs((m1 - m2)[np.ix_(mask, mask)])))
 
 
 def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
@@ -185,9 +231,8 @@ def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
     """Homomorphism defect: represent(a *phys* b) vs matrix product."""
     from .algebra import koszul_product
     prod = koszul_product(a, b, "physical")
-    climb = max(_climb(a) + _climb(b), 1)
-    mask = space.safe_mask(climb)
-    lhs = represent(prod, space, bindings)
-    rhs = represent(a, space, bindings) @ represent(b, space, bindings)
-    diff = (lhs - rhs)[np.ix_(mask, mask)]
-    return float(np.max(np.abs(diff))) if diff.size else 0.0
+    ma = represent(a, space, bindings)
+    mb = represent(b, space, bindings)
+    mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
+    diff = represent(prod, space, bindings) - ma @ mb
+    return float(np.max(np.abs(diff[np.ix_(mask, mask)])))

@@ -131,6 +131,11 @@ def test_from_generators_requires_independent_generators(gens, match):
         LieData.from_generators(gens)
 
 
+def test_from_generators_rejects_an_empty_basis():
+    with pytest.raises(LieError, match="at least one generator"):
+        LieData.from_generators([])
+
+
 def test_presets_pass_the_rank_check():
     for preset in (u1, su2, su3):
         data = preset()

@@ -25,8 +25,9 @@ from gradedqft.oracle import (
     product_residual,
     represent,
     residual,
+    slot_key,
 )
-from gradedqft.scalars import ScalarExpr
+from gradedqft.scalars import GaussianRational, ScalarExpr
 
 F = Fraction
 
@@ -225,3 +226,129 @@ def test_negative_control_sign_flip_has_large_residual():
     bad = residual(super_bracket(f.expr, fb_wrong.expr), target, sp, BIND)
     assert ok < 1e-12
     assert bad > 0.1
+
+
+# --- the monomial oracle against the Kronecker construction ---------------
+
+def _kron_build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
+    """Kronecker-factor matrix of one elementary generator."""
+    key = slot_key(gen)
+    if key not in space.index:
+        raise OracleError(f"generator {gen!r} has no slot in this space")
+    j = space.index[key]
+    mats = []
+    for i, s in enumerate(space.slots):
+        if i == j:
+            d = s.dim
+            m = np.zeros((d, d), dtype=np.complex128)
+            if gen.species == EMIT:
+                for n in range(d - 1):
+                    m[n + 1, n] = 1.0
+            else:
+                for n in range(d - 1):
+                    m[n, n + 1] = (n + 1) * s.eta
+            mats.append(m)
+        elif s.fermionic and i < j and space.slots[j].fermionic:
+            mats.append(np.diag([1.0, -1.0]).astype(np.complex128))
+        else:
+            mats.append(np.eye(s.dim, dtype=np.complex128))
+    out = mats[0]
+    for m in mats[1:]:
+        out = np.kron(out, m)
+    return out
+
+
+def _slot_generators(space):
+    """Every elementary generator that has a slot in ``space``."""
+    out = []
+    for s in space.slots:
+        sector, mode, _, internal = s.key
+        for species in (ABSORB, EMIT):
+            for pos in (UPPER, LOWER):
+                g = OpGen(species, pos, sector, mode, internal)
+                if slot_key(g) == s.key:
+                    out.append(g)
+    return out
+
+
+_ONE_MODE = [(1, 0, 0)]
+
+_REFERENCE_SPACES = {
+    "scalar": lambda: OracleSpace.make(
+        ModeLattice.make(_ONE_MODE, scalar_dim=2), sectors=("scalar",), n_max=3),
+    "fermion": lambda: OracleSpace.make(lat2(), sectors=("fermion",)),
+    "dirac": lambda: OracleSpace.make(
+        lat2(), sectors=("dirac_particle", "dirac_antiparticle")),
+    "ghost": lambda: OracleSpace.make(
+        lat2(lie_dim=2), sectors=("ghost", "antighost")),
+    "gauge": lambda: OracleSpace.make(
+        ModeLattice.make(_ONE_MODE, lie_dim=1), sectors=("gauge",), n_max=1),
+    # fermionic slots sort before the bosonic ones: scalar generators must
+    # carry no Jordan-Wigner string across them
+    "scalar+fermion": lambda: OracleSpace.make(
+        lat2(scalar_dim=1), sectors=("scalar", "fermion"), n_max=2),
+    # gauge slots sort before the ghost slots: the ghosts' string must skip
+    # the bosonic occupations
+    "gauge+ghost": lambda: OracleSpace.make(
+        ModeLattice.make(_ONE_MODE, lie_dim=1), sectors=("gauge", "ghost"),
+        n_max=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REFERENCE_SPACES))
+def test_build_operator_matches_kronecker_reference(name):
+    sp = _REFERENCE_SPACES[name]()
+    gens = _slot_generators(sp)
+    assert len(gens) >= 2 * len(sp.slots)
+    for g in gens:
+        assert np.array_equal(build_operator(sp, g), _kron_build_operator(sp, g)), g
+
+
+def _dense_represent(e: GradedExpr, space: OracleSpace) -> np.ndarray:
+    """Each word as the left-to-right product of its reference matrices."""
+    total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
+    for word, coeff in e.terms.items():
+        m = np.eye(space.dimension, dtype=np.complex128)
+        for g in word:
+            m = m @ _kron_build_operator(space, g)
+        total += complex(coeff.evaluate()) * m
+    return total
+
+
+def test_represent_matches_dense_products_exactly():
+    rng = random.Random(79)
+    sectors = ["fermion", "ghost", "antighost", "scalar"]
+    sp = OracleSpace.make(ModeLattice.make(_ONE_MODE, scalar_dim=1),
+                          sectors=tuple(sectors), n_max=3)
+    for _ in range(12):
+        e = GradedExpr.zero()
+        for _ in range(rng.randint(1, 4)):
+            c = GaussianRational(F(rng.randint(-9, 9), rng.randint(1, 9)),
+                                 F(rng.randint(-9, 9), rng.randint(1, 9)))
+            w = _random_word(rng, sectors, n_int=1, modes=1,
+                             length=rng.randint(0, 4))
+            e = e + w.scale(ScalarExpr.gaussian(c))
+        assert np.array_equal(represent(e, sp), _dense_represent(e, sp))
+
+
+def test_empty_safe_subspace_is_an_error_not_a_pass():
+    sp = OracleSpace.make(ModeLattice.make(_ONE_MODE, scalar_dim=1),
+                          sectors=("scalar",), n_max=1)
+    ad = OpGen(EMIT, LOWER, "scalar", 0, (0,))
+    two = GradedExpr({(ad, ad): ScalarExpr.one()})
+    assert not sp.safe_mask(2).any()
+    with pytest.raises(OracleError, match="climbs 2 quanta.*n_max=1"):
+        residual(two, two, sp)
+    with pytest.raises(OracleError, match="climbs 2 quanta.*n_max=1"):
+        product_residual(GradedExpr.of(ad), GradedExpr.of(ad), sp)
+
+
+def test_climb_is_counted_per_slot():
+    # one emission into each of four slots climbs one quantum per slot, so
+    # the states below the cutoff everywhere are compared and a sign shows
+    sp = OracleSpace.make(lat2(scalar_dim=1), sectors=("scalar",), n_max=3)
+    word = tuple(OpGen(EMIT, pos, "scalar", mode, (0,))
+                 for mode in range(2) for pos in (UPPER, LOWER))
+    assert len({slot_key(g) for g in word}) == 4
+    e = GradedExpr({word: ScalarExpr.one()})
+    assert residual(e, -e, sp) == 2.0
