@@ -10,6 +10,12 @@ it.  Normal ordering is exactly the modified-rule rewrite.  The rewrite
 itself is `linear.canonical_terms`; this module supplies the letters and
 the contraction.
 
+The super-bracket is not two full products.  Per word pair it merges the
+canonical terms of w1 w2 with those of -+ w2 w1 by canonical word, with
+their integer Koszul signs and contraction factors; the uncontracted
+words cancel there, and the coefficients c1 c2 are multiplied only for
+the words that survive.
+
 Generator species and index position together select one of the four
 elementary operators of a complex sector:
 
@@ -154,11 +160,47 @@ def normal_order(e: GradedExpr) -> GradedExpr:
 
 
 def super_bracket(a: GradedExpr, b: GradedExpr) -> GradedExpr:
-    """[[X, Y]] = XY - (-1)^{|X||Y|} YX, physical rule."""
+    """[[X, Y]] = XY - (-1)^{|X||Y|} YX, physical rule, merged per word pair.
+
+    For each (w1, c1) of X and (w2, c2) of Y the canonical terms of w1 w2
+    and of -(-1)^{|X||Y|} w2 w1 are summed by canonical word.  The
+    uncontracted words cancel there as integer signs (a wrong Koszul sign
+    leaves them standing), and c1 c2 is multiplied only into the words
+    that survive.
+    """
     pa, pb = parity_of(a), parity_of(b)
     if "mixed" in (pa, pb):
         raise MixedParityError("super-bracket needs definite-parity operands")
     sign = -1 if (pa == "odd" and pb == "odd") else 1
-    ab = koszul_product(a, b, "physical")
-    ba = koszul_product(b, a, "physical")
-    return ab - ba if sign > 0 else ab + ba
+    acc: dict[tuple, ScalarExpr] = {}
+    for w1, c1 in a.terms.items():
+        for w2, c2 in b.terms.items():
+            merged: dict = {}
+            _merge(merged, canonical_terms(w1 + w2, _contraction), 1)
+            _merge(merged, canonical_terms(w2 + w1, _contraction), -sign)
+            survivors = [(w, f) for w, f in merged.items()
+                         if (not f.is_zero() if type(f) is ScalarExpr
+                             else f != 0)]
+            if survivors:
+                c12 = c1 * c2
+                for w, f in survivors:
+                    add_term(acc, w, c12 * f)
+    return GradedExpr._wrap(acc)
+
+
+def _merge(merged: dict, terms: list, weight: int) -> None:
+    """merged[w] += weight * f for each (f, w) of ``terms``; a factor is an
+    int until a contraction's `ScalarExpr` has multiplied into it."""
+    for f, w in terms:
+        f = f * weight
+        old = merged.get(w)
+        if old is None:
+            merged[w] = f
+        elif type(old) is int and type(f) is int:
+            merged[w] = old + f
+        else:
+            merged[w] = _scalar(old) + _scalar(f)
+
+
+def _scalar(f) -> ScalarExpr:
+    return f if type(f) is ScalarExpr else ScalarExpr.rational(f)

@@ -213,12 +213,6 @@ class FieldExpr:
     point: FieldPoint
     lattice: ModeLattice
 
-    def __add__(self, other: "FieldExpr") -> "FieldExpr":
-        if self.lattice is not other.lattice:
-            raise LatticeError("cannot combine fields from different lattices")
-        return FieldExpr(self.expr + other.expr, self.sector, self.component,
-                         self.point, self.lattice)
-
     def scale(self, s: ScalarExpr) -> "FieldExpr":
         return FieldExpr(self.expr.scale(s), self.sector, self.component,
                          self.point, self.lattice)

@@ -17,7 +17,8 @@ from gradedqft.algebra import (
     parity_of,
     super_bracket,
 )
-from gradedqft.scalars import ScalarExpr
+from gradedqft.fields import FieldPoint, ModeLattice, conjugate_field, field
+from gradedqft.scalars import GaussianRational, ScalarExpr, qsum_rat
 
 F = Fraction
 ONE = ScalarExpr.one()
@@ -261,3 +262,141 @@ def test_rejected_generators_are_not_interned(fields, error):
             OpGen(*fields)
     assert algebra._GENS == before
     assert (OpGen, *fields) not in algebra._GENS
+
+
+# --- the pair-merged bracket against the two-product formula ------------
+
+def _two_product_bracket(a, b):
+    """[[X, Y]] from two full products, XY - (-1)^{|X||Y|} YX: the
+    reference the pair-merged `super_bracket` must equal exactly."""
+    pa, pb = parity_of(a), parity_of(b)
+    if "mixed" in (pa, pb):
+        raise MixedParityError("super-bracket needs definite-parity operands")
+    sign = -1 if (pa == "odd" and pb == "odd") else 1
+    ab = koszul_product(a, b, "physical")
+    ba = koszul_product(b, a, "physical")
+    return ab - ba if sign > 0 else ab + ba
+
+
+#: (sector, mode, internal, absorption position, emission position): a
+#: small pool of slots, so that words meet their contraction partners and
+#: repeat odd letters often; gauge letters carry the metric weight.
+_SLOTS = [
+    ("scalar", 0, (0,), UPPER, LOWER),
+    ("scalar", 0, (0,), LOWER, UPPER),
+    ("fermion", 0, (0,), UPPER, LOWER),
+    ("fermion", 1, (1,), LOWER, UPPER),
+    ("ghost", 0, (1,), UPPER, LOWER),
+    ("antighost", 0, (1,), LOWER, UPPER),
+    ("gauge", 0, (0, 1), UPPER, UPPER),
+    ("gauge", 1, (2, 1), UPPER, UPPER),
+]
+
+
+def _random_letter(rng):
+    sector, mode, internal, absorb, emit = rng.choice(_SLOTS)
+    if rng.random() < 0.5:
+        return OpGen(ABSORB, absorb, sector, mode, internal)
+    return OpGen(EMIT, emit, sector, mode, internal)
+
+
+def _random_coeff(rng):
+    """A Gaussian rational times a plane-wave phase, plus sometimes a
+    second such term."""
+    def term():
+        c = ScalarExpr.gaussian(GaussianRational(F(rng.randint(-3, 3), rng.randint(1, 4)),
+                                                 F(rng.randint(-3, 3), rng.randint(1, 4))))
+        if c.is_zero():
+            c = ScalarExpr.rational(F(1, 2))
+        ph = ScalarExpr.phase([(("t", "t"), qsum_rat(F(rng.randint(-2, 2), 3))),
+                               (("x", "x"), (F(rng.randint(-1, 1)), F(0), F(0)))])
+        return c * ph
+    return term() + term() if rng.random() < 0.3 else term()
+
+
+def _random_operand(rng, parity):
+    """1-3 words of 1-3 letters, each of the given parity; a word may
+    repeat one of its odd letters."""
+    terms = {}
+    while len(terms) < rng.randint(1, 3):
+        word = [_random_letter(rng) for _ in range(rng.randint(1, 3))]
+        odd = [g for g in word if g.parity]
+        if odd and rng.random() < 0.25:
+            word.insert(rng.randrange(len(word) + 1), rng.choice(odd))
+        if len(word) <= 3 and sum(g.parity for g in word) % 2 == parity:
+            terms[tuple(word)] = _random_coeff(rng)
+    e = GradedExpr(terms)
+    return normal_order(e) if rng.random() < 0.5 else e
+
+
+def test_pair_merged_bracket_equals_two_products_randomised():
+    rng = random.Random(21)
+    nonzero = 0
+    for _ in range(300):
+        a = _random_operand(rng, rng.randrange(2))
+        b = _random_operand(rng, rng.randrange(2))
+        br = super_bracket(a, b)
+        assert br == _two_product_bracket(a, b)
+        nonzero += not br.is_zero()
+    # uncontracted words always cancel, so a nonzero bracket is one in
+    # which contractions survived
+    assert nonzero > 60
+
+
+def test_pair_merged_bracket_on_repeated_odd_letters():
+    psi = OpGen(ABSORB, UPPER, "fermion", 0, (0,))
+    psid = OpGen(EMIT, LOWER, "fermion", 0, (0,))
+    ghost = OpGen(EMIT, LOWER, "ghost", 1, (1,))
+    half = ScalarExpr.rational(F(1, 2))
+    for a, b in [
+        (GradedExpr({(psi,): ONE}), GradedExpr({(psi, psid, psi): half})),
+        (GradedExpr({(psi, ghost): ONE}), GradedExpr({(ghost, psid): ONE})),
+        (GradedExpr({(psid,): ONE}), GradedExpr({(psi, psid): ONE, (ghost, ghost): ONE})),
+    ]:
+        assert super_bracket(a, b) == _two_product_bracket(a, b)
+
+
+def test_pair_merged_bracket_equals_two_products_on_fields():
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=2)
+    x, y = FieldPoint.make("t", "x"), FieldPoint.make("t2", "y")
+    ops = [field("scalar", 0, x, lat).expr, conjugate_field("scalar", 0, y, lat).expr,
+           field("scalar", 0, x, lat).deriv(0).expr]
+    ops += [field("dirac", al, x, lat).expr for al in (0, 3)]
+    ops += [conjugate_field("dirac", al, y, lat).expr for al in (0, 2)]
+    ops += [field("ghost", 1, x, lat).expr, conjugate_field("ghost", 1, y, lat).expr,
+            conjugate_field("ghost", 0, y, lat).expr]
+    ops += [field("gauge", (lam, 1), y, lat).expr for lam in (0, 2)]
+    ops += [field("gauge", (2, 1), x, lat).deriv(1).expr]
+    # quadratic composites under the modified rule, as the equal-time
+    # momenta build them: one even, one odd
+    ops += [koszul_product(field("gauge", (2, 0), x, lat).expr,
+                           field("gauge", (0, 1), x, lat).deriv(0).expr, "modified"),
+            koszul_product(field("ghost", 0, x, lat).expr,
+                           field("gauge", (0, 1), x, lat).expr, "modified")]
+    nonzero = 0
+    for a in ops:
+        for b in ops:
+            br = super_bracket(a, b)
+            assert br == _two_product_bracket(a, b)
+            nonzero += not br.is_zero()
+    assert nonzero >= 15
+
+
+def test_sign_blind_word_rule_shows_in_the_bracket(monkeypatch):
+    """Negative control: with every minus sign dropped from the integer
+    factors of the word rule, the uncontracted words of a+ a and a a+ no
+    longer cancel, so {a, a+} picks up a non-central term."""
+    from gradedqft import algebra
+
+    a, adag = absorb_up("fermion", 0, 0), emit_dn("fermion", 0, 0)
+    assert super_bracket(a, adag) == GradedExpr.unit()
+    honest = algebra.canonical_terms
+
+    def sign_blind(*args, **kwargs):
+        return [(abs(f) if type(f) is int else f, w)
+                for f, w in honest(*args, **kwargs)]
+
+    monkeypatch.setattr(algebra, "canonical_terms", sign_blind)
+    br = super_bracket(a, adag)
+    assert br != GradedExpr.unit()
+    assert not br.operator_part().is_zero()
