@@ -227,6 +227,9 @@ def context_from_config(cfg: dict) -> RunContext:
     pm = lat_cfg.get("propagator_momenta", "cube")
     prop_momenta = _cube() if pm == "cube" else \
         _momenta(pm, "lattice.propagator_momenta")
+    if not prop_momenta:
+        # an empty sum would make every propagator identity compare 0 with 0
+        raise ConfigError("lattice.propagator_momenta needs at least one momentum")
     lattice_prop = _lattice(prop_momenta, masses, scalar_dim, data.dim,
                             "lattice.propagator_momenta")
     corrupt = theory_cfg.get("corrupt_constant")
@@ -654,10 +657,9 @@ def main(argv=None) -> int:
                 sys.stdout.write(f"[{name}] {len(lat.modes)} modes, masses "
                                  f"{ {k: str(v) for k, v in lat.masses.items()} }\n")
                 for m in lat.modes:
-                    esq = lat.mass("scalar") ** 2 + sum(x * x for x in m.momentum)
                     sys.stdout.write(
                         f"  p{m.id} = {tuple(str(x) for x in m.momentum)}  "
-                        f"E_scalar^2 = {esq}\n")
+                        f"E_scalar^2 = {lat.energy_sq('scalar', m)}\n")
             return 0
     except (ConfigError, EvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")

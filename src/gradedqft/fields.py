@@ -23,13 +23,20 @@ Propagator mode sums:
 
 Equal-time identities cancel term-by-term only when the lattice is
 closed under p -> -p; the report functions check that up front.
+
+Everything built from the lattice alone -- the per-mode rows (E^2, E,
+w_p, (2 E)^{-1}), the Dirac dressings, the field expansions and the
+propagator mode sums -- is built once per lattice, on first use, and
+shared as an immutable value by every later caller.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .algebra import (
     ABSORB,
@@ -72,16 +79,51 @@ FIELD_SECTORS = {"scalar": 0, "fermion": 1, "dirac": 1, "gauge": 0, "ghost": 1}
 
 
 @dataclass(frozen=True)
+class ModeRow:
+    """Everything one lattice mode contributes in one sector, as exact
+    values: E^2, E, the field weight w = (2 E)^{-1/2} and (2 E)^{-1} = w^2."""
+
+    energy_sq: Fraction
+    energy: ScalarExpr
+    weight: ScalarExpr
+    inv_two_energy: ScalarExpr
+
+
+def _mode_row(lattice: "ModeLattice", fsector: str, mode: ModeIndex) -> ModeRow:
+    esq = lattice.mass(fsector) ** 2 + sum(x * x for x in mode.momentum)
+    if esq == 0:
+        raise LatticeError(
+            f"zero mode is not allowed in massless sector {fsector!r}")
+    w = ScalarExpr.mode_weight(esq)
+    return ModeRow(esq, ScalarExpr.energy(esq), w, w * w)
+
+
+@dataclass(frozen=True)
 class ModeLattice:
-    """Finite momentum lattice with per-sector masses and internal sizes."""
+    """Finite momentum lattice with per-sector masses and internal sizes.
+
+    The lattice is immutable (``masses`` is a read-only mapping), so what
+    is derived from it alone -- mode rows, Dirac dressings, field
+    expansions and propagator sums -- is built on first use and kept in a
+    private memo that lives and dies with the lattice.  A build that raises
+    stores nothing, so a bad request raises again every time.  No memo
+    value refers back to the lattice (the memo keeps a field's operator
+    expression, not the ``FieldExpr``), so a lattice that nobody holds is
+    freed at once rather than by the cycle collector.
+    """
 
     modes: tuple
-    masses: dict
+    masses: Mapping
     scalar_dim: int = 2
     lie_dim: int = 1
+    _memo: dict = dataclasses.field(default_factory=dict, init=False,
+                                    compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "masses", MappingProxyType(dict(self.masses)))
 
     @staticmethod
-    def make(momenta: Iterable, masses: dict | None = None,
+    def make(momenta: Iterable, masses: Mapping | None = None,
              scalar_dim: int = 2, lie_dim: int = 1) -> "ModeLattice":
         modes = tuple(ModeIndex.make(i, m) for i, m in enumerate(momenta))
         seen = set()
@@ -106,27 +148,34 @@ class ModeLattice:
                 raise LatticeError(f"{sec} sector needs a positive mass")
         return ModeLattice(modes, mm, scalar_dim, lie_dim)
 
+    def _cached(self, key: tuple, build: Callable[[], object]):
+        """The memo entry for ``key``, built by ``build()`` on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build()
+            return value
+
     def mass(self, fsector: str) -> Fraction:
         return self.masses[fsector]
 
+    def row(self, fsector: str, mode: ModeIndex) -> ModeRow:
+        return self._cached(("row", fsector, mode),
+                           lambda: _mode_row(self, fsector, mode))
+
     def energy_sq(self, fsector: str, mode: ModeIndex) -> Fraction:
-        esq = self.mass(fsector) ** 2 + sum(x * x for x in mode.momentum)
-        if esq == 0:
-            raise LatticeError(
-                f"zero mode is not allowed in massless sector {fsector!r}")
-        return esq
+        return self.row(fsector, mode).energy_sq
 
     def energy(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
-        return ScalarExpr.energy(self.energy_sq(fsector, mode))
+        return self.row(fsector, mode).energy
 
     def weight(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
         """(2 E)^{-1/2}."""
-        return ScalarExpr.mode_weight(self.energy_sq(fsector, mode))
+        return self.row(fsector, mode).weight
 
     def inv_two_energy(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
         """(2 E)^{-1} = weight squared."""
-        w = self.weight(fsector, mode)
-        return w * w
+        return self.row(fsector, mode).inv_two_energy
 
     def p_lambda(self, fsector: str, mode: ModeIndex, lam: int) -> ScalarExpr:
         """Covariant p_lambda as an exact scalar."""
@@ -256,23 +305,31 @@ def gen_emit_dn(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
 
 # --- Dirac dressing ------------------------------------------------------
 
+#: gamma^i gamma^0 for i = 1, 2, 3, as rows of Gaussian rationals
+_GAMMA_I0 = tuple((GAMMA[i] @ GAMMA[0]).rows for i in (1, 2, 3))
+
+
 def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
-    """(K, Kinv) as 4x4 ScalarExpr matrices, exact for any momentum.
+    """(K, Kinv) as 4x4 tuples of ScalarExpr, exact for any momentum.
 
     K = kw * ((m+E) 1 + p_i gamma^i gamma^0), Kinv = gamma^0 K gamma^0.
+    Built once per lattice and mode.
     """
+    return lattice._cached(("dressing", mode),
+                           lambda: _dirac_dressing(lattice, mode))
+
+
+def _dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
     m = lattice.mass("dirac")
-    esq = lattice.energy_sq("dirac", mode)
-    kw = ScalarExpr.boost_weight(m, esq)
-    e = ScalarExpr.energy(esq)
-    me = e + ScalarExpr.rational(m)
+    row = lattice.row("dirac", mode)
+    kw = ScalarExpr.boost_weight(m, row.energy_sq)
+    me = row.energy + ScalarExpr.rational(m)
     sg = [[GaussianRational(0)] * 4 for _ in range(4)]
-    for i in range(3):
-        if mode.momentum[i]:
-            blk = GAMMA[i + 1] @ GAMMA[0]
+    for blk, p in zip(_GAMMA_I0, mode.momentum):
+        if p:
             for a in range(4):
                 for b in range(4):
-                    sg[a][b] = sg[a][b] + blk.rows[a][b] * mode.momentum[i]
+                    sg[a][b] = sg[a][b] + blk[a][b] * p
     k = [[ScalarExpr.zero()] * 4 for _ in range(4)]
     kinv = [[ScalarExpr.zero()] * 4 for _ in range(4)]
     for a in range(4):
@@ -281,7 +338,7 @@ def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
             off = ScalarExpr.gaussian(sg[a][b])
             k[a][b] = kw * (diag + off)
             kinv[a][b] = kw * (diag - off)
-    return k, kinv
+    return tuple(map(tuple, k)), tuple(map(tuple, kinv))
 
 
 # --- field constructors ---------------------------------------------------
@@ -327,8 +384,9 @@ _EXPANSIONS = {
 
 def _expand(kind: str, sector: str, component, x: FieldPoint,
             lattice: ModeLattice) -> FieldExpr:
-    """Mode sum of one table entry; the caller has vetted ``sector``."""
-    rows = _EXPANSIONS[(kind, sector)]
+    """Mode sum of one table entry; the caller has vetted ``sector``.
+    The operator expression is built once per lattice for each (kind,
+    sector, internal index, point) and shared by every FieldExpr."""
     if sector == "gauge":
         lam, li = component
         internal = (lam, li)
@@ -338,12 +396,20 @@ def _expand(kind: str, sector: str, component, x: FieldPoint,
         inside = internal[0] in lattice.internal_range(sector)
     if not inside:
         raise FieldError(f"component {component!r} is outside the {sector} sector")
+    expr = lattice._cached(("expand", kind, sector, internal, x),
+                           lambda: _mode_sum(kind, sector, internal, x, lattice))
+    return FieldExpr(expr, sector, component, x, lattice)
+
+
+def _mode_sum(kind: str, sector: str, internal: tuple, x: FieldPoint,
+              lattice: ModeLattice) -> GradedExpr:
+    rows = _EXPANSIONS[(kind, sector)]
     dirac = sector == "dirac"
     acc: dict = {}
     for mode in lattice.modes:
-        w = lattice.weight(sector, mode)
-        esq = lattice.energy_sq(sector, mode)
-        phase = {sign: plane_phase(sign, esq, mode.momentum, [(1, x)])
+        row = lattice.row(sector, mode)
+        w = row.weight
+        phase = {sign: plane_phase(sign, row.energy_sq, mode.momentum, [(1, x)])
                  for sign in (+1, -1)}
         k, kinv = dirac_dressing(lattice, mode) if dirac else (None, None)
         for slot in (range(2) if dirac else (None,)):
@@ -359,7 +425,7 @@ def _expand(kind: str, sector: str, component, x: FieldPoint,
                     coeff = coeff * ScalarExpr.rational(sign)
                 add_term(acc, (OpGen(species, position, op_sector, mode.id, idx),),
                          coeff)
-    return FieldExpr(GradedExpr(acc), sector, component, x, lattice)
+    return GradedExpr(acc)
 
 
 def field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
@@ -437,14 +503,22 @@ def field_supercommutator(f: FieldExpr, g: FieldExpr) -> ScalarExpr:
 def propagator_D(sign: int, points: Sequence[tuple], lattice: ModeLattice,
                  fsector: str, deriv: int | None = None) -> ScalarExpr:
     """D+ (sign=+1) or D- (sign=-1) mode sum at a formal point combination;
-    ``deriv`` inserts the -i p_lambda factor of the derivative."""
+    ``deriv`` inserts the -i p_lambda factor of the derivative.  Built once
+    per lattice for each (sign, points, sector, deriv)."""
     if sign not in (1, -1):
         raise FieldError("propagator sign must be +1 or -1")
+    points = tuple((c, pt) for c, pt in points)
+    return lattice._cached(
+        ("propagator", sign, points, fsector, deriv),
+        lambda: _propagator_sum(sign, points, lattice, fsector, deriv))
 
+
+def _propagator_sum(sign: int, points: tuple, lattice: ModeLattice,
+                    fsector: str, deriv: int | None) -> ScalarExpr:
     def mode_term(mode) -> ScalarExpr:
-        esq = lattice.energy_sq(fsector, mode)
-        term = lattice.inv_two_energy(fsector, mode) * \
-            plane_phase(sign, esq, mode.momentum, points)
+        row = lattice.row(fsector, mode)
+        term = row.inv_two_energy * \
+            plane_phase(sign, row.energy_sq, mode.momentum, points)
         if deriv is None:
             return term * ScalarExpr.rational(sign)
         return term * ScalarExpr.gaussian(GaussianRational(0, -1)) * \

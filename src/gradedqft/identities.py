@@ -26,6 +26,7 @@ from .fields import (
     conj_C_field,
     conjugate_field,
     delta_lattice,
+    dirac_dressing,
     equal_time_report,
     field,
     field_supercommutator,
@@ -448,7 +449,6 @@ def dirac_suite() -> list:
         return CheckResult.exact(bad)
 
     def mode_brackets(ctx):
-        from .fields import dirac_dressing
         from .gammas import shell_projector_symbolic
         lat = ctx.lattice_nozero
         bad = 0
@@ -908,7 +908,6 @@ def oracle_suite() -> list:
 
     def dirac_ops(ctx):
         lat, _, _, spd, _ = spaces(ctx)
-        from .fields import dirac_dressing
         from .gammas import shell_projector_symbolic
         worst = 0.0
         for mode in lat.modes:

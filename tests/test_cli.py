@@ -428,3 +428,17 @@ def test_boolean_number_exits_2_without_traceback(tmp_path, capsys, verb, case):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {where}: expected a number, got ")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("suffix,text", [
+    (".ini", "[lattice]\npropagator_momenta = []\n"),
+    (".json", json.dumps({"lattice": {"propagator_momenta": []}})),
+], ids=["ini", "json"])
+def test_empty_propagator_lattice_exits_2(tmp_path, capsys, suffix, text):
+    # an empty mode sum would let every propagator identity compare 0 with 0
+    p = tmp_path / f"empty{suffix}"
+    p.write_text(text)
+    assert main(["verify", "--suite", "propagators", "--config", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: lattice.propagator_momenta")
+    assert "Traceback" not in captured.err and captured.out == ""
