@@ -44,8 +44,9 @@ from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData, constant_entries
-from .linear import Letter, LinearCombination, add_into, add_term, canonical_terms
-from .scalars import ScalarExpr
+from .linear import (Letter, LinearCombination, add_into, add_term, canonical_terms,
+                     merge_splice)
+from .scalars import ScalarExpr, add_product
 
 F = Fraction
 
@@ -211,12 +212,29 @@ class VerticalDerivation:
     coordinates, prolonged to jets, zero on antifields.
 
     The components are read-only, so the prolonged value on each
-    coordinate is computed once per derivation."""
+    coordinate, and beside it the signed table ``(u, c_u, -c_u)`` of its
+    words, is computed once per derivation.  On a word w the component of
+    each letter merges into the canonical remainder of w
+    (`linear.merge_splice`), and the prefix sign and the merge sign pick
+    c_u or -c_u; each output coefficient accumulates in place on one raw
+    term dict per word and is wrapped once at the end."""
 
     def __init__(self, components: Mapping[FiberCoord, FiberPoly], parity: int):
+        if parity not in (0, 1):
+            raise BVError(f"derivation parity must be 0 or 1, not {parity!r}")
+        for key, comp in components.items():
+            if not (isinstance(key, FiberCoord) and key.kind == "field"
+                    and not key.jet):
+                raise BVError(f"derivation component keyed by {key!r}: "
+                              "components act on jet-free field coordinates")
+            want = "odd" if (key.parity + parity) % 2 else "even"
+            if not comp.is_zero() and comp.parity() != want:
+                raise BVError(f"component on {key!r} is {comp.parity()}, "
+                              f"a parity-{parity} derivation needs {want}")
         self.components = MappingProxyType(dict(components))
         self.parity = parity
         self._on: dict = {}
+        self._signed: dict = {}
 
     def on_coord(self, c: FiberCoord) -> FiberPoly:
         comp = self._on.get(c)
@@ -230,22 +248,39 @@ class VerticalDerivation:
             self._on[c] = comp
         return comp
 
+    def _signed_terms(self, c: FiberCoord) -> tuple:
+        """((u, c_u, -c_u), ...) over the words of on_coord(c)."""
+        signed = self._signed.get(c)
+        if signed is None:
+            signed = self._signed[c] = tuple(
+                (u, cu, -cu) for u, cu in self.on_coord(c).terms.items())
+        return signed
+
     def __call__(self, f: FiberPoly) -> FiberPoly:
         acc: dict = {}
         for w, c in f.terms.items():
+            keys = [g.sort_key() for g in w]
             pref = 0
             for j, cj in enumerate(w):
-                comp = self.on_coord(cj).terms
-                if comp:
-                    cs = c * (-1 if (self.parity and pref % 2) else 1)
-                    head, tail = w[:j], w[j + 1:]
-                    # head and tail are canonical, so sorting the spliced
-                    # word once gives the sign of word(head) * comp * word(tail)
-                    for u, cu in comp.items():
-                        cc = cs * cu
-                        for sign, nw in canonical_terms(head + u + tail):
-                            add_term(acc, nw, cc if sign == 1 else -cc)
-                pref += cj.parity
+                signed = self._signed_terms(cj)
+                if signed:
+                    # +1 or -1: the sign the letters before cj give
+                    lead = -1 if (self.parity and pref) else 1
+                    rem, rkeys = w[:j] + w[j + 1:], keys[:j] + keys[j + 1:]
+                    for u, cu, neg in signed:
+                        term = merge_splice(rem, rkeys, j, u)
+                        if term is None:
+                            continue
+                        sign, nw = term
+                        d = acc.get(nw)
+                        if d is None:
+                            d = acc[nw] = {}
+                        add_product(d, c, cu if sign == lead else neg)
+                        if not d:
+                            del acc[nw]
+                pref ^= cj.parity
+        for w, d in acc.items():
+            acc[w] = ScalarExpr(d, _raw=True)
         return FiberPoly._wrap(acc)
 
 

@@ -10,10 +10,13 @@ Presets: u(1), su(2) with l_I = -(i/2) sigma_I (structure constants are
 the Levi-Civita epsilon), and su(3) in a rescaled Gell-Mann basis whose
 eighth generator is -(i/2) diag(1,1,-2); the rescaling keeps every matrix
 entry and every structure constant rational, which the exact kernel needs.
+`LieData` is frozen and made of tuples, so each preset is built once per
+process, on first use, and shared.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -330,10 +333,12 @@ _I = GaussianRational(0, 1)
 _MI2 = GaussianRational(0, F(-1, 2))
 
 
+@functools.cache
 def u1() -> LieData:
     return LieData.from_generators([[[_I]]])
 
 
+@functools.cache
 def su2() -> LieData:
     sigma = (
         ((0, 1), (1, 0)),
@@ -345,6 +350,7 @@ def su2() -> LieData:
     return LieData.from_generators(gens)
 
 
+@functools.cache
 def su3() -> LieData:
     i = GaussianRational(0, 1)
     lam = [

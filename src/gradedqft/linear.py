@@ -5,7 +5,9 @@ fiber/jet polynomials (`bv`) -- are finite sums  sum_w c_w w  with
 `ScalarExpr` coefficients, keyed by canonical word tuples.  This module
 holds their one linear structure and their one Z2-graded word rule:
 canonical order, Koszul signs and (for operator words) Wick contractions
-all come from `canonical_terms`.  A letter provides only `sort_key()`,
+all come from `canonical_terms`, and `merge_splice` is the same rule
+for a canonical word spliced into a canonical word (the fiber layer's
+derivations), without the re-sort.  A letter provides only `sort_key()`,
 which must be injective, and `parity` (0 or 1); both letter classes
 derive from `Letter`, which interns them.
 
@@ -17,6 +19,7 @@ whole dict on every step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping
 
 from .scalars import ScalarExpr
@@ -122,6 +125,37 @@ def _insertion_sort(w: list, keys: list, start: int, factor, contract,
         if keys[k] == keys[k + 1] and w[k].parity:
             return
     out.append((factor, tuple(w)))
+
+
+def merge_splice(rem: tuple, keys: list, j: int, u: tuple):
+    """(sign, word) of the canonical word ``rem[:j] + u + rem[j:]``, or None
+    when it is zero: for canonical ``rem`` and ``u`` this equals the one
+    term of ``canonical_terms(rem[:j] + u + rem[j:])``.  ``keys`` are the
+    sort keys of ``rem``.
+
+    Each letter of u is inserted into the remainder by bisection, left of
+    an equal key.  The letters of u keep their order, so the only odd
+    swaps are those of an odd letter x of u with the odd remainder letters
+    it crosses: head letters rem[:j] with a larger key and tail letters
+    rem[j:] with a smaller one.  An odd letter already in the remainder
+    makes the word zero.
+    """
+    odd = 0
+    lo = 0
+    out: list = []
+    for x in u:
+        k = x._key
+        p = bisect_left(keys, k, lo)
+        if x.parity:
+            if p < len(keys) and keys[p] == k:
+                return None
+            for g in (rem[p:j] if p < j else rem[j:p]):
+                odd ^= g.parity
+        out += rem[lo:p]
+        out.append(x)
+        lo = p
+    out += rem[lo:]
+    return (-1 if odd else 1), tuple(out)
 
 
 class LinearCombination:

@@ -812,6 +812,28 @@ def _add_into(acc: dict, terms: Mapping[Term, GaussianRational]) -> None:
             acc[t] = s
 
 
+def add_product(acc: dict, e: ScalarExpr, k: ScalarExpr) -> None:
+    """acc += e * k in place on a raw term dict; a cancelled entry is
+    dropped.  A constant k scales e's coefficients straight into acc, with
+    no intermediate expression; the terms land in the order of ``e * k``."""
+    kt = k.terms
+    if len(kt) != 1 or _CONST not in kt:
+        _add_into(acc, (e * k).terms)
+        return
+    g = kt[_CONST]
+    for t, c in e.terms.items():
+        c = c * g
+        prev = acc.get(t)
+        if prev is None:
+            acc[t] = c
+            continue
+        s = prev + c
+        if s.is_zero():
+            del acc[t]
+        else:
+            acc[t] = s
+
+
 def _scaled(e: ScalarExpr, k) -> ScalarExpr:
     """e times the constant k.  A nonzero constant keeps every term key
     canonical and every coefficient nonzero, so no _normalize is needed."""

@@ -237,3 +237,56 @@ def test_euler_lagrange_of_nl_field_gives_gauge_condition():
     from gradedqft.bv import gauge_fix_f
     want = gauge_fix_f(th, 0) + FiberPoly.coord(th.nl(0), ScalarExpr.symbol("xi"))
     assert e == want
+
+
+def _crossing_signs(rem, j, u):
+    """The signs of the odd swaps that splicing u at rem[j] makes with the
+    head rem[:j] and with the tail rem[j:], counted pair by pair."""
+    odd_u = [x.sort_key() for x in u if x.parity]
+    head = sum(g.sort_key() > k for g in rem[:j] if g.parity for k in odd_u)
+    tail = sum(g.sort_key() < k for g in rem[j:] if g.parity for k in odd_u)
+    return (-1) ** head, (-1) ** tail
+
+
+@pytest.mark.parametrize("dropped", ["both", "head", "tail"])
+def test_a_splice_sign_blind_merge_breaks_nilpotency(monkeypatch, dropped):
+    from gradedqft import bv
+    honest = bv.merge_splice
+
+    def blind(rem, keys, j, u):
+        term = honest(rem, keys, j, u)
+        if term is None:
+            return None
+        sign, word = term
+        head, tail = _crossing_signs(rem, j, u)
+        assert head * tail == sign
+        return sign * {"both": sign, "head": head, "tail": tail}[dropped], word
+
+    th = theory("su2")
+    s = brst_operator(th)
+    assert sum(s(s(FiberPoly.coord(c))).n_terms for c in th.all_base_coords()) == 0
+    monkeypatch.setattr(bv, "merge_splice", blind)
+    s = brst_operator(th)
+    assert sum(s(s(FiberPoly.coord(c))).n_terms for c in th.all_base_coords()) > 0
+
+
+def test_negative_control_leaves_the_shared_su2_preset_intact():
+    from gradedqft import identities, lie
+    control = next(i for i in identities.brst_suite()
+                   if i.name == "brst.negative_control")
+    assert control.run(identities.default_context()).status == "pass"
+    assert lie.su2().constants == lie.su2.__wrapped__().constants
+
+
+def test_run_verify_builds_each_preset_once(monkeypatch):
+    from gradedqft import cli, lie
+    built = []
+    honest = lie.LieData.from_generators
+    monkeypatch.setattr(lie.LieData, "from_generators", staticmethod(
+        lambda gens: built.append(len(gens)) or honest(gens)))
+    for preset in (lie.u1, lie.su2, lie.su3):
+        preset.cache_clear()
+    report = cli.run_verify(cli.load_config(None), ["bv", "brst"])
+    assert report["failed"] == 0
+    # one build each of u1 (1 generator), su2 (3) and su3 (8)
+    assert sorted(built) == [1, 3, 8]

@@ -461,3 +461,48 @@ def test_derivation_components_are_read_only():
     comps[th] = FiberPoly.zero()  # the derivation keeps its own copy
     assert v.on_coord(th) == P(th, odd_th(1))
     assert v.on_coord(th.lift(0)) == horizontal_diff(P(th, odd_th(1)), 0)
+
+
+@pytest.mark.parametrize("parity", [5, -1, 2])
+def test_derivation_rejects_a_parity_other_than_0_or_1(parity):
+    from gradedqft.bv import VerticalDerivation
+    with pytest.raises(BVError, match="parity must be 0 or 1"):
+        VerticalDerivation({odd_th(): P(odd_th(1), even_y())}, parity=parity)
+
+
+@pytest.mark.parametrize("key", [odd_th(0, (0,)), anti_of(even_y())],
+                         ids=["jet", "antifield"])
+def test_derivation_rejects_a_key_that_is_not_a_base_field(key):
+    from gradedqft.bv import VerticalDerivation
+    # the component has the right parity, so only the key is at fault
+    comp = P(even_y(1)) if key.parity else P(odd_th(1))
+    with pytest.raises(BVError, match="jet-free field coordinates"):
+        VerticalDerivation({key: comp}, parity=1)
+
+
+@pytest.mark.parametrize("comp,parity", [
+    (P(odd_th()), 1),                         # omega -> omega, odd derivation
+    (P(even_y()), 0),                         # omega -> A, even derivation
+    (P(odd_th(1)) + P(odd_th(1), odd_th(2)), 1),  # a mixed component
+], ids=["same-parity", "even-derivation", "mixed"])
+def test_derivation_rejects_a_component_of_the_wrong_parity(comp, parity):
+    from gradedqft.bv import VerticalDerivation
+    with pytest.raises(BVError, match="needs"):
+        VerticalDerivation({odd_th(): comp}, parity=parity)
+
+
+def test_a_warm_derivation_calls_no_sort(monkeypatch):
+    from gradedqft import bv, lie
+    th = bv.TheorySpec.make(lie.su2())
+    s = bv.brst_operator(th)
+    coords = th.all_base_coords()
+    f = _random_poly(random.Random(3), _jet_alphabet(random.Random(4), coords[::5]),
+                     deg=4, nterms=6)
+    first = s(f)
+    assert not first.is_zero()
+    calls = []
+    honest = bv.canonical_terms
+    monkeypatch.setattr(bv, "canonical_terms",
+                        lambda *a, **k: calls.append(a) or honest(*a, **k))
+    assert s(f) == first
+    assert calls == []

@@ -140,3 +140,25 @@ def test_presets_pass_the_rank_check():
     for preset in (u1, su2, su3):
         data = preset()
         assert LieData.from_generators(data.generators) == data
+
+
+def _frozen_all_the_way_down(value) -> bool:
+    if isinstance(value, tuple):
+        return all(_frozen_all_the_way_down(v) for v in value)
+    return isinstance(value, (int, Fraction, GaussianRational))
+
+
+def test_presets_are_built_once_and_shared_immutable():
+    import dataclasses
+
+    from gradedqft.lie import PRESETS
+    for name, preset in PRESETS.items():
+        data = preset()
+        assert preset() is data and PRESETS[name] is preset
+        for field in dataclasses.fields(LieData):
+            value = getattr(data, field.name)
+            assert isinstance(value, tuple) or field.name == "dim_f"
+            assert _frozen_all_the_way_down(value), field.name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            data.constants = ()
+    assert su3() is su3()

@@ -9,7 +9,8 @@ import pytest
 from gradedqft.algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     _contraction, koszul_product
 from gradedqft.bv import SECTOR_PARITY, FiberCoord, FiberPoly
-from gradedqft.linear import LinearCombination, add_into, add_term, canonical_terms
+from gradedqft.linear import LinearCombination, add_into, add_term, canonical_terms, \
+    merge_splice
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -282,3 +283,40 @@ def test_products_keep_the_reference_term_order():
                 for mult, w in _normalize_word(w1 + w2, "physical"):
                     add_term(want, w, c1 * c2 * mult)
         assert list(koszul_product(a, b).terms.items()) == list(want.items())
+
+
+def _canonical_word(rng, alphabet, max_len):
+    """A random canonical word over ``alphabet`` (odd squares redrawn)."""
+    while True:
+        terms = canonical_terms(tuple(rng.choice(alphabet)
+                                      for _ in range(rng.randint(0, max_len))))
+        if terms:
+            return terms[0][1]
+
+
+def test_merge_splice_equals_the_sorted_splice():
+    rng = random.Random(12)
+    seen = {"zero": 0, "minus": 0, "head": 0, "tail": 0, "even_repeat": 0}
+    for _ in range(2000):
+        # a small jet/antifield alphabet: letters of u often recur in the
+        # remainder, odd ones (zero) and even ones (a repeated letter)
+        alphabet = [_random_coord(rng) for _ in range(rng.randint(1, 6))]
+        rem = _canonical_word(rng, alphabet, 5)
+        u = _canonical_word(rng, alphabet, 3)
+        j = rng.randint(0, len(rem))
+        head, tail = rem[:j], rem[j:]
+        got = merge_splice(rem, [g.sort_key() for g in rem], j, u)
+        want = canonical_terms(head + u + tail)
+        assert ([] if got is None else [got]) == want, (head, u, tail)
+        if got is None:
+            seen["zero"] += 1
+            continue
+        sign, word = got
+        seen["minus"] += sign < 0
+        odd_u = [x.sort_key() for x in u if x.parity]
+        seen["head"] += any(g.parity and g.sort_key() > k
+                            for g in head for k in odd_u)
+        seen["tail"] += any(g.parity and g.sort_key() < k
+                            for g in tail for k in odd_u)
+        seen["even_repeat"] += len(set(word)) < len(word)
+    assert all(seen.values()), seen
