@@ -11,7 +11,9 @@ Verbs:
 Reports are deterministic for a fixed (config, seed): entries are sorted
 and the per-entry "millis" field stays null unless --timings is given
 (wall-clock noise would break byte-identical reruns).  The exit status is
-0 iff every selected check passed.
+0 iff every selected check passed; a `verify` that selects no suite (an
+empty [run] suites, or only the oracle suite with the oracle off) stops
+with status 2, since it would check nothing.
 """
 
 from __future__ import annotations
@@ -634,6 +636,10 @@ def main(argv=None) -> int:
             cfg["run"]["seed"] = ns.seed
         if ns.verb == "verify":
             report = run_verify(cfg, ns.suite, ns.timings, ns.oracle)
+            if not report["suites"]:
+                raise ConfigError("nothing to verify: no suite is selected "
+                                  "(the oracle suite is dropped while the "
+                                  "oracle is off)")
             text = render_report(report, ns.format)
             if ns.output:
                 with open(ns.output, "w") as fh:

@@ -13,11 +13,14 @@ cutoff are masked out of comparisons.
 A generator sends each basis state to at most one other, so it is held
 as a monomial matrix ``(rows, weights)``: column c maps to row rows[c]
 with factor weights[c], which is 0 where the ladder leaves the truncated
-space.  A word is composed in O(dim) per letter and scattered into the
-dense matrix once.  No matrix is built with the symbolic canonicaliser;
-only the symbolic side of `product_residual` calls `koszul_product`, and
-its matrix side keeps one dense product, which cross-checks the
-composition against plain matrix multiplication.
+space.  A word is composed in O(dim) per letter, and an expression is
+kept as its nonzero entries: int64 keys ``row * dim + col`` with summed
+complex values.  Residuals compare two such entry sets on the safe
+subspace, so memory grows as dim x slots, never dim^2; `represent`
+scatters the entries into a dense matrix for callers that want one.  No
+matrix is built with the symbolic canonicaliser; only the symbolic side
+of `product_residual` calls `koszul_product`, while its other side
+composes every word pair of the two factors.
 """
 
 from __future__ import annotations
@@ -168,16 +171,20 @@ def build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
     return m
 
 
-def represent(e: GradedExpr, space: OracleSpace, bindings=None) -> np.ndarray:
-    """Matrix of a graded expression; coefficients must evaluate.
+def _entries(terms, space: OracleSpace) -> tuple:
+    """Nonzero entries of sum_i c_i M(word_i) over ``terms``, an iterable
+    of (word, complex c) pairs: sorted unique int64 keys ``row * dim +
+    col`` and their complex values.
 
     Each word is composed right to left on the monomial forms of its
-    letters, then added into the dense total at its nonzero entries."""
+    letters.  Entries are summed in word order, so every value is
+    accumulated exactly as a dense ``total[rows, cols] += ...`` would."""
     dim = space.dimension
-    total = np.zeros((dim, dim), dtype=np.complex128)
     cols = np.arange(dim)
     cache: dict[OpGen, tuple] = {}
-    for word, coeff in e.terms.items():
+    keys = [np.zeros(0, dtype=np.int64)]
+    values = [np.zeros(0, dtype=np.complex128)]
+    for word, c in terms:
         rows, w = cols, np.ones(dim)
         for g in reversed(word):
             if g not in cache:
@@ -185,10 +192,29 @@ def represent(e: GradedExpr, space: OracleSpace, bindings=None) -> np.ndarray:
             gr, gw = cache[g]
             w = w * gw[rows]
             rows = gr[rows]
-        c = complex(coeff.evaluate(bindings))
         nz = np.flatnonzero(w)
-        total[rows[nz], nz] += c * w[nz]
-    return total
+        keys.append(rows[nz] * dim + nz)
+        values.append(c * w[nz])
+    uniq, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    total = np.zeros(len(uniq), dtype=np.complex128)
+    np.add.at(total, slot, np.concatenate(values))
+    return uniq, total
+
+
+def _evaluated(e: GradedExpr, bindings) -> list:
+    """The (word, complex coefficient) pairs of ``e``."""
+    return [(word, complex(coeff.evaluate(bindings)))
+            for word, coeff in e.terms.items()]
+
+
+def represent(e: GradedExpr, space: OracleSpace, bindings=None) -> np.ndarray:
+    """Matrix of a graded expression; coefficients must evaluate.
+
+    A dense view of the expression's summed entries (see `_entries`)."""
+    keys, values = _entries(_evaluated(e, bindings), space)
+    total = np.zeros(space.dimension ** 2, dtype=np.complex128)
+    total[keys] = values
+    return total.reshape(space.dimension, space.dimension)
 
 
 def _climb(e: GradedExpr, space: OracleSpace) -> np.ndarray:
@@ -216,23 +242,43 @@ def _compared_mask(space: OracleSpace, climb: np.ndarray) -> np.ndarray:
     return mask
 
 
+def _max_abs_difference(first: tuple, second: tuple, mask: np.ndarray,
+                        dim: int) -> float:
+    """Max-abs entry of the difference of two entry sets, over the keys
+    whose row and column both lie in ``mask``; a key held by one side only
+    counts against zero, and 0.0 when no key survives the mask."""
+    def kept(keys, values):
+        keep = mask[keys // dim] & mask[keys % dim]
+        return keys[keep], values[keep]
+    k1, v1 = kept(*first)
+    k2, v2 = kept(*second)
+    keys = np.union1d(k1, k2)
+    diff = np.zeros(len(keys), dtype=np.complex128)
+    diff[np.searchsorted(keys, k1)] = v1
+    diff[np.searchsorted(keys, k2)] -= v2
+    return float(np.max(np.abs(diff), initial=0.0))
+
+
 def residual(symbolic: GradedExpr, reference: GradedExpr,
              space: OracleSpace, bindings=None) -> float:
-    """Max-abs entry of the matrix difference on the safe subspace."""
-    m1 = represent(symbolic, space, bindings)
-    m2 = represent(reference, space, bindings)
+    """Max-abs entry of the operator difference on the safe subspace."""
+    first = _entries(_evaluated(symbolic, bindings), space)
+    second = _entries(_evaluated(reference, bindings), space)
     mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
                                             _climb(reference, space)))
-    return float(np.max(np.abs((m1 - m2)[np.ix_(mask, mask)])))
+    return _max_abs_difference(first, second, mask, space.dimension)
 
 
 def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
                      bindings=None) -> float:
-    """Homomorphism defect: represent(a *phys* b) vs matrix product."""
+    """Homomorphism defect: represent(a *phys* b) against the composition
+    of every word pair (wa, wb) of ``a`` and ``b``."""
     from .algebra import koszul_product
     prod = koszul_product(a, b, "physical")
-    ma = represent(a, space, bindings)
-    mb = represent(b, space, bindings)
+    right = _evaluated(b, bindings)
+    pairs = [(wa + wb, ca * cb) for wa, ca in _evaluated(a, bindings)
+             for wb, cb in right]
+    composed = _entries(pairs, space)
+    symbolic = _entries(_evaluated(prod, bindings), space)
     mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
-    diff = represent(prod, space, bindings) - ma @ mb
-    return float(np.max(np.abs(diff[np.ix_(mask, mask)])))
+    return _max_abs_difference(symbolic, composed, mask, space.dimension)

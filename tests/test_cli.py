@@ -442,3 +442,21 @@ def test_empty_propagator_lattice_exits_2(tmp_path, capsys, suffix, text):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: lattice.propagator_momenta")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--oracle", "off", "--suite", "oracle"], None),
+    ([], "[run]\nsuites = []\n"),
+    ([], '[run]\nsuites = ["oracle"]\n\n[oracle]\nenabled = false\n'),
+], ids=["oracle-flag-off", "empty-suites", "oracle-config-off"])
+def test_verify_selecting_nothing_exits_2(tmp_path, capsys, argv, text):
+    # a run that checks no identity must not report success
+    if text is not None:
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        argv = argv + ["--config", str(p)]
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: nothing to verify: no suite is "
+                                   "selected")
+    assert "Traceback" not in captured.err and captured.out == ""

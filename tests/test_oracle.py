@@ -1,9 +1,15 @@
+import json
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gradedqft
 from gradedqft.algebra import (
     ABSORB,
     EMIT,
@@ -17,10 +23,14 @@ from gradedqft.algebra import (
 )
 from gradedqft.fields import FieldPoint, ModeLattice, conjugate_field, field, \
     field_supercommutator, propagator_D_total
+from gradedqft.cli import context_from_config, load_config
 from gradedqft.functionals import dirac_charge, four_momentum, free_hamiltonian
+from gradedqft.identities import oracle_suite
 from gradedqft.oracle import (
     OracleError,
     OracleSpace,
+    _climb,
+    _compared_mask,
     build_operator,
     product_residual,
     represent,
@@ -352,3 +362,197 @@ def test_climb_is_counted_per_slot():
     assert len({slot_key(g) for g in word}) == 4
     e = GradedExpr({word: ScalarExpr.one()})
     assert residual(e, -e, sp) == 2.0
+
+
+# --- the sparse residuals against their dense references -----------------
+
+def _dense_residual(symbolic, reference, space, bindings=None) -> float:
+    """Max-abs entry of the dense matrix difference on the safe subspace."""
+    m1 = represent(symbolic, space, bindings)
+    m2 = represent(reference, space, bindings)
+    mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
+                                            _climb(reference, space)))
+    return float(np.max(np.abs((m1 - m2)[np.ix_(mask, mask)])))
+
+
+def _dense_product_residual(a, b, space) -> float:
+    """represent(a *phys* b) against the dense product of the factors."""
+    prod = koszul_product(a, b, "physical")
+    mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
+    diff = represent(prod, space) - represent(a, space) @ represent(b, space)
+    return float(np.max(np.abs(diff[np.ix_(mask, mask)])))
+
+
+_MIXED = ["fermion", "ghost", "antighost", "scalar"]
+
+
+def _mixed_space(n_max):
+    return OracleSpace.make(ModeLattice.make(_ONE_MODE, scalar_dim=1),
+                            sectors=tuple(_MIXED), n_max=n_max, lie_dim=1)
+
+
+def _random_expr(rng, max_terms=4, max_length=4):
+    e = GradedExpr.zero()
+    for _ in range(rng.randint(1, max_terms)):
+        c = GaussianRational(F(rng.randint(-9, 9), rng.randint(1, 9)),
+                             F(rng.randint(-9, 9), rng.randint(1, 9)))
+        w = _random_word(rng, _MIXED, n_int=1, modes=1,
+                         length=rng.randint(0, max_length))
+        e = e + w.scale(ScalarExpr.gaussian(c))
+    return e
+
+
+def _same_or_same_error(sparse, dense):
+    """Both calls return the same float, or both raise OracleError."""
+    try:
+        want = dense()
+    except OracleError:
+        with pytest.raises(OracleError):
+            sparse()
+        return None
+    return sparse(), want
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_sparse_residual_is_the_dense_residual_bit_for_bit(n_max):
+    rng = random.Random(800 + n_max)
+    sp = _mixed_space(n_max)
+    compared = 0
+    for _ in range(40):
+        a = _random_expr(rng)
+        b = _random_expr(rng) if rng.random() < 0.7 else a + _random_expr(rng)
+        for x, y in ((a, b), (a, a), (a, GradedExpr.zero()),
+                     (GradedExpr.zero(), b)):
+            got = _same_or_same_error(lambda: residual(x, y, sp),
+                                      lambda: _dense_residual(x, y, sp))
+            if got is not None:
+                assert got[0] == got[1]
+                compared += 1
+    assert compared >= 100
+
+
+def test_zero_reference_counts_one_sided_entries_against_zero():
+    sp = _mixed_space(2)
+    e = _random_expr(random.Random(81))
+    assert residual(e, GradedExpr.zero(), sp) > 0
+    assert residual(e, GradedExpr.zero(), sp) == _dense_residual(
+        e, GradedExpr.zero(), sp)
+    assert residual(GradedExpr.zero(), e, sp) == residual(e, GradedExpr.zero(), sp)
+    assert residual(GradedExpr.zero(), GradedExpr.zero(), sp) == 0.0
+
+
+def test_difference_outside_the_safe_subspace_is_not_compared():
+    # a a+ - a+ a differs from 1 only at the top occupation, which the
+    # safe subspace of a one-quantum climb excludes
+    sp = OracleSpace.make(ModeLattice.make(_ONE_MODE, scalar_dim=1),
+                          sectors=("scalar",), n_max=2)
+    a = OpGen(ABSORB, UPPER, "scalar", 0, (0,))
+    ad = OpGen(EMIT, LOWER, "scalar", 0, (0,))
+    comm = GradedExpr({(a, ad): ScalarExpr.one(), (ad, a): -ScalarExpr.one()})
+    unit = GradedExpr.unit()
+    assert np.any(represent(comm, sp) != represent(unit, sp))
+    assert residual(comm, unit, sp) == 0.0
+    assert _dense_residual(comm, unit, sp) == 0.0
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_product_residual_matches_the_matmul_reference(n_max):
+    rng = random.Random(900 + n_max)
+    sp = _mixed_space(n_max)
+    compared = 0
+    for _ in range(20):
+        a = _random_expr(rng, max_terms=3, max_length=3)
+        b = _random_expr(rng, max_terms=3, max_length=3)
+        got = _same_or_same_error(lambda: product_residual(a, b, sp),
+                                  lambda: _dense_product_residual(a, b, sp))
+        if got is not None:
+            assert abs(got[0] - got[1]) <= 1e-12
+            compared += 1
+    assert compared >= 10
+
+
+def test_product_residual_of_single_words_equals_the_matmul_reference():
+    # the shape oracle.homomorphism checks: one word per factor, unit weight
+    rng = random.Random(83)
+    spaces = [_mixed_space(n_max) for n_max in (1, 2, 3)]
+    compared = 0
+    for _ in range(60):
+        sp = rng.choice(spaces)
+        a = _random_word(rng, _MIXED, n_int=1, modes=1, length=rng.randint(1, 3))
+        b = _random_word(rng, _MIXED, n_int=1, modes=1, length=rng.randint(1, 3))
+        got = _same_or_same_error(lambda: product_residual(a, b, sp),
+                                  lambda: _dense_product_residual(a, b, sp))
+        if got is not None:
+            assert got[0] == got[1]
+            compared += 1
+    assert compared >= 30
+
+
+# --- the oracle suite past the default truncation ------------------------
+
+def _oracle_results(n_max):
+    cfg = load_config(None)
+    cfg["oracle"]["n_max"] = n_max
+    cfg["oracle"]["cap"] = (n_max + 1) ** 4
+    ctx = context_from_config(cfg)
+    return {i.name: i.run(ctx) for i in oracle_suite()}
+
+
+def test_deep_oracle_passes_in_little_memory():
+    shallow = _oracle_results(3)
+    tracemalloc.start()
+    try:
+        deep = _oracle_results(10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(deep) == 6
+    assert all(r.status == "pass" for r in deep.values())
+    assert {k: r.residual for k, r in deep.items()} == \
+        {k: r.residual for k, r in shallow.items()}
+    assert peak < 50 * 2 ** 20
+
+
+# The child reads its peak from VmHWM: on Linux, ru_maxrss survives
+# exec, so a child of this (large) test process would report the
+# parent's high-water mark instead of its own.
+_CHILD = """
+import json, sys
+from gradedqft.cli import context_from_config, load_config
+from gradedqft.identities import oracle_suite
+n_max = int(sys.argv[1])
+cfg = load_config(None)
+cfg["oracle"]["n_max"] = n_max
+cfg["oracle"]["cap"] = (n_max + 1) ** 4
+ctx = context_from_config(cfg)
+statuses = {i.name: i.run(ctx).status for i in oracle_suite()}
+print(json.dumps({
+    "statuses": statuses,
+    "peak_rss_mb": next(int(line.split()[1]) for line in open("/proc/self/status")
+                        if line.startswith("VmHWM:")) / 1024,
+    "scipy": "scipy" in sys.modules,
+}))
+"""
+
+
+def _oracle_in_child(n_max):
+    """Run the oracle suite in a fresh interpreter; its statuses, peak RSS
+    and whether scipy was imported."""
+    src = str(Path(gradedqft.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _CHILD, str(n_max)],
+                         env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_oracle_at_n_max_15_stays_under_100_mb():
+    child = _oracle_in_child(15)
+    assert len(child["statuses"]) == 6
+    assert set(child["statuses"].values()) == {"pass"}
+    assert child["peak_rss_mb"] < 100
+
+
+def test_oracle_imports_numpy_only():
+    child = _oracle_in_child(3)
+    assert set(child["statuses"].values()) == {"pass"}
+    assert not child["scipy"]
