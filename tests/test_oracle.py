@@ -21,9 +21,9 @@ from gradedqft.algebra import (
     normal_order,
     super_bracket,
 )
+from gradedqft.cli import context_from_config, load_config
 from gradedqft.fields import FieldPoint, ModeLattice, conjugate_field, field, \
     field_supercommutator, propagator_D_total
-from gradedqft.cli import context_from_config, load_config
 from gradedqft.functionals import dirac_charge, four_momentum, free_hamiltonian
 from gradedqft.identities import oracle_suite
 from gradedqft.oracle import (
