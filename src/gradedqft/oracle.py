@@ -127,6 +127,18 @@ class OracleSpace:
         built once per space and read-only."""
         return self._occupations
 
+    @cached_property
+    def _monomials(self) -> dict:
+        return {}
+
+    def monomial(self, gen: OpGen) -> tuple:
+        """The monomial form ``(rows, weights)`` of one generator (see
+        `_monomial`); built once per space and read-only."""
+        m = self._monomials.get(gen)
+        if m is None:
+            m = self._monomials[gen] = _monomial(self, gen)
+        return m
+
     def safe_mask(self, climb=1) -> np.ndarray:
         """States whose bosonic occupations stay within the cutoff after
         raising ``climb`` quanta in every slot, or ``climb[j]`` quanta in
@@ -158,13 +170,14 @@ def _monomial(space: OracleSpace, gen: OpGen) -> tuple:
     if s.fermionic:
         earlier = [i for i, t in enumerate(space.slots[:j]) if t.fermionic]
         weights *= 1 - 2 * (occ[:, earlier].sum(axis=1) & 1)
+    rows.flags.writeable = weights.flags.writeable = False
     return rows, weights
 
 
 def build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
     """Dense matrix of one elementary generator, scattered from its
     monomial ``(rows, weights)`` form."""
-    rows, weights = _monomial(space, gen)
+    rows, weights = space.monomial(gen)
     m = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
     nz = np.flatnonzero(weights)
     m[rows[nz], nz] = weights[nz]
@@ -181,15 +194,12 @@ def _entries(terms, space: OracleSpace) -> tuple:
     accumulated exactly as a dense ``total[rows, cols] += ...`` would."""
     dim = space.dimension
     cols = np.arange(dim)
-    cache: dict[OpGen, tuple] = {}
     keys = [np.zeros(0, dtype=np.int64)]
     values = [np.zeros(0, dtype=np.complex128)]
     for word, c in terms:
         rows, w = cols, np.ones(dim)
         for g in reversed(word):
-            if g not in cache:
-                cache[g] = _monomial(space, g)
-            gr, gw = cache[g]
+            gr, gw = space.monomial(g)
             w = w * gw[rows]
             rows = gr[rows]
         nz = np.flatnonzero(w)

@@ -290,3 +290,15 @@ def test_run_verify_builds_each_preset_once(monkeypatch):
     assert report["failed"] == 0
     # one build each of u1 (1 generator), su2 (3) and su3 (8)
     assert sorted(built) == [1, 3, 8]
+
+
+def test_signed_table_negations_are_the_interned_constants():
+    th = theory("su2")
+    s = brst_operator(th)
+    for c in th.all_base_coords():
+        s(s(FiberPoly.coord(c)))
+    entries = [e for table in s._signed.values() for e in table]
+    assert len(entries) > 50
+    for _, cu, neg in entries:
+        (g,) = neg.terms.values()
+        assert neg is -cu is ScalarExpr.gaussian(g)

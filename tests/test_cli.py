@@ -366,6 +366,23 @@ def test_report_bytes_do_not_depend_on_the_hash_seed():
     assert outs[0] and outs[0] == outs[1]
 
 
+def test_brst_report_bytes_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    cmd = [sys.executable, "-m", "gradedqft.cli", "verify", "--suite", "brst",
+           "--format", "json"]
+    outs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        run = subprocess.run(cmd, env=env, capture_output=True, check=True)
+        outs.append(run.stdout)
+    assert outs[0] and outs[0] == outs[1]
+
+
 def test_verify_passes_with_one_scalar_component(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lattice]\nscalar_dim = 1\n")

@@ -556,3 +556,26 @@ def test_oracle_imports_numpy_only():
     child = _oracle_in_child(3)
     assert set(child["statuses"].values()) == {"pass"}
     assert not child["scipy"]
+
+
+def test_each_space_builds_a_generator_monomial_once(monkeypatch):
+    from collections import Counter
+
+    import gradedqft.oracle as orc
+    from gradedqft.cli import run_verify
+
+    builds, spaces = Counter(), []
+    build = orc._monomial
+
+    def counted(space, gen):
+        spaces.append(space)  # keeps every id distinct
+        builds[id(space), gen] += 1
+        return build(space, gen)
+
+    monkeypatch.setattr(orc, "_monomial", counted)
+    report = run_verify(load_config(None), ["oracle"])
+    assert report["passed"] == 6 and report["failed"] == 0
+    assert builds and max(builds.values()) == 1
+    for space in spaces:
+        for rows, weights in space._monomials.values():
+            assert not rows.flags.writeable and not weights.flags.writeable

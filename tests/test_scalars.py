@@ -529,3 +529,153 @@ def test_equal_term_keys_are_one_object():
     assert (p * _X).terms[tuple(key)] == GaussianRational(1)
     (again,) = ScalarExpr({tuple(key): GaussianRational(3)}).terms
     assert again is key
+
+
+# --- interned constants and their memo tables ----------------------------
+
+# The triple arithmetic of GaussianRational before its sums and products
+# were memoized, verbatim: the reference the memo tables must reproduce.
+def _ref_reduced(a, b, den):
+    g = gcd(a, b, den)
+    if g != 1:
+        a, b, den = a // g, b // g, den // g
+    return (a, b, den)
+
+
+def _ref_add(t1, t2):
+    a1, b1, d1 = t1
+    a2, b2, d2 = t2
+    if d1 == d2:
+        return _ref_reduced(a1 + a2, b1 + b2, d1)
+    return _ref_reduced(a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, d1 * d2)
+
+
+def _ref_sub(t1, t2):
+    a1, b1, d1 = t1
+    a2, b2, d2 = t2
+    if d1 == d2:
+        return _ref_reduced(a1 - a2, b1 - b2, d1)
+    return _ref_reduced(a1 * d2 - a2 * d1, b1 * d2 - b2 * d1, d1 * d2)
+
+
+def _ref_triple_mul(t1, t2):
+    a1, b1, d1 = t1
+    a2, b2, d2 = t2
+    return _ref_reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
+
+
+def _ref_neg(t):
+    a, b, den = t
+    return (-a, -b, den)
+
+
+def _ref_triple(x):
+    if isinstance(x, GaussianRational):
+        return x._t
+    if isinstance(x, int):
+        return (x, 0, 1)
+    return (x.numerator, 0, x.denominator)
+
+
+def _assert_interned(e, t):
+    """e is the one constant expression of the reduced triple t."""
+    if t[0] == t[1] == 0:
+        assert e is ScalarExpr.zero()
+        return
+    assert list(e.terms) == [_CONST] and e.terms[_CONST]._t == t
+    assert e is ScalarExpr.gaussian(GaussianRational(F(t[0], t[2]), F(t[1], t[2])))
+
+
+# few values, so that pairs meet again and the tables are hit, not only filled
+_small = st.sampled_from([0, 1, -1, 2, F(1, 2), F(-2, 3), GaussianRational(0, 1),
+                          GaussianRational(1, -1), GaussianRational(F(1, 2), F(1, 3))])
+constants = st.one_of(_small, st.integers(-6, 6), rationals, gaussians)
+
+
+@FAST
+@given(constants, constants)
+def test_constant_tables_match_unmemoized_arithmetic(x, y):
+    tx, ty = _ref_triple(x), _ref_triple(y)
+    X, Y = ScalarExpr.gaussian(x), ScalarExpr.gaussian(y)
+    _assert_interned(X, tx)
+    _assert_interned(X + Y, _ref_add(tx, ty))
+    _assert_interned(X - Y, _ref_sub(tx, ty))
+    _assert_interned(X * Y, _ref_triple_mul(tx, ty))
+    _assert_interned(-X, _ref_neg(tx))
+    _assert_interned(X * y, _ref_triple_mul(tx, ty))
+    _assert_interned(y * X, _ref_triple_mul(ty, tx))
+    _assert_interned(X - X, (0, 0, 1))
+    _assert_interned(X + -X, (0, 0, 1))
+    gx = GaussianRational(F(tx[0], tx[2]), F(tx[1], tx[2]))
+    gy = GaussianRational(F(ty[0], ty[2]), F(ty[1], ty[2]))
+    assert (gx + gy)._t == _ref_add(tx, ty)
+    assert (gx - gy)._t == _ref_sub(tx, ty)
+    assert (gx * gy)._t == (gx * y)._t == (y * gx)._t == _ref_triple_mul(tx, ty)
+
+
+def test_equal_constants_built_by_different_routes_are_one_object():
+    routes = [
+        (ScalarExpr.rational(F(2, 4)), ScalarExpr.rational(F(1, 2))),
+        (ScalarExpr.gaussian(2), ScalarExpr.rational(2)),
+        (ScalarExpr.gaussian(GaussianRational(F(6, 3))), ScalarExpr.rational(2)),
+        (ScalarExpr.rational(1), ONE),
+        (rat(F(1, 3)) * 3, ONE),
+        (rat(F(1, 3)) + rat(F(2, 3)), ONE),
+        (-rat(-1), ONE),
+        (ScalarExpr.i() * ScalarExpr.i(), rat(-1)),
+        (_R2 * _R2, rat(2)),                      # a general product
+        ((_X + ONE) - _X, ONE),                   # a general sum
+        (_W * _W * _W * _W, rat(F(1, 8))),
+        (ScalarExpr.sum([rat(1), rat(F(1, 2))]), rat(F(3, 2))),
+        (ScalarExpr.phase([]), ONE),
+        ((_X * 2).partial_symbol("x"), rat(2)),
+        (rat(F(1, 2)).conjugate(), rat(F(1, 2))),
+        (ScalarExpr.rational(0), ZERO),
+        (ScalarExpr.gaussian(GaussianRational(0)), ZERO),
+        (rat(5) - rat(5), ZERO),
+        (_X - _X, ZERO),
+        (_R2 * 0, ZERO),
+    ]
+    for got, want in routes:
+        assert got is want, (got, want)
+
+
+def test_gaussian_takes_numbers_and_rejects_other_operands():
+    assert ScalarExpr.gaussian(2) is ScalarExpr.rational(2)
+    assert ScalarExpr.gaussian(F(-1, 3)) is ScalarExpr.rational(F(-1, 3))
+    for bad in (0.5, "1", None, ONE):
+        with pytest.raises(TypeError, match="GaussianRational, int or Fraction"):
+            ScalarExpr.gaussian(bad)
+
+
+@pytest.mark.parametrize("other", [1, F(1, 2), GaussianRational(1), 0.5, "x"])
+def test_sum_and_difference_reject_foreign_operands(other):
+    two = ScalarExpr.rational(2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        two + other
+    with pytest.raises(TypeError, match="unsupported operand"):
+        two - other
+
+
+def test_warm_brst_derivation_makes_no_gcd_reduction(monkeypatch):
+    from gradedqft import scalars
+    from gradedqft.bv import FiberPoly, TheorySpec, brst_operator
+    from gradedqft.lie import su2
+
+    th = TheorySpec.make(su2())
+    s = brst_operator(th)
+    f = (FiberPoly.word((th.omega(0), th.a_gauge(1, 2)), rat(3))
+         + FiberPoly.word((th.psi(0, 1), th.omegabar(2, (1,)), th.omega(1)), rat(F(-1, 2)))
+         + FiberPoly.word((th.a_gauge(2, 0, (3,)), th.psibar(1, 0)), rat(2)))
+    cold = s(f), s(s(f))
+    assert not cold[0].is_zero() and cold[1].is_zero()
+    calls = []
+    reduced = scalars._reduced
+
+    def counted(*args):
+        calls.append(args)
+        return reduced(*args)
+
+    monkeypatch.setattr(scalars, "_reduced", counted)
+    assert (s(f), s(s(f))) == cold
+    assert calls == []
