@@ -13,7 +13,10 @@ Graded derivative conventions:
     right:  f D~_i = (-1)^{|i||f|} D_i f   (per homogeneous term)
 
 Every derivative comes from `gradient`, one pass over the letters of f
-that returns the derivatives by all coordinates of f at once.
+that returns the derivatives by all coordinates of f at once.  The total
+derivative d_H and the vertical derivations (BRST, ghost number) are
+graded derivations given by their values on letters, and one loop,
+`_splice`, applies them all.
 
 The BV Laplacian is Delta f = sum_i D_i Dtilde^i f over field/antifield
 pairs, and the antibracket is
@@ -46,7 +49,7 @@ from .gammas import GAMMA, METRIC
 from .lie import LieData, constant_entries
 from .linear import (Letter, LinearCombination, add_into, add_term, canonical_terms,
                      merge_splice)
-from .scalars import ScalarExpr, add_product
+from .scalars import ScalarExpr
 
 F = Fraction
 
@@ -197,14 +200,35 @@ def bv_bracket(f: FiberPoly, g: FiberPoly) -> FiberPoly:
     return first - second.scale(ScalarExpr.rational(sgn))
 
 
-def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
-    """Total spacetime derivative via jet prolongation (even derivation)."""
+def _splice(f: FiberPoly, parity: int, table) -> FiberPoly:
+    """The graded derivation of parity ``parity`` whose value on a letter x
+    has the canonical words and coefficients ``table(x)``, applied to f.
+
+    On a word w each (u, c_u) of table(w[j]) merges into the canonical
+    remainder of w (`linear.merge_splice`); c_w c_u, negated by the merge
+    sign and the prefix sign (-1)^{parity |w[:j]|}, is added to the word."""
     acc: dict = {}
     for w, c in f.terms.items():
+        keys = [g._key for g in w]
+        flip = False  # (-1)^{parity |w[:j]|} = -1
         for j, cj in enumerate(w):
-            for sign, nw in canonical_terms(w[:j] + (cj.lift(lam),) + w[j + 1:]):
-                add_term(acc, nw, c * sign)
+            terms = table(cj)
+            if terms:
+                rem, rkeys = w[:j] + w[j + 1:], keys[:j] + keys[j + 1:]
+                for u, cu in terms:
+                    term = merge_splice(rem, rkeys, j, u)
+                    if term is not None:
+                        sign, nw = term
+                        cc = c * cu
+                        add_term(acc, nw, -cc if (sign < 0) != flip else cc)
+            if parity and cj.parity:
+                flip = not flip
     return FiberPoly._wrap(acc)
+
+
+def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
+    """Total spacetime derivative via jet prolongation (even derivation)."""
+    return _splice(f, 0, lambda c: (((c.lift(lam),), 1),))
 
 
 class VerticalDerivation:
@@ -212,12 +236,8 @@ class VerticalDerivation:
     coordinates, prolonged to jets, zero on antifields.
 
     The components are read-only, so the prolonged value on each
-    coordinate, and beside it the signed table ``(u, c_u, -c_u)`` of its
-    words, is computed once per derivation.  On a word w the component of
-    each letter merges into the canonical remainder of w
-    (`linear.merge_splice`), and the prefix sign and the merge sign pick
-    c_u or -c_u; each output coefficient accumulates in place on one raw
-    term dict per word and is wrapped once at the end."""
+    coordinate is computed once per derivation (`on_coord`); applying the
+    derivation splices those values into the words of f (`_splice`)."""
 
     def __init__(self, components: Mapping[FiberCoord, FiberPoly], parity: int):
         if parity not in (0, 1):
@@ -234,7 +254,6 @@ class VerticalDerivation:
         self.components = MappingProxyType(dict(components))
         self.parity = parity
         self._on: dict = {}
-        self._signed: dict = {}
 
     def on_coord(self, c: FiberCoord) -> FiberPoly:
         comp = self._on.get(c)
@@ -248,40 +267,8 @@ class VerticalDerivation:
             self._on[c] = comp
         return comp
 
-    def _signed_terms(self, c: FiberCoord) -> tuple:
-        """((u, c_u, -c_u), ...) over the words of on_coord(c)."""
-        signed = self._signed.get(c)
-        if signed is None:
-            signed = self._signed[c] = tuple(
-                (u, cu, -cu) for u, cu in self.on_coord(c).terms.items())
-        return signed
-
     def __call__(self, f: FiberPoly) -> FiberPoly:
-        acc: dict = {}
-        for w, c in f.terms.items():
-            keys = [g.sort_key() for g in w]
-            pref = 0
-            for j, cj in enumerate(w):
-                signed = self._signed_terms(cj)
-                if signed:
-                    # +1 or -1: the sign the letters before cj give
-                    lead = -1 if (self.parity and pref) else 1
-                    rem, rkeys = w[:j] + w[j + 1:], keys[:j] + keys[j + 1:]
-                    for u, cu, neg in signed:
-                        term = merge_splice(rem, rkeys, j, u)
-                        if term is None:
-                            continue
-                        sign, nw = term
-                        d = acc.get(nw)
-                        if d is None:
-                            d = acc[nw] = {}
-                        add_product(d, c, cu if sign == lead else neg)
-                        if not d:
-                            del acc[nw]
-                pref ^= cj.parity
-        for w, d in acc.items():
-            acc[w] = ScalarExpr(d, _raw=True)
-        return FiberPoly._wrap(acc)
+        return _splice(f, self.parity, lambda c: self.on_coord(c).terms.items())
 
 
 # --- the gauge theory ------------------------------------------------------

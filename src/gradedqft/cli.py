@@ -252,7 +252,7 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
                oracle: str | None = None) -> dict:
     """Execute the selected suites and assemble the report document."""
     ctx = context_from_config(cfg)
-    selected = list(suites) if suites else list(cfg["run"]["suites"])
+    selected = list(suites) if suites is not None else list(cfg["run"]["suites"])
     for s in selected:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r} (have {SUITES})")
@@ -262,6 +262,9 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
         ctx.oracle_enabled = True
     if not ctx.oracle_enabled:
         selected = [s for s in selected if s != "oracle"]
+    if not selected:
+        raise ConfigError("nothing to verify: no suite is selected (the "
+                          "oracle suite is dropped while the oracle is off)")
     entries = []
     for ident in all_identities():
         if ident.suite not in selected:
@@ -636,10 +639,6 @@ def main(argv=None) -> int:
             cfg["run"]["seed"] = ns.seed
         if ns.verb == "verify":
             report = run_verify(cfg, ns.suite, ns.timings, ns.oracle)
-            if not report["suites"]:
-                raise ConfigError("nothing to verify: no suite is selected "
-                                  "(the oracle suite is dropped while the "
-                                  "oracle is off)")
             text = render_report(report, ns.format)
             if ns.output:
                 with open(ns.output, "w") as fh:

@@ -712,11 +712,9 @@ def bv_suite() -> list:
 # -------------------------------------------------------------------------
 
 def brst_suite() -> list:
-    presets = {"u1": lie_mod.u1, "su2": lie_mod.su2, "su3": lie_mod.su3}
-
     def s_sq_generators(ctx):
         bad = 0
-        for name, maker in presets.items():
+        for maker in lie_mod.PRESETS.values():
             th = bv.TheorySpec.make(maker())
             s = bv.brst_operator(th)
             for c in th.all_base_coords():
@@ -725,7 +723,7 @@ def brst_suite() -> list:
 
     def s_sq_random(ctx):
         bad = 0
-        for name, maker in presets.items():
+        for name, maker in lie_mod.PRESETS.items():
             th = bv.TheorySpec.make(maker())
             s = bv.brst_operator(th)
             coords = th.all_base_coords()

@@ -16,11 +16,10 @@ with factor weights[c], which is 0 where the ladder leaves the truncated
 space.  A word is composed in O(dim) per letter, and an expression is
 kept as its nonzero entries: int64 keys ``row * dim + col`` with summed
 complex values.  Residuals compare two such entry sets on the safe
-subspace, so memory grows as dim x slots, never dim^2; `represent`
-scatters the entries into a dense matrix for callers that want one.  No
-matrix is built with the symbolic canonicaliser; only the symbolic side
-of `product_residual` calls `koszul_product`, while its other side
-composes every word pair of the two factors.
+subspace, so memory grows as dim x slots, never dim^2, and no dense
+matrix is ever built.  Nothing here uses the symbolic canonicaliser;
+only the symbolic side of `product_residual` calls `koszul_product`,
+while its other side composes every word pair of the two factors.
 """
 
 from __future__ import annotations
@@ -174,16 +173,6 @@ def _monomial(space: OracleSpace, gen: OpGen) -> tuple:
     return rows, weights
 
 
-def build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
-    """Dense matrix of one elementary generator, scattered from its
-    monomial ``(rows, weights)`` form."""
-    rows, weights = space.monomial(gen)
-    m = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
-    nz = np.flatnonzero(weights)
-    m[rows[nz], nz] = weights[nz]
-    return m
-
-
 def _entries(terms, space: OracleSpace) -> tuple:
     """Nonzero entries of sum_i c_i M(word_i) over ``terms``, an iterable
     of (word, complex c) pairs: sorted unique int64 keys ``row * dim +
@@ -215,16 +204,6 @@ def _evaluated(e: GradedExpr, bindings) -> list:
     """The (word, complex coefficient) pairs of ``e``."""
     return [(word, complex(coeff.evaluate(bindings)))
             for word, coeff in e.terms.items()]
-
-
-def represent(e: GradedExpr, space: OracleSpace, bindings=None) -> np.ndarray:
-    """Matrix of a graded expression; coefficients must evaluate.
-
-    A dense view of the expression's summed entries (see `_entries`)."""
-    keys, values = _entries(_evaluated(e, bindings), space)
-    total = np.zeros(space.dimension ** 2, dtype=np.complex128)
-    total[keys] = values
-    return total.reshape(space.dimension, space.dimension)
 
 
 def _climb(e: GradedExpr, space: OracleSpace) -> np.ndarray:
@@ -281,8 +260,8 @@ def residual(symbolic: GradedExpr, reference: GradedExpr,
 
 def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
                      bindings=None) -> float:
-    """Homomorphism defect: represent(a *phys* b) against the composition
-    of every word pair (wa, wb) of ``a`` and ``b``."""
+    """Homomorphism defect: the entries of a *phys* b against the
+    composition of every word pair (wa, wb) of ``a`` and ``b``."""
     from .algebra import koszul_product
     prod = koszul_product(a, b, "physical")
     right = _evaluated(b, bindings)

@@ -145,20 +145,37 @@ class GaussianRational:
     def im(self) -> Fraction:
         return Fraction(self._t[1], self._t[2])
 
-    def __add__(self, other: "GaussianRational") -> "GaussianRational":
-        key = (self._t, other._t)
+    def __add__(self, other) -> "GaussianRational":
+        try:
+            t = other._t
+        except AttributeError:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+        key = (self._t, t)
         s = _CONST_SUM.get(key)
         if s is None:
             s = _CONST_SUM[key] = _triple_sum(*key)
         return s
 
-    def __sub__(self, other: "GaussianRational") -> "GaussianRational":
-        a2, b2, d2 = other._t
+    __radd__ = __add__
+
+    def __sub__(self, other) -> "GaussianRational":
+        try:
+            a2, b2, d2 = other._t
+        except AttributeError:
+            t = _triple(other)
+            if t is None:
+                return NotImplemented
+            a2, b2, d2 = t
         key = (self._t, (-a2, -b2, d2))
         s = _CONST_SUM.get(key)
         if s is None:
             s = _CONST_SUM[key] = _triple_sum(*key)
         return s
+
+    def __rsub__(self, other) -> "GaussianRational":
+        return -self + other
 
     def __mul__(self, other) -> "GaussianRational":
         t = other._t if type(other) is GaussianRational else _triple(other)
@@ -860,28 +877,6 @@ def _substitute_token(e: ScalarExpr, old: tuple, new: tuple) -> ScalarExpr:
 def _add_into(acc: dict, terms: Mapping[Term, GaussianRational]) -> None:
     """acc += terms in place; a cancelled entry is dropped."""
     for t, c in terms.items():
-        prev = acc.get(t)
-        if prev is None:
-            acc[t] = c
-            continue
-        s = prev + c
-        if s.is_zero():
-            del acc[t]
-        else:
-            acc[t] = s
-
-
-def add_product(acc: dict, e: ScalarExpr, k: ScalarExpr) -> None:
-    """acc += e * k in place on a raw term dict; a cancelled entry is
-    dropped.  A constant k scales e's coefficients straight into acc, with
-    no intermediate expression; the terms land in the order of ``e * k``."""
-    kt = k.terms
-    if len(kt) != 1 or _CONST not in kt:
-        _add_into(acc, (e * k).terms)
-        return
-    g = kt[_CONST]
-    for t, c in e.terms.items():
-        c = c * g
         prev = acc.get(t)
         if prev is None:
             acc[t] = c

@@ -292,13 +292,14 @@ def test_run_verify_builds_each_preset_once(monkeypatch):
     assert sorted(built) == [1, 3, 8]
 
 
-def test_signed_table_negations_are_the_interned_constants():
+def test_every_constant_coefficient_of_s_is_the_interned_constant():
     th = theory("su2")
     s = brst_operator(th)
-    for c in th.all_base_coords():
-        s(s(FiberPoly.coord(c)))
-    entries = [e for table in s._signed.values() for e in table]
-    assert len(entries) > 50
-    for _, cu, neg in entries:
-        (g,) = neg.terms.values()
-        assert neg is -cu is ScalarExpr.gaussian(g)
+    images = [s(FiberPoly.coord(c)) for c in th.all_base_coords()]
+    images.append(s(FiberPoly.word((th.omega(0), th.omegabar(1)))))
+    constants = [c for img in images for c in img.terms.values()
+                 if list(c.terms) == [((), (), ())]]
+    assert len(constants) == 90 + 2  # the base coordinates, then the word
+    for c in constants:
+        (g,) = c.terms.values()
+        assert c is ScalarExpr.gaussian(g)

@@ -16,7 +16,7 @@ from gradedqft.bv import (
     left_deriv,
     right_deriv,
 )
-from gradedqft.linear import add_into, add_term
+from gradedqft.linear import add_into, add_term, canonical_terms
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -496,13 +496,51 @@ def test_a_warm_derivation_calls_no_sort(monkeypatch):
     th = bv.TheorySpec.make(lie.su2())
     s = bv.brst_operator(th)
     coords = th.all_base_coords()
-    f = _random_poly(random.Random(3), _jet_alphabet(random.Random(4), coords[::5]),
+    alphabet = _jet_alphabet(random.Random(4), coords[::5])
+    f = _random_poly(random.Random(3), alphabet, deg=4, nterms=6)
+    g = _random_poly(random.Random(5), [c for c in alphabet if len(c.jet) < 2],
                      deg=4, nterms=6)
-    first = s(f)
-    assert not first.is_zero()
+    first, dg = s(f), horizontal_diff(g, 2)
+    assert not first.is_zero() and not dg.is_zero()
     calls = []
     honest = bv.canonical_terms
     monkeypatch.setattr(bv, "canonical_terms",
                         lambda *a, **k: calls.append(a) or honest(*a, **k))
     assert s(f) == first
+    assert horizontal_diff(g, 2) == dg
     assert calls == []
+
+
+def _reference_horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
+    """The jet prolongation that re-sorts every lifted word, kept as a
+    reference for the spliced one."""
+    acc: dict = {}
+    for w, c in f.terms.items():
+        for j, cj in enumerate(w):
+            for sign, nw in canonical_terms(w[:j] + (cj.lift(lam),) + w[j + 1:]):
+                add_term(acc, nw, c * sign)
+    return FiberPoly(acc)
+
+
+@pytest.mark.parametrize("lie_name", ["u1", "su2"])
+def test_horizontal_diff_matches_the_sorted_prolongation(lie_name):
+    from gradedqft import lie
+    from gradedqft.bv import TheorySpec
+    th = TheorySpec.make(lie.PRESETS[lie_name]())
+    coords = th.all_base_coords()
+    rng = random.Random(f"dh-{lie_name}")
+    nonzero = odd = second = 0
+    for _ in range(80):
+        alphabet = []
+        for b in rng.sample(coords, 4):
+            lift = rng.randrange(4)
+            alphabet += [b, b.partner(), b.lift(lift), b.partner().lift(lift)]
+        f = _random_poly(rng, alphabet, deg=4, nterms=4)
+        lam = rng.randrange(4)
+        got, want = horizontal_diff(f, lam), _reference_horizontal_diff(f, lam)
+        assert list(got.terms.items()) == list(want.terms.items())
+        nonzero += not got.is_zero()
+        odd += any(x.parity for w in got.terms for x in w)
+        # a lifted first-order jet is a second-order one
+        second += any(len(x.jet) == 2 for w in got.terms for x in w)
+    assert nonzero >= 40 and odd >= 20 and second >= 20

@@ -86,12 +86,21 @@ def test_verify_selected_suites_pass():
     assert all(e["millis"] is None for e in report["identities"])
 
 
-def test_verify_empty_suite_list_is_valid():
+@pytest.mark.parametrize("configured,suites,enabled,oracle", [
+    ([], None, True, None),
+    (["algebra"], [], True, None),
+    (["oracle"], None, True, "off"),
+    (["oracle"], None, False, None),
+], ids=["empty-config", "empty-argument", "oracle-flag-off", "oracle-config-off"])
+def test_run_verify_rejects_an_empty_selection(monkeypatch, configured, suites,
+                                               enabled, oracle):
+    import gradedqft.cli as cli
     cfg = fast_cfg()
-    cfg["run"]["suites"] = []
-    report = run_verify(cfg)
-    assert report["identities"] == []
-    assert report["failed"] == 0
+    cfg["run"]["suites"] = configured
+    cfg["oracle"]["enabled"] = enabled
+    monkeypatch.setattr(cli, "all_identities", lambda: pytest.fail("ran identities"))
+    with pytest.raises(ConfigError, match="^nothing to verify: no suite is selected"):
+        run_verify(cfg, suites, oracle=oracle)
 
 
 def test_verify_unknown_suite_rejected():
@@ -477,3 +486,17 @@ def test_verify_selecting_nothing_exits_2(tmp_path, capsys, argv, text):
     assert captured.err.startswith("error: nothing to verify: no suite is "
                                    "selected")
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_python_dash_m_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    run = subprocess.run([sys.executable, "-m", "gradedqft", "list-identities"],
+                         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "brst.nilpotent_random" in run.stdout

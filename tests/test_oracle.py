@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +32,9 @@ from gradedqft.oracle import (
     OracleSpace,
     _climb,
     _compared_mask,
-    build_operator,
+    _entries,
+    _evaluated,
     product_residual,
-    represent,
     residual,
     slot_key,
 )
@@ -49,11 +50,24 @@ def lat2(**kw):
     return ModeLattice.make([(1, 0, 0), (-1, 0, 0)], masses, **kw)
 
 
+def _oracle_matrix(e, space: OracleSpace) -> np.ndarray:
+    """The oracle's summed entries of ``e`` scattered into a dense matrix."""
+    keys, values = _entries(_evaluated(e, None), space)
+    total = np.zeros(space.dimension ** 2, dtype=np.complex128)
+    total[keys] = values
+    return total.reshape(space.dimension, space.dimension)
+
+
+def _generator_matrix(space: OracleSpace, gen: OpGen) -> np.ndarray:
+    """The oracle's dense matrix of one elementary generator."""
+    return _oracle_matrix(GradedExpr.of(gen), space)
+
+
 def test_fermionic_car_exact():
     lat = lat2()
     sp = OracleSpace.make(lat, sectors=("fermion",), n_max=0)
-    c = build_operator(sp, OpGen(ABSORB, UPPER, "fermion", 0, (0,)))
-    cd = build_operator(sp, OpGen(EMIT, LOWER, "fermion", 0, (0,)))
+    c = _generator_matrix(sp, OpGen(ABSORB, UPPER, "fermion", 0, (0,)))
+    cd = _generator_matrix(sp, OpGen(EMIT, LOWER, "fermion", 0, (0,)))
     anti = c @ cd + cd @ c
     assert np.array_equal(anti, np.eye(sp.dimension))
     # squares vanish identically
@@ -64,16 +78,16 @@ def test_fermionic_car_exact():
 def test_cross_slot_anticommutator_vanishes_exactly():
     lat = lat2()
     sp = OracleSpace.make(lat, sectors=("fermion",))
-    c1 = build_operator(sp, OpGen(ABSORB, UPPER, "fermion", 0, (0,)))
-    c2d = build_operator(sp, OpGen(EMIT, LOWER, "fermion", 1, (1,)))
+    c1 = _generator_matrix(sp, OpGen(ABSORB, UPPER, "fermion", 0, (0,)))
+    c2d = _generator_matrix(sp, OpGen(EMIT, LOWER, "fermion", 1, (1,)))
     assert not np.any(c1 @ c2d + c2d @ c1)
 
 
 def test_bosonic_truncation_defect():
     lat = ModeLattice.make([(1, 0, 0)], scalar_dim=1)
     sp = OracleSpace.make(lat, sectors=("scalar",), n_max=3)
-    a = build_operator(sp, OpGen(ABSORB, UPPER, "scalar", 0, (0,)))
-    ad = build_operator(sp, OpGen(EMIT, LOWER, "scalar", 0, (0,)))
+    a = _generator_matrix(sp, OpGen(ABSORB, UPPER, "scalar", 0, (0,)))
+    ad = _generator_matrix(sp, OpGen(EMIT, LOWER, "scalar", 0, (0,)))
     comm = a @ ad - ad @ a
     # identity on occupations 0..2 of the particle slot; the deviation
     # from the identity at the top state is -(n_max+1)
@@ -88,8 +102,8 @@ def test_gauge_slots_carry_metric_weight():
     lat = ModeLattice.make([(1, 0, 0)], lie_dim=1)
     sp = OracleSpace.make(lat, sectors=("gauge",), n_max=1)
     for lam in range(4):
-        b = build_operator(sp, OpGen(ABSORB, UPPER, "gauge", 0, (lam, 0)))
-        bd = build_operator(sp, OpGen(EMIT, UPPER, "gauge", 0, (lam, 0)))
+        b = _generator_matrix(sp, OpGen(ABSORB, UPPER, "gauge", 0, (lam, 0)))
+        bd = _generator_matrix(sp, OpGen(EMIT, UPPER, "gauge", 0, (lam, 0)))
         comm = b @ bd - bd @ b
         mask = sp.safe_mask(1)
         eta = 1.0 if lam == 0 else -1.0
@@ -107,7 +121,7 @@ def test_missing_slot():
     lat = lat2()
     sp = OracleSpace.make(lat, sectors=("fermion",))
     with pytest.raises(OracleError):
-        build_operator(sp, OpGen(ABSORB, UPPER, "ghost", 0, (0,)))
+        sp.monomial(OpGen(ABSORB, UPPER, "ghost", 0, (0,)))
 
 
 def _random_word(rng, sectors, n_int=2, modes=2, length=3):
@@ -186,7 +200,7 @@ def test_scalar_hamiltonian_spectrum():
     sp = OracleSpace.make(lat, sectors=("scalar",), n_max=3)
     res = free_hamiltonian("scalar", lat)
     assert res.match
-    m = represent(res.reduced, sp, BIND)
+    m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
     occ = sp.occupations()
@@ -199,7 +213,7 @@ def test_dirac_charge_spectrum():
     sp = OracleSpace.make(lat, sectors=("dirac_particle", "dirac_antiparticle"))
     res = dirac_charge(lat)
     assert res.match
-    m = represent(res.reduced, sp, BIND)
+    m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
     occ = sp.occupations()
@@ -241,7 +255,8 @@ def test_negative_control_sign_flip_has_large_residual():
 # --- the monomial oracle against the Kronecker construction ---------------
 
 def _kron_build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
-    """Kronecker-factor matrix of one elementary generator."""
+    """Kronecker-factor matrix of one elementary generator; its entries
+    are real."""
     key = slot_key(gen)
     if key not in space.index:
         raise OracleError(f"generator {gen!r} has no slot in this space")
@@ -250,7 +265,7 @@ def _kron_build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
     for i, s in enumerate(space.slots):
         if i == j:
             d = s.dim
-            m = np.zeros((d, d), dtype=np.complex128)
+            m = np.zeros((d, d))
             if gen.species == EMIT:
                 for n in range(d - 1):
                     m[n + 1, n] = 1.0
@@ -259,9 +274,9 @@ def _kron_build_operator(space: OracleSpace, gen: OpGen) -> np.ndarray:
                     m[n, n + 1] = (n + 1) * s.eta
             mats.append(m)
         elif s.fermionic and i < j and space.slots[j].fermionic:
-            mats.append(np.diag([1.0, -1.0]).astype(np.complex128))
+            mats.append(np.diag([1.0, -1.0]))
         else:
-            mats.append(np.eye(s.dim, dtype=np.complex128))
+            mats.append(np.eye(s.dim))
     out = mats[0]
     for m in mats[1:]:
         out = np.kron(out, m)
@@ -307,21 +322,28 @@ _REFERENCE_SPACES = {
 
 @pytest.mark.parametrize("name", sorted(_REFERENCE_SPACES))
 def test_build_operator_matches_kronecker_reference(name):
+    # column c of the generator holds weights[c] in row rows[c], and
+    # nothing else
     sp = _REFERENCE_SPACES[name]()
     gens = _slot_generators(sp)
     assert len(gens) >= 2 * len(sp.slots)
+    cols = np.arange(sp.dimension)
     for g in gens:
-        assert np.array_equal(build_operator(sp, g), _kron_build_operator(sp, g)), g
+        rows, weights = sp.monomial(g)
+        kron = _kron_build_operator(sp, g)
+        assert np.array_equal(kron[rows, cols], weights), g
+        kron[rows, cols] = 0
+        assert not np.any(kron), g
 
 
-def _dense_represent(e: GradedExpr, space: OracleSpace) -> np.ndarray:
+def _dense_represent(e: GradedExpr, space: OracleSpace,
+                     bindings=None) -> np.ndarray:
     """Each word as the left-to-right product of its reference matrices."""
     total = np.zeros((space.dimension, space.dimension), dtype=np.complex128)
     for word, coeff in e.terms.items():
-        m = np.eye(space.dimension, dtype=np.complex128)
-        for g in word:
-            m = m @ _kron_build_operator(space, g)
-        total += complex(coeff.evaluate()) * m
+        mats = [_kron_build_operator(space, g) for g in word]
+        m = reduce(np.matmul, mats) if mats else np.eye(space.dimension)
+        total += complex(coeff.evaluate(bindings)) * m
     return total
 
 
@@ -338,7 +360,7 @@ def test_represent_matches_dense_products_exactly():
             w = _random_word(rng, sectors, n_int=1, modes=1,
                              length=rng.randint(0, 4))
             e = e + w.scale(ScalarExpr.gaussian(c))
-        assert np.array_equal(represent(e, sp), _dense_represent(e, sp))
+        assert np.array_equal(_oracle_matrix(e, sp), _dense_represent(e, sp))
 
 
 def test_empty_safe_subspace_is_an_error_not_a_pass():
@@ -368,18 +390,19 @@ def test_climb_is_counted_per_slot():
 
 def _dense_residual(symbolic, reference, space, bindings=None) -> float:
     """Max-abs entry of the dense matrix difference on the safe subspace."""
-    m1 = represent(symbolic, space, bindings)
-    m2 = represent(reference, space, bindings)
+    m1 = _dense_represent(symbolic, space, bindings)
+    m2 = _dense_represent(reference, space, bindings)
     mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
                                             _climb(reference, space)))
     return float(np.max(np.abs((m1 - m2)[np.ix_(mask, mask)])))
 
 
 def _dense_product_residual(a, b, space) -> float:
-    """represent(a *phys* b) against the dense product of the factors."""
+    """The dense a *phys* b against the dense product of the factors."""
     prod = koszul_product(a, b, "physical")
     mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
-    diff = represent(prod, space) - represent(a, space) @ represent(b, space)
+    diff = _dense_represent(prod, space) - \
+        _dense_represent(a, space) @ _dense_represent(b, space)
     return float(np.max(np.abs(diff[np.ix_(mask, mask)])))
 
 
@@ -450,7 +473,7 @@ def test_difference_outside_the_safe_subspace_is_not_compared():
     ad = OpGen(EMIT, LOWER, "scalar", 0, (0,))
     comm = GradedExpr({(a, ad): ScalarExpr.one(), (ad, a): -ScalarExpr.one()})
     unit = GradedExpr.unit()
-    assert np.any(represent(comm, sp) != represent(unit, sp))
+    assert np.any(_dense_represent(comm, sp) != _dense_represent(unit, sp))
     assert residual(comm, unit, sp) == 0.0
     assert _dense_residual(comm, unit, sp) == 0.0
 

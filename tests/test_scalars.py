@@ -284,6 +284,34 @@ def test_gaussian_rational_mixes_with_int_and_fraction(x, r):
             _assert_matches(x / k, a / k, b / k)
 
 
+@FAST
+@given(gaussians, rationals)
+def test_gaussian_rational_sums_with_int_and_fraction(x, r):
+    a, b = x.re, x.im
+    scalars = [r] + ([r.numerator] if r.denominator == 1 else [])
+    for k in scalars:
+        _assert_matches(x + k, a + k, b)
+        _assert_matches(k + x, a + k, b)
+        _assert_matches(x - k, a - k, b)
+        _assert_matches(k - x, k - a, -b)
+
+
+def test_gaussian_rational_sum_of_an_int():
+    one = GaussianRational(1)
+    assert (one + 1)._t == (1 + one)._t == (2, 0, 1)
+    assert (one - 1)._t == (1 - one)._t == (0, 0, 1)
+    assert (GaussianRational(0, 1) + F(1, 2))._t == (1, 2, 2)
+
+
+@pytest.mark.parametrize("other", ["x", 0.5, None, ScalarExpr.one()])
+def test_gaussian_rational_sum_rejects_other_operands(other):
+    one = GaussianRational(1)
+    for op in (lambda: one + other, lambda: other + one,
+               lambda: one - other, lambda: other - one):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_gaussian_rational_eq_hash_contract():
     assert len({GaussianRational(2), 2}) == 1
     assert len({GaussianRational(F(1, 2)), F(1, 2), GaussianRational(F(2, 4))}) == 1
