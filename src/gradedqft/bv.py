@@ -157,23 +157,6 @@ def right_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
     return gradient(f, right=True).get(coord, FiberPoly.zero())
 
 
-def partial_deriv(f: FiberPoly, coord: FiberCoord,
-                  convention: str = "signed-right") -> FiberPoly:
-    """The shorthand derivative d_i behind a convention switch.
-
-    "signed-right" (default): d_i = (-1)^{|i|} (f <-D_i), the convention
-    the rest of this module is built on; "left": d_i = D_i f, the other
-    normalisation found in the literature.  They agree on even
-    coordinates and differ by (-1)^{|f|+1} on odd ones.
-    """
-    if convention == "signed-right":
-        out = right_deriv(f, coord)
-        return -out if coord.parity else out
-    if convention == "left":
-        return left_deriv(f, coord)
-    raise BVError(f"unknown derivative convention {convention!r}")
-
-
 def bv_laplacian(f: FiberPoly) -> FiberPoly:
     """Delta f = sum_i D_i Dtilde^i f, over the antifields Dtilde^i of f."""
     return FiberPoly.sum(left_deriv(d, c.partner())

@@ -272,21 +272,15 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
         t0 = time.perf_counter()
         try:
             result = ident.run(ctx)
+            status, residual = result.status, result.residual
         except Exception as exc:  # a suite failure is reported, not thrown
-            result = None
-            entries.append({
-                "identity": ident.name, "anchor": ident.anchor,
-                "status": "error", "residual": f"{type(exc).__name__}: {exc}",
-                "millis": round((time.perf_counter() - t0) * 1000.0, 3)
-                if timings else None,
-            })
-        if result is not None:
-            entries.append({
-                "identity": ident.name, "anchor": ident.anchor,
-                "status": result.status, "residual": result.residual,
-                "millis": round((time.perf_counter() - t0) * 1000.0, 3)
-                if timings else None,
-            })
+            status, residual = "error", f"{type(exc).__name__}: {exc}"
+        entries.append({
+            "identity": ident.name, "anchor": ident.anchor,
+            "status": status, "residual": residual,
+            "millis": round((time.perf_counter() - t0) * 1000.0, 3)
+            if timings else None,
+        })
     entries.sort(key=lambda e: e["identity"])
     report = {
         "seed": ctx.seed,

@@ -293,16 +293,6 @@ class FieldExpr:
                          self.point, self.lattice)
 
 
-# --- elementary generators per sector -----------------------------------
-
-def gen_absorb_dn(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
-    return OpGen(ABSORB, LOWER, sector, mode.id, idx)
-
-
-def gen_emit_dn(sector: str, mode: ModeIndex, idx: tuple) -> OpGen:
-    return OpGen(EMIT, LOWER, sector, mode.id, idx)
-
-
 # --- Dirac dressing ------------------------------------------------------
 
 #: gamma^i gamma^0 for i = 1, 2, 3, as rows of Gaussian rationals
@@ -463,28 +453,6 @@ def conj_C_field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
     if (kind, sector) not in _EXPANSIONS:
         raise FieldError("conj_C_field is defined for the generic sectors")
     return _expand(kind, sector, component, x, lattice)
-
-
-def species_phase_consistent(f: FieldExpr) -> bool:
-    """Invariant of linear field expressions: absorption operators ride
-    e^{-i<p,x>} (negative on-shell time frequency) and emissions the
-    conjugate phase.  Checkable whenever the time argument is symbolic."""
-    if not isinstance(f.point.t, str):
-        return True
-    key = ("t", f.point.t)
-    for word, coeff in f.expr.terms.items():
-        if len(word) != 1:
-            return False  # not a linear field expression
-        want = 1 if word[0].species == EMIT else -1
-        for (_, _, phase) in coeff.terms:
-            freq = dict(phase).get(key)
-            if not freq:
-                return False
-            # radicands are positive, so each coefficient sign is the sign
-            # of its sqrt term; all must match the species
-            if any((1 if c > 0 else -1) != want for _, c in freq):
-                return False
-    return True
 
 
 # --- super-commutators and propagators -----------------------------------

@@ -747,6 +747,7 @@ def brst_suite() -> list:
         dec = bv.ghost_lagrangian_decompose(th)
         bad = dec.residual.n_terms
         bad += dec.residual.partial_symbol("xi").n_terms
+        bad += (dec.lagrangian - bv.lagrangian_ghost(th)).n_terms
         return CheckResult.exact(bad)
 
     def abelian_decomposition(ctx):

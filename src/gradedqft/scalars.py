@@ -2,19 +2,21 @@
 
 A :class:`ScalarExpr` is a finite sum of terms
 
-    coefficient * (formal symbols) * (Kronecker deltas) * (plane-wave phase)
+    coefficient * (formal symbols) * (plane-wave phase)
 
 where the coefficient is a Gaussian rational (complex number with rational
 real and imaginary parts).  All arithmetic is exact: no floats enter until
 :func:`evaluate` is called.  Every expression is normalised on construction,
 so two expressions are mathematically equal in the supported fragment iff
-their term dictionaries compare equal.
+their term dictionaries compare equal.  Momentum deltas need no factor of
+their own: a contraction of two generators compares their mode ids, and
+the lattice spatial delta is a sum of phases (``fields.delta_lattice``).
 
 Symbols come in four flavours, encoded in the term key:
 
-``('sym', name, tag, val)``
-    a plain named symbol such as the gauge parameter ``xi`` or a formal
-    function value ``f(q)`` indexed by a mode token.
+``('sym', name)``
+    a plain named symbol such as the gauge parameter ``xi`` or the mass
+    ``m``.
 ``('rad', d)``
     the square root of the squarefree integer ``d > 1``; pairs reduce to
     the integer ``d``.
@@ -56,17 +58,13 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 Rational = Union[int, Fraction]
 
 
 class ScalarError(Exception):
     pass
-
-
-class UnboundIndexError(ScalarError):
-    """A mode-index variable was left unbound where a value is required."""
 
 
 class UnboundSymbolError(ScalarError):
@@ -307,10 +305,6 @@ def qsum(pairs: Iterable[tuple[int, Rational]]) -> QSum:
     return tuple(sorted((d, c) for d, c in acc.items() if c != 0))
 
 
-def qsum_rat(c: Rational) -> QSum:
-    return qsum([(1, c)])
-
-
 def qsum_add(a: QSum, b: QSum) -> QSum:
     return qsum(list(a) + list(b))
 
@@ -338,8 +332,8 @@ def qsum_sqrt(q: Rational) -> QSum:
 
 # --- term keys ---------------------------------------------------------
 
-# symbols: tuple of ((kind, ...), exponent) sorted
-# deltas:  tuple of ((tok1, tok2)) sorted, tok = ('m', id) or ('v', name)
+# A term key is the pair (syms, phase):
+# syms:    tuple of ((kind, ...), exponent) sorted
 # phase:   tuple of ((key, value)) sorted,
 #          key = ('c',) | ('t', name) | ('x', name)
 #          value = QSum for 'c'/'t', (Fraction, Fraction, Fraction) for 'x'
@@ -350,7 +344,7 @@ Term = tuple
 class _Key(tuple):
     """A hash-consed term key (Filliâtre and Conchon, "Type-safe modular
     hash-consing", 2006).  :func:`_intern` keeps one object per distinct
-    ``(syms, deltas, phase)``, so dict lookups of interned keys succeed on
+    ``(syms, phase)``, so dict lookups of interned keys succeed on
     identity, and the hash is the plain tuple's hash, computed once: without
     the cache every lookup rehashes the Fractions nested in the phase and
     weight symbols."""
@@ -365,9 +359,9 @@ class _Key(tuple):
 
 
 # The key of a pure coefficient, the only key of every rational constant,
-# stays a plain tuple: its C-level hash of three empty tuples is cheaper
+# stays a plain tuple: its C-level hash of two empty tuples is cheaper
 # than the Python-level call that returns a cached hash.
-_CONST: Term = ((), (), ())
+_CONST: Term = ((), ())
 _KEYS: dict[Term, Term] = {_CONST: _CONST}
 
 
@@ -381,28 +375,8 @@ def _intern(t: tuple) -> Term:
     return k
 
 
-def sym_key(name: str, token: tuple | None = None) -> tuple:
-    if token is None:
-        return ("sym", name, "", 0)
-    tag, val = token
-    return ("sym", name, tag, val)
-
-
-def mode_tok(mode_id: int) -> tuple:
-    return ("m", mode_id)
-
-
-def var_tok(name: str) -> tuple:
-    return ("v", name)
-
-
-def _delta_pair(t1: tuple, t2: tuple):
-    """Normalise one delta factor; returns pair, 1 (keep), or 0 (kill)."""
-    if t1 == t2:
-        return None  # identically 1
-    if t1[0] == "m" and t2[0] == "m":
-        return 0  # distinct concrete modes
-    return tuple(sorted((t1, t2)))
+def sym_key(name: str) -> tuple:
+    return ("sym", name)
 
 
 def _phase_normal(entries: Iterable[tuple]) -> tuple:
@@ -504,15 +478,15 @@ class ScalarExpr:
         return _I
 
     @staticmethod
-    def symbol(name: str, token: tuple | None = None) -> "ScalarExpr":
-        return _monomial(((sym_key(name, token), 1),), (), ())
+    def symbol(name: str) -> "ScalarExpr":
+        return _monomial(((sym_key(name), 1),), ())
 
     @staticmethod
     def radical(d: int) -> "ScalarExpr":
         """sqrt(d) for a squarefree integer d >= 1."""
         if d == 1:
             return _ONE
-        return _monomial(((("rad", d), 1),), (), ())
+        return _monomial(((("rad", d), 1),), ())
 
     @staticmethod
     def sqrt_rational(q: Rational) -> "ScalarExpr":
@@ -536,7 +510,7 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * c))
-        return _monomial(((("wgt", r), 1),), (), ())
+        return _monomial(((("wgt", r), 1),), ())
 
     @staticmethod
     def boost_weight(m: Rational, r: Rational) -> "ScalarExpr":
@@ -545,21 +519,12 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * m * (c + m)))
-        return _monomial(((("kw", m, r), 1),), (), ())
-
-    @staticmethod
-    def delta(t1: tuple, t2: tuple) -> "ScalarExpr":
-        p = _delta_pair(t1, t2)
-        if p == 0:
-            return _ZERO
-        if p is None:
-            return _ONE
-        return _monomial((), (p,), ())
+        return _monomial(((("kw", m, r), 1),), ())
 
     @staticmethod
     def phase(entries: Iterable[tuple]) -> "ScalarExpr":
         """exp(i * (linear form)) from (key, value) entries."""
-        return _monomial((), (), _phase_normal(entries))
+        return _monomial((), _phase_normal(entries))
 
     @staticmethod
     def sum(parts: Iterable["ScalarExpr"]) -> "ScalarExpr":
@@ -649,8 +614,8 @@ class ScalarExpr:
     def conjugate(self) -> "ScalarExpr":
         """Complex conjugation; formal symbols are treated as real."""
         acc: dict[Term, GaussianRational] = {}
-        for (s, d, p), c in self.terms.items():
-            acc[_intern((s, d, _phase_neg(p)))] = c.conjugate()
+        for (s, p), c in self.terms.items():
+            acc[_intern((s, _phase_neg(p)))] = c.conjugate()
         return _wrap(acc)
 
     def is_zero(self) -> bool:
@@ -678,12 +643,12 @@ class ScalarExpr:
         acc: dict[Term, GaussianRational] = {}
         tkey = ("t", tname)
         for key, c in self.terms.items():
-            coeff = dict(key[2]).get(tkey)
+            coeff = dict(key[1]).get(tkey)
             if not coeff:
                 continue
             # multiply by i * (sum of c_d * sqrt(d))
             factor = ScalarExpr(
-                {(((("rad", dd), 1),) if dd != 1 else (), (), ()):
+                {(((("rad", dd), 1),) if dd != 1 else (), ()):
                  GaussianRational(0, cc) for dd, cc in coeff})
             _add_into(acc, (ScalarExpr({key: c}, _raw=True) * factor).terms)
         return _wrap(acc)
@@ -693,7 +658,7 @@ class ScalarExpr:
         acc: dict[Term, GaussianRational] = {}
         xkey = ("x", xname)
         for key, c in self.terms.items():
-            vec = dict(key[2]).get(xkey)
+            vec = dict(key[1]).get(xkey)
             if vec is None or vec[j] == 0:
                 continue
             acc[key] = c * GaussianRational(0, vec[j])  # keys stay distinct
@@ -703,7 +668,7 @@ class ScalarExpr:
         """d/d(name) for a plain named symbol."""
         key = sym_key(name)
         acc: dict[Term, GaussianRational] = {}
-        for (s, d, p), c in self.terms.items():
+        for (s, p), c in self.terms.items():
             sdict = dict(s)
             e = sdict.get(key, 0)
             if not e:
@@ -712,7 +677,7 @@ class ScalarExpr:
                 del sdict[key]
             else:
                 sdict[key] = e - 1
-            term = _intern((tuple(sorted(sdict.items())), d, p))
+            term = _intern((tuple(sorted(sdict.items())), p))
             prev = acc.get(term, GR_ZERO)
             acc[term] = prev + c * e
         return _wrap(acc)
@@ -721,13 +686,13 @@ class ScalarExpr:
         """Substitute x -> x + a, with a the named shift vector symbol."""
         acc: dict[Term, GaussianRational] = {}
         for key, c in self.terms.items():
-            s, d, p = key
+            s, p = key
             vec = dict(p).get(("x", xname))
             if vec is None:
                 acc[key] = acc.get(key, GR_ZERO) + c
                 continue
             newp = _phase_normal(list(p) + [(("x", shift_name), vec)])
-            t = _intern((s, d, newp))
+            t = _intern((s, newp))
             acc[t] = acc.get(t, GR_ZERO) + c
         return _wrap(acc)
 
@@ -737,7 +702,7 @@ class ScalarExpr:
         A surviving phase on any other position raises."""
         acc: dict[Term, GaussianRational] = {}
         for key, c in self.terms.items():
-            pd = dict(key[2])
+            pd = dict(key[1])
             if ("x", xname) in pd:
                 continue
             for pkey in pd:
@@ -748,47 +713,18 @@ class ScalarExpr:
         return _wrap(acc)
 
     def has_time_dependence(self) -> bool:
-        for (_, _, p) in self.terms:
+        for (_, p) in self.terms:
             for key, _ in p:
                 if key[0] == "t":
                     return True
         return False
-
-    # -- delta machinery --------------------------------------------------
-
-    def delta_contract(self, var: str, mode_ids: Sequence[int],
-                       allow_free_sum: bool = True) -> "ScalarExpr":
-        """Sum over the mode-index variable, consuming sifting deltas."""
-        tok = var_tok(var)
-        acc: dict[Term, GaussianRational] = {}
-        for key, c in self.terms.items():
-            partner = None
-            for pair in key[1]:
-                if pair[0] == tok:
-                    partner = pair[1]
-                    break
-                if pair[1] == tok:
-                    partner = pair[0]
-                    break
-            one = ScalarExpr({key: c}, _raw=True)
-            if partner is not None:
-                _add_into(acc, _substitute_token(one, tok, partner).terms)
-            else:
-                if not allow_free_sum:
-                    raise UnboundIndexError(
-                        f"index {var!r} is not bound by any delta")
-                for mid in mode_ids:
-                    _add_into(acc, _substitute_token(one, tok, mode_tok(mid)).terms)
-        return _wrap(acc)
 
     # -- numeric evaluation ----------------------------------------------
 
     def evaluate(self, bindings: Mapping | None = None) -> complex:
         bindings = bindings or {}
         total = 0j
-        for (s, d, p), c in self.terms.items():
-            if d:
-                raise UnboundIndexError(f"unresolved delta factors {d}")
+        for (s, p), c in self.terms.items():
             val = complex(c)
             for key, e in s:
                 kind = key[0]
@@ -800,11 +736,10 @@ class ScalarExpr:
                     m, r = float(key[1]), float(key[2])
                     base = (2.0 * m * (math.sqrt(r) + m)) ** -0.5
                 else:
-                    _, name, tag, tv = key
-                    bkey = name if tag == "" else (name, (tag, tv))
-                    if bkey not in bindings:
-                        raise UnboundSymbolError(f"no binding for symbol {bkey!r}")
-                    base = bindings[bkey]
+                    name = key[1]
+                    if name not in bindings:
+                        raise UnboundSymbolError(f"no binding for symbol {name!r}")
+                    base = bindings[name]
                 val *= base ** e
             theta = 0.0
             for key, v in p:
@@ -828,50 +763,14 @@ class ScalarExpr:
         if not self.terms:
             return "0"
         parts = []
-        for (s, d, p), c in sorted(self.terms.items()):
+        for (s, p), c in sorted(self.terms.items()):
             bits = [repr(c)]
             for key, e in s:
                 bits.append(_sym_str(key) + (f"^{e}" if e != 1 else ""))
-            for pair in d:
-                bits.append(f"δ({_tok_str(pair[0])},{_tok_str(pair[1])})")
             if p:
                 bits.append(_phase_str(p))
             parts.append("·".join(bits))
         return " + ".join(parts)
-
-
-def _substitute_token(e: ScalarExpr, old: tuple, new: tuple) -> ScalarExpr:
-    raw: dict[Term, GaussianRational] = {}
-    for (s, d, p), c in e.terms.items():
-        syms = []
-        for key, ex in s:
-            if key[0] == "sym" and (key[2], key[3]) == old:
-                key = ("sym", key[1], new[0], new[1])
-            syms.append((key, ex))
-        sd: dict = {}
-        for k, ex in syms:
-            sd[k] = sd.get(k, 0) + ex
-        deltas = []
-        for t1, t2 in d:
-            t1 = new if t1 == old else t1
-            t2 = new if t2 == old else t2
-            deltas.append((t1, t2))
-        term_syms = tuple(sorted(sd.items()))
-        # re-run the delta normalisation (a pair may now be concrete)
-        dead = False
-        keep = []
-        for t1, t2 in deltas:
-            pr = _delta_pair(t1, t2)
-            if pr == 0:
-                dead = True
-                break
-            if pr is not None:
-                keep.append(pr)
-        if dead:
-            continue
-        term = _intern((term_syms, tuple(sorted(set(keep))), p))
-        raw[term] = raw.get(term, GR_ZERO) + c
-    return _wrap(_normalize(raw))
 
 
 def _add_into(acc: dict, terms: Mapping[Term, GaussianRational]) -> None:
@@ -918,9 +817,9 @@ def _constant(t: tuple) -> ScalarExpr:
     return e
 
 
-def _monomial(syms: tuple, deltas: tuple, phase: tuple) -> ScalarExpr:
-    """The one-term expression 1 * syms * deltas * phase (already canonical)."""
-    return _wrap({_intern((syms, deltas, phase)): GR_ONE})
+def _monomial(syms: tuple, phase: tuple) -> ScalarExpr:
+    """The one-term expression 1 * syms * phase (already canonical)."""
+    return _wrap({_intern((syms, phase)): GR_ONE})
 
 
 # The memoized monomial product.  A finite lattice has few distinct
@@ -931,14 +830,13 @@ _EXPANSION: dict[Term, tuple] = {}  # raw key -> _normalize({raw: 1}) items
 
 def _raw_product(k1: Term, k2: Term) -> Term:
     """The key of the product of two monomials before :func:`_normalize`:
-    symbol exponents added, delta sets united, phases merged."""
-    (s1, d1, p1), (s2, d2, p2) = k1, k2
+    symbol exponents added, phases merged."""
+    (s1, p1), (s2, p2) = k1, k2
     syms: dict = {}
     for k, e in s1 + s2:
         syms[k] = syms.get(k, 0) + e
     return _intern((
         tuple(sorted((k, e) for k, e in syms.items() if e)),
-        tuple(sorted(set(d1) | set(d2))),
         _phase_mul(p1, p2),
     ))
 
@@ -958,19 +856,8 @@ def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
     out: dict[Term, GaussianRational] = {}
     work = list(raw.items())
     while work:
-        (syms, deltas, phase), coeff = work.pop()
+        (syms, phase), coeff = work.pop()
         if coeff is None or coeff.is_zero():
-            continue
-        dead = False
-        keep_d = []
-        for t1, t2 in deltas:
-            pr = _delta_pair(t1, t2)
-            if pr == 0:
-                dead = True
-                break
-            if pr is not None:
-                keep_d.append(pr)
-        if dead:
             continue
         mult: ScalarExpr | None = None
         keep_s = []
@@ -985,7 +872,7 @@ def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
                 e = e % 2
             if e:
                 keep_s.append((key, e))
-        term = _intern((tuple(sorted(keep_s)), tuple(sorted(set(keep_d))), phase))
+        term = _intern((tuple(sorted(keep_s)), phase))
         if mult is not None:
             work.extend((ScalarExpr({term: coeff}, _raw=True) * mult).terms.items())
             continue
@@ -1001,10 +888,7 @@ def _normalize(raw: Mapping[Term, GaussianRational]) -> dict:
 def _sym_str(key: tuple) -> str:
     kind = key[0]
     if kind == "sym":
-        _, name, tag, tv = key
-        if tag == "":
-            return name
-        return f"{name}({_tok_str((tag, tv))})"
+        return key[1]
     if kind == "rad":
         return f"√{key[1]}"
     if kind == "wgt":
@@ -1012,10 +896,6 @@ def _sym_str(key: tuple) -> str:
     if kind == "kw":
         return f"(2·{key[1]}·(E[{key[2]}]+{key[1]}))^-½"
     return str(key)
-
-
-def _tok_str(tok: tuple) -> str:
-    return f"p{tok[1]}" if tok[0] == "m" else str(tok[1])
 
 
 def _phase_str(p: tuple) -> str:
@@ -1066,16 +946,3 @@ class ModeIndex:
 
     def __repr__(self):
         return f"p{self.id}{tuple(str(x) for x in self.momentum)}"
-
-    def token(self) -> tuple:
-        return mode_tok(self.id)
-
-
-def scalar_add(a: ScalarExpr, b: ScalarExpr) -> ScalarExpr:
-    """Canonical-form sum (module-level alias for the operator)."""
-    return a + b
-
-
-def delta_contract(e: ScalarExpr, var: str, mode_ids: Sequence[int],
-                   allow_free_sum: bool = True) -> ScalarExpr:
-    return e.delta_contract(var, mode_ids, allow_free_sum)

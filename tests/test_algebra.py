@@ -18,7 +18,7 @@ from gradedqft.algebra import (
     super_bracket,
 )
 from gradedqft.fields import FieldPoint, ModeLattice, conjugate_field, field
-from gradedqft.scalars import GaussianRational, ScalarExpr, qsum_rat
+from gradedqft.scalars import GaussianRational, ScalarExpr, qsum
 
 F = Fraction
 ONE = ScalarExpr.one()
@@ -308,7 +308,7 @@ def _random_coeff(rng):
                                                  F(rng.randint(-3, 3), rng.randint(1, 4))))
         if c.is_zero():
             c = ScalarExpr.rational(F(1, 2))
-        ph = ScalarExpr.phase([(("t", "t"), qsum_rat(F(rng.randint(-2, 2), 3))),
+        ph = ScalarExpr.phase([(("t", "t"), qsum([(1, F(rng.randint(-2, 2), 3))])),
                                (("x", "x"), (F(rng.randint(-1, 1)), F(0), F(0)))])
         return c * ph
     return term() + term() if rng.random() < 0.3 else term()

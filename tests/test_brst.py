@@ -20,7 +20,7 @@ from gradedqft.bv import (
     noether_current,
 )
 from gradedqft.lie import su2, su3, u1
-from gradedqft.scalars import ScalarExpr
+from gradedqft.scalars import _CONST, ScalarExpr
 
 F = Fraction
 
@@ -153,6 +153,24 @@ def test_ghost_lagrangian_is_the_decomposed_form():
     th = theory("su2")
     dec = ghost_lagrangian_decompose(th)
     assert dec.lagrangian == lagrangian_ghost(th)
+
+
+def test_ghost_decomposition_identity_checks_the_written_lagrangian(monkeypatch):
+    from gradedqft import bv, identities
+    ident = next(i for i in identities.brst_suite()
+                 if i.name == "brst.ghost_decomposition")
+    ctx = identities.default_context()
+    assert ident.run(ctx).status == "pass"
+    written = bv.lagrangian_ghost
+
+    def one_term_short(th):
+        terms = dict(written(th).terms)
+        del terms[next(iter(terms))]
+        return FiberPoly(terms)
+
+    monkeypatch.setattr(bv, "lagrangian_ghost", one_term_short)
+    result = ident.run(ctx)
+    assert (result.status, result.residual) == ("fail", "1 terms")
 
 
 def test_fp_symmetry_current_is_faddeev_popov():
@@ -298,7 +316,7 @@ def test_every_constant_coefficient_of_s_is_the_interned_constant():
     images = [s(FiberPoly.coord(c)) for c in th.all_base_coords()]
     images.append(s(FiberPoly.word((th.omega(0), th.omegabar(1)))))
     constants = [c for img in images for c in img.terms.values()
-                 if list(c.terms) == [((), (), ())]]
+                 if list(c.terms) == [_CONST]]
     assert len(constants) == 90 + 2  # the base coordinates, then the word
     for c in constants:
         (g,) = c.terms.values()

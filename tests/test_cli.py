@@ -132,6 +132,35 @@ def test_corrupted_constants_fail_brst_only():
     assert all(s == "pass" for s in by_suite["bv"])
 
 
+def test_a_raising_identity_is_reported_as_an_error(monkeypatch):
+    from gradedqft import cli
+    from gradedqft.identities import CheckResult, Identity
+    ran = []
+
+    def boom(ctx):
+        ran.append("boom")
+        raise ValueError("no such mode")
+
+    def fine(ctx):
+        ran.append("fine")
+        return CheckResult.exact(0)
+
+    monkeypatch.setattr(cli, "all_identities", lambda: [
+        Identity("algebra.z_boom", "algebra", "raises", boom),
+        Identity("algebra.a_fine", "algebra", "holds", fine),
+    ])
+    report = run_verify(fast_cfg(), suites=["algebra"], timings=True)
+    assert ran == ["boom", "fine"]  # the identity after the error still runs
+    fine_entry, boom_entry = report["identities"]
+    assert boom_entry["identity"] == "algebra.z_boom"
+    assert boom_entry["status"] == "error"
+    assert boom_entry["residual"] == "ValueError: no such mode"
+    assert boom_entry["anchor"] == "raises"
+    assert isinstance(boom_entry["millis"], float)
+    assert fine_entry["status"] == "pass" and fine_entry["residual"] == "0 terms"
+    assert (report["passed"], report["failed"]) == (1, 1)
+
+
 def test_exit_codes(tmp_path, capsys):
     out = tmp_path / "report.json"
     rc = main(["verify", "--suite", "algebra", "--output", str(out)])
@@ -390,6 +419,27 @@ def test_brst_report_bytes_do_not_depend_on_the_hash_seed():
         run = subprocess.run(cmd, env=env, capture_output=True, check=True)
         outs.append(run.stdout)
     assert outs[0] and outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("seed,hash_seed", [(7, "0"), (11, "1"), (23, "0")])
+def test_default_report_matches_the_golden_file(seed, hash_seed):
+    # tests/data/verify_seed{N}.json hold the default `verify --seed N
+    # --format json` report; a change that alters the report on purpose
+    # regenerates them with PYTHONHASHSEED=0
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    golden = pathlib.Path(__file__).parent / "data" / f"verify_seed{seed}.json"
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--seed", str(seed),
+           "--format", "json"]
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    run = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == golden.read_bytes()
 
 
 def test_verify_passes_with_one_scalar_component(tmp_path):

@@ -210,7 +210,7 @@ def test_negative_control_wrong_conjugate_sign_breaks_dirac_momentum():
     # anti-particle branch flips and the reduction must fail
     lat = ModeLattice.make([(4, 0, 0), (-4, 0, 0)], {"dirac": 3})
     x = FieldPoint.make("t", "x")
-    from gradedqft.fields import dirac_dressing, gen_absorb_dn, gen_emit_dn, plane_phase
+    from gradedqft.fields import dirac_dressing, plane_phase
     from gradedqft.functionals import dirac_momentum_target
     from gradedqft.gammas import GAMMA
 
@@ -224,10 +224,10 @@ def test_negative_control_wrong_conjugate_sign_breaks_dirac_momentum():
             ph_p = plane_phase(-1, esq, mode.momentum, [(1, x)])
             for aa in range(2):
                 expr = expr + GradedExpr.of(
-                    gen_absorb_dn("dirac_antiparticle", mode, (aa,)),
+                    OpGen(ABSORB, LOWER, "dirac_antiparticle", mode.id, (aa,)),
                     kinv[aa + 2][al] * w * ph_m)  # sign flipped here
                 expr = expr + GradedExpr.of(
-                    gen_emit_dn("dirac_particle", mode, (aa,)),
+                    OpGen(EMIT, LOWER, "dirac_particle", mode.id, (aa,)),
                     kinv[aa][al] * w * ph_p)
         from gradedqft.fields import FieldExpr
         return FieldExpr(expr, "dirac", al, x, lat)

@@ -9,16 +9,10 @@ from gradedqft.scalars import (
     GaussianRational,
     NonIntegrablePhaseError,
     ScalarExpr,
-    UnboundIndexError,
     canonical_sqrt,
-    delta_contract,
-    mode_tok,
-    qsum_rat,
+    qsum,
     qsum_sqrt,
-    scalar_add,
-    var_tok,
     _CONST,
-    _delta_pair,
     _phase_mul,
     _scaled,
 )
@@ -30,6 +24,10 @@ ZERO = ScalarExpr.zero()
 
 def rat(x):
     return ScalarExpr.rational(F(x))
+
+
+def qsum_rat(c):
+    return qsum([(1, c)])
 
 
 def test_gaussian_rational_arithmetic():
@@ -45,22 +43,10 @@ def test_rational_addition():
     assert rat(2) + rat(3) == rat(5)
 
 
-def test_delta_symmetry_merges_terms():
-    m = ScalarExpr.symbol("m")
-    d1 = ScalarExpr.delta(var_tok("p"), var_tok("q"))
-    d2 = ScalarExpr.delta(var_tok("q"), var_tok("p"))
-    assert m * d1 + m * d2 == rat(2) * m * d1
-
-
 def test_cancellation_gives_empty_expression():
     x = ScalarExpr.symbol("x")
     assert (x + (-x)).is_zero()
-    assert scalar_add(x, -x) == ZERO
-
-
-def test_concrete_deltas_evaluate():
-    assert ScalarExpr.delta(mode_tok(3), mode_tok(3)) == ONE
-    assert ScalarExpr.delta(mode_tok(3), mode_tok(4)).is_zero()
+    assert x - x == ZERO
 
 
 def test_canonical_sqrt_extracts_squares():
@@ -126,44 +112,13 @@ def test_spatial_derivative():
     assert p.d_dx("x", 2) == ScalarExpr.gaussian(GaussianRational(0, -1)) * p
 
 
-def test_delta_sifting():
-    f = ScalarExpr.symbol("f", var_tok("q")) * ScalarExpr.delta(var_tok("p"), var_tok("q"))
-    out = delta_contract(f, "q", [0, 1, 2])
-    assert out == ScalarExpr.symbol("f", var_tok("p"))
-
-
-def test_delta_composition():
-    e = ScalarExpr.delta(var_tok("p"), var_tok("q")) * ScalarExpr.delta(var_tok("q"), var_tok("r"))
-    out = delta_contract(e, "q", [0, 1, 2])
-    assert out == ScalarExpr.delta(var_tok("p"), var_tok("r"))
-
-
-def test_free_sum_counts_modes():
-    out = delta_contract(ONE, "q", [0, 1, 2])
-    assert out == rat(3)
-
-
-def test_unbound_index_error():
-    with pytest.raises(UnboundIndexError):
-        ScalarExpr.symbol("f", var_tok("q")).delta_contract("q", [0, 1], allow_free_sum=False)
-
-
-def test_delta_contract_idempotent_in_sifted_variable():
-    # sifting consumes q: a second contraction finds no q and degenerates
-    # to the free mode sum, so the sifted value itself is stable
-    f = ScalarExpr.symbol("f", var_tok("q")) * ScalarExpr.delta(var_tok("p"), var_tok("q"))
-    once = delta_contract(f, "q", [0, 1])
-    assert once == ScalarExpr.symbol("f", var_tok("p"))
-    assert delta_contract(once, "q", [0, 1]) == rat(2) * once
-
-
 def _random_expr(rng, depth=3):
     atoms = [
         rat(rng.randint(-3, 3)),
         ScalarExpr.symbol(rng.choice("abc")),
         ScalarExpr.i(),
         ScalarExpr.sqrt_rational(rng.choice([2, 3, 5])),
-        ScalarExpr.delta(var_tok(rng.choice("pq")), var_tok(rng.choice("qr"))),
+        ScalarExpr.symbol("d" + rng.choice("pq") + rng.choice("qr")),
         ScalarExpr.phase([(("t", "t"), qsum_rat(rng.randint(-2, 2)))]),
         ScalarExpr.mode_weight(F(rng.choice([2, 3, 25]))),
     ]
@@ -331,13 +286,13 @@ def test_gaussian_rational_division_by_zero_message(zero):
 
 _ATOMS = [
     ScalarExpr.symbol("a"),
-    ScalarExpr.symbol("f", var_tok("q")),
+    ScalarExpr.symbol("f_q"),
     ScalarExpr.sqrt_rational(2),               # ('rad', 2)
     ScalarExpr.sqrt_rational(3),
     ScalarExpr.mode_weight(F(2)),              # ('wgt', 2)
     ScalarExpr.boost_weight(F(1), F(2)),       # ('kw', 1, 2)
-    ScalarExpr.delta(var_tok("p"), var_tok("q")),
-    ScalarExpr.delta(var_tok("q"), mode_tok(1)),
+    ScalarExpr.symbol("d_pq"),
+    ScalarExpr.symbol("d_q1"),
     ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(2)))]),
     ScalarExpr.phase([(("x", "x"), (F(1), F(-1, 2), F(0)))]),
 ]
@@ -403,14 +358,13 @@ def _ref_mul(a, b):
     if len(a.terms) == 1 and _CONST in a.terms:
         return _scaled(b, a.terms[_CONST])
     raw = {}
-    for (s1, d1, p1), c1 in a.terms.items():
-        for (s2, d2, p2), c2 in b.terms.items():
+    for (s1, p1), c1 in a.terms.items():
+        for (s2, p2), c2 in b.terms.items():
             syms = {}
             for k, e in list(s1) + list(s2):
                 syms[k] = syms.get(k, 0) + e
             term = (
                 tuple(sorted((k, e) for k, e in syms.items() if e)),
-                tuple(sorted(set(d1) | set(d2))),
                 _phase_mul(p1, p2),
             )
             c = c1 * c2
@@ -433,19 +387,8 @@ def _ref_normalize(raw):
     out = {}
     work = list(raw.items())
     while work:
-        (syms, deltas, phase), coeff = work.pop()
+        (syms, phase), coeff = work.pop()
         if coeff is None or coeff.is_zero():
-            continue
-        dead = False
-        keep_d = []
-        for t1, t2 in deltas:
-            pr = _delta_pair(t1, t2)
-            if pr == 0:
-                dead = True
-                break
-            if pr is not None:
-                keep_d.append(pr)
-        if dead:
             continue
         mult = None
         keep_s = []
@@ -462,10 +405,10 @@ def _ref_normalize(raw):
                 e = e % 2
             if e:
                 keep_s.append((key, e))
-        term = (tuple(sorted(keep_s)), tuple(sorted(set(keep_d))), phase)
+        term = (tuple(sorted(keep_s)), phase)
         if mult is not None:
-            for (s2, d2, p2), c2 in _ref_mul(ScalarExpr({term: coeff}, _raw=True), mult).terms.items():
-                work.append(((s2, d2, p2), c2))
+            for (s2, p2), c2 in _ref_mul(ScalarExpr({term: coeff}, _raw=True), mult).terms.items():
+                work.append(((s2, p2), c2))
             continue
         prev = out.get(term)
         s = coeff if prev is None else prev + coeff
@@ -495,7 +438,7 @@ _CANCELLING = [
     # the cross terms cancel on the raw key before any expansion
     (_K + _X, _K - _X),
     (_W * _K + _X * _W, _W * _K - _X * _W),
-    (_K * ScalarExpr.delta(var_tok("p"), var_tok("q")) + _W, _K * _W - _R2),
+    (_K * ScalarExpr.symbol("d_pq") + _W, _K * _W - _R2),
     # the constant cancels (1 * -2 against sqrt(2)**2), then k**2 adds -1/2
     # back: the re-added term moves to the end
     (_K + _R2 + ONE, _K + _R2 - rat(2)),
@@ -527,7 +470,7 @@ def test_memoized_product_matches_reference(a, b):
 
 def test_equal_term_keys_are_one_object():
     p = ScalarExpr.phase([(("t", "t"), qsum_sqrt(F(2))), (("x", "x"), (F(1), F(0), F(-1, 2)))])
-    f_q = ScalarExpr.symbol("f", var_tok("q"))
+    f_q = ScalarExpr.symbol("f_q")
     xi = ScalarExpr.symbol("xi")
     routes = [
         (_X * _Y, _Y * _X),
@@ -536,10 +479,8 @@ def test_equal_term_keys_are_one_object():
                                   (("x", "x"), (F(2), F(0), F(-1)))])),
         (_W * _W * _X, _X * _R2),
         (_W * _W * _W * _W, rat(F(1, 8))),  # the constant key
-        (ScalarExpr.delta(var_tok("p"), var_tok("q")) * _X,
-         _X * ScalarExpr.delta(var_tok("q"), var_tok("p"))),
-        (delta_contract(f_q * ScalarExpr.delta(var_tok("p"), var_tok("q")), "q", [0, 1]),
-         ScalarExpr.symbol("f", var_tok("p"))),
+        (f_q * _X, _X * f_q),
+        ((f_q * xi).partial_symbol("xi"), f_q),
         ((xi * xi * p).partial_symbol("xi"), xi * p),
         (p.d_dt("t"), _R2 * p),
         (p.translate_space("x", "a"),
