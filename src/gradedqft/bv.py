@@ -407,7 +407,7 @@ def lagrangian_matter(theory: TheorySpec) -> FiberPoly:
                 g = GAMMA[lam].rows[al][be]
                 if g.is_zero():
                     continue
-                gs = half_i * ScalarExpr.gaussian(g)
+                gs = half_i * g
                 for i in range(theory.n_f):
                     add_into(acc, (FiberPoly.coord(theory.psibar(al, i)) *
                                    covariant_dpsi(theory, be, i, lam)).scale(gs).terms)

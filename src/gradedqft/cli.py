@@ -46,6 +46,7 @@ class ConfigError(Exception):
 class EvalError(Exception):
     def __init__(self, msg: str, pos: int):
         super().__init__(f"column {pos}: {msg}")
+        self.msg = msg
         self.pos = pos
 
 
@@ -503,9 +504,13 @@ class Evaluator:
             need(2)
             return super_bracket(self.operator(args[0]), self.operator(args[1]))
         if fname in ("absorb", "emit"):
-            need(2)
-            mode = self.mode(args[0])
-            idx = self.index(args[1], self.ctx.lattice.scalar_dim)
+            usage = f"{fname}(mode, index) builds a scalar-sector generator"
+            try:
+                need(2)
+                mode = self.mode(args[0])
+                idx = self.index(args[1], self.ctx.lattice.scalar_dim)
+            except EvalError as exc:
+                raise EvalError(f"{exc.msg}; {usage}", exc.pos) from None
             species = ABSORB if fname == "absorb" else EMIT
             posn = UPPER if fname == "absorb" else LOWER
             return GradedExpr.of(OpGen(species, posn, "scalar", mode.id, (idx,)))

@@ -13,8 +13,10 @@ Conventions, fixed once for the whole engine:
   e^{-i<p,x>} phase.
 * the conjugate field carries emission of particles and -/+ absorption
   of anti-particles: plus sign for bosons, minus for fermions.  For the
-  Dirac sector the dressing is the inverse boost, for ghosts the minus
-  sign lands on the anti-ghost absorption term.
+  Dirac sector the field is dressed with the boost K(p) and its
+  conjugate with K^-1 = gamma^0 K+ gamma^0, both from ``gammas.boost``
+  (exact for every momentum), the same K the dirac identities check; for
+  ghosts the minus sign lands on the anti-ghost absorption term.
 
 Propagator mode sums:
 
@@ -48,7 +50,7 @@ from .algebra import (
     koszul_product,
     super_bracket,
 )
-from .gammas import GAMMA, METRIC
+from .gammas import GAMMA, METRIC, OnShellMomentum, boost
 from .lie import constant_entries
 from .linear import add_into, add_term
 from .scalars import (
@@ -295,40 +297,10 @@ class FieldExpr:
 
 # --- Dirac dressing ------------------------------------------------------
 
-#: gamma^i gamma^0 for i = 1, 2, 3, as rows of Gaussian rationals
-_GAMMA_I0 = tuple((GAMMA[i] @ GAMMA[0]).rows for i in (1, 2, 3))
-
-
 def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
-    """(K, Kinv) as 4x4 tuples of ScalarExpr, exact for any momentum.
-
-    K = kw * ((m+E) 1 + p_i gamma^i gamma^0), Kinv = gamma^0 K gamma^0.
-    Built once per lattice and mode.
-    """
-    return lattice._cached(("dressing", mode),
-                           lambda: _dirac_dressing(lattice, mode))
-
-
-def _dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
-    m = lattice.mass("dirac")
-    row = lattice.row("dirac", mode)
-    kw = ScalarExpr.boost_weight(m, row.energy_sq)
-    me = row.energy + ScalarExpr.rational(m)
-    sg = [[GaussianRational(0)] * 4 for _ in range(4)]
-    for blk, p in zip(_GAMMA_I0, mode.momentum):
-        if p:
-            for a in range(4):
-                for b in range(4):
-                    sg[a][b] = sg[a][b] + blk[a][b] * p
-    k = [[ScalarExpr.zero()] * 4 for _ in range(4)]
-    kinv = [[ScalarExpr.zero()] * 4 for _ in range(4)]
-    for a in range(4):
-        for b in range(4):
-            diag = me if a == b else ScalarExpr.zero()
-            off = ScalarExpr.gaussian(sg[a][b])
-            k[a][b] = kw * (diag + off)
-            kinv[a][b] = kw * (diag - off)
-    return tuple(map(tuple, k)), tuple(map(tuple, kinv))
+    """(K, Kinv) = ``gammas.boost`` of the mode, built once per lattice and mode."""
+    return lattice._cached(("dressing", mode), lambda: boost(
+        OnShellMomentum.make(mode.momentum, lattice.mass("dirac"))))
 
 
 # --- field constructors ---------------------------------------------------
@@ -351,8 +323,8 @@ def _generic_expansions(s: str) -> dict:
 #: (constructor, field sector) -> rows of the expansion over one lattice
 #: mode: (species, index position, operator sector, phase sign, sign,
 #: dressing).  Phase sign +1 is e^{-i<p,x>}, -1 its conjugate.  A Dirac
-#: row repeats over the two spin slots s with coefficient k[al][s + o]
-#: (dressing ("k", o)) or kinv[s + o][al] (("kinv", o)); every other row
+#: row repeats over the two spin slots s with coefficient k[al, s + o]
+#: (dressing ("k", o)) or kinv[s + o, al] (("kinv", o)); every other row
 #: keeps the component's own internal index.
 _EXPANSIONS = {
     **_generic_expansions("scalar"),
@@ -409,7 +381,7 @@ def _mode_sum(kind: str, sector: str, internal: tuple, x: FieldPoint,
                 else:
                     mat, off = dressing
                     al = internal[0]
-                    entry = k[al][slot + off] if mat == "k" else kinv[slot + off][al]
+                    entry = k[al, slot + off] if mat == "k" else kinv[slot + off, al]
                     coeff, idx = entry * w * phase[ph], (slot,)
                 if sign != 1:
                     coeff = coeff * ScalarExpr.rational(sign)
@@ -594,7 +566,7 @@ def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
 
 def _gamma0_sum(fields: list, coeffs, factor: ScalarExpr) -> GradedExpr:
     """sum_rho factor * coeffs[rho] * fields[rho] over the nonzero coeffs."""
-    return GradedExpr.sum(fields[rho].scale(factor * ScalarExpr.gaussian(g))
+    return GradedExpr.sum(fields[rho].scale(factor * g)
                           for rho, g in enumerate(coeffs) if not g.is_zero())
 
 

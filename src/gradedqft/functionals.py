@@ -63,10 +63,6 @@ class FunctionalResult:
     def time_independent(self) -> bool:
         return not any(c.has_time_dependence() for c in self.reduced.terms.values())
 
-    @property
-    def vacuum_expectation_zero(self) -> bool:
-        return self.reduced.scalar_part().is_zero()
-
 
 def density_product(*factors: FieldExpr) -> GradedExpr:
     """Product of field components at a common point, modified rule."""
@@ -170,8 +166,7 @@ def dirac_charge(lattice: ModeLattice) -> FunctionalResult:
             g = GAMMA[0].rows[al][be]
             if g.is_zero():
                 continue
-            add_into(dens, density_product(psib[al], psi[be]).scale(
-                ScalarExpr.gaussian(g)).terms)
+            add_into(dens, density_product(psib[al], psi[be]).scale(g).terms)
     red = spatial_integral(GradedExpr(dens), x)
     return FunctionalResult("dirac_charge", red, dirac_charge_target(lattice))
 
@@ -187,11 +182,10 @@ def four_momentum(sector: str, lam: int, lattice: ModeLattice) -> FunctionalResu
                 g = GAMMA[0].rows[al][be]
                 if g.is_zero():
                     continue
-                gs = ScalarExpr.gaussian(g)
                 add_into(dens, density_product(psib[al].deriv(lam), psi[be]).scale(
-                    -(ScalarExpr.rational(F(1, 2)) * _I * gs)).terms)
+                    -(ScalarExpr.rational(F(1, 2)) * _I * g)).terms)
                 add_into(dens, density_product(psib[al], psi[be].deriv(lam)).scale(
-                    ScalarExpr.rational(F(1, 2)) * _I * gs).terms)
+                    ScalarExpr.rational(F(1, 2)) * _I * g).terms)
         red = spatial_integral(GradedExpr(dens), x)
         return FunctionalResult(f"dirac_momentum[{lam}]", red,
                                 dirac_momentum_target(lattice, lam))
@@ -252,7 +246,7 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
                     g = GAMMA[i].rows[al][be]
                     if g.is_zero():
                         continue
-                    gs = ScalarExpr.gaussian(g) * _I * ScalarExpr.rational(F(1, 2))
+                    gs = g * _I * ScalarExpr.rational(F(1, 2))
                     add_into(dens, density_product(
                         psib[al].deriv(i), psi[be]).scale(gs).terms)
                     add_into(dens, density_product(

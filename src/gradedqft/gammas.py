@@ -4,16 +4,19 @@ Metric signature is (+,-,-,-).  gamma^0 is diagonal (1,1,-1,-1), the
 spatial gammas are the off-diagonal Pauli blocks, so all entries are
 Gaussian rationals and Clifford relations hold exactly.
 
-The boost K(p) that dresses the Dirac modes factors as
+A :class:`SpinMatrix` holds exact ``ScalarExpr`` entries, so one path
+serves every on-shell momentum, rational energy or not.  With
+E = sqrt(m^2 + |p|^2):
 
-    K(p) = M(p) / sqrt(D),   D = 2 m (E + m),
-    M(p) = (m + E) 1 + p_i gamma^i gamma^0,
+    slash(p) = p_lambda gamma^lambda,
+    K(p)     = kw ((m + E) 1 + p_i gamma^i gamma^0),   kw = (2 m (E + m))^-1/2,
+    K^-1(p)  = gamma^0 K+ gamma^0 = kw ((m + E) 1 - p_i gamma^i gamma^0),
+    P+-(p)   = (m 1 +- slash(p)) / 2m.
 
-with E = sqrt(m^2 + |p|^2).  ``boost_parts`` returns (D, M) so callers can
-keep the prefactor exact; ``boost_K`` assembles the matrix and falls back
-to floats when sqrt(D) is irrational.  The inverse is the Dirac adjoint
-K^-1 = gamma^0 K+ gamma^0 (K is an isometry of the signature-(2,2)
-Hermitian form, not of the Euclidean one).
+``boost`` returns (K, K^-1): the fields dress their Dirac modes with it
+and the dirac identities check it.  K is an isometry of the
+signature-(2,2) Hermitian form gamma^0, not of the Euclidean one.
+``boost_K_float`` is the one float K, for the 1e-12 unitarity check.
 
 On-shell spatial momenta are stored as covariant components, so
 p_lambda = (E, p1, p2, p3) literally and slash(p) = p_lambda gamma^lambda.
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .scalars import GR_I, GR_ONE, GR_ZERO, GaussianRational, ScalarExpr, canonical_sqrt
+from .scalars import GR_I, GR_ONE, GR_ZERO, ScalarExpr
 
 F = Fraction
 
@@ -38,21 +41,21 @@ class MasslessMomentumError(GammaError):
     """The requested construction is singular at zero mass."""
 
 
-def _gr(x) -> GaussianRational:
-    if isinstance(x, GaussianRational):
-        return x
-    return GaussianRational(F(x))
+def _scalar(x) -> ScalarExpr:
+    return x if isinstance(x, ScalarExpr) else ScalarExpr.gaussian(x)
 
 
 class SpinMatrix:
-    """4x4 matrix over Gaussian rationals."""
+    """4x4 matrix over exact scalars (GaussianRational, int and Fraction
+    entries are coerced to ``ScalarExpr``); ``m[i, j]`` is an entry."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise GammaError("SpinMatrix must be 4x4")
-        object.__setattr__(self, "rows", tuple(tuple(_gr(x) for x in r) for r in rows))
+        object.__setattr__(self, "rows",
+                           tuple(tuple(_scalar(x) for x in r) for r in rows))
 
     def __setattr__(self, *a):
         raise AttributeError("SpinMatrix is immutable")
@@ -84,37 +87,27 @@ class SpinMatrix:
         return SpinMatrix([[-a for a in r] for r in self.rows])
 
     def scale(self, s) -> "SpinMatrix":
-        s = _gr(s) if not isinstance(s, (int, Fraction)) else s
-        return SpinMatrix([[a * s for a in r] for r in self.rows])
+        """s times each entry, with s multiplying from the left."""
+        return SpinMatrix([[s * a for a in r] for r in self.rows])
 
     def __matmul__(self, other: "SpinMatrix") -> "SpinMatrix":
-        rows = []
-        for i in range(4):
-            row = []
-            for j in range(4):
-                acc = GR_ZERO
-                for k in range(4):
-                    acc = acc + self.rows[i][k] * other.rows[k][j]
-                row.append(acc)
-            rows.append(row)
-        return SpinMatrix(rows)
+        return SpinMatrix([[ScalarExpr.sum(self.rows[i][k] * other.rows[k][j]
+                                           for k in range(4))
+                            for j in range(4)] for i in range(4)])
 
     def dagger(self) -> "SpinMatrix":
         return SpinMatrix([[self.rows[j][i].conjugate() for j in range(4)]
                            for i in range(4)])
 
-    def trace(self) -> GaussianRational:
-        t = GR_ZERO
-        for i in range(4):
-            t = t + self.rows[i][i]
-        return t
+    def trace(self) -> ScalarExpr:
+        return ScalarExpr.sum(self.rows[i][i] for i in range(4))
 
     def column(self, j: int) -> tuple:
         return tuple(self.rows[i][j] for i in range(4))
 
-    def apply(self, v: Sequence[GaussianRational]) -> tuple:
-        return tuple(sum((self.rows[i][k] * v[k] for k in range(4)),
-                         start=GR_ZERO) for i in range(4))
+    def apply(self, v: Sequence[ScalarExpr]) -> tuple:
+        return tuple(ScalarExpr.sum(self.rows[i][k] * v[k] for k in range(4))
+                     for i in range(4))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinMatrix):
@@ -125,17 +118,16 @@ class SpinMatrix:
         return hash(self.rows)
 
     def to_complex(self) -> list[list[complex]]:
-        return [[complex(x) for x in r] for r in self.rows]
+        return [[x.evaluate() for x in r] for r in self.rows]
 
     def __repr__(self) -> str:
         return "SpinMatrix(" + "; ".join(
             " ".join(repr(x) for x in r) for r in self.rows) + ")"
 
 
-_I = GR_I
 _PAULI = (
     ((GR_ZERO, GR_ONE), (GR_ONE, GR_ZERO)),
-    ((GR_ZERO, -_I), (_I, GR_ZERO)),
+    ((GR_ZERO, -GR_I), (GR_I, GR_ZERO)),
     ((GR_ONE, GR_ZERO), (GR_ZERO, -GR_ONE)),
 )
 
@@ -172,19 +164,10 @@ def anticommutator(a: SpinMatrix, b: SpinMatrix) -> SpinMatrix:
     return a @ b + b @ a
 
 
-def dirac_adjoint(m: SpinMatrix) -> SpinMatrix:
-    """Adjoint with respect to the signature-(2,2) form: gamma^0 m+ gamma^0."""
-    return GAMMA[0] @ m.dagger() @ GAMMA[0]
-
-
 @dataclass(frozen=True, slots=True)
 class OnShellMomentum:
-    """Covariant spatial momentum components with mass and on-shell energy.
-
-    ``energy`` is exact (a Fraction) when m^2+|p|^2 is a perfect rational
-    square, else it is carried as the squared value with exact radical
-    arithmetic happening downstream.
-    """
+    """Covariant spatial momentum components with mass and the on-shell
+    energy squared; the energy itself is the exact ``energy_scalar``."""
 
     spatial: tuple
     mass: Fraction
@@ -200,16 +183,16 @@ class OnShellMomentum:
         return OnShellMomentum(spatial, mass, esq)
 
     @property
-    def energy_exact(self) -> Fraction | None:
-        c, d = canonical_sqrt(self.energy_sq)
-        return c if d == 1 else None
-
-    @property
     def energy_float(self) -> float:
         return float(self.energy_sq) ** 0.5
 
     def energy_scalar(self) -> ScalarExpr:
         return ScalarExpr.energy(self.energy_sq)
+
+
+def _require_mass(p: OnShellMomentum, what: str) -> None:
+    if p.mass == 0:
+        raise MasslessMomentumError(f"{what}: singular at zero mass")
 
 
 def slash_spatial(p: OnShellMomentum) -> SpinMatrix:
@@ -222,132 +205,32 @@ def slash_spatial(p: OnShellMomentum) -> SpinMatrix:
 
 
 def slash(p: OnShellMomentum) -> SpinMatrix:
-    """p_lambda gamma^lambda; requires a rational on-shell energy."""
-    e = p.energy_exact
-    if e is None:
-        raise GammaError("slash needs a rational on-shell energy; "
-                         "use the symbolic field layer otherwise")
-    return GAMMA[0].scale(e) + slash_spatial(p)
+    """p_lambda gamma^lambda, exact for any on-shell energy."""
+    return GAMMA[0].scale(p.energy_scalar()) + slash_spatial(p)
 
 
-def boost_parts(p: OnShellMomentum) -> tuple[Fraction | None, SpinMatrix]:
-    """(D, M) with K = M / sqrt(D); D is None when the energy is irrational
-    (callers then use ScalarExpr.boost_weight with the energy square)."""
-    if p.mass == 0:
-        raise MasslessMomentumError("boost matrix is singular at zero mass")
-    e = p.energy_exact
-    if e is None:
-        return None, None
-    d = 2 * p.mass * (e + p.mass)
-    m = SpinMatrix.identity().scale(p.mass + e) + slash_spatial(p) @ GAMMA[0]
-    return d, m
-
-
-def boost_K(p: OnShellMomentum) -> SpinMatrix | list[list[complex]]:
-    """The momentum dressing K(p).
-
-    Exact SpinMatrix when sqrt(2m(E+m)) is rational; otherwise a complex
-    float matrix (tolerance 1e-12 checks apply downstream).
-    """
-    if p.mass == 0:
-        raise MasslessMomentumError("boost matrix is singular at zero mass")
-    e = p.energy_exact
-    if e is not None:
-        d, m = boost_parts(p)
-        c, rad = canonical_sqrt(F(1) / d)
-        if rad == 1:
-            return m.scale(c)
-    return boost_K_float(p)
+def boost(p: OnShellMomentum) -> tuple[SpinMatrix, SpinMatrix]:
+    """(K, K^-1) of the momentum, exact for any on-shell energy."""
+    _require_mass(p, "boost matrix")
+    kw = ScalarExpr.boost_weight(p.mass, p.energy_sq)
+    diag = SpinMatrix.identity().scale(p.energy_scalar() + ScalarExpr.rational(p.mass))
+    sg = slash_spatial(p) @ GAMMA[0]
+    return (diag + sg).scale(kw), (diag - sg).scale(kw)
 
 
 def boost_K_float(p: OnShellMomentum) -> list[list[complex]]:
-    if p.mass == 0:
-        raise MasslessMomentumError("boost matrix is singular at zero mass")
-    e = p.energy_float
-    m = float(p.mass)
+    """K(p) in floats: the one float path, for ``dirac.boost_unitary``."""
+    _require_mass(p, "boost matrix")
+    e, m = p.energy_float, float(p.mass)
     pref = (2.0 * m * (e + m)) ** -0.5
-    base = SpinMatrix.identity().scale(F(1))
-    mat = [[complex(x) * (m + e) for x in r] for r in base.rows]
     sg = (slash_spatial(p) @ GAMMA[0]).to_complex()
-    return [[pref * (mat[i][j] + sg[i][j]) for j in range(4)] for i in range(4)]
-
-
-def boost_K_inverse_parts(p: OnShellMomentum) -> tuple[Fraction | None, SpinMatrix]:
-    """(D, M') with K^-1 = M'/sqrt(D); M' = gamma^0 M gamma^0."""
-    d, m = boost_parts(p)
-    if m is None:
-        return None, None
-    return d, GAMMA[0] @ m @ GAMMA[0]
-
-
-def shell_projectors(p: OnShellMomentum) -> tuple[SpinMatrix, SpinMatrix]:
-    """(m 1 +/- slash(p)) / 2m, exact; rational energy required."""
-    if p.mass == 0:
-        raise MasslessMomentumError("shell projectors are singular at zero mass")
-    s = slash(p)
-    half = F(1, 2) / p.mass
-    ident = SpinMatrix.identity().scale(p.mass)
-    return ((ident + s).scale(half), (ident - s).scale(half))
-
-
-def shell_projectors_float(p: OnShellMomentum) -> tuple[list, list]:
-    """Float projectors for momenta with irrational on-shell energy."""
-    if p.mass == 0:
-        raise MasslessMomentumError("shell projectors are singular at zero mass")
-    e = p.energy_float
-    sl = [[complex(x) for x in r] for r in slash_spatial(p).rows]
-    for i in range(4):
-        sl[i][i] += e * complex(GAMMA[0].rows[i][i])
-    m = float(p.mass)
-    plus = [[((m if i == j else 0.0) + sl[i][j]) / (2 * m) for j in range(4)]
+    return [[pref * ((m + e if i == j else 0.0) + sg[i][j]) for j in range(4)]
             for i in range(4)]
-    minus = [[((m if i == j else 0.0) - sl[i][j]) / (2 * m) for j in range(4)]
-             for i in range(4)]
-    return plus, minus
 
 
-@dataclass(frozen=True, slots=True)
-class DiracFrame:
-    """Columns of K(p) applied to the rest frame basis: u spans the
-    positive shell, v the negative one.  Columns carry the common
-    1/sqrt(radicand) prefactor separately to stay exact."""
-
-    radicand: Fraction
-    u: tuple  # two 4-component columns
-    v: tuple
-
-
-def dirac_frame(p: OnShellMomentum) -> DiracFrame:
-    d, m = boost_parts(p)
-    if m is None:
-        raise GammaError("dirac_frame needs a rational on-shell energy")
-    return DiracFrame(d, (m.column(0), m.column(1)), (m.column(2), m.column(3)))
-
-
-def slash_symbolic(p: OnShellMomentum) -> list[list[ScalarExpr]]:
-    """p_lambda gamma^lambda with the energy kept as an exact radical."""
-    e = p.energy_scalar()
-    out = [[ScalarExpr.zero() for _ in range(4)] for _ in range(4)]
-    sp = slash_spatial(p)
-    for i in range(4):
-        for j in range(4):
-            out[i][j] = e * ScalarExpr.gaussian(GAMMA[0].rows[i][j]) + \
-                ScalarExpr.gaussian(sp.rows[i][j])
-    return out
-
-
-def shell_projector_symbolic(p: OnShellMomentum, sign: int) -> list[list[ScalarExpr]]:
-    """(m 1 + sign * slash(p)) / 2m as exact scalar entries, any energy."""
-    if p.mass == 0:
-        raise MasslessMomentumError("shell projectors are singular at zero mass")
-    sl = slash_symbolic(p)
+def shell_projector(p: OnShellMomentum, sign: int) -> SpinMatrix:
+    """(m 1 + sign slash(p)) / 2m, exact for any on-shell energy."""
+    _require_mass(p, "shell projector")
+    ident, s = SpinMatrix.identity().scale(p.mass), slash(p)
     half = ScalarExpr.rational(F(1, 2) / p.mass)
-    out = []
-    for i in range(4):
-        row = []
-        for j in range(4):
-            diag = ScalarExpr.rational(p.mass) if i == j else ScalarExpr.zero()
-            entry = (diag + (sl[i][j] if sign > 0 else -sl[i][j])) * half
-            row.append(entry)
-        out.append(row)
-    return out
+    return (ident + s if sign > 0 else ident - s).scale(half)

@@ -35,7 +35,7 @@ from .fields import (
     star_field,
 )
 from .gammas import GAMMA, METRIC, OnShellMomentum, SpinMatrix, anticommutator, \
-    boost_K_float, dirac_frame, gamma, shell_projectors
+    boost, boost_K_float, gamma, shell_projector
 from .linear import add_into
 from .scalars import GaussianRational, ScalarExpr
 
@@ -93,21 +93,6 @@ class RunContext:
         if self.corrupt_constant is None:
             return cs
         return lie_mod.corrupt_constants(cs, self.corrupt_constant)
-
-
-def default_context(seed: int = 7) -> RunContext:
-    lattice = ModeLattice.make(
-        [(0, 0, 0), (1, 0, 0), (-1, 0, 0)],
-        {"scalar": 1, "fermion": 1, "dirac": 1}, scalar_dim=2, lie_dim=3)
-    nozero = ModeLattice.make(
-        [(1, 0, 0), (-1, 0, 0)],
-        {"scalar": 1, "fermion": 1, "dirac": 1}, scalar_dim=2, lie_dim=3)
-    cube = ModeLattice.make(
-        [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)],
-        {"scalar": 1, "fermion": 1, "dirac": 1}, scalar_dim=2, lie_dim=3)
-    data = lie_mod.su2()
-    return RunContext(lattice, nozero, cube, data,
-                      bv.TheorySpec.make(data), seed)
 
 
 # -------------------------------------------------------------------------
@@ -388,10 +373,10 @@ def _dressed_dirac_ops(mode, k, kinv, al: int, be: int) -> tuple:
     def dressed(species, pos, sector, coeff):
         return GradedExpr({(OpGen(species, pos, sector, mode.id, (aa,)),): coeff(aa)
                            for aa in range(2)})
-    return (dressed(EMIT, LOWER, "dirac_particle", lambda aa: kinv[aa][al]),
-            dressed(ABSORB, UPPER, "dirac_particle", lambda aa: k[be][aa]),
-            dressed(ABSORB, LOWER, "dirac_antiparticle", lambda aa: kinv[aa + 2][al]),
-            dressed(EMIT, UPPER, "dirac_antiparticle", lambda aa: k[be][aa + 2]))
+    return (dressed(EMIT, LOWER, "dirac_particle", lambda aa: kinv[aa, al]),
+            dressed(ABSORB, UPPER, "dirac_particle", lambda aa: k[be, aa]),
+            dressed(ABSORB, LOWER, "dirac_antiparticle", lambda aa: kinv[aa + 2, al]),
+            dressed(EMIT, UPPER, "dirac_antiparticle", lambda aa: k[be, aa + 2]))
 
 
 def dirac_suite() -> list:
@@ -413,7 +398,7 @@ def dirac_suite() -> list:
             mass = F(rng.randint(1, 5), rng.randint(1, 3))
             p = OnShellMomentum.make(spatial, mass)
             k = boost_K_float(p)
-            g0 = [[complex(v) for v in r] for r in GAMMA[0].rows]
+            g0 = GAMMA[0].to_complex()
 
             def mul(a, b):
                 return [[sum(a[i][l] * b[l][j] for l in range(4))
@@ -428,8 +413,8 @@ def dirac_suite() -> list:
         return CheckResult.numeric(worst)
 
     def boost_rest(ctx):
-        from .gammas import boost_K
-        ok = boost_K(OnShellMomentum.make((0, 0, 0), F(2))) == SpinMatrix.identity()
+        k, _ = boost(OnShellMomentum.make((0, 0, 0), F(2)))
+        ok = k == SpinMatrix.identity()
         return CheckResult.boolean(ok)
 
     def projectors(ctx):
@@ -437,34 +422,33 @@ def dirac_suite() -> list:
         for spatial, mass in [((4, 0, 0), F(3)), ((0, 3, 0), F(4)),
                               ((0, 0, 12), F(5))]:
             p = OnShellMomentum.make(spatial, mass)
-            pp, pm = shell_projectors(p)
+            pp, pm = shell_projector(p, +1), shell_projector(p, -1)
             if pp @ pp != pp or pm @ pm != pm:
                 bad += 1
             if pp @ pm != SpinMatrix.zero():
                 bad += 1
             if pp + pm != SpinMatrix.identity():
                 bad += 1
-            if pp.trace() != GaussianRational(2):
+            if pp.trace() != ScalarExpr.rational(2):
                 bad += 1
         return CheckResult.exact(bad)
 
     def mode_brackets(ctx):
-        from .gammas import shell_projector_symbolic
         lat = ctx.lattice_nozero
         bad = 0
         for mode in lat.modes:
             k, kinv = dirac_dressing(lat, mode)
             p = OnShellMomentum.make(mode.momentum, lat.mass("dirac"))
-            pi_p = shell_projector_symbolic(p, +1)
-            pi_m = shell_projector_symbolic(p, -1)
+            pi_p = shell_projector(p, +1)
+            pi_m = shell_projector(p, -1)
             for al in range(4):
                 for be in range(4):
                     adag, a_up, c_dn, cdag = _dressed_dirac_ops(
                         mode, k, kinv, al, be)
                     br = alg.super_bracket(adag, a_up)
-                    bad += (br - GradedExpr.unit(pi_p[be][al])).n_terms
+                    bad += (br - GradedExpr.unit(pi_p[be, al])).n_terms
                     br2 = alg.super_bracket(c_dn, cdag)
-                    bad += (br2 - GradedExpr.unit(pi_m[be][al])).n_terms
+                    bad += (br2 - GradedExpr.unit(pi_m[be, al])).n_terms
                     bad += alg.super_bracket(adag, cdag).n_terms
                     bad += alg.super_bracket(c_dn, a_up).n_terms
         return CheckResult.exact(bad)
@@ -490,8 +474,7 @@ def dirac_suite() -> list:
                 for lam in range(4):
                     g = GAMMA[lam].rows[be][al]
                     if not g.is_zero():
-                        want = want + ScalarExpr.i() * ScalarExpr.gaussian(g) \
-                            * d_der[lam]
+                        want = want + ScalarExpr.i() * g * d_der[lam]
                 want = want * ScalarExpr.rational(F(1, 2) / m)
                 bad += (got - want).n_terms
         return CheckResult.exact(bad)
@@ -500,13 +483,11 @@ def dirac_suite() -> list:
         bad = 0
         for spatial, mass in [((4, 0, 0), F(3)), ((3, 0, 4), F(12))]:
             p = OnShellMomentum.make(spatial, mass)
-            fr = dirac_frame(p)
-            pp, pm = shell_projectors(p)
-            for col in fr.u:
-                if pp.apply(col) != col:
-                    bad += 1
-            for col in fr.v:
-                if pm.apply(col) != col:
+            k, _ = boost(p)
+            pp, pm = shell_projector(p, +1), shell_projector(p, -1)
+            for j in range(4):
+                col = k.column(j)
+                if (pp if j < 2 else pm).apply(col) != col:
                     bad += 1
         return CheckResult.exact(bad)
 
@@ -907,18 +888,17 @@ def oracle_suite() -> list:
 
     def dirac_ops(ctx):
         lat, _, _, spd, _ = spaces(ctx)
-        from .gammas import shell_projector_symbolic
         worst = 0.0
         for mode in lat.modes:
             k, kinv = dirac_dressing(lat, mode)
             p = OnShellMomentum.make(mode.momentum, lat.mass("dirac"))
-            pi_p = shell_projector_symbolic(p, +1)
+            pi_p = shell_projector(p, +1)
             for al in range(4):
                 for be in range(4):
                     adag, a_up, _, _ = _dressed_dirac_ops(mode, k, kinv, al, be)
                     br = alg.super_bracket(adag, a_up)
                     worst = max(worst, orc.residual(
-                        br, GradedExpr.unit(pi_p[be][al]), spd, _BIND))
+                        br, GradedExpr.unit(pi_p[be, al]), spd, _BIND))
         return CheckResult.numeric(worst)
 
     def functionals_oracle(ctx):

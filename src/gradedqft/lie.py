@@ -4,7 +4,7 @@ Generators are anti-Hermitian n x n matrices over Gaussian rationals.
 ``structure_constants`` expands commutators exactly in the given basis
 (raising a non-closure error when the expansion has a residual), the
 trace forms G(X,Y) = Re Tr(XY) and H(X,Y) = Tr(X+ Y) are computed
-exactly, and index raising/lowering uses the positive metric H.
+exactly, and index lowering uses the positive metric H.
 
 Presets: u(1), su(2) with l_I = -(i/2) sigma_I (structure constants are
 the Levi-Civita epsilon), and su(3) in a rescaled Gell-Mann basis whose
@@ -219,85 +219,6 @@ def hermitian_real_part(h_m) -> tuple:
     return tuple(out)
 
 
-def signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
-    """(positive, negative) inertia of a rational symmetric matrix,
-    by exact Lagrange congruence reduction."""
-    a = [list(map(F, row)) for row in sym]
-    n = len(a)
-    pos = neg = 0
-    idx = list(range(n))
-    while idx:
-        piv = next((i for i in idx if a[i][i] != 0), None)
-        if piv is None:
-            pair = next(((i, j) for i in idx for j in idx
-                         if j != i and a[i][j] != 0), None)
-            if pair is None:
-                break  # remaining block is zero
-            i, j = pair
-            for k in range(n):
-                a[i][k] += a[j][k]
-            for k in range(n):
-                a[k][i] += a[k][j]
-            piv = i
-        d = a[piv][piv]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        idx.remove(piv)
-        for i in idx:
-            f = a[i][piv] / d
-            if f:
-                for k in range(n):
-                    a[i][k] -= f * a[piv][k]
-                for k in range(n):
-                    a[k][i] -= f * a[k][piv]
-    return pos, neg
-
-
-def jacobi_residual(constants) -> Fraction:
-    """Max |sum_L (c^I_JL c^L_HK + c^I_HL c^L_KJ + c^I_KL c^L_JH)|."""
-    d = len(constants)
-    worst = F(0)
-    for i in range(d):
-        for j in range(d):
-            for h in range(d):
-                for k in range(d):
-                    s = F(0)
-                    for l in range(d):
-                        s += (constants[i][j][l] * constants[l][h][k]
-                              + constants[i][h][l] * constants[l][k][j]
-                              + constants[i][k][l] * constants[l][j][h])
-                    worst = max(worst, abs(s))
-    return worst
-
-
-def antisymmetry_residual(constants) -> Fraction:
-    d = len(constants)
-    worst = F(0)
-    for i in range(d):
-        for j in range(d):
-            for h in range(d):
-                worst = max(worst, abs(constants[i][j][h] + constants[i][h][j]))
-    return worst
-
-
-def _inverse(sym: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
-    n = len(sym)
-    aug = [list(map(F, sym[i])) + [F(1) if j == i else F(0) for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        d = aug[c][c]
-        aug[c] = [x / d for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def lower_first_index(constants, h_metric) -> tuple:
     """c_IJH = H_II' c^I'_JH."""
     d = len(constants)
@@ -308,23 +229,6 @@ def lower_first_index(constants, h_metric) -> tuple:
                 out[i][j][h] = sum((h_metric[i][ip] * constants[ip][j][h]
                                     for ip in range(d)), start=F(0))
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
-
-
-def raise_first_index(lowered, h_metric) -> tuple:
-    return lower_first_index(lowered, _inverse(h_metric))
-
-
-def total_antisymmetry_residual(lowered) -> Fraction:
-    """Residual of full antisymmetry of the lowered constants."""
-    d = len(lowered)
-    worst = F(0)
-    for i in range(d):
-        for j in range(d):
-            for h in range(d):
-                worst = max(worst,
-                            abs(lowered[i][j][h] + lowered[j][i][h]),
-                            abs(lowered[i][j][h] + lowered[i][h][j]))
-    return worst
 
 
 # --- presets -----------------------------------------------------------
@@ -370,28 +274,6 @@ def su3() -> LieData:
                               else GaussianRational(F(x))) for x in row]
                      for row in m])
     return LieData.from_generators(gens)
-
-
-def unitary_basis(n: int) -> list:
-    """Anti-Hermitian basis of all of u(n): n^2 matrices."""
-    i = GaussianRational(0, 1)
-    zero = GaussianRational(0)
-    gens = []
-    for k in range(n):
-        m = [[zero] * n for _ in range(n)]
-        m[k][k] = i
-        gens.append(m)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m = [[zero] * n for _ in range(n)]
-            m[a][b] = GaussianRational(1)
-            m[b][a] = GaussianRational(-1)
-            gens.append(m)
-            m2 = [[zero] * n for _ in range(n)]
-            m2[a][b] = i
-            m2[b][a] = i
-            gens.append(m2)
-    return gens
 
 
 PRESETS = {"u1": u1, "su2": su2, "su3": su3}

@@ -16,7 +16,7 @@ from gradedqft import functionals as fn
 from gradedqft import lie as lie_mod
 from gradedqft import oracle as orc
 from gradedqft.algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen
-from gradedqft.cli import load_config, render_report, run_verify
+from gradedqft.cli import context_from_config, load_config, render_report, run_verify
 from gradedqft.fields import (
     FieldPoint,
     ModeLattice,
@@ -29,12 +29,15 @@ from gradedqft.fields import (
     propagator_D,
     propagator_D_total,
 )
-from gradedqft.gammas import OnShellMomentum, SpinMatrix, boost_K, \
-    shell_projectors
-from gradedqft.identities import default_context
+from gradedqft.gammas import OnShellMomentum, SpinMatrix, boost, shell_projector
 from gradedqft.scalars import GaussianRational, ScalarExpr
 
 F = Fraction
+
+
+def default_context():
+    """The run context of the default config."""
+    return context_from_config(load_config(None))
 
 
 class Budget:
@@ -124,7 +127,7 @@ def test_criterion_03_field_supercommutator_table():
 
 def test_criterion_04_dirac_suite():
     with Budget(4, "Dirac boosts, projectors, anticommutators", 30):
-        from gradedqft.identities import default_context, dirac_suite
+        from gradedqft.identities import dirac_suite
         ctx = default_context()
         # engineered rational momenta for the exact operator identities
         ctx.lattice_nozero = ModeLattice.make(
@@ -132,9 +135,10 @@ def test_criterion_04_dirac_suite():
         for ident in dirac_suite():
             res = ident.run(ctx)
             assert res.status == "pass", (ident.name, res.residual)
-        assert boost_K(OnShellMomentum.make((0, 0, 0), F(5))) == \
-            SpinMatrix.identity()
-        pp, pm = shell_projectors(OnShellMomentum.make((4, 0, 0), F(3)))
+        k, _ = boost(OnShellMomentum.make((0, 0, 0), F(5)))
+        assert k == SpinMatrix.identity()
+        p = OnShellMomentum.make((4, 0, 0), F(3))
+        pp, pm = shell_projector(p, +1), shell_projector(p, -1)
         assert pp @ pp == pp and pp @ pm == SpinMatrix.zero()
 
 

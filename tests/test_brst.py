@@ -156,10 +156,10 @@ def test_ghost_lagrangian_is_the_decomposed_form():
 
 
 def test_ghost_decomposition_identity_checks_the_written_lagrangian(monkeypatch):
-    from gradedqft import bv, identities
+    from gradedqft import bv, cli, identities
     ident = next(i for i in identities.brst_suite()
                  if i.name == "brst.ghost_decomposition")
-    ctx = identities.default_context()
+    ctx = cli.context_from_config(cli.load_config(None))
     assert ident.run(ctx).status == "pass"
     written = bv.lagrangian_ghost
 
@@ -289,10 +289,11 @@ def test_a_splice_sign_blind_merge_breaks_nilpotency(monkeypatch, dropped):
 
 
 def test_negative_control_leaves_the_shared_su2_preset_intact():
-    from gradedqft import identities, lie
+    from gradedqft import cli, identities, lie
     control = next(i for i in identities.brst_suite()
                    if i.name == "brst.negative_control")
-    assert control.run(identities.default_context()).status == "pass"
+    ctx = cli.context_from_config(cli.load_config(None))
+    assert control.run(ctx).status == "pass"
     assert lie.su2().constants == lie.su2.__wrapped__().constants
 
 

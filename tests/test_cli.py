@@ -196,6 +196,13 @@ def test_eval_examples():
     assert "omega[1]·omega[2]" in txt
 
 
+def test_absorb_and_emit_build_scalar_sector_generators():
+    # absorb(mode, index) and emit(mode, index): the physical product of an
+    # absorption and an emission on different modes has no contraction
+    txt = eval_expr(fast_cfg(), "normal(pprod(absorb(p,0), emit(q,1)))")
+    assert txt == "(1)·a+_(scalar,p1,(1,))·a^(scalar,p0,(0,))"
+
+
 def test_eval_error_positions():
     cfg = fast_cfg()
     with pytest.raises(EvalError) as exc:
@@ -374,6 +381,9 @@ _BAD_EVALS = {
     "two-slashes": ("1/2/3", 0, "malformed number '1/2/3'"),
     "trailing-slash": ("3/", 0, "malformed number '3/'"),
     "two-slashes-in-index": ("field(scalar,1/2/3,x)", 13, "malformed number"),
+    "absorb-sector-as-mode": ("normal(pprod(absorb(fermion,p), emit(fermion,q)))",
+                              20, "'fermion' is not a valid mode; absorb(mode, "
+                              "index) builds a scalar-sector generator"),
 }
 
 

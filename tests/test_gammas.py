@@ -7,25 +7,21 @@ import pytest
 from gradedqft.gammas import (
     GAMMA,
     METRIC,
-    DiracFrame,
     MasslessMomentumError,
     OnShellMomentum,
     SpinMatrix,
     anticommutator,
-    boost_K,
+    boost,
     boost_K_float,
-    boost_K_inverse_parts,
-    boost_parts,
-    dirac_adjoint,
-    dirac_frame,
     gamma,
-    shell_projectors,
+    shell_projector,
     slash,
 )
-from gradedqft.scalars import GaussianRational
+from gradedqft.scalars import ScalarExpr, canonical_sqrt
 
 F = Fraction
 IDENT = SpinMatrix.identity()
+ZERO = SpinMatrix.zero()
 
 # engineered rational-energy momenta: (spatial, mass, energy)
 PYTHAGOREAN = [
@@ -33,13 +29,36 @@ PYTHAGOREAN = [
     ((F(0), F(3), F(0)), F(4), F(5)),
     ((F(3, 4), F(0), F(0)), F(1), F(5, 4)),
     ((F(0), F(0), F(12)), F(5), F(13)),
-    ((F(2), F(3), F(6)), F(0) + F(0), None),  # massless, |p| = 7
 ]
+
+
+def _random_momenta(seed: int, n: int) -> list:
+    """n seeded rational momenta, drawn as dirac.boost_unitary draws them."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        spatial = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
+        out.append(OnShellMomentum.make(spatial, F(rng.randint(1, 5), rng.randint(1, 3))))
+    return out
+
+
+RANDOM = _random_momenta(99, 20)
+MOMENTA = [OnShellMomentum.make(s, m) for s, m, _ in PYTHAGOREAN] + RANDOM
+
+
+def _mul(a, b):
+    return [[sum(a[i][l] * b[l][j] for l in range(4)) for j in range(4)]
+            for i in range(4)]
+
+
+def test_the_random_draws_have_irrational_energies():
+    # so the exact properties below run past the rational-energy momenta
+    assert all(canonical_sqrt(p.energy_sq)[1] != 1 for p in RANDOM)
 
 
 def test_clifford_relations_all_pairs():
     for lam, mu in itertools.product(range(4), range(4)):
-        want = IDENT.scale(2 * METRIC[lam]) if lam == mu else SpinMatrix.zero()
+        want = IDENT.scale(2 * METRIC[lam]) if lam == mu else ZERO
         assert anticommutator(gamma(lam), gamma(mu)) == want
 
 
@@ -54,135 +73,144 @@ def test_gamma_index_range():
         gamma(4)
 
 
-def test_slash_squares_to_mass_squared():
-    for spatial, mass, energy in PYTHAGOREAN[:4]:
+def test_rational_energy_is_a_rational_scalar():
+    for spatial, mass, energy in PYTHAGOREAN:
         p = OnShellMomentum.make(spatial, mass)
-        assert p.energy_exact == energy
+        assert p.energy_scalar() == ScalarExpr.rational(energy)
+
+
+def test_slash_squares_to_mass_squared():
+    for p in MOMENTA:
         s = slash(p)
-        assert s @ s == IDENT.scale(mass * mass)
+        assert s @ s == IDENT.scale(p.mass * p.mass)
 
 
 def test_boost_at_rest_is_identity():
-    p = OnShellMomentum.make((0, 0, 0), F(7, 2))
-    assert boost_K(p) == IDENT
+    k, kinv = boost(OnShellMomentum.make((0, 0, 0), F(7, 2)))
+    assert k == IDENT and kinv == IDENT
 
 
 def test_boost_rejects_massless():
     p = OnShellMomentum.make((1, 0, 0), 0)
     with pytest.raises(MasslessMomentumError):
-        boost_K(p)
+        boost(p)
     with pytest.raises(MasslessMomentumError):
-        shell_projectors(p)
+        boost_K_float(p)
+    with pytest.raises(MasslessMomentumError):
+        shell_projector(p, +1)
 
 
 def test_boost_inverse_is_dirac_adjoint():
-    for spatial, mass, _ in PYTHAGOREAN[:4]:
-        p = OnShellMomentum.make(spatial, mass)
-        d, m = boost_parts(p)
-        di, mi = boost_K_inverse_parts(p)
-        assert d == di
-        # M * gamma0 M gamma0 = D * identity, so K^-1 = gamma0 K gamma0
-        assert m @ mi == IDENT.scale(d)
-        assert mi == dirac_adjoint(m)
+    for p in MOMENTA:
+        k, kinv = boost(p)
+        assert kinv @ k == IDENT
+        assert GAMMA[0] @ k.dagger() @ GAMMA[0] == kinv
 
 
 def test_boost_is_isometry_of_signature_form():
     # Gbar K = K^{-dagger} Gbar with Gbar = gamma0, i.e. K+ gamma0 K = gamma0
-    for spatial, mass, _ in PYTHAGOREAN[:4]:
-        p = OnShellMomentum.make(spatial, mass)
-        d, m = boost_parts(p)
-        assert m.dagger() @ GAMMA[0] @ m == GAMMA[0].scale(d)
+    for p in MOMENTA:
+        k, _ = boost(p)
+        assert k.dagger() @ GAMMA[0] @ k == GAMMA[0]
 
 
 def test_boost_signature_unitarity_numeric_random():
-    rng = random.Random(99)
-    for _ in range(20):
-        spatial = tuple(F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(3))
-        mass = F(rng.randint(1, 5), rng.randint(1, 3))
-        p = OnShellMomentum.make(spatial, mass)
+    g0 = GAMMA[0].to_complex()
+    for p in RANDOM:
         k = boost_K_float(p)
         # adj = gamma0 K+ gamma0; check adj @ K = 1 to 1e-12
-        g0 = [[complex(x) for x in r] for r in GAMMA[0].rows]
         kd = [[k[j][i].conjugate() for j in range(4)] for i in range(4)]
-
-        def mul(a, b):
-            return [[sum(a[i][l] * b[l][j] for l in range(4)) for j in range(4)]
-                    for i in range(4)]
-
-        adj = mul(mul(g0, kd), g0)
-        prod = mul(adj, k)
+        prod = _mul(_mul(_mul(g0, kd), g0), k)
         for i in range(4):
             for j in range(4):
                 want = 1.0 if i == j else 0.0
                 assert abs(prod[i][j] - want) < 1e-12
 
 
+def test_float_boost_agrees_with_the_exact_boost():
+    for p in RANDOM:
+        exact = boost(p)[0].to_complex()
+        approx = boost_K_float(p)
+        for i in range(4):
+            for j in range(4):
+                assert abs(exact[i][j] - approx[i][j]) < 1e-12
+
+
+def _projector_properties(p) -> None:
+    pp, pm = shell_projector(p, +1), shell_projector(p, -1)
+    assert pp @ pp == pp
+    assert pm @ pm == pm
+    assert pp @ pm == ZERO
+    assert pp + pm == IDENT
+    assert pp.trace() == ScalarExpr.rational(2)
+    assert pm.trace() == ScalarExpr.rational(2)
+
+
 def test_shell_projectors_properties():
-    for spatial, mass, _ in PYTHAGOREAN[:4]:
-        p = OnShellMomentum.make(spatial, mass)
-        pp, pm = shell_projectors(p)
-        assert pp @ pp == pp
-        assert pm @ pm == pm
-        assert pp @ pm == SpinMatrix.zero()
-        assert pp + pm == IDENT
-        assert pp.trace() == GaussianRational(2)
-        assert pm.trace() == GaussianRational(2)
+    for p in MOMENTA:
+        _projector_properties(p)
+
+
+def test_shell_projectors_random_momenta():
+    rng = random.Random(31)
+    for _ in range(10):
+        spatial = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
+        _projector_properties(OnShellMomentum.make(spatial, F(rng.randint(1, 4))))
 
 
 def test_rest_frame_projectors():
     p = OnShellMomentum.make((0, 0, 0), F(2))
-    pp, pm = shell_projectors(p)
-    assert pp == SpinMatrix.diagonal([1, 1, 0, 0])
-    assert pm == SpinMatrix.diagonal([0, 0, 1, 1])
+    assert shell_projector(p, +1) == SpinMatrix.diagonal([1, 1, 0, 0])
+    assert shell_projector(p, -1) == SpinMatrix.diagonal([0, 0, 1, 1])
 
 
 def test_boost_conjugates_gamma0_to_slash():
     # K gamma0 K^-1 = slash(p)/m drives the projector dressing
-    for spatial, mass, _ in PYTHAGOREAN[:4]:
-        p = OnShellMomentum.make(spatial, mass)
-        d, m = boost_parts(p)
-        _, mi = boost_K_inverse_parts(p)
-        lhs = m @ GAMMA[0] @ mi  # = D * K gamma0 K^-1
-        assert lhs == slash(p).scale(d / mass)
+    for p in MOMENTA:
+        k, kinv = boost(p)
+        assert k @ GAMMA[0] @ kinv == slash(p).scale(1 / p.mass)
 
 
-def test_dirac_frame_spans_shell_subspaces():
-    for spatial, mass, _ in PYTHAGOREAN[:4]:
-        p = OnShellMomentum.make(spatial, mass)
-        fr = dirac_frame(p)
-        pp, pm = shell_projectors(p)
-        for col in fr.u:
-            assert pp.apply(col) == col
-            assert pm.apply(col) == tuple([GaussianRational(0)] * 4)
-        for col in fr.v:
-            assert pm.apply(col) == col
-            assert pp.apply(col) == tuple([GaussianRational(0)] * 4)
+def test_boost_columns_span_shell_subspaces():
+    for p in MOMENTA:
+        k, _ = boost(p)
+        pp, pm = shell_projector(p, +1), shell_projector(p, -1)
+        zero = (ScalarExpr.zero(),) * 4
+        for j in range(4):
+            col = k.column(j)
+            keep, kill = (pp, pm) if j < 2 else (pm, pp)
+            assert keep.apply(col) == col
+            assert kill.apply(col) == zero
 
 
-def test_dirac_frame_at_rest():
-    # at p=0 the frame is the rest basis itself: M = 2m * identity, D = 4m^2
-    fr = dirac_frame(OnShellMomentum.make((0, 0, 0), F(1)))
-    doubled = IDENT.scale(2)
-    assert fr == DiracFrame(F(4), (doubled.column(0), doubled.column(1)),
-                            (doubled.column(2), doubled.column(3)))
+def test_boost_columns_at_rest():
+    # at p = 0 the columns of K are the rest basis itself
+    k, _ = boost(OnShellMomentum.make((0, 0, 0), F(1)))
+    for j in range(4):
+        assert k.column(j) == IDENT.column(j)
 
 
-def test_float_projectors_random_momenta():
-    from gradedqft.gammas import shell_projectors_float
-    rng = random.Random(31)
-    for _ in range(10):
-        spatial = tuple(F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(3))
-        p = OnShellMomentum.make(spatial, F(rng.randint(1, 4)))
-        plus, minus = shell_projectors_float(p)
+def test_a_swapped_boost_fails_the_dirac_frames(monkeypatch):
+    """The fields and the dirac identities read one K: a boost that returns
+    (K^-1, K) must break the frames as well as the field brackets."""
+    import sys
 
-        def mul(a, b):
-            return [[sum(a[i][l] * b[l][j] for l in range(4)) for j in range(4)]
-                    for i in range(4)]
+    from gradedqft import cli, gammas, identities
 
-        pp = mul(plus, plus)
-        pm = mul(plus, minus)
-        for i in range(4):
-            for j in range(4):
-                assert abs(pp[i][j] - plus[i][j]) < 1e-12
-                assert abs(pm[i][j]) < 1e-12
-        assert abs(sum(plus[i][i] for i in range(4)) - 2.0) < 1e-12
+    honest = gammas.boost
+
+    def swapped(p):
+        k, kinv = honest(p)
+        return kinv, k
+
+    patched = []
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gradedqft") and getattr(module, "boost", None) is honest:
+            monkeypatch.setattr(module, "boost", swapped)
+            patched.append(name)
+    assert {"gradedqft.gammas", "gradedqft.fields", "gradedqft.identities"} <= set(patched)
+    ctx = cli.context_from_config(cli.load_config(None))  # no cached dressing
+    failed = {i.name for i in identities.dirac_suite()
+              if i.run(ctx).status != "pass"}
+    assert failed == {"dirac.field_anticommutator", "dirac.frames",
+                      "dirac.mode_brackets"}

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from typing import Sequence
 
 import pytest
 
@@ -6,22 +7,136 @@ from gradedqft.lie import (
     LieData,
     LieError,
     NonClosureError,
-    antisymmetry_residual,
-    jacobi_residual,
     lower_first_index,
-    raise_first_index,
-    signature,
     structure_constants,
     su2,
     su3,
-    total_antisymmetry_residual,
     trace_metric,
     u1,
-    unitary_basis,
 )
 from gradedqft.scalars import GaussianRational
 
 F = Fraction
+
+
+# --- exact checks on Lie data, used by the tests below only ---------------
+
+def jacobi_residual(constants) -> Fraction:
+    """Max |sum_L (c^I_JL c^L_HK + c^I_HL c^L_KJ + c^I_KL c^L_JH)|."""
+    d = len(constants)
+    worst = F(0)
+    for i in range(d):
+        for j in range(d):
+            for h in range(d):
+                for k in range(d):
+                    s = F(0)
+                    for l in range(d):
+                        s += (constants[i][j][l] * constants[l][h][k]
+                              + constants[i][h][l] * constants[l][k][j]
+                              + constants[i][k][l] * constants[l][j][h])
+                    worst = max(worst, abs(s))
+    return worst
+
+
+def antisymmetry_residual(constants) -> Fraction:
+    d = len(constants)
+    worst = F(0)
+    for i in range(d):
+        for j in range(d):
+            for h in range(d):
+                worst = max(worst, abs(constants[i][j][h] + constants[i][h][j]))
+    return worst
+
+
+def total_antisymmetry_residual(lowered) -> Fraction:
+    """Residual of full antisymmetry of the lowered constants."""
+    d = len(lowered)
+    worst = F(0)
+    for i in range(d):
+        for j in range(d):
+            for h in range(d):
+                worst = max(worst,
+                            abs(lowered[i][j][h] + lowered[j][i][h]),
+                            abs(lowered[i][j][h] + lowered[i][h][j]))
+    return worst
+
+
+def _inverse(sym: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
+    n = len(sym)
+    aug = [list(map(F, sym[i])) + [F(1) if j == i else F(0) for j in range(n)]
+           for i in range(n)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        d = aug[c][c]
+        aug[c] = [x / d for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def raise_first_index(lowered, h_metric) -> tuple:
+    return lower_first_index(lowered, _inverse(h_metric))
+
+
+def signature(sym: Sequence[Sequence[Fraction]]) -> tuple[int, int]:
+    """(positive, negative) inertia of a rational symmetric matrix,
+    by exact Lagrange congruence reduction."""
+    a = [list(map(F, row)) for row in sym]
+    n = len(a)
+    pos = neg = 0
+    idx = list(range(n))
+    while idx:
+        piv = next((i for i in idx if a[i][i] != 0), None)
+        if piv is None:
+            pair = next(((i, j) for i in idx for j in idx
+                         if j != i and a[i][j] != 0), None)
+            if pair is None:
+                break  # remaining block is zero
+            i, j = pair
+            for k in range(n):
+                a[i][k] += a[j][k]
+            for k in range(n):
+                a[k][i] += a[k][j]
+            piv = i
+        d = a[piv][piv]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        idx.remove(piv)
+        for i in idx:
+            f = a[i][piv] / d
+            if f:
+                for k in range(n):
+                    a[i][k] -= f * a[piv][k]
+                for k in range(n):
+                    a[k][i] -= f * a[k][piv]
+    return pos, neg
+
+
+def unitary_basis(n: int) -> list:
+    """Anti-Hermitian basis of all of u(n): n^2 matrices."""
+    i = GaussianRational(0, 1)
+    zero = GaussianRational(0)
+    gens = []
+    for k in range(n):
+        m = [[zero] * n for _ in range(n)]
+        m[k][k] = i
+        gens.append(m)
+    for a in range(n):
+        for b in range(a + 1, n):
+            m = [[zero] * n for _ in range(n)]
+            m[a][b] = GaussianRational(1)
+            m[b][a] = GaussianRational(-1)
+            gens.append(m)
+            m2 = [[zero] * n for _ in range(n)]
+            m2[a][b] = i
+            m2[b][a] = i
+            gens.append(m2)
+    return gens
 
 
 def _eps(i, j, k):

@@ -21,6 +21,7 @@ from gradedqft.fields import (
     propagator_D,
     star_field,
 )
+from gradedqft.gammas import SpinMatrix
 
 F = Fraction
 
@@ -72,9 +73,11 @@ def test_repeated_requests_return_the_identical_value():
 
 def test_dressing_is_immutable():
     lat = lattice()
-    k, kinv = dirac_dressing(lat, lat.modes[2])
-    assert isinstance(k, tuple) and all(isinstance(r, tuple) for r in k)
-    assert isinstance(kinv, tuple) and all(isinstance(r, tuple) for r in kinv)
+    for m in dirac_dressing(lat, lat.modes[2]):
+        assert isinstance(m, SpinMatrix)
+        assert isinstance(m.rows, tuple) and all(isinstance(r, tuple) for r in m.rows)
+        with pytest.raises(AttributeError):
+            m.rows = ()
 
 
 def test_gauge_component_as_a_list_shares_the_tuple_entry():
@@ -145,24 +148,35 @@ def test_masses_are_read_only():
 
 
 def test_dirac_and_functionals_build_each_mode_datum_once(monkeypatch):
-    """Counts work, not time: one dressing per (lattice, mode) and one
-    mode row per (lattice, sector, mode) over a whole verify run."""
-    dressings, rows, alive = Counter(), Counter(), []
-    build_dressing, build_row = fields._dirac_dressing, fields._mode_row
+    """Counts work, not time: one boost per (lattice, mode) and one mode
+    row per (lattice, sector, mode) over a whole verify run."""
+    from gradedqft import identities
+    boosts, rows, alive, building = Counter(), Counter(), [], []
+    dressing, build_boost = fields.dirac_dressing, fields.boost
+    build_row = fields._mode_row
 
-    def counted_dressing(lat, mode):
+    def tracked_dressing(lat, mode):
         alive.append(lat)  # keeps id(lat) unique for the whole run
-        dressings[id(lat), mode] += 1
-        return build_dressing(lat, mode)
+        building.append((id(lat), mode))
+        try:
+            return dressing(lat, mode)
+        finally:
+            building.pop()
+
+    def counted_boost(p):
+        boosts[building[-1]] += 1
+        return build_boost(p)
 
     def counted_row(lat, fsector, mode):
         alive.append(lat)
         rows[id(lat), fsector, mode] += 1
         return build_row(lat, fsector, mode)
 
-    monkeypatch.setattr(fields, "_dirac_dressing", counted_dressing)
+    for module in (fields, identities):
+        monkeypatch.setattr(module, "dirac_dressing", tracked_dressing)
+    monkeypatch.setattr(fields, "boost", counted_boost)
     monkeypatch.setattr(fields, "_mode_row", counted_row)
     report = run_verify(load_config(None), ["dirac", "functionals"])
     assert report["failed"] == 0
-    assert dressings and max(dressings.values()) == 1
+    assert boosts and max(boosts.values()) == 1
     assert rows and max(rows.values()) == 1
