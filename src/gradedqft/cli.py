@@ -446,7 +446,9 @@ class Evaluator:
         return self.integer(node, _INDEX_NAMES, "index", bound)
 
     def mode(self, node):
-        modes = self.ctx.lattice.modes
+        # the fields are built on the zero-free lattice, and a contraction
+        # compares mode ids: the mode names refer to that lattice too
+        modes = self.ctx.lattice_nozero.modes
         return modes[self.integer(node, _MODES, "mode", len(modes))]
 
     def sector(self, node):
@@ -508,7 +510,7 @@ class Evaluator:
             try:
                 need(2)
                 mode = self.mode(args[0])
-                idx = self.index(args[1], self.ctx.lattice.scalar_dim)
+                idx = self.index(args[1], self.ctx.lattice_nozero.scalar_dim)
             except EvalError as exc:
                 raise EvalError(f"{exc.msg}; {usage}", exc.pos) from None
             species = ABSORB if fname == "absorb" else EMIT

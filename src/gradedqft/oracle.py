@@ -1,35 +1,38 @@
 """Truncated Fock-space oracle: explicit matrices for the generators.
 
 Every (sector, mode, ladder family, internal index) combination occupies
-one slot, and a basis state is one occupation per slot.  Fermionic slots
-are 2-dimensional and carry a Jordan-Wigner sign over the preceding
-fermionic slots, so the matrix algebra reproduces the Koszul signs of the
-symbolic kernel by construction.  Bosonic slots hold occupations
-0..n_max with unnormalised ladders (emission weight 1, absorption weight
-n, times the metric weight eta for gauge slots), which keeps every matrix
-entry an exact small integer; states whose occupation can climb past the
-cutoff are masked out of comparisons.
+one slot, and a basis state is one occupation per slot: a mixed-radix
+number, slot 0 most significant, so the occupation of slot j in state c
+is ``(c // stride_j) % dim_j``.  Fermionic slots are 2-dimensional and
+carry a Jordan-Wigner sign over the preceding fermionic slots, so the
+matrix algebra reproduces the Koszul signs of the symbolic kernel by
+construction.  Bosonic slots hold occupations 0..n_max with unnormalised
+ladders (emission weight 1, absorption weight n, times the metric weight
+eta for gauge slots), which keeps every matrix entry an exact small
+integer; states whose occupation can climb past the cutoff are left out
+of comparisons.
 
 A generator sends each basis state to at most one other, so it is held
 as a monomial matrix ``(rows, weights)``: column c maps to row rows[c]
 with factor weights[c], which is 0 where the ladder leaves the truncated
-space.  A word is composed in O(dim) per letter, and an expression is
-kept as its nonzero entries: int64 keys ``row * dim + col`` with summed
-complex values.  Residuals compare two such entry sets on the safe
-subspace, so memory grows as dim x slots, never dim^2, and no dense
-matrix is ever built.  Nothing here uses the symbolic canonicaliser;
-only the symbolic side of `product_residual` calls `koszul_product`,
-while its other side composes every word pair of the two factors.
+space.  A word is composed in O(dim) per letter, over the columns that
+its letters have not yet sent to zero, and an expression is kept as its
+nonzero entries: a dict from the key ``row * dim + col`` to the summed
+complex value.  Residuals compare two such entry sets on the safe
+subspace, tested digit by digit on each key, so memory grows as dim x
+slots, never dim^2, and no dense matrix is ever built.  Nothing here
+uses the symbolic canonicaliser; only the symbolic side of
+`product_residual` calls `koszul_product`, while its other side composes
+every word pair of the two factors.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-
-import numpy as np
+from itertools import repeat
 
 from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
 from .fields import ModeLattice
@@ -65,6 +68,7 @@ class OracleSpace:
     index: dict
     dimension: int
     n_max: int
+    strides: tuple  # state c holds (c // strides[j]) % slots[j].dim in slot j
 
     @staticmethod
     def make(lattice: ModeLattice, sectors=("scalar",), n_max: int = 3,
@@ -102,29 +106,14 @@ class OracleSpace:
         keys.sort(key=lambda k: k[0])
         slots = tuple(Slot(k, f, 2 if f else n_max + 1, eta)
                       for k, f, eta in keys)
-        dim = 1
-        for s in slots:
+        strides, dim = [], 1
+        for s in reversed(slots):
+            strides.append(dim)
             dim *= s.dim
         if dim > cap:
             raise OracleError(f"oracle dimension {dim} exceeds cap {cap}")
         index = {s.key: i for i, s in enumerate(slots)}
-        return OracleSpace(slots, index, dim, n_max)
-
-    @cached_property
-    def _occupations(self) -> np.ndarray:
-        occ = np.zeros((self.dimension, len(self.slots)), dtype=np.int64)
-        reps = self.dimension
-        for j, s in enumerate(self.slots):
-            reps //= s.dim
-            pattern = np.repeat(np.arange(s.dim), reps)
-            occ[:, j] = np.tile(pattern, self.dimension // (s.dim * reps))
-        occ.flags.writeable = False
-        return occ
-
-    def occupations(self) -> np.ndarray:
-        """(dimension, n_slots) occupation table, slot 0 most significant;
-        built once per space and read-only."""
-        return self._occupations
+        return OracleSpace(slots, index, dim, n_max, tuple(reversed(strides)))
 
     @cached_property
     def _monomials(self) -> dict:
@@ -138,66 +127,59 @@ class OracleSpace:
             m = self._monomials[gen] = _monomial(self, gen)
         return m
 
-    def safe_mask(self, climb=1) -> np.ndarray:
-        """States whose bosonic occupations stay within the cutoff after
-        raising ``climb`` quanta in every slot, or ``climb[j]`` quanta in
-        slot j when ``climb`` is one count per slot."""
-        bosonic = [j for j, s in enumerate(self.slots) if not s.fermionic]
-        limit = self.n_max - np.broadcast_to(climb, (len(self.slots),))[bosonic]
-        return np.all(self.occupations()[:, bosonic] <= limit, axis=1)
-
 
 def _monomial(space: OracleSpace, gen: OpGen) -> tuple:
     """(rows, weights) of one elementary generator: column c maps to row
-    rows[c] with factor weights[c]."""
+    rows[c] with factor weights[c]; read-only views of int64 and float64
+    arrays."""
     key = slot_key(gen)
     if key not in space.index:
         raise OracleError(f"generator {gen!r} has no slot in this space")
     j = space.index[key]
-    s = space.slots[j]
-    occ = space.occupations()
-    n = occ[:, j]
-    stride = math.prod(t.dim for t in space.slots[j + 1:])
-    cols = np.arange(space.dimension)
+    s, stride = space.slots[j], space.strides[j]
+    # per occupation n of slot j: the row shift and the ladder factor
     if gen.species == EMIT:
-        live = n < s.dim - 1
-        rows = np.where(live, cols + stride, cols)
-        weights = live.astype(np.float64)
+        ladder = [(stride, 1.0)] * (s.dim - 1) + [(0, 0.0)]
     else:
-        rows = np.where(n > 0, cols - stride, cols)
-        weights = (n * s.eta).astype(np.float64)
-    if s.fermionic:
-        earlier = [i for i, t in enumerate(space.slots[:j]) if t.fermionic]
-        weights *= 1 - 2 * (occ[:, earlier].sum(axis=1) & 1)
-    rows.flags.writeable = weights.flags.writeable = False
-    return rows, weights
+        ladder = [(0, 0.0)] + [(-stride, float(n * s.eta))
+                               for n in range(1, s.dim)]
+    # the Jordan-Wigner sign of each joint occupation of the slots before j
+    signs = [1.0]
+    for t in space.slots[:j]:
+        flip = s.fermionic and t.fermionic
+        signs = [-sign if flip and n else sign
+                 for sign in signs for n in range(t.dim)]
+    rows, weights = array("q"), array("d")
+    for sign in signs:
+        for shift, w in ladder:  # the next `stride` columns share n and sign
+            start = len(rows) + shift
+            rows.extend(range(start, start + stride))
+            weights.extend(array("d", [sign * w]) * stride)
+    return memoryview(rows).toreadonly(), memoryview(weights).toreadonly()
 
 
-def _entries(terms, space: OracleSpace) -> tuple:
+def _entries(terms, space: OracleSpace) -> dict:
     """Nonzero entries of sum_i c_i M(word_i) over ``terms``, an iterable
-    of (word, complex c) pairs: sorted unique int64 keys ``row * dim +
-    col`` and their complex values.
+    of (word, complex c) pairs: ``{row * dim + col: value}``.
 
     Each word is composed right to left on the monomial forms of its
-    letters.  Entries are summed in word order, so every value is
-    accumulated exactly as a dense ``total[rows, cols] += ...`` would."""
+    letters, over its live columns only: a zero weight stays zero, so
+    dropping it early is exact.  A word holds each key at most once, and
+    values are summed in word order, so every value is accumulated as a
+    dense ``total[rows, cols] += ...`` would."""
     dim = space.dimension
-    cols = np.arange(dim)
-    keys = [np.zeros(0, dtype=np.int64)]
-    values = [np.zeros(0, dtype=np.complex128)]
+    total = {}
     for word, c in terms:
-        rows, w = cols, np.ones(dim)
+        live = zip(range(dim), range(dim), repeat(1.0))
         for g in reversed(word):
-            gr, gw = space.monomial(g)
-            w = w * gw[rows]
-            rows = gr[rows]
-        nz = np.flatnonzero(w)
-        keys.append(rows[nz] * dim + nz)
-        values.append(c * w[nz])
-    uniq, slot = np.unique(np.concatenate(keys), return_inverse=True)
-    total = np.zeros(len(uniq), dtype=np.complex128)
-    np.add.at(total, slot, np.concatenate(values))
-    return uniq, total
+            rows, weights = space.monomial(g)
+            live = [(col, rows[r], w * x) for col, r, w in live
+                    if (x := weights[r])]
+        new = {r * dim + col: c * w for col, r, w in live}
+        for key in new.keys() & total.keys():
+            new[key] = total[key] + new[key]
+        total.update(new)
+    return total
 
 
 def _evaluated(e: GradedExpr, bindings) -> list:
@@ -206,10 +188,10 @@ def _evaluated(e: GradedExpr, bindings) -> list:
             for word, coeff in e.terms.items()]
 
 
-def _climb(e: GradedExpr, space: OracleSpace) -> np.ndarray:
+def _climb(e: GradedExpr, space: OracleSpace) -> list:
     """Per slot, the most bosonic quanta one word of ``e`` emits into it:
     no intermediate state of that word climbs higher."""
-    worst = np.zeros(len(space.slots), dtype=np.int64)
+    worst = [0] * len(space.slots)
     for word in e.terms:
         emitted = Counter(slot_key(g) for g in word
                           if g.species == EMIT and SECTORS[g.sector][0] == 0)
@@ -219,43 +201,54 @@ def _climb(e: GradedExpr, space: OracleSpace) -> np.ndarray:
     return worst
 
 
-def _compared_mask(space: OracleSpace, climb: np.ndarray) -> np.ndarray:
-    """Safe states for a per-slot climb of at least one quantum; an empty
-    safe subspace compares nothing, which is an error, not a pass."""
-    climb = np.maximum(climb, 1)
-    mask = space.safe_mask(climb)
-    if not mask.any():
-        raise OracleError(f"a word climbs {int(climb.max())} quanta into one "
+def _safe_digits(space: OracleSpace, climb) -> list:
+    """The safe subspace for a per-slot climb of at least one quantum, as
+    digit tests ``(stride, dim, limit)`` on an entry key: its row and its
+    column each hold at most n_max - climb quanta in every bosonic slot.
+    The safe subspace is empty exactly when one limit is negative (else
+    the state with no quanta is safe); it compares nothing, which is an
+    error, not a pass."""
+    climb = [max(k, 1) for k in climb]
+    row = space.dimension  # the row's digits sit above the column's
+    tests = []
+    for s, stride, k in zip(space.slots, space.strides, climb):
+        if not s.fermionic:
+            tests += [(stride * row, s.dim, space.n_max - k),
+                      (stride, s.dim, space.n_max - k)]
+    if any(limit < 0 for _, _, limit in tests):
+        raise OracleError(f"a word climbs {max(climb)} quanta into one "
                           f"slot with n_max={space.n_max}: the safe subspace "
                           "is empty and nothing would be compared")
-    return mask
+    return tests
 
 
-def _max_abs_difference(first: tuple, second: tuple, mask: np.ndarray,
-                        dim: int) -> float:
+def _safe_keys(keys, tests):
+    """Those of the entry ``keys`` that pass every digit test of
+    `_safe_digits`."""
+    for stride, dim, limit in tests:
+        keys = [k for k in keys if k // stride % dim <= limit]
+    return keys
+
+
+def _max_abs_difference(first: dict, second: dict, tests: list) -> float:
     """Max-abs entry of the difference of two entry sets, over the keys
-    whose row and column both lie in ``mask``; a key held by one side only
-    counts against zero, and 0.0 when no key survives the mask."""
-    def kept(keys, values):
-        keep = mask[keys // dim] & mask[keys % dim]
-        return keys[keep], values[keep]
-    k1, v1 = kept(*first)
-    k2, v2 = kept(*second)
-    keys = np.union1d(k1, k2)
-    diff = np.zeros(len(keys), dtype=np.complex128)
-    diff[np.searchsorted(keys, k1)] = v1
-    diff[np.searchsorted(keys, k2)] -= v2
-    return float(np.max(np.abs(diff), initial=0.0))
+    whose row and column are both safe; a key held by one side only
+    counts against zero, and 0.0 when no key is safe."""
+    # an entry equal on both sides differs by 0: skip it before the test
+    changed = {key for key, _ in first.items() ^ second.items()}
+    keys = _safe_keys(changed, tests)
+    return max((abs(first.get(k, 0j) - second.get(k, 0j)) for k in keys),
+               default=0.0)
 
 
 def residual(symbolic: GradedExpr, reference: GradedExpr,
              space: OracleSpace, bindings=None) -> float:
     """Max-abs entry of the operator difference on the safe subspace."""
+    tests = _safe_digits(space, map(max, _climb(symbolic, space),
+                                    _climb(reference, space)))
     first = _entries(_evaluated(symbolic, bindings), space)
     second = _entries(_evaluated(reference, bindings), space)
-    mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
-                                            _climb(reference, space)))
-    return _max_abs_difference(first, second, mask, space.dimension)
+    return _max_abs_difference(first, second, tests)
 
 
 def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
@@ -263,11 +256,12 @@ def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
     """Homomorphism defect: the entries of a *phys* b against the
     composition of every word pair (wa, wb) of ``a`` and ``b``."""
     from .algebra import koszul_product
+    tests = _safe_digits(space, map(sum, zip(_climb(a, space),
+                                             _climb(b, space))))
     prod = koszul_product(a, b, "physical")
     right = _evaluated(b, bindings)
     pairs = [(wa + wb, ca * cb) for wa, ca in _evaluated(a, bindings)
              for wb, cb in right]
     composed = _entries(pairs, space)
     symbolic = _entries(_evaluated(prod, bindings), space)
-    mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
-    return _max_abs_difference(symbolic, composed, mask, space.dimension)
+    return _max_abs_difference(symbolic, composed, tests)

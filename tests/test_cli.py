@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -203,6 +204,26 @@ def test_absorb_and_emit_build_scalar_sector_generators():
     assert txt == "(1)·a+_(scalar,p1,(1,))·a^(scalar,p0,(0,))"
 
 
+def test_absorb_and_emit_modes_are_the_zero_free_lattice_modes(capsys):
+    # the fields are built on the zero-free lattice: a contraction with
+    # absorb(q, 0) carries the momentum that dump-lattice prints for q there
+    assert main(["dump-lattice"]) == 0
+    dump = capsys.readouterr().out
+    nozero = dump.split("[nozero]")[1].split("[propagator]")[0]
+    momenta = re.findall(r"p(\d+) = \((.*)\)", nozero)
+    assert len(momenta) == 2
+    for name, (mode, momentum) in zip("pq", momenta):
+        assert int(mode) == "pq".index(name)
+        k = ",".join(c.strip(" '") for c in momentum.split(","))
+        assert main(["eval", f"scomm(absorb({name},0), conj(scalar,0,y))"]) == 0
+        assert f"({k})·y]" in capsys.readouterr().out
+    # one configured momentum: the zero-free lattice adds its negative as q
+    cfg = fast_cfg()
+    cfg["lattice"]["momenta"] = [[1, 0, 0]]
+    txt = eval_expr(cfg, "scomm(absorb(q,0), conj(scalar,0,y))")
+    assert "(-1,0,0)·y]" in txt
+
+
 def test_eval_error_positions():
     cfg = fast_cfg()
     with pytest.raises(EvalError) as exc:
@@ -381,6 +402,8 @@ _BAD_EVALS = {
     "two-slashes": ("1/2/3", 0, "malformed number '1/2/3'"),
     "trailing-slash": ("3/", 0, "malformed number '3/'"),
     "two-slashes-in-index": ("field(scalar,1/2/3,x)", 13, "malformed number"),
+    "absorb-mode-off-the-zero-free-lattice": ("absorb(r,0)", 7,
+                                              "mode 2 is outside 0..1"),
     "absorb-sector-as-mode": ("normal(pprod(absorb(fermion,p), emit(fermion,q)))",
                               20, "'fermion' is not a valid mode; absorb(mode, "
                               "index) builds a scalar-sector generator"),

@@ -31,9 +31,10 @@ from gradedqft.oracle import (
     OracleError,
     OracleSpace,
     _climb,
-    _compared_mask,
     _entries,
     _evaluated,
+    _safe_digits,
+    _safe_keys,
     product_residual,
     residual,
     slot_key,
@@ -52,10 +53,44 @@ def lat2(**kw):
 
 def _oracle_matrix(e, space: OracleSpace) -> np.ndarray:
     """The oracle's summed entries of ``e`` scattered into a dense matrix."""
-    keys, values = _entries(_evaluated(e, None), space)
+    entries = _entries(_evaluated(e, None), space)
     total = np.zeros(space.dimension ** 2, dtype=np.complex128)
-    total[keys] = values
+    total[list(entries)] = list(entries.values())
     return total.reshape(space.dimension, space.dimension)
+
+
+def occupations(space: OracleSpace) -> np.ndarray:
+    """(dimension, n_slots) occupation table from the slot strides: state
+    c holds (c // stride_j) % dim_j quanta in slot j."""
+    states = np.arange(space.dimension)[:, None]
+    strides = np.array(space.strides)
+    dims = np.array([s.dim for s in space.slots])
+    return states // strides % dims
+
+
+def _safe_mask(space: OracleSpace, climb) -> np.ndarray:
+    """Full-mask reference: the states whose bosonic occupations stay
+    within the cutoff after raising ``climb`` quanta in every slot, or
+    ``climb[j]`` quanta in slot j when ``climb`` is one count per slot."""
+    bosonic = [j for j, s in enumerate(space.slots) if not s.fermionic]
+    limit = space.n_max - np.broadcast_to(climb, (len(space.slots),))[bosonic]
+    return np.all(occupations(space)[:, bosonic] <= limit, axis=1)
+
+
+def _compared_mask(space: OracleSpace, climb) -> np.ndarray:
+    """Full-mask reference of the compared states: a per-slot climb of at
+    least one quantum; an empty safe subspace is an OracleError."""
+    mask = _safe_mask(space, np.maximum(climb, 1))
+    if not mask.any():
+        raise OracleError("the safe subspace is empty")
+    return mask
+
+
+def _masked_max_abs(m: np.ndarray, mask: np.ndarray) -> float:
+    """Max of the scalar ``abs`` over the entries of ``m`` whose row and
+    column lie in ``mask``; numpy's vectorised complex abs can differ from
+    it in the last bit."""
+    return max(map(abs, m[np.ix_(mask, mask)].ravel().tolist()))
 
 
 def _generator_matrix(space: OracleSpace, gen: OpGen) -> np.ndarray:
@@ -91,7 +126,7 @@ def test_bosonic_truncation_defect():
     comm = a @ ad - ad @ a
     # identity on occupations 0..2 of the particle slot; the deviation
     # from the identity at the top state is -(n_max+1)
-    occ = sp.occupations()
+    occ = occupations(sp)
     part = sp.index[("scalar", 0, "p", (0,))]
     for state in range(sp.dimension):
         want = 1.0 if occ[state, part] < 3 else 1.0 - (3 + 1)
@@ -105,7 +140,7 @@ def test_gauge_slots_carry_metric_weight():
         b = _generator_matrix(sp, OpGen(ABSORB, UPPER, "gauge", 0, (lam, 0)))
         bd = _generator_matrix(sp, OpGen(EMIT, UPPER, "gauge", 0, (lam, 0)))
         comm = b @ bd - bd @ b
-        mask = sp.safe_mask(1)
+        mask = _safe_mask(sp, 1)
         eta = 1.0 if lam == 0 else -1.0
         sub = comm[np.ix_(mask, mask)]
         assert np.allclose(sub, eta * np.eye(sub.shape[0]))
@@ -203,7 +238,7 @@ def test_scalar_hamiltonian_spectrum():
     m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
-    occ = sp.occupations()
+    occ = occupations(sp)
     want = np.sort(2.5 * occ.sum(axis=1))
     assert np.allclose(evals, want)
 
@@ -216,7 +251,7 @@ def test_dirac_charge_spectrum():
     m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
-    occ = sp.occupations()
+    occ = occupations(sp)
     part = [i for i, s in enumerate(sp.slots) if s.key[0] == "dirac_particle"]
     anti = [i for i, s in enumerate(sp.slots) if s.key[0] == "dirac_antiparticle"]
     want = np.sort((occ[:, part].sum(axis=1) - occ[:, anti].sum(axis=1)) / 6.0)
@@ -329,7 +364,7 @@ def test_build_operator_matches_kronecker_reference(name):
     assert len(gens) >= 2 * len(sp.slots)
     cols = np.arange(sp.dimension)
     for g in gens:
-        rows, weights = sp.monomial(g)
+        rows, weights = map(np.asarray, sp.monomial(g))
         kron = _kron_build_operator(sp, g)
         assert np.array_equal(kron[rows, cols], weights), g
         kron[rows, cols] = 0
@@ -368,11 +403,36 @@ def test_empty_safe_subspace_is_an_error_not_a_pass():
                           sectors=("scalar",), n_max=1)
     ad = OpGen(EMIT, LOWER, "scalar", 0, (0,))
     two = GradedExpr({(ad, ad): ScalarExpr.one()})
-    assert not sp.safe_mask(2).any()
+    assert not _safe_mask(sp, 2).any()
     with pytest.raises(OracleError, match="climbs 2 quanta.*n_max=1"):
         residual(two, two, sp)
     with pytest.raises(OracleError, match="climbs 2 quanta.*n_max=1"):
         product_residual(GradedExpr.of(ad), GradedExpr.of(ad), sp)
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_digit_safe_test_is_the_full_mask(n_max):
+    # the oracle tests each key's row and column digit by digit; the
+    # reference masks the occupation table, which is the mixed-radix count
+    rng = random.Random(700 + n_max)
+    sp = _mixed_space(n_max)
+    dims = [s.dim for s in sp.slots]
+    assert np.array_equal(occupations(sp),
+                          np.indices(dims).reshape(len(dims), -1).T)
+    keys = range(sp.dimension ** 2)
+    compared = 0
+    for _ in range(12):
+        climb = [rng.randint(0, n_max + 1) for _ in sp.slots]
+        try:
+            mask = _compared_mask(sp, climb)
+        except OracleError:
+            with pytest.raises(OracleError, match=f"n_max={n_max}"):
+                _safe_digits(sp, climb)
+            continue
+        want = np.flatnonzero(np.outer(mask, mask))
+        assert np.array_equal(_safe_keys(keys, _safe_digits(sp, climb)), want)
+        compared += 1
+    assert compared >= 4
 
 
 def test_climb_is_counted_per_slot():
@@ -394,16 +454,16 @@ def _dense_residual(symbolic, reference, space, bindings=None) -> float:
     m2 = _dense_represent(reference, space, bindings)
     mask = _compared_mask(space, np.maximum(_climb(symbolic, space),
                                             _climb(reference, space)))
-    return float(np.max(np.abs((m1 - m2)[np.ix_(mask, mask)])))
+    return _masked_max_abs(m1 - m2, mask)
 
 
 def _dense_product_residual(a, b, space) -> float:
     """The dense a *phys* b against the dense product of the factors."""
     prod = koszul_product(a, b, "physical")
-    mask = _compared_mask(space, _climb(a, space) + _climb(b, space))
+    mask = _compared_mask(space, np.add(_climb(a, space), _climb(b, space)))
     diff = _dense_represent(prod, space) - \
         _dense_represent(a, space) @ _dense_represent(b, space)
-    return float(np.max(np.abs(diff[np.ix_(mask, mask)])))
+    return _masked_max_abs(diff, mask)
 
 
 _MIXED = ["fermion", "ghost", "antighost", "scalar"]
@@ -553,19 +613,24 @@ print(json.dumps({
     "statuses": statuses,
     "peak_rss_mb": next(int(line.split()[1]) for line in open("/proc/self/status")
                         if line.startswith("VmHWM:")) / 1024,
-    "scipy": "scipy" in sys.modules,
 }))
 """
 
 
-def _oracle_in_child(n_max):
-    """Run the oracle suite in a fresh interpreter; its statuses, peak RSS
-    and whether scipy was imported."""
+def _in_child(script, *args):
+    """Run ``script`` in a fresh interpreter on this checkout's package and
+    parse the JSON it prints."""
     src = str(Path(gradedqft.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _CHILD, str(n_max)],
+    out = subprocess.run([sys.executable, "-c", script, *args],
                          env={"PYTHONPATH": src}, capture_output=True,
                          text=True, check=True, timeout=120)
     return json.loads(out.stdout)
+
+
+def _oracle_in_child(n_max):
+    """Run the oracle suite in a fresh interpreter; its statuses and peak
+    RSS."""
+    return _in_child(_CHILD, str(n_max))
 
 
 def test_oracle_at_n_max_15_stays_under_100_mb():
@@ -575,10 +640,26 @@ def test_oracle_at_n_max_15_stays_under_100_mb():
     assert child["peak_rss_mb"] < 100
 
 
-def test_oracle_imports_numpy_only():
-    child = _oracle_in_child(3)
-    assert set(child["statuses"].values()) == {"pass"}
-    assert not child["scipy"]
+_NUMPY_FREE_CHILD = """
+import json, sys
+from gradedqft.cli import load_config, run_verify
+full = run_verify(load_config(None))
+cfg = load_config(None)
+cfg["oracle"]["n_max"] = 3
+oracle = run_verify(cfg, ["oracle"])
+print(json.dumps({
+    "passed": [full["passed"], oracle["passed"]],
+    "failed": [full["failed"], oracle["failed"]],
+    "imported": [m for m in ("numpy", "scipy") if m in sys.modules],
+}))
+"""
+
+
+def test_engine_imports_neither_numpy_nor_scipy():
+    # the default verify and the oracle suite run on the standard library
+    child = _in_child(_NUMPY_FREE_CHILD)
+    assert child["passed"] == [59, 6] and child["failed"] == [0, 0]
+    assert child["imported"] == []
 
 
 def test_each_space_builds_a_generator_monomial_once(monkeypatch):
@@ -601,4 +682,7 @@ def test_each_space_builds_a_generator_monomial_once(monkeypatch):
     assert builds and max(builds.values()) == 1
     for space in spaces:
         for rows, weights in space._monomials.values():
-            assert not rows.flags.writeable and not weights.flags.writeable
+            assert isinstance(rows, memoryview) and rows.readonly
+            assert isinstance(weights, memoryview) and weights.readonly
+            assert (rows.format, weights.format) == ("q", "d")
+            assert len(rows) == len(weights) == space.dimension
