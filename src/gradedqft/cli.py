@@ -238,8 +238,7 @@ def context_from_config(cfg: dict) -> RunContext:
     corrupt = theory_cfg.get("corrupt_constant")
     orc_cfg = cfg["oracle"]
     return RunContext(
-        lattice=lattice, lattice_nozero=lattice_nozero,
-        lattice_prop=lattice_prop, lie=data,
+        lattice=lattice, lattice_nozero=lattice_nozero, lattice_prop=lattice_prop,
         theory=bv.TheorySpec.make(data),
         seed=_integer(cfg["run"]["seed"], "run.seed"),
         oracle_enabled=_flag(orc_cfg.get("enabled", True), "oracle.enabled"),

@@ -498,12 +498,6 @@ class IdentityCheck:
     residual_terms: int
 
 
-def _check(name: str, anchor: str, computed, target) -> IdentityCheck:
-    """``computed`` and ``target`` are both ScalarExpr or both GradedExpr."""
-    resid = computed - target
-    return IdentityCheck(name, anchor, resid.is_zero(), resid.n_terms)
-
-
 def _frame(lattice: ModeLattice):
     """Equal-time points x, y and the lattice delta dlat(x - y); the
     lattice must be closed under p -> -p."""
@@ -523,16 +517,34 @@ def _add_composite(acc: dict, constants, li: int, weight, left, right) -> None:
         add_into(acc, prod.scale(ScalarExpr.rational(weight * c)).terms)
 
 
-def _pair_checks(sector: str, indices: range, rows, dlat: ScalarExpr) -> list:
-    """One check per (i, j) and row (tag, anchor, pair, weight): the
-    super-commutator of the fields ``pair(i, j)`` must be
-    ``weight * dlat(x - y)`` when i == j and zero otherwise."""
-    zero = ScalarExpr.zero()
-    return [_check(f"{sector}.eqt.{tag}[{i}{j}]", anchor,
-                   field_supercommutator(*pair(i, j)),
-                   weight * dlat if weight is not None and i == j else zero)
-            for i in indices for j in indices
-            for tag, anchor, pair, weight in rows]
+def _square(indices: range, pair: Callable) -> list:
+    """The cases (label "ij", left, right, i == j) of every index pair, with
+    the operator sums (left, right) = pair(i, j)."""
+    return [(f"{i}{j}", *pair(i, j), i == j) for i in indices for j in indices]
+
+
+def _ops(make: Callable, sector: str, indices, point: FieldPoint,
+         lattice: ModeLattice, lam: int | None = None) -> list:
+    """Operator sums of the components make(sector, i, point) for i in
+    indices, each under d_lam unless lam is None."""
+    comps = (make(sector, i, point, lattice) for i in indices)
+    return [(f if lam is None else f.deriv(lam)).expr for f in comps]
+
+
+def _pair_checks(sector: str, rows, dlat: ScalarExpr) -> list:
+    """One check per row (tag, anchor, cases, weight) and case (label,
+    left, right, diagonal): the super-bracket of the operator sums left
+    and right must be ``weight * dlat(x - y)`` on the diagonal and zero
+    elsewhere, or zero everywhere when the weight is None."""
+    checks = []
+    for tag, anchor, cases, weight in rows:
+        for label, left, right, diagonal in cases:
+            want = weight * dlat if weight is not None and diagonal \
+                else ScalarExpr.zero()
+            resid = super_bracket(left, right) - GradedExpr.unit(want)
+            checks.append(IdentityCheck(f"{sector}.eqt.{tag}[{label}]", anchor,
+                                        resid.is_zero(), resid.n_terms))
+    return checks
 
 
 def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
@@ -540,34 +552,27 @@ def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
     x, y, dlat = _frame(lattice)
     ab = lattice.internal_range("scalar")
     i_ = ScalarExpr.i()
-    phi = [field("scalar", a, x, lattice) for a in ab]
-    phi_y = [field("scalar", a, y, lattice) for a in ab]
-    phib = [conjugate_field("scalar", a, y, lattice) for a in ab]
-    dphi = [f.deriv(0) for f in phi]
-    dphib = [f.deriv(0) for f in phib]
+    phi = _ops(field, "scalar", ab, x, lattice)
+    phi_y = _ops(field, "scalar", ab, y, lattice)
+    phib = _ops(conjugate_field, "scalar", ab, y, lattice)
+    dphi = _ops(field, "scalar", ab, x, lattice, 0)
+    dphib = _ops(conjugate_field, "scalar", ab, y, lattice, 0)
+    dphib_x = _ops(conjugate_field, "scalar", ab, x, lattice, 0)
     pi = [f.scale(ScalarExpr.rational(F(1, 2))) for f in dphib]
-    dphib_x = [conjugate_field("scalar", a, x, lattice).deriv(0) for a in ab]
-    rows = (
+    return _pair_checks("scalar", (
         ("comm", "[phi^a(x), phibar_b(y)] = 0 at x0=y0",
-         lambda a, b: (phi[a], phib[b]), None),
+         _square(ab, lambda a, b: (phi[a], phib[b])), None),
         ("dt_left", "[d0 phi^a(x), phibar_b(y)] = -i d^a_b dlat(x-y)",
-         lambda a, b: (dphi[a], phib[b]), -i_),
+         _square(ab, lambda a, b: (dphi[a], phib[b])), -i_),
         ("dt_right", "[phi^a(x), d0 phibar_b(y)] = +i d^a_b dlat(x-y)",
-         lambda a, b: (phi[a], dphib[b]), i_),
+         _square(ab, lambda a, b: (phi[a], dphib[b])), i_),
         ("pi", "[phi^a(x), Pi_b(y)] = (i/2) d^a_b dlat(x-y), Pi = (1/2) d0 phibar",
-         lambda a, b: (phi[a], pi[b]), i_ * ScalarExpr.rational(F(1, 2))),
+         _square(ab, lambda a, b: (phi[a], pi[b])), i_ * ScalarExpr.rational(F(1, 2))),
         ("phiphi", "[phi^a(x), phi^b(y)] = 0",
-         lambda a, b: (phi[a], phi_y[b]), None),
+         _square(ab, lambda a, b: (phi[a], phi_y[b])), None),
         ("pipi", "[Pi_a(x), Pi_b(y)] = 0 at x0=y0",
-         lambda a, b: (dphib_x[a], dphib[b]), None),
-    )
-    return _pair_checks("scalar", ab, rows, dlat)
-
-
-def _gamma0_sum(fields: list, coeffs, factor: ScalarExpr) -> GradedExpr:
-    """sum_rho factor * coeffs[rho] * fields[rho] over the nonzero coeffs."""
-    return GradedExpr.sum(fields[rho].scale(factor * g)
-                          for rho, g in enumerate(coeffs) if not g.is_zero())
+         _square(ab, lambda a, b: (dphib_x[a], dphib[b])), None),
+    ), dlat)
 
 
 def _dirac_checks(lattice: ModeLattice, constants=None) -> list:
@@ -577,30 +582,22 @@ def _dirac_checks(lattice: ModeLattice, constants=None) -> list:
     i_ = ScalarExpr.i()
     m = lattice.mass("dirac")
     scale = ScalarExpr.sqrt_rational(2 * m)
-    psi = [field("dirac", al, y, lattice).expr for al in range(4)]
-    psib = [conjugate_field("dirac", al, x, lattice).expr for al in range(4)]
+    spins = range(4)
+    psi = _ops(field, "dirac", spins, y, lattice)
+    psib = _ops(conjugate_field, "dirac", spins, x, lattice)
     psi_s = [f.scale(scale) for f in psi]
-    psib_s = [f.scale(scale) for f in psib]
-    pi = [_gamma0_sum(psib_s, GAMMA[0].column(al), i_) for al in range(4)]
-    g0psi = [_gamma0_sum(psi, GAMMA[0].rows[be], ScalarExpr.one())
-             for be in range(4)]
-    zero = ScalarExpr.zero()
-    checks = []
-    for al in range(4):
-        for be in range(4):
-            want = i_ * dlat if al == be else zero
-            checks.append(_check(
-                f"dirac.eqt.pi_psi[{al}{be}]",
-                "{Pi_a(x), psi^b(y)} = i d^b_a dlat(x-y), Pi = i (psibar gamma0)",
-                super_bracket(pi[al], psi_s[be]), GradedExpr.unit(want)))
-    for al in range(4):
-        for be in range(4):
-            want = ScalarExpr.rational(F(1, 2) / m) * dlat if al == be else zero
-            checks.append(_check(
-                f"dirac.eqt.bar_g0psi[{al}{be}]",
-                "{psibar_a(x), (gamma0 psi)^b(y)} = (1/2m) d^b_a dlat(x-y)",
-                super_bracket(psib[al], g0psi[be]), GradedExpr.unit(want)))
-    return checks
+    # Pi_al = i sqrt(2m) psibar_rho gamma0^rho_al and (gamma0 psi)^be
+    pi = [GradedExpr.sum(psib[rho].scale(i_ * scale * GAMMA[0][rho, al])
+                         for rho in spins) for al in spins]
+    g0psi = [GradedExpr.sum(psi[rho].scale(GAMMA[0][be, rho]) for rho in spins)
+             for be in spins]
+    return _pair_checks("dirac", (
+        ("pi_psi", "{Pi_a(x), psi^b(y)} = i d^b_a dlat(x-y), Pi = i (psibar gamma0)",
+         _square(spins, lambda a, b: (pi[a], psi_s[b])), i_),
+        ("bar_g0psi", "{psibar_a(x), (gamma0 psi)^b(y)} = (1/2m) d^b_a dlat(x-y)",
+         _square(spins, lambda a, b: (psib[a], g0psi[b])),
+         ScalarExpr.rational(F(1, 2) / m)),
+    ), dlat)
 
 
 def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
@@ -629,27 +626,16 @@ def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
         return GradedExpr(acc)
 
     pi = [[pi_up(mu, lj) for lj in lie] for mu in range(4)]
-    minus_i_dlat = -(ScalarExpr.i() * dlat)
-    checks = []
-    for lam in range(4):
-        for mu in range(4):
-            for li in lie:
-                for lj in lie:
-                    want = minus_i_dlat if (lam == mu and li == lj) \
-                        else ScalarExpr.zero()
-                    checks.append(_check(
-                        f"gauge.eqt.A_pi[{lam}{mu}{li}{lj}]",
-                        "[A^I_lam(x), Pi^mu_J(y)] = -i d^mu_lam d^I_J dlat(x-y), xi=1",
-                        super_bracket(a_x[lam][li], pi[mu][lj]),
-                        GradedExpr.unit(want)))
-    # [A, A] = 0 at equal times (one representative pair per index choice)
-    for lam in range(4):
-        for mu in range(lam, 4):
-            checks.append(_check(
-                f"gauge.eqt.A_A[{lam}{mu}]",
-                "[A^I_lam(x), A^J_mu(y)] = 0 at x0=y0",
-                super_bracket(a_x[lam][0], a_y[mu][0].expr), GradedExpr.zero()))
-    return checks
+    return _pair_checks("gauge", (
+        ("A_pi", "[A^I_lam(x), Pi^mu_J(y)] = -i d^mu_lam d^I_J dlat(x-y), xi=1",
+         [(f"{lam}{mu}{li}{lj}", a_x[lam][li], pi[mu][lj], (lam, li) == (mu, lj))
+          for lam in range(4) for mu in range(4) for li in lie for lj in lie],
+         -ScalarExpr.i()),
+        # one representative pair per index choice
+        ("A_A", "[A^I_lam(x), A^J_mu(y)] = 0 at x0=y0",
+         [(f"{lam}{mu}", a_x[lam][0], a_y[mu][0].expr, False)
+          for lam in range(4) for mu in range(lam, 4)], None),
+    ), dlat)
 
 
 def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
@@ -659,38 +645,34 @@ def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
     x, y, dlat = _frame(lattice)
     lie = range(lattice.lie_dim)
     i_ = ScalarExpr.i()
-    om_x = [field("ghost", li, x, lattice) for li in lie]
     om_y = [field("ghost", li, y, lattice) for li in lie]
-    omb_x = [conjugate_field("ghost", li, x, lattice) for li in lie]
-    omb_y = [conjugate_field("ghost", li, y, lattice) for li in lie]
     a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
-    dom_x = [f.deriv(0) for f in om_x]
-    domb_x = [f.deriv(0) for f in omb_x]
-    domb_y = [f.deriv(0) for f in omb_y]
-    rows = (
-        ("dbar_om", "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",
-         lambda i, j: (domb_x[i], om_y[j]), i_),
-        ("dom_bar", "{d0 omega^I(x), omegabar_J(y)} = -i d^I_J dlat(x-y)",
-         lambda i, j: (dom_x[j], omb_y[i]), -i_),
-        ("bar_om", "{omegabar_I(x), omega^J(y)} = 0 at x0=y0",
-         lambda i, j: (omb_x[i], om_y[j]), None),
-        ("bar_A0", "{omegabar_I(x), A^J_0(y)} = 0",
-         lambda i, j: (omb_x[i], a0_y[j]), None),
-        ("om_pi", "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
-         lambda i, j: (om_x[i], domb_y[j]), i_),
-    )
     pi = []
     for li in lie:
         acc = dict(om_y[li].deriv(0).expr.scale(ScalarExpr.rational(-1)).terms)
         _add_composite(acc, constants, li, -1, om_y, a0_y)
         pi.append(GradedExpr(acc))
-    i_dlat = i_ * dlat
-    return _pair_checks("ghost", lie, rows, dlat) + [
-        _check(f"ghost.eqt.bar_pi[{lj}{li}]",
-               "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
-               super_bracket(omb_x[lj].expr, pi[li]),
-               GradedExpr.unit(i_dlat if li == lj else ScalarExpr.zero()))
-        for li in lie for lj in lie]
+    om_x = _ops(field, "ghost", lie, x, lattice)
+    dom_x = _ops(field, "ghost", lie, x, lattice, 0)
+    omb_x = _ops(conjugate_field, "ghost", lie, x, lattice)
+    domb_x = _ops(conjugate_field, "ghost", lie, x, lattice, 0)
+    omb_y = _ops(conjugate_field, "ghost", lie, y, lattice)
+    domb_y = _ops(conjugate_field, "ghost", lie, y, lattice, 0)
+    # the labels name the omegabar index first
+    return _pair_checks("ghost", (
+        ("dbar_om", "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",
+         _square(lie, lambda i, j: (domb_x[i], om_y[j].expr)), i_),
+        ("dom_bar", "{d0 omega^I(x), omegabar_J(y)} = -i d^I_J dlat(x-y)",
+         _square(lie, lambda i, j: (dom_x[j], omb_y[i])), -i_),
+        ("bar_om", "{omegabar_I(x), omega^J(y)} = 0 at x0=y0",
+         _square(lie, lambda i, j: (omb_x[i], om_y[j].expr)), None),
+        ("bar_A0", "{omegabar_I(x), A^J_0(y)} = 0",
+         _square(lie, lambda i, j: (omb_x[i], a0_y[j].expr)), None),
+        ("om_pi", "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
+         _square(lie, lambda i, j: (om_x[i], domb_y[j])), i_),
+        ("bar_pi", "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
+         _square(lie, lambda j, i: (omb_x[j], pi[i])), i_),
+    ), dlat)
 
 
 #: sector -> builder of its equal-time checks, in report order

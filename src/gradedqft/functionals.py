@@ -13,7 +13,7 @@ is exactly what the negative controls exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -150,137 +150,112 @@ def fp_charge_target(lattice: ModeLattice, lam: int) -> GradedExpr:
 
 
 # --- functional builders ---------------------------------------------------
+#
+# A functional is a list of rows (w, a, mu, b, nu) over one sector; a row
+# stands for the term  integral of  w d_mu phibar_a d_nu phi_b,  where the
+# weight w is a ScalarExpr or a rational and None in place of mu or nu
+# means no derivative.
 
-def _point() -> FieldPoint:
-    return FieldPoint.make("t", "x")
+_HALF_I = ScalarExpr.rational(F(1, 2)) * _I
+
+
+def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
+    """Spatial integral of the rows' density, normal-ordered.  Rows with
+    the same fields are merged first, so each product is taken once, and
+    each derived field is built once."""
+    x = FieldPoint.make("t", "x")
+    weights: dict = {}
+    for w, a, mu, b, nu in rows:
+        if not isinstance(w, ScalarExpr):
+            w = ScalarExpr.rational(w)
+        add_term(weights, (a, mu, b, nu), w)
+    derived: dict = {}
+
+    def part(make, c, lam) -> FieldExpr:
+        key = (make, c, lam)
+        if key not in derived:
+            f = make(sector, c, x, lattice)
+            derived[key] = f if lam is None else f.deriv(lam)
+        return derived[key]
+
+    dens: dict = {}
+    for (a, mu, b, nu), w in weights.items():
+        prod = density_product(part(conjugate_field, a, mu), part(field, b, nu))
+        add_into(dens, prod.scale(w).terms)
+    return spatial_integral(GradedExpr(dens), x)
+
+
+def _diagonal(lattice: ModeLattice, sector: str, w, mu, nu) -> list:
+    """Rows w d_mu phibar_a d_nu phi_a, one per internal index a."""
+    return [(w, a, mu, a, nu) for a in lattice.internal_range(sector)]
+
+
+def _gamma_rows(lam: int, w: ScalarExpr, mu, nu) -> list:
+    """Rows w gamma^lam_{al be} d_mu psibar_al d_nu psi_be."""
+    return [(w * GAMMA[lam][al, be], al, mu, be, nu)
+            for al in range(4) for be in range(4)]
 
 
 def dirac_charge(lattice: ModeLattice) -> FunctionalResult:
     """Spatial integral of psibar gamma^0 psi."""
-    x = _point()
-    psi = [field("dirac", a, x, lattice) for a in range(4)]
-    psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
-    dens: dict = {}
-    for al in range(4):
-        for be in range(4):
-            g = GAMMA[0].rows[al][be]
-            if g.is_zero():
-                continue
-            add_into(dens, density_product(psib[al], psi[be]).scale(g).terms)
-    red = spatial_integral(GradedExpr(dens), x)
+    red = _integral(lattice, "dirac", _gamma_rows(0, ScalarExpr.one(), None, None))
     return FunctionalResult("dirac_charge", red, dirac_charge_target(lattice))
 
 
 def four_momentum(sector: str, lam: int, lattice: ModeLattice) -> FunctionalResult:
-    x = _point()
-    dens: dict = {}
     if sector == "dirac":
-        psi = [field("dirac", a, x, lattice) for a in range(4)]
-        psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
-        for al in range(4):
-            for be in range(4):
-                g = GAMMA[0].rows[al][be]
-                if g.is_zero():
-                    continue
-                add_into(dens, density_product(psib[al].deriv(lam), psi[be]).scale(
-                    -(ScalarExpr.rational(F(1, 2)) * _I * g)).terms)
-                add_into(dens, density_product(psib[al], psi[be].deriv(lam)).scale(
-                    ScalarExpr.rational(F(1, 2)) * _I * g).terms)
-        red = spatial_integral(GradedExpr(dens), x)
-        return FunctionalResult(f"dirac_momentum[{lam}]", red,
-                                dirac_momentum_target(lattice, lam))
-    if sector == "ghost":
-        for li in range(lattice.lie_dim):
-            omb = conjugate_field("ghost", li, x, lattice)
-            om = field("ghost", li, x, lattice)
-            add_into(dens, density_product(omb.deriv(0), om.deriv(lam)).terms)
-            add_into(dens, density_product(omb.deriv(lam), om.deriv(0)).terms)
-            if lam == 0:
-                for nu in range(4):
-                    add_into(dens, density_product(
-                        omb.deriv(nu), om.deriv(nu)).scale(
-                            ScalarExpr.rational(-METRIC[nu])).terms)
-        red = spatial_integral(GradedExpr(dens), x)
-        return FunctionalResult(f"ghost_momentum[{lam}]", red,
-                                ghost_momentum_target(lattice, lam))
-    raise FunctionalError(f"no 4-momentum builder for sector {sector!r}")
+        # (i/2)(psibar gamma0 d_lam psi - d_lam psibar gamma0 psi)
+        rows = _gamma_rows(0, -_HALF_I, lam, None) + \
+            _gamma_rows(0, _HALF_I, None, lam)
+        target = dirac_momentum_target(lattice, lam)
+    elif sector == "ghost":
+        # d0 omegabar d_lam omega + d_lam omegabar d0 omega
+        #   - d^0_lam g^{mu nu} d_mu omegabar d_nu omega
+        rows = _diagonal(lattice, "ghost", 1, 0, lam) + \
+            _diagonal(lattice, "ghost", 1, lam, 0)
+        if lam == 0:
+            rows += [row for nu in range(4)
+                     for row in _diagonal(lattice, "ghost", -METRIC[nu], nu, nu)]
+        target = ghost_momentum_target(lattice, lam)
+    else:
+        raise FunctionalError(f"no 4-momentum builder for sector {sector!r}")
+    return FunctionalResult(f"{sector}_momentum[{lam}]",
+                            _integral(lattice, sector, rows), target)
 
 
 def scalar_h_pieces(lattice: ModeLattice, sector: str = "scalar"):
     """The three density pieces of the generic free Hamiltonian,
     spatially integrated but not summed: time, gradient, mass."""
-    x = _point()
-    half = ScalarExpr.rational(F(1, 2))
     m = lattice.mass(sector)
-    t_piece: dict = {}
-    g_piece: dict = {}
-    m_piece: dict = {}
-    for a in lattice.internal_range(sector):
-        fb = conjugate_field(sector, a, x, lattice)
-        ff = field(sector, a, x, lattice)
-        add_into(t_piece, density_product(fb.deriv(0), ff.deriv(0)).scale(half).terms)
-        for i in range(1, 4):
-            add_into(g_piece, density_product(fb.deriv(i), ff.deriv(i)).scale(
-                half * ScalarExpr.rational(-METRIC[i])).terms)
-        add_into(m_piece, density_product(fb, ff).scale(
-            half * ScalarExpr.rational(m * m)).terms)
-    return tuple(spatial_integral(GradedExpr(piece), x)
-                 for piece in (t_piece, g_piece, m_piece))
+    return tuple(_integral(lattice, sector, rows) for rows in (
+        _diagonal(lattice, sector, F(1, 2), 0, 0),
+        [row for i in range(1, 4)
+         for row in _diagonal(lattice, sector, F(-METRIC[i], 2), i, i)],
+        _diagonal(lattice, sector, m * m / 2, None, None)))
 
 
 def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
-    x = _point()
     if sector in ("scalar", "fermion"):
         t_p, g_p, m_p = scalar_h_pieces(lattice, sector)
-        red = t_p + g_p + m_p
-        return FunctionalResult(f"{sector}_hamiltonian", red,
+        return FunctionalResult(f"{sector}_hamiltonian", t_p + g_p + m_p,
                                 scalar_h_target(lattice, sector))
-    dens: dict = {}
     if sector == "dirac":
-        psi = [field("dirac", a, x, lattice) for a in range(4)]
-        psib = [conjugate_field("dirac", a, x, lattice) for a in range(4)]
-        m = lattice.mass("dirac")
-        for al in range(4):
-            for be in range(4):
-                for i in range(1, 4):
-                    g = GAMMA[i].rows[al][be]
-                    if g.is_zero():
-                        continue
-                    gs = g * _I * ScalarExpr.rational(F(1, 2))
-                    add_into(dens, density_product(
-                        psib[al].deriv(i), psi[be]).scale(gs).terms)
-                    add_into(dens, density_product(
-                        psib[al], psi[be].deriv(i)).scale(-gs).terms)
-                if al == be:
-                    add_into(dens, density_product(psib[al], psi[be]).scale(
-                        ScalarExpr.rational(m)).terms)
-        red = spatial_integral(GradedExpr(dens), x)
-        return FunctionalResult("dirac_hamiltonian", red,
+        # (i/2)(d_i psibar gamma^i psi - psibar gamma^i d_i psi) + m psibar psi
+        rows = [row for i in range(1, 4) for row in
+                _gamma_rows(i, _HALF_I, i, None) + _gamma_rows(i, -_HALF_I, None, i)]
+        rows += _diagonal(lattice, "dirac", lattice.mass("dirac"), None, None)
+        return FunctionalResult("dirac_hamiltonian", _integral(lattice, "dirac", rows),
                                 dirac_momentum_target(lattice, 0))
     if sector == "ghost":
-        for li in range(lattice.lie_dim):
-            omb = conjugate_field("ghost", li, x, lattice)
-            om = field("ghost", li, x, lattice)
-            add_into(dens, density_product(omb.deriv(0), om.deriv(0)).terms)
-            for i in range(1, 4):
-                add_into(dens, density_product(omb.deriv(i), om.deriv(i)).scale(
-                    ScalarExpr.rational(-METRIC[i])).terms)
-        red = spatial_integral(GradedExpr(dens), x)
-        return FunctionalResult("ghost_hamiltonian", red,
-                                ghost_momentum_target(lattice, 0))
+        # the ghost Hamiltonian density is the 4-momentum density at lam = 0
+        return replace(four_momentum("ghost", 0, lattice), name="ghost_hamiltonian")
     raise FunctionalError(f"no free Hamiltonian for sector {sector!r}")
 
 
 def fp_current_integral(lam: int, lattice: ModeLattice) -> FunctionalResult:
     """g^{lam mu} integral of (d_mu omegabar_I omega^I - omegabar_I d_mu omega^I)."""
-    x = _point()
-    g = ScalarExpr.rational(METRIC[lam])
-    dens: dict = {}
-    for li in range(lattice.lie_dim):
-        omb = conjugate_field("ghost", li, x, lattice)
-        om = field("ghost", li, x, lattice)
-        add_into(dens, density_product(omb.deriv(lam), om).scale(g).terms)
-        add_into(dens, density_product(omb, om.deriv(lam)).scale(-g).terms)
-    red = spatial_integral(GradedExpr(dens), x)
-    return FunctionalResult(f"fp_current[{lam}]", red,
+    g = METRIC[lam]
+    rows = _diagonal(lattice, "ghost", g, lam, None) + \
+        _diagonal(lattice, "ghost", -g, None, lam)
+    return FunctionalResult(f"fp_current[{lam}]", _integral(lattice, "ghost", rows),
                             fp_charge_target(lattice, lam))

@@ -3,7 +3,9 @@
 Each identity owns a formula anchor (the statement being checked, in
 plain unicode math), runs against a prepared context and reports pass or
 fail with a residual: the number of surviving symbolic terms for exact
-checks, or a max-abs float for oracle checks.
+checks, a max-abs float for the oracle checks and ``dirac.boost_unitary``,
+or a short note for the boolean checks (the negative controls and
+``dirac.boost_rest``).
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ class RunContext:
     lattice: ModeLattice            # configured base lattice (massive ok)
     lattice_nozero: ModeLattice     # symmetric, no zero mode (massless ok)
     lattice_prop: ModeLattice       # propagator lattice (cube by default)
-    lie: lie_mod.LieData
     theory: bv.TheorySpec
     seed: int
     oracle_enabled: bool = True
@@ -132,6 +133,23 @@ def _alg_vanishing(ctx: RunContext, sector: str) -> CheckResult:
     return CheckResult.exact(bad)
 
 
+def _random_letter(rng: random.Random, sectors: list, n_internal: int) -> OpGen:
+    """A random generator on mode 0 or 1.  Scalar and fermion letters draw
+    their index position; a ghost absorbs with an upper index and an
+    antighost with a lower one.  The internal index is drawn only when
+    there is more than one: ``randrange(1)`` would still consume bits and
+    shift every later draw of the stream."""
+    sector = rng.choice(sectors)
+    species = rng.choice([ABSORB, EMIT])
+    if sector in ("ghost", "antighost"):
+        pos = UPPER if (species == ABSORB) == (sector == "ghost") else LOWER
+    else:
+        pos = rng.choice([UPPER, LOWER])
+    mode = rng.randrange(2)
+    return OpGen(species, pos, sector, mode,
+                 (rng.randrange(n_internal) if n_internal > 1 else 0,))
+
+
 def _alg_jacobi(ctx: RunContext) -> CheckResult:
     rng = ctx.rng("jacobi")
     bad = 0
@@ -139,18 +157,8 @@ def _alg_jacobi(ctx: RunContext) -> CheckResult:
     while checked < 40:
         words = []
         for _ in range(3):
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                sector = rng.choice(["scalar", "fermion", "ghost", "antighost"])
-                species = rng.choice([ABSORB, EMIT])
-                if sector in ("scalar", "fermion"):
-                    pos = rng.choice([UPPER, LOWER])
-                elif sector == "ghost":
-                    pos = UPPER if species == ABSORB else LOWER
-                else:
-                    pos = LOWER if species == ABSORB else UPPER
-                gens.append(OpGen(species, pos, sector, rng.randrange(2),
-                                  (rng.randrange(2),)))
+            gens = [_random_letter(rng, ["scalar", "fermion", "ghost", "antighost"], 2)
+                    for _ in range(rng.randint(1, 3))]
             e = GradedExpr.unit()
             for g in gens:
                 e = alg.koszul_product(e, GradedExpr.of(g), "physical")
@@ -295,12 +303,22 @@ def _table_identity(ctx, sector):
     y = FieldPoint.make("t2", "y")
     xy = [(1, x), (-1, y)]
     xpy = [(1, x), (1, y)]
-    pm = 1 if sector == "scalar" else -1
-    sgn = ScalarExpr.rational(pm)
+    zero, one = ScalarExpr.zero(), ScalarExpr.one()
+    sgn = ScalarExpr.rational(1 if sector == "scalar" else -1)
+
+    def d(f, lam):
+        return f if lam is None else f.deriv(lam)
+
+    def prop(points, s_minus, lam, flip=False):
+        """(D+ + s_minus D-)_{,lam} at points, negated when ``flip``."""
+        got = propagator_D(+1, points, lat, sector, deriv=lam) + \
+            s_minus * propagator_D(-1, points, lat, sector, deriv=lam)
+        return -got if flip else got
+
     bad = 0
     for a in lat.internal_range(sector):
         for b in lat.internal_range(sector):
-            d_ab = ScalarExpr.one() if a == b else ScalarExpr.zero()
+            d_ab = one if a == b else zero
             f = field(sector, a, x, lat)
             fb = conjugate_field(sector, b, y, lat)
             g = field(sector, b, y, lat)
@@ -308,32 +326,18 @@ def _table_identity(ctx, sector):
             fs = star_field(sector, a, x, lat)
             cphi = conj_C_field(sector, b, y, lat)
             cphis = conj_C_field(sector, b, y, lat, star=True)
-            dp_m = propagator_D(+1, xy, lat, sector)
-            dm_m = propagator_D(-1, xy, lat, sector)
-            dp_p = propagator_D(+1, xpy, lat, sector)
-            dm_p = propagator_D(-1, xpy, lat, sector)
-            bad += field_supercommutator(f, g).n_terms
-            bad += field_supercommutator(f, gs).n_terms
-            bad += field_supercommutator(fs, gs).n_terms
-            bad += (field_supercommutator(f, fb) - d_ab * (dp_m + dm_m)).n_terms
-            bad += (field_supercommutator(f, cphi) - d_ab * (dp_p + sgn * dm_p)).n_terms
-            bad += (field_supercommutator(f, cphis) - d_ab * (dp_m + sgn * dm_m)).n_terms
-            for lam in range(4):
-                dpl_m = propagator_D(+1, xy, lat, sector, deriv=lam)
-                dml_m = propagator_D(-1, xy, lat, sector, deriv=lam)
-                dpl_p = propagator_D(+1, xpy, lat, sector, deriv=lam)
-                dml_p = propagator_D(-1, xpy, lat, sector, deriv=lam)
-                bad += field_supercommutator(f, g.deriv(lam)).n_terms
-                bad += field_supercommutator(f, gs.deriv(lam)).n_terms
-                bad += field_supercommutator(fs, gs.deriv(lam)).n_terms
-                bad += (field_supercommutator(f, cphi.deriv(lam)) -
-                        d_ab * (dpl_p + sgn * dml_p)).n_terms
-                bad += (field_supercommutator(f, cphis.deriv(lam)) -
-                        d_ab * (-dpl_m - sgn * dml_m)).n_terms
-                bad += (field_supercommutator(f, fb.deriv(lam)) -
-                        d_ab * (-(dpl_m + dml_m))).n_terms
-                bad += (field_supercommutator(f.deriv(lam), fb) -
-                        d_ab * (dpl_m + dml_m)).n_terms
+            for lam in (None, *range(4)):
+                # d/dy of a function of x - y is minus d/dx
+                dy = lam is not None
+                rows = [(f, d(g, lam), zero), (f, d(gs, lam), zero),
+                        (fs, d(gs, lam), zero),
+                        (f, d(fb, lam), d_ab * prop(xy, one, lam, dy)),
+                        (f, d(cphi, lam), d_ab * prop(xpy, sgn, lam)),
+                        (f, d(cphis, lam), d_ab * prop(xy, sgn, lam, dy))]
+                if dy:
+                    rows.append((f.deriv(lam), fb, d_ab * prop(xy, one, lam)))
+                for left, right, want in rows:
+                    bad += (field_supercommutator(left, right) - want).n_terms
     return CheckResult.exact(bad)
 
 
@@ -858,18 +862,8 @@ def oracle_suite() -> list:
         for _ in range(25):
             words = []
             for _ in range(2):
-                gens = []
-                for _ in range(rng.randint(1, 3)):
-                    sector = rng.choice(["fermion", "ghost", "antighost"])
-                    species = rng.choice([ABSORB, EMIT])
-                    if sector == "fermion":
-                        pos = rng.choice([UPPER, LOWER])
-                    elif sector == "ghost":
-                        pos = UPPER if species == ABSORB else LOWER
-                    else:
-                        pos = LOWER if species == ABSORB else UPPER
-                    gens.append(OpGen(species, pos, sector, rng.randrange(2),
-                                      (0,)))
+                gens = [_random_letter(rng, ["fermion", "ghost", "antighost"], 1)
+                        for _ in range(rng.randint(1, 3))]
                 words.append(GradedExpr({tuple(gens): ScalarExpr.one()}))
             worst = max(worst, orc.product_residual(words[0], words[1], sp,
                                                     _BIND))

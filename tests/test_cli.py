@@ -29,7 +29,7 @@ def test_default_config_loads():
     ctx = context_from_config(cfg)
     assert len(ctx.lattice.modes) == 3
     assert len(ctx.lattice_prop.modes) == 27
-    assert ctx.lie.dim == 3  # su2 default
+    assert ctx.theory.lie.dim == 3  # su2 default
 
 
 def test_config_ini_roundtrip(tmp_path):
@@ -49,7 +49,7 @@ masses = {"scalar": 2, "fermion": 1, "dirac": 3}
     cfg = load_config(str(p))
     assert cfg["run"]["seed"] == 123
     ctx = context_from_config(cfg)
-    assert ctx.lie.dim == 1
+    assert ctx.theory.lie.dim == 1
     assert str(ctx.lattice.modes[0].momentum[0]) == "2"
 
 
@@ -131,6 +131,30 @@ def test_corrupted_constants_fail_brst_only():
     assert "fail" in by_suite["brst"]
     assert all(s == "pass" for s in by_suite["algebra"])
     assert all(s == "pass" for s in by_suite["bv"])
+
+
+def test_a_non_central_equal_time_bracket_fails_with_a_term_count(monkeypatch):
+    """A scalar field that carries one extra fermion generator brackets to
+    an operator, not a number: equal_time.scalar must fail and count the
+    surviving terms, not stop with an error."""
+    from gradedqft import fields
+    from gradedqft.algebra import EMIT, UPPER, GradedExpr, OpGen, koszul_product
+    extra = GradedExpr.of(OpGen(EMIT, UPPER, "fermion", 0, (0,)))
+    plain = fields.field
+
+    def carrying(sector, component, x, lattice):
+        f = plain(sector, component, x, lattice)
+        if sector != "scalar":
+            return f
+        return fields.FieldExpr(koszul_product(f.expr, extra), f.sector,
+                                f.component, f.point, f.lattice)
+
+    monkeypatch.setattr(fields, "field", carrying)
+    report = run_verify(fast_cfg(), suites=["equal_time"])
+    entry = {e["identity"]: e for e in report["identities"]}["equal_time.scalar"]
+    assert entry["status"] == "fail"
+    count, unit = entry["residual"].split()
+    assert unit == "terms" and int(count) > 0
 
 
 def test_a_raising_identity_is_reported_as_an_error(monkeypatch):
@@ -249,7 +273,7 @@ def test_custom_generator_config():
     cfg = fast_cfg()
     cfg["theory"]["lie"] = [[[1j, 0], [0, -1j]]]
     ctx = context_from_config(cfg)
-    assert ctx.lie.dim == 1 and ctx.lie.dim_f == 2
+    assert ctx.theory.lie.dim == 1 and ctx.theory.lie.dim_f == 2
     report = run_verify(cfg, suites=["brst"])
     assert report["failed"] == 0
 

@@ -138,10 +138,14 @@ def test_ghost_momentum_reduces(lam):
     assert res.time_independent
 
 
-def test_dirac_hamiltonian_equals_momentum_zero():
-    lat = lat_pyth()
-    h = free_hamiltonian("dirac", lat)
-    p0 = four_momentum("dirac", 0, lat)
+@pytest.mark.parametrize("sector, make_lat", [
+    ("dirac", lat_pyth),
+    ("ghost", lambda: lat_nozero(lie_dim=2)),
+], ids=["dirac", "ghost"])
+def test_dirac_hamiltonian_equals_momentum_zero(sector, make_lat):
+    lat = make_lat()
+    h = free_hamiltonian(sector, lat)
+    p0 = four_momentum(sector, 0, lat)
     assert h.match and p0.match
     assert h.reduced == p0.reduced
 
