@@ -153,10 +153,6 @@ def left_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
     return gradient(f).get(coord, FiberPoly.zero())
 
 
-def right_deriv(f: FiberPoly, coord: FiberCoord) -> FiberPoly:
-    return gradient(f, right=True).get(coord, FiberPoly.zero())
-
-
 def bv_laplacian(f: FiberPoly) -> FiberPoly:
     """Delta f = sum_i D_i Dtilde^i f, over the antifields Dtilde^i of f."""
     return FiberPoly.sum(left_deriv(d, c.partner())

@@ -1,4 +1,4 @@
-"""Mode-lattice free quantum fields and their super-commutators.
+"""Mode-lattice free quantum fields, their conjugates and propagators.
 
 Conventions, fixed once for the whole engine:
 
@@ -10,13 +10,20 @@ Conventions, fixed once for the whole engine:
       w_p * dressing * ( e^{-i<p,x>} absorption + e^{+i<p,x>} emission )
 
   with w_p = (2 E)^{-1/2}; absorption operators always ride the
-  e^{-i<p,x>} phase.
-* the conjugate field carries emission of particles and -/+ absorption
-  of anti-particles: plus sign for bosons, minus for fermions.  For the
-  Dirac sector the field is dressed with the boost K(p) and its
-  conjugate with K^-1 = gamma^0 K+ gamma^0, both from ``gammas.boost``
-  (exact for every momentum), the same K the dirac identities check; for
-  ghosts the minus sign lands on the anti-ghost absorption term.
+  e^{-i<p,x>} phase.  Only these field rows are written out, one pair
+  per sector; the Dirac field is dressed with the boost K(p) of
+  ``gammas.boost`` (exact for every momentum), the same K the dirac
+  identities check.
+* every other constructor follows from the field rows by two row maps:
+  the transpose swaps absorption and emission (``star_field``), the
+  plain conjugate lowers the index and conjugates the phase
+  (``conj_C_field``), and both give ``conj_C_field(star=True)``.
+* the conjugate field is both maps with the absorption row first, that
+  row's sign multiplied by (-1)^parity, and the dressing K mapped to
+  K^-1 = gamma^0 K+ gamma^0: particle emission and +/- anti-particle
+  absorption, plus for bosons and minus for fermions (for ghosts the
+  minus lands on the anti-ghost absorption).  The real gauge field has
+  no conjugate.
 
 Propagator mode sums:
 
@@ -305,50 +312,66 @@ def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
 
 # --- field constructors ---------------------------------------------------
 
-def _generic_expansions(s: str) -> dict:
-    """Table entries of a generic sector s; its operator sector is s too."""
-    # anti-particle absorption in the conjugate: +1 for bosons, -1 for fermions
-    odd = -1 if FIELD_SECTORS[s] else 1
-    return {
-        ("field", s): ((ABSORB, UPPER, s, +1, 1, None), (EMIT, UPPER, s, -1, 1, None)),
-        ("conjugate", s): ((ABSORB, LOWER, s, +1, odd, None),
-                           (EMIT, LOWER, s, -1, 1, None)),
-        ("star", s): ((EMIT, UPPER, s, +1, 1, None), (ABSORB, UPPER, s, -1, 1, None)),
-        ("conj_C", s): ((ABSORB, LOWER, s, -1, 1, None), (EMIT, LOWER, s, +1, 1, None)),
-        ("conj_C_star", s): ((EMIT, LOWER, s, -1, 1, None),
-                             (ABSORB, LOWER, s, +1, 1, None)),
-    }
-
-
-#: (constructor, field sector) -> rows of the expansion over one lattice
-#: mode: (species, index position, operator sector, phase sign, sign,
-#: dressing).  Phase sign +1 is e^{-i<p,x>}, -1 its conjugate.  A Dirac
-#: row repeats over the two spin slots s with coefficient k[al, s + o]
-#: (dressing ("k", o)) or kinv[s + o, al] (("kinv", o)); every other row
-#: keeps the component's own internal index.
-_EXPANSIONS = {
-    **_generic_expansions("scalar"),
-    **_generic_expansions("fermion"),
-    ("field", "dirac"): (
-        (ABSORB, UPPER, "dirac_particle", +1, 1, ("k", 0)),
-        (EMIT, UPPER, "dirac_antiparticle", -1, 1, ("k", 2))),
-    ("field", "gauge"): ((ABSORB, UPPER, "gauge", +1, 1, None),
-                         (EMIT, UPPER, "gauge", -1, 1, None)),
-    ("field", "ghost"): ((ABSORB, UPPER, "ghost", +1, 1, None),
-                         (EMIT, UPPER, "antighost", -1, 1, None)),
-    ("conjugate", "dirac"): (
-        (ABSORB, LOWER, "dirac_antiparticle", +1, -1, ("kinv", 2)),
-        (EMIT, LOWER, "dirac_particle", -1, 1, ("kinv", 0))),
-    ("conjugate", "ghost"): ((ABSORB, LOWER, "antighost", +1, -1, None),
-                             (EMIT, LOWER, "ghost", -1, 1, None)),
+#: sector -> rows of its field over one lattice mode: (species, index
+#: position, operator sector, phase sign, sign, dressing).  Phase sign +1 is
+#: e^{-i<p,x>}, -1 its conjugate.  A Dirac row repeats over the two spin
+#: slots s with coefficient k[al, s + o] (dressing ("k", o)) or
+#: kinv[s + o, al] (("kinv", o)); every other row keeps the component's own
+#: internal index.  Every other constructor follows from these rows.
+_FIELD_ROWS = {
+    "scalar": ((ABSORB, UPPER, "scalar", +1, 1, None),
+               (EMIT, UPPER, "scalar", -1, 1, None)),
+    "fermion": ((ABSORB, UPPER, "fermion", +1, 1, None),
+                (EMIT, UPPER, "fermion", -1, 1, None)),
+    "dirac": ((ABSORB, UPPER, "dirac_particle", +1, 1, ("k", 0)),
+              (EMIT, UPPER, "dirac_antiparticle", -1, 1, ("k", 2))),
+    "gauge": ((ABSORB, UPPER, "gauge", +1, 1, None),
+              (EMIT, UPPER, "gauge", -1, 1, None)),
+    "ghost": ((ABSORB, UPPER, "ghost", +1, 1, None),
+              (EMIT, UPPER, "antighost", -1, 1, None)),
 }
+
+
+def _transpose(rows: tuple) -> tuple:
+    """Operator transpose: absorption and emission trade places."""
+    return tuple((EMIT if sp == ABSORB else ABSORB, *rest) for sp, *rest in rows)
+
+
+def _plain_conjugate(rows: tuple) -> tuple:
+    """Plain complex conjugate: lowered index, conjugated phase."""
+    return tuple((sp, LOWER, op, -ph, *rest) for sp, _, op, ph, *rest in rows)
+
+
+def _conjugate(rows: tuple, parity: int) -> tuple:
+    """The conjugate field, both maps: absorption row first, its sign
+    (-1)^parity, and the dressing K -> K^-1."""
+    both = sorted(_transpose(_plain_conjugate(rows)), key=lambda r: r[0] != ABSORB)
+    return tuple((sp, pos, op, ph, sign * (-1) ** parity if sp == ABSORB else sign,
+                  None if dressing is None else ("kinv", dressing[1]))
+                 for sp, pos, op, ph, sign, dressing in both)
+
+
+#: (constructor, field sector) -> rows, all derived from ``_FIELD_ROWS``:
+#: star, conj_C and conj_C_star (the two maps and both) for the generic
+#: sectors, and the conjugate for every sector but the real gauge field.
+_EXPANSIONS = {}
+for _s, _rows in _FIELD_ROWS.items():
+    _EXPANSIONS["field", _s] = _rows
+    if _s in ("scalar", "fermion"):
+        _EXPANSIONS["star", _s] = _transpose(_rows)
+        _EXPANSIONS["conj_C", _s] = _plain_conjugate(_rows)
+        _EXPANSIONS["conj_C_star", _s] = _transpose(_plain_conjugate(_rows))
+    if _s != "gauge":
+        _EXPANSIONS["conjugate", _s] = _conjugate(_rows, FIELD_SECTORS[_s])
 
 
 def _expand(kind: str, sector: str, component, x: FieldPoint,
             lattice: ModeLattice) -> FieldExpr:
-    """Mode sum of one table entry; the caller has vetted ``sector``.
+    """Mode sum of one table entry, a FieldError when the table holds none.
     The operator expression is built once per lattice for each (kind,
     sector, internal index, point) and shared by every FieldExpr."""
+    if (kind, sector) not in _EXPANSIONS:
+        raise FieldError(f"no {kind} expansion for sector {sector!r}")
     if sector == "gauge":
         lam, li = component
         internal = (lam, li)
@@ -393,8 +416,6 @@ def _mode_sum(kind: str, sector: str, internal: tuple, x: FieldPoint,
 def field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
     """The free field component at x (particle absorption plus
     anti-particle emission)."""
-    if ("field", sector) not in _EXPANSIONS:
-        raise FieldError(f"unknown field sector {sector!r}")
     return _expand("field", sector, component, x, lattice)
 
 
@@ -404,16 +425,12 @@ def conjugate_field(sector: str, component, x: FieldPoint,
     absorption, the latter with +1 for bosons and -1 for fermions."""
     if sector in ("gauge", "nl"):
         raise RealSectorError(f"sector {sector!r} is real; no conjugate field")
-    if ("conjugate", sector) not in _EXPANSIONS:
-        raise FieldError(f"unknown field sector {sector!r}")
     return _expand("conjugate", sector, component, x, lattice)
 
 
 def star_field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
     """Operator transpose of the field: emissions ride the absorption
     phase and vice versa (generic sectors only)."""
-    if ("star", sector) not in _EXPANSIONS:
-        raise FieldError("star_field is defined for the generic sectors")
     return _expand("star", sector, component, x, lattice)
 
 
@@ -421,24 +438,10 @@ def conj_C_field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
                  star: bool = False) -> FieldExpr:
     """Plain complex conjugate of the field (and its transpose when
     ``star``): lowered-index operators with observer-dependent phases."""
-    kind = "conj_C_star" if star else "conj_C"
-    if (kind, sector) not in _EXPANSIONS:
-        raise FieldError("conj_C_field is defined for the generic sectors")
-    return _expand(kind, sector, component, x, lattice)
+    return _expand("conj_C_star" if star else "conj_C", sector, component, x, lattice)
 
 
-# --- super-commutators and propagators -----------------------------------
-
-def field_supercommutator(f: FieldExpr, g: FieldExpr) -> ScalarExpr:
-    """Super-bracket of two field components; central, so a ScalarExpr."""
-    if f.lattice is not g.lattice:
-        raise LatticeError("fields live on different lattices")
-    br = super_bracket(f.expr, g.expr)
-    op = br.operator_part()
-    if not op.is_zero():
-        raise FieldError("field super-commutator is not central")
-    return br.scalar_part()
-
+# --- propagators ---------------------------------------------------------
 
 def propagator_D(sign: int, points: Sequence[tuple], lattice: ModeLattice,
                  fsector: str, deriv: int | None = None) -> ScalarExpr:

@@ -95,10 +95,6 @@ class SpinMatrix:
                                            for k in range(4))
                             for j in range(4)] for i in range(4)])
 
-    def dagger(self) -> "SpinMatrix":
-        return SpinMatrix([[self.rows[j][i].conjugate() for j in range(4)]
-                           for i in range(4)])
-
     def trace(self) -> ScalarExpr:
         return ScalarExpr.sum(self.rows[i][i] for i in range(4))
 

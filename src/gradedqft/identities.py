@@ -31,7 +31,6 @@ from .fields import (
     dirac_dressing,
     equal_time_report,
     field,
-    field_supercommutator,
     propagator_D,
     propagator_D_total,
     star_field,
@@ -337,7 +336,8 @@ def _table_identity(ctx, sector):
                 if dy:
                     rows.append((f.deriv(lam), fb, d_ab * prop(xy, one, lam)))
                 for left, right, want in rows:
-                    bad += (field_supercommutator(left, right) - want).n_terms
+                    br = alg.super_bracket(left.expr, right.expr)
+                    bad += (br - GradedExpr.unit(want)).n_terms
     return CheckResult.exact(bad)
 
 
@@ -347,8 +347,8 @@ def _table_translation(ctx):
     y = FieldPoint.make("t2", "y")
     f = field("scalar", 0, x, lat)
     fb = conjugate_field("scalar", 0, y, lat)
-    before = field_supercommutator(f, fb)
-    after = field_supercommutator(f.translate("a"), fb.translate("a"))
+    before = alg.super_bracket(f.expr, fb.expr)
+    after = alg.super_bracket(f.translate("a").expr, fb.translate("a").expr)
     return CheckResult.exact((before - after).n_terms)
 
 
@@ -469,9 +469,8 @@ def dirac_suite() -> list:
         bad = 0
         for al in range(4):
             for be in range(4):
-                got = field_supercommutator(
-                    conjugate_field("dirac", al, x, lat),
-                    field("dirac", be, y, lat))
+                got = alg.super_bracket(conjugate_field("dirac", al, x, lat).expr,
+                                        field("dirac", be, y, lat).expr)
                 want = ScalarExpr.zero()
                 if al == be:
                     want = want + ScalarExpr.rational(-m) * d_tot
@@ -480,7 +479,7 @@ def dirac_suite() -> list:
                     if not g.is_zero():
                         want = want + ScalarExpr.i() * g * d_der[lam]
                 want = want * ScalarExpr.rational(F(1, 2) / m)
-                bad += (got - want).n_terms
+                bad += (got - GradedExpr.unit(want)).n_terms
         return CheckResult.exact(bad)
 
     def frames(ctx):

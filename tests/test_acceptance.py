@@ -25,7 +25,6 @@ from gradedqft.fields import (
     delta_lattice,
     equal_time_report,
     field,
-    field_supercommutator,
     propagator_D,
     propagator_D_total,
 )
@@ -33,6 +32,15 @@ from gradedqft.gammas import OnShellMomentum, SpinMatrix, boost, shell_projector
 from gradedqft.scalars import GaussianRational, ScalarExpr
 
 F = Fraction
+
+
+def field_supercommutator(f, g) -> ScalarExpr:
+    """Super-bracket of two field components on one lattice, which must be
+    central: its scalar value."""
+    assert f.lattice is g.lattice
+    br = alg.super_bracket(f.expr, g.expr)
+    assert br.operator_part().is_zero()
+    return br.scalar_part()
 
 
 def default_context():

@@ -14,7 +14,6 @@ from gradedqft.bv import (
     gradient,
     horizontal_diff,
     left_deriv,
-    right_deriv,
 )
 from gradedqft.linear import add_into, add_term, canonical_terms
 from gradedqft.scalars import ScalarExpr
@@ -33,6 +32,10 @@ def odd_th(i=0, jet=()):
 
 def anti_of(c):
     return c.partner()
+
+
+def right_deriv(f, coord):
+    return gradient(f, right=True).get(coord, FiberPoly.zero())
 
 
 def P(*coords):

@@ -133,25 +133,32 @@ def test_corrupted_constants_fail_brst_only():
     assert all(s == "pass" for s in by_suite["bv"])
 
 
-def test_a_non_central_equal_time_bracket_fails_with_a_term_count(monkeypatch):
-    """A scalar field that carries one extra fermion generator brackets to
-    an operator, not a number: equal_time.scalar must fail and count the
+@pytest.mark.parametrize("sector,suite,identity", [
+    ("scalar", "equal_time", "equal_time.scalar"),
+    ("scalar", "equal_time", "table.supercommutators.scalar"),
+    ("dirac", "dirac", "dirac.field_anticommutator"),
+])
+def test_a_non_central_equal_time_bracket_fails_with_a_term_count(
+        monkeypatch, sector, suite, identity):
+    """A field that carries one extra fermion generator brackets to an
+    operator, not a number: the identity must fail and count the
     surviving terms, not stop with an error."""
-    from gradedqft import fields
+    from gradedqft import fields, identities
     from gradedqft.algebra import EMIT, UPPER, GradedExpr, OpGen, koszul_product
     extra = GradedExpr.of(OpGen(EMIT, UPPER, "fermion", 0, (0,)))
     plain = fields.field
 
-    def carrying(sector, component, x, lattice):
-        f = plain(sector, component, x, lattice)
-        if sector != "scalar":
+    def carrying(sector_, component, x, lattice):
+        f = plain(sector_, component, x, lattice)
+        if sector_ != sector:
             return f
         return fields.FieldExpr(koszul_product(f.expr, extra), f.sector,
                                 f.component, f.point, f.lattice)
 
     monkeypatch.setattr(fields, "field", carrying)
-    report = run_verify(fast_cfg(), suites=["equal_time"])
-    entry = {e["identity"]: e for e in report["identities"]}["equal_time.scalar"]
+    monkeypatch.setattr(identities, "field", carrying)
+    report = run_verify(fast_cfg(), suites=[suite])
+    entry = {e["identity"]: e for e in report["identities"]}[identity]
     assert entry["status"] == "fail"
     count, unit = entry["residual"].split()
     assert unit == "terms" and int(count) > 0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from gradedqft import fields
 from gradedqft.algebra import (
     ABSORB,
     EMIT,
@@ -11,6 +12,7 @@ from gradedqft.algebra import (
     OpGen,
     super_bracket,
 )
+from gradedqft.cli import load_config, run_verify
 from gradedqft.fields import (
     FieldError,
     FieldPoint,
@@ -22,7 +24,6 @@ from gradedqft.fields import (
     delta_lattice,
     equal_time_report,
     field,
-    field_supercommutator,
     propagator_D,
     propagator_D_total,
     star_field,
@@ -53,6 +54,15 @@ X = FieldPoint.make("t", "x")
 Y = FieldPoint.make("t2", "y")
 XY = [(1, X), (-1, Y)]
 XpY = [(1, X), (1, Y)]
+
+
+def field_supercommutator(f, g) -> ScalarExpr:
+    """Super-bracket of two field components on one lattice, which must be
+    central: its scalar value."""
+    assert f.lattice is g.lattice
+    br = super_bracket(f.expr, g.expr)
+    assert br.operator_part().is_zero()
+    return br.scalar_part()
 
 
 def test_lattice_validation():
@@ -147,6 +157,34 @@ def test_constructor_table_builds_or_raises(ctor, sector):
     with pytest.raises(FieldError) as info:
         make(sector, _COMPONENTS[sector], X, lat)
     assert type(info.value) is FieldError
+
+
+#: what flipping the rule's (-1)^parity on every conjugate fails
+_PARITY_SIGN_KILLS = {
+    "dirac.field_anticommutator",
+    "equal_time.scalar", "equal_time.dirac", "equal_time.ghost",
+    "functional.scalar_hamiltonian", "functional.fermion_hamiltonian",
+    "functional.dirac_hamiltonian", "functional.ghost_hamiltonian",
+    "functional.dirac_charge",
+    "functional.dirac_momentum.0", "functional.dirac_momentum.1",
+    "functional.ghost_momentum.0", "functional.ghost_momentum.1",
+    "functional.fp_charge", "functional.fp_current_spatial",
+    "oracle.table", "oracle.functionals",
+    "table.supercommutators.scalar", "table.supercommutators.fermion",
+}
+
+
+def test_flipping_the_conjugation_sign_fails_its_identities(monkeypatch):
+    """Negative control for the conjugation rule: negate the absorption
+    row of every derived conjugate and exactly these identities fail."""
+    for (kind, sector), rows in list(fields._EXPANSIONS.items()):
+        if kind == "conjugate":
+            monkeypatch.setitem(fields._EXPANSIONS, (kind, sector), tuple(
+                (sp, pos, op, ph, -sign if sp == ABSORB else sign, dressing)
+                for sp, pos, op, ph, sign, dressing in rows))
+    report = run_verify(load_config(None))
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert failed == _PARITY_SIGN_KILLS
 
 
 def test_boson_conjugate_equals_C_star():
