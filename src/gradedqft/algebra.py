@@ -10,11 +10,13 @@ it.  Normal ordering is exactly the modified-rule rewrite.  The rewrite
 itself is `linear.canonical_terms`; this module supplies the letters and
 the contraction.
 
-The super-bracket is not two full products.  Per word pair it merges the
-canonical terms of w1 w2 with those of -+ w2 w1 by canonical word, with
-their integer Koszul signs and contraction factors; the uncontracted
-words cancel there, and the coefficients c1 c2 are multiplied only for
-the words that survive.
+The super-bracket is not two full products.  It is the Leibniz rule on
+both operands: a word pair's bracket is a signed sum over its letter
+pairs, each letter bracket set between the rest of the two words.  A
+letter bracket is computed once per process by the word rule, the
+canonical terms of x y merged with those of -+ y x, where the
+uncontracted words cancel; almost every letter bracket is zero, and the
+coefficients c1 c2 are multiplied only when one survives.
 
 Generator species and index position together select one of the four
 elementary operators of a complex sector:
@@ -160,32 +162,68 @@ def normal_order(e: GradedExpr) -> GradedExpr:
 
 
 def super_bracket(a: GradedExpr, b: GradedExpr) -> GradedExpr:
-    """[[X, Y]] = XY - (-1)^{|X||Y|} YX, physical rule, merged per word pair.
+    """[[X, Y]] = XY - (-1)^{|X||Y|} YX, physical rule, by the Leibniz rule.
 
-    For each (w1, c1) of X and (w2, c2) of Y the canonical terms of w1 w2
-    and of -(-1)^{|X||Y|} w2 w1 are summed by canonical word.  The
-    uncontracted words cancel there as integer signs (a wrong Koszul sign
-    leaves them standing), and c1 c2 is multiplied only into the words
-    that survive.
+    For each (w1, c1) of X and (w2, c2) of Y, with x_i = w1[i] and
+    y_j = w2[j],
+
+        [[w1, w2]] = sum_{i,j} (-1)^{|Y||w1[i+1:]| + |x_i||w2[:j]|}
+                     w1[:i] w2[:j] [[x_i, y_j]] w2[j+1:] w1[i+1:],
+
+    each word brought to canonical order by `canonical_terms`.  The
+    letter brackets come from `_letter_bracket`; almost all of them are
+    zero, and c1 c2 is multiplied only when one survives.
     """
     pa, pb = parity_of(a), parity_of(b)
     if "mixed" in (pa, pb):
         raise MixedParityError("super-bracket needs definite-parity operands")
-    sign = -1 if (pa == "odd" and pb == "odd") else 1
+    odd_x, odd_y = pa == "odd", pb == "odd"
     acc: dict[tuple, ScalarExpr] = {}
     for w1, c1 in a.terms.items():
         for w2, c2 in b.terms.items():
-            merged: dict = {}
-            _merge(merged, canonical_terms(w1 + w2, _contraction), 1)
-            _merge(merged, canonical_terms(w2 + w1, _contraction), -sign)
-            survivors = [(w, f) for w, f in merged.items()
-                         if (not f.is_zero() if type(f) is ScalarExpr
-                             else f != 0)]
-            if survivors:
-                c12 = c1 * c2
-                for w, f in survivors:
-                    add_term(acc, w, c12 * f)
+            c12 = None
+            tail = odd_x  # parity of w1[i+1:]
+            for i, x in enumerate(w1):
+                tail ^= x.parity
+                head = 0  # parity of w2[:j]
+                for j, y in enumerate(w2):
+                    br = _LETTER_BRACKETS.get((x, y))
+                    if br is None:
+                        br = _letter_bracket(x, y)
+                    if br:
+                        if c12 is None:
+                            c12 = c1 * c2
+                        sign = -1 if (odd_y and tail) ^ (x.parity and head) else 1
+                        left, right = w1[:i] + w2[:j], w2[j + 1:] + w1[i + 1:]
+                        for f, u in br:
+                            f = f * sign
+                            for g, w in canonical_terms(left + u + right,
+                                                        _contraction):
+                                add_term(acc, w, c12 * (g * f if type(f) is int
+                                                        else f * g))
+                    head ^= y.parity
     return GradedExpr._wrap(acc)
+
+
+#: (x, y) -> the nonzero terms (factor, canonical word) of [[x, y]]
+_LETTER_BRACKETS: dict = {}
+
+
+def _letter_bracket(x: OpGen, y: OpGen) -> tuple:
+    """[[x, y]] by the word rule, entered in `_LETTER_BRACKETS`.
+
+    The canonical terms of x y and of -(-1)^{|x||y|} y x are summed by
+    canonical word.  The uncontracted words cancel there as integer signs,
+    so a wrong Koszul sign leaves them standing as a non-central bracket.
+    """
+    merged: dict = {}
+    _merge(merged, canonical_terms((x, y), _contraction), 1)
+    _merge(merged, canonical_terms((y, x), _contraction),
+           1 if x.parity and y.parity else -1)
+    br = tuple((f, w) for w, f in merged.items()
+               if (not f.is_zero() if type(f) is ScalarExpr else f != 0))
+    _LETTER_BRACKETS[(x, y)] = br
+    return br
 
 
 def _merge(merged: dict, terms: list, weight: int) -> None:

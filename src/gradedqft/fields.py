@@ -36,7 +36,8 @@ closed under p -> -p; the report functions check that up front.
 Everything built from the lattice alone -- the per-mode rows (E^2, E,
 w_p, (2 E)^{-1}), the Dirac dressings, the field expansions and the
 propagator mode sums -- is built once per lattice, on first use, and
-shared as an immutable value by every later caller.
+shared as an immutable value by every later caller.  A plane wave
+depends only on its arguments, so it is built once per process.
 """
 
 from __future__ import annotations
@@ -252,13 +253,22 @@ def _plane_wave(sign: int, esq: Fraction, momentum, point: FieldPoint,
     return entries
 
 
+#: (sign, esq, momentum, points) -> plane_phase, shared by every lattice
+_PHASES: dict = {}
+
+
 def plane_phase(sign: int, esq: Fraction, momentum,
                 points: Sequence[tuple]) -> ScalarExpr:
-    """exp(-+ i <p, sum_j c_j x_j>) for a formal combination of points."""
-    entries = []
-    for c, pt in points:
-        entries.extend(_plane_wave(sign, esq, momentum, pt, F(c)))
-    return ScalarExpr.phase(entries)
+    """exp(-+ i <p, sum_j c_j x_j>) for a formal combination of points;
+    built once per process for each argument tuple."""
+    key = (sign, esq, tuple(momentum), tuple(points))
+    phase = _PHASES.get(key)
+    if phase is None:
+        entries = []
+        for c, pt in points:
+            entries.extend(_plane_wave(sign, esq, momentum, pt, F(c)))
+        phase = _PHASES[key] = ScalarExpr.phase(entries)
+    return phase
 
 
 @dataclass(frozen=True)

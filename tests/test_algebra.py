@@ -264,11 +264,11 @@ def test_rejected_generators_are_not_interned(fields, error):
     assert (OpGen, *fields) not in algebra._GENS
 
 
-# --- the pair-merged bracket against the two-product formula ------------
+# --- the Leibniz-rule bracket against the two-product formula ----------
 
 def _two_product_bracket(a, b):
     """[[X, Y]] from two full products, XY - (-1)^{|X||Y|} YX: the
-    reference the pair-merged `super_bracket` must equal exactly."""
+    reference `super_bracket` must equal exactly."""
     pa, pb = parity_of(a), parity_of(b)
     if "mixed" in (pa, pb):
         raise MixedParityError("super-bracket needs definite-parity operands")
@@ -329,7 +329,7 @@ def _random_operand(rng, parity):
     return normal_order(e) if rng.random() < 0.5 else e
 
 
-def test_pair_merged_bracket_equals_two_products_randomised():
+def test_leibniz_bracket_equals_two_products_randomised():
     rng = random.Random(21)
     nonzero = 0
     for _ in range(300):
@@ -343,7 +343,7 @@ def test_pair_merged_bracket_equals_two_products_randomised():
     assert nonzero > 60
 
 
-def test_pair_merged_bracket_on_repeated_odd_letters():
+def test_leibniz_bracket_on_repeated_odd_letters():
     psi = OpGen(ABSORB, UPPER, "fermion", 0, (0,))
     psid = OpGen(EMIT, LOWER, "fermion", 0, (0,))
     ghost = OpGen(EMIT, LOWER, "ghost", 1, (1,))
@@ -356,7 +356,7 @@ def test_pair_merged_bracket_on_repeated_odd_letters():
         assert super_bracket(a, b) == _two_product_bracket(a, b)
 
 
-def test_pair_merged_bracket_equals_two_products_on_fields():
+def test_leibniz_bracket_equals_two_products_on_fields():
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=2)
     x, y = FieldPoint.make("t", "x"), FieldPoint.make("t2", "y")
     ops = [field("scalar", 0, x, lat).expr, conjugate_field("scalar", 0, y, lat).expr,
@@ -396,7 +396,77 @@ def test_sign_blind_word_rule_shows_in_the_bracket(monkeypatch):
         return [(abs(f) if type(f) is int else f, w)
                 for f, w in honest(*args, **kwargs)]
 
+    # the letter table already holds {a, a+}: start from an empty one
+    monkeypatch.setattr(algebra, "_LETTER_BRACKETS", {})
     monkeypatch.setattr(algebra, "canonical_terms", sign_blind)
     br = super_bracket(a, adag)
     assert br != GradedExpr.unit()
     assert not br.operator_part().is_zero()
+
+
+# --- the two signs of the Leibniz rule, by hand ---------------------------
+
+# psi and psi+ contract; chi and omega are odd letters that contract with
+# neither.  Both words below are canonical.
+_PSI = OpGen(ABSORB, UPPER, "fermion", 1, (0,))
+_PSID = OpGen(EMIT, LOWER, "fermion", 1, (0,))
+_CHI = OpGen(EMIT, LOWER, "fermion", 0, (0,))
+_OMEGA = OpGen(ABSORB, UPPER, "ghost", 0, (0,))
+
+
+def test_leibniz_prefix_sign():
+    """[[psi, chi psi+]] = [[psi, chi]] psi+ - chi [[psi, psi+]] = -chi: the
+    letter psi crosses the odd prefix chi, (-1)^{|x||w2[:j]|}."""
+    word = GradedExpr({(_CHI, _PSID): ONE})
+    assert super_bracket(GradedExpr.of(_PSI), word) == -GradedExpr.of(_CHI)
+
+
+def test_leibniz_tail_sign():
+    """[[psi+ omega, psi]] = psi+ [[omega, psi]] - [[psi+, psi]] omega =
+    -omega: psi crosses the odd tail omega, (-1)^{|Y||w1[i+1:]|}."""
+    word = GradedExpr({(_PSID, _OMEGA): ONE})
+    assert super_bracket(word, GradedExpr.of(_PSI)) == -GradedExpr.of(_OMEGA)
+
+
+#: the default-config identities that fail when a swap of two odd letters
+#: no longer flips the sign of the word rule's factor
+_SWAP_SIGN_KILLS = {
+    "algebra.pairs.fermion", "algebra.vanishing.fermion",
+    "brst.current_equivalence", "brst.fp_noether_current",
+    "brst.ghost_decomposition", "brst.ghost_decomposition_abelian",
+    "brst.matter_gauge_invariance", "brst.negative_control",
+    "brst.nilpotent_generators", "brst.nilpotent_random",
+    "bv.bracket_antiderivation", "bv.laplacian_product",
+    "dirac.field_anticommutator", "dirac.mode_brackets",
+    "equal_time.dirac", "equal_time.ghost",
+    "functional.dirac_charge", "functional.dirac_hamiltonian",
+    "functional.dirac_momentum.0", "functional.dirac_momentum.1",
+    "functional.fermion_hamiltonian", "functional.fp_charge",
+    "functional.fp_current_spatial", "functional.ghost_hamiltonian",
+    "functional.ghost_momentum.0", "functional.ghost_momentum.1",
+    "oracle.brackets", "oracle.dirac", "oracle.functionals",
+    "oracle.homomorphism", "oracle.table", "table.supercommutators.fermion",
+}
+
+
+def test_koszul_swap_sign_flip_fails_the_same_identities(monkeypatch):
+    """Mutation row: the word rule with the odd-odd swap sign dropped fails
+    exactly the 32 identities above in the default `verify`, starting from
+    an empty letter table."""
+    import inspect
+
+    from gradedqft import algebra, linear
+    from gradedqft.cli import load_config, run_verify
+
+    flip = "            if left.parity and right.parity:\n" \
+           "                factor = -factor\n"
+    source = inspect.getsource(linear._insertion_sort)
+    assert flip in source
+    namespace = dict(vars(linear))
+    exec(source.replace(flip, ""), namespace)
+    monkeypatch.setattr(linear, "_insertion_sort", namespace["_insertion_sort"])
+    monkeypatch.setattr(algebra, "_LETTER_BRACKETS", {})
+    report = run_verify(load_config(None))
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 59
+    assert failed == _SWAP_SIGN_KILLS

@@ -506,6 +506,26 @@ def test_default_report_matches_the_golden_file(seed, hash_seed):
     assert run.stdout == golden.read_bytes()
 
 
+def test_lattice4_report_matches_the_golden_file():
+    # tests/data/verify_lattice4.json holds `verify --config
+    # tests/data/lattice4.ini --format json`: the 4-mode lattice
+    # {+-e1, +-e2} with the oracle off, 53 identities
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    data = pathlib.Path(__file__).parent / "data"
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--config",
+           str(data / "lattice4.ini"), "--format", "json"]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    run = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (data / "verify_lattice4.json").read_bytes()
+
+
 def test_verify_passes_with_one_scalar_component(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lattice]\nscalar_dim = 1\n")
