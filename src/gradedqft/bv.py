@@ -36,6 +36,10 @@ Lagrangian) fixes the remaining component conventions:
 
     grad_lam psi = psi_{,lam} - A^I_lam l_I psi
     F^I_{lam nu} = A^I_{nu,lam} - A^I_{lam,nu} - c^I_{JH} A^J_lam A^H_nu
+
+One routine splits a variation, v(l) = sum_b v(b) E_b(l) + d_lam B^lam;
+Noether currents are J = B - N.  Gauge fixing substitutes ctilde = E_c(Psi)
+of the gauge fermion Psi: L_ghost = sum_c S(c) E_c(Psi) = S Psi - d_lam B^lam.
 """
 
 from __future__ import annotations
@@ -456,47 +460,6 @@ def lagrangian_ghost(theory: TheorySpec) -> FiberPoly:
     return FiberPoly(acc)
 
 
-@dataclass(frozen=True)
-class GhostDecomposition:
-    lagrangian: FiberPoly
-    s_k: FiberPoly
-    dh_m: FiberPoly
-    residual: FiberPoly
-
-    @property
-    def match(self) -> bool:
-        return self.residual.is_zero()
-
-
-def ghost_lagrangian_decompose(theory: TheorySpec) -> GhostDecomposition:
-    """L_ghost = (S A) Atilde + (S omegabar) omegabartilde = S K + d_H M."""
-    s = brst_operator(theory)
-    partners = [_antighost_partner(theory, li) for li in range(theory.d_lie)]
-    acc: dict = {}
-    for li in range(theory.d_lie):
-        for lam in range(4):
-            atilde = FiberPoly.coord(
-                theory.omegabar(li, (lam,)), ScalarExpr.rational(-METRIC[lam]))
-            add_into(acc, (s(FiberPoly.coord(theory.a_gauge(li, lam))) * atilde).terms)
-        add_into(acc, (s(FiberPoly.coord(theory.omegabar(li))) * partners[li]).terms)
-    lhs = FiberPoly(acc)
-    k = FiberPoly.sum(FiberPoly.coord(theory.omegabar(li)) * partners[li]
-                      for li in range(theory.d_lie))
-    dh_m = FiberPoly.sum(horizontal_diff(m_lam, lam)
-                         for lam, m_lam in enumerate(brst_M_components(theory)))
-    s_k = s(k)
-    return GhostDecomposition(lhs, s_k, dh_m, lhs - (s_k + dh_m))
-
-
-def brst_M_components(theory: TheorySpec) -> list:
-    """M^lam = g^{lam mu} omegabar_I grad_mu omega^I."""
-    return [FiberPoly.sum((FiberPoly.coord(theory.omegabar(li)) *
-                           covariant_domega(theory, li, lam)).scale(
-                               ScalarExpr.rational(METRIC[lam]))
-                          for li in range(theory.d_lie))
-            for lam in range(4)]
-
-
 # --- variational calculus ---------------------------------------------------
 
 _HALF = ScalarExpr.rational(F(1, 2))
@@ -529,15 +492,42 @@ def euler_lagrange(lagr: FiberPoly, base: FiberCoord, order: int = 1) -> FiberPo
     return _euler_lagrange(gradient(lagr), base, order)
 
 
+def _first_variation(v: VerticalDerivation, lagr: FiberPoly,
+                     order: int) -> tuple:
+    """The Euler part and the boundary forms B^lam of
+    v(l) = sum_b v(b) E_b(l) + d_lam B^lam, over the jet-free field
+    coordinates b of l with v(b) != 0.  B^lam = sum_b v(b) D^lam_b l, plus
+    (d_mu v(b)) D^{lam mu}_b l - v(b) d_mu D^{lam mu}_b l at order 2."""
+    grad = gradient(lagr)
+    bases = dict.fromkeys(FiberCoord(c.sector, c.kind, c.idx, ())
+                          for c in grad if c.kind == "field")
+    comps = {b: comp for b in bases if not (comp := v.on_coord(b)).is_zero()}
+    boundary = []
+    for lam in range(4):
+        acc: dict = {}
+        for b, comp in comps.items():
+            add_into(acc, (comp * _jet_deriv(grad, b, (lam,))).terms)
+            if order == 2:
+                for mu in range(4):
+                    second = _jet_deriv(grad, b, (lam, mu))
+                    if not second.is_zero():
+                        add_into(acc, (horizontal_diff(comp, mu) * second -
+                                       comp * horizontal_diff(second, mu)).terms)
+        boundary.append(FiberPoly(acc))
+    euler = FiberPoly.sum(comp * _euler_lagrange(grad, b, order)
+                          for b, comp in comps.items())
+    return euler, boundary
+
+
 def noether_current(v: VerticalDerivation, lagr: FiberPoly,
                     n_forms: Sequence[FiberPoly] | None = None,
                     order: int = 1) -> list:
-    """Conserved current components J^lam of the vertical symmetry v.
+    """Conserved current components J^lam = B^lam - N^lam of the vertical
+    symmetry v, with B^lam the boundary forms of its first variation.
 
     Requires delta[v] L = d_lam N^lam (exactly); raises otherwise with the
-    residual attached.  For order 2 the current uses the second-jet
-    correction terms; in both cases the off-shell conservation identity
-    d_lam J^lam + sum_i v^i E_i(l) = d_lam N^lam - delta[v] L = 0 holds by
+    residual attached.  The off-shell conservation identity
+    d_lam J^lam + sum_i v^i E_i(l) = delta[v] L - d_lam N^lam = 0 holds by
     construction and is re-checked.
     """
     if order not in (1, 2):
@@ -550,32 +540,44 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     if not resid.is_zero():
         raise NotASymmetryError("delta[v] L is not the stated horizontal "
                                 "differential", resid)
-    grad = gradient(lagr)
-    # the jet-stripped field coordinates of L, with v^i = v(base) where nonzero
-    bases = dict.fromkeys(FiberCoord(c.sector, c.kind, c.idx, ())
-                          for c in grad if c.kind == "field")
-    comps = {b: comp for b in bases if not (comp := v.on_coord(b)).is_zero()}
-    currents = []
-    for lam in range(4):
-        acc = dict((-n_forms[lam]).terms)
-        for b, comp in comps.items():
-            first = _jet_deriv(grad, b, (lam,))
-            if order >= 2:
-                first = first - FiberPoly.sum(
-                    horizontal_diff(_jet_deriv(grad, b, (lam, mu)), mu)
-                    for mu in range(4))
-            add_into(acc, (comp * first).terms)
-            if order >= 2:
-                for mu in range(4):
-                    second = _jet_deriv(grad, b, (lam, mu))
-                    if not second.is_zero():
-                        add_into(acc, (horizontal_diff(comp, mu) * second).terms)
-        currents.append(FiberPoly(acc))
-    # off-shell conservation: d_lam J^lam = -sum v^i E_i(l) (+ d N absorbed)
+    euler, boundary = _first_variation(v, lagr, order)
+    currents = [b - n for b, n in zip(boundary, n_forms)]
     div = FiberPoly.sum(horizontal_diff(currents[lam], lam) for lam in range(4))
-    onshell: dict = {}
-    for b, comp in comps.items():
-        add_into(onshell, (comp * _euler_lagrange(grad, b, order)).terms)
-    if not (div + FiberPoly(onshell)).is_zero():
+    if not (div + euler).is_zero():
         raise BVError("internal error: Noether conservation identity failed")
     return currents
+
+
+# --- gauge fixing by antifield substitution ---------------------------------
+
+def gauge_fermion(theory: TheorySpec) -> FiberPoly:
+    """Psi = omegabar_I (f^I + xi/2 n^I), the odd gauge-fixing fermion."""
+    return FiberPoly.sum(FiberPoly.coord(theory.omegabar(li)) *
+                         _antighost_partner(theory, li)
+                         for li in range(theory.d_lie))
+
+
+@dataclass(frozen=True)
+class GhostDecomposition:
+    lagrangian: FiberPoly
+    s_k: FiberPoly
+    m: tuple  # M^lam, lam = 0..3
+    dh_m: FiberPoly
+    residual: FiberPoly
+
+    @property
+    def match(self) -> bool:
+        return self.residual.is_zero()
+
+
+def ghost_lagrangian_decompose(theory: TheorySpec) -> GhostDecomposition:
+    """L_ghost = sum_c S(c) ctilde, each antifield replaced by E_c(Psi), and
+    L_ghost = S K + d_H M with K = Psi and M^lam = -B^lam, all from the
+    first variation S(Psi) = L_ghost + d_lam B^lam."""
+    s = brst_operator(theory)
+    k = gauge_fermion(theory)
+    lagr, boundary = _first_variation(s, k, order=1)
+    m = tuple(-b for b in boundary)
+    s_k = s(k)
+    dh_m = FiberPoly.sum(horizontal_diff(m_lam, lam) for lam, m_lam in enumerate(m))
+    return GhostDecomposition(lagr, s_k, m, dh_m, lagr - (s_k + dh_m))

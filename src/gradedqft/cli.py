@@ -205,7 +205,7 @@ def _cube():
 
 def context_from_config(cfg: dict) -> RunContext:
     theory_cfg = cfg["theory"]
-    name = theory_cfg.get("lie", "su2")
+    name = theory_cfg["lie"]
     if isinstance(name, str):
         if name not in lie_mod.PRESETS:
             raise ConfigError(f"unknown Lie preset {name!r} "
@@ -217,7 +217,7 @@ def context_from_config(cfg: dict) -> RunContext:
     momenta = _momenta(lat_cfg["momenta"], "lattice.momenta")
     masses = {k: _number(v, f"lattice.masses[{k!r}]")
               for k, v in lat_cfg["masses"].items()}
-    scalar_dim = _integer(lat_cfg.get("scalar_dim", 2), "lattice.scalar_dim", 1)
+    scalar_dim = _integer(lat_cfg["scalar_dim"], "lattice.scalar_dim", 1)
     lattice = _lattice(momenta, masses, scalar_dim, data.dim, "lattice")
     nz = [m for m in momenta if any(x != 0 for x in m)]
     for m in nz:
@@ -227,7 +227,7 @@ def context_from_config(cfg: dict) -> RunContext:
     if not nz:
         raise ConfigError("lattice needs at least one nonzero momentum")
     lattice_nozero = _lattice(nz, masses, scalar_dim, data.dim, "lattice")
-    pm = lat_cfg.get("propagator_momenta", "cube")
+    pm = lat_cfg["propagator_momenta"]
     prop_momenta = _cube() if pm == "cube" else \
         _momenta(pm, "lattice.propagator_momenta")
     if not prop_momenta:
@@ -235,15 +235,15 @@ def context_from_config(cfg: dict) -> RunContext:
         raise ConfigError("lattice.propagator_momenta needs at least one momentum")
     lattice_prop = _lattice(prop_momenta, masses, scalar_dim, data.dim,
                             "lattice.propagator_momenta")
-    corrupt = theory_cfg.get("corrupt_constant")
+    corrupt = theory_cfg["corrupt_constant"]
     orc_cfg = cfg["oracle"]
     return RunContext(
         lattice=lattice, lattice_nozero=lattice_nozero, lattice_prop=lattice_prop,
         theory=bv.TheorySpec.make(data),
         seed=_integer(cfg["run"]["seed"], "run.seed"),
-        oracle_enabled=_flag(orc_cfg.get("enabled", True), "oracle.enabled"),
-        oracle_n_max=_integer(orc_cfg.get("n_max", 3), "oracle.n_max", 1),
-        oracle_cap=_integer(orc_cfg.get("cap", 1024), "oracle.cap", 1),
+        oracle_enabled=_flag(orc_cfg["enabled"], "oracle.enabled"),
+        oracle_n_max=_integer(orc_cfg["n_max"], "oracle.n_max", 1),
+        oracle_cap=_integer(orc_cfg["cap"], "oracle.cap", 1),
         corrupt_constant=None if corrupt is None
         else _corruption(corrupt, data.dim))
 

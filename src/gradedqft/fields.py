@@ -486,19 +486,10 @@ def propagator_D_total(points, lattice, fsector, deriv=None) -> ScalarExpr:
 
 
 def delta_lattice(points: Sequence[tuple], lattice: ModeLattice) -> ScalarExpr:
-    """sum_p e^{i p . (sum_j c_j x_j)} -- the lattice spatial delta."""
-
-    def mode_phase(mode) -> ScalarExpr:
-        entries = []
-        for c, pt in points:
-            if isinstance(pt.x, str):
-                entries.append((("x", pt.x), tuple(F(c) * p for p in mode.momentum)))
-            else:
-                dot = sum(p * xv for p, xv in zip(mode.momentum, pt.x)) * F(c)
-                entries.append((("c",), ((1, dot),) if dot else ()))
-        return ScalarExpr.phase(entries)
-
-    return ScalarExpr.sum(mode_phase(mode) for mode in lattice.modes)
+    """sum_p e^{i p . (sum_j c_j x_j)} -- the lattice spatial delta: the
+    conjugate plane wave at zero energy, which has no time phase."""
+    return ScalarExpr.sum(plane_phase(-1, F(0), mode.momentum, points)
+                          for mode in lattice.modes)
 
 
 # --- equal-time suite -----------------------------------------------------

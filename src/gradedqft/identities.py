@@ -80,10 +80,10 @@ class RunContext:
     lattice_prop: ModeLattice       # propagator lattice (cube by default)
     theory: bv.TheorySpec
     seed: int
-    oracle_enabled: bool = True
-    oracle_n_max: int = 3
-    oracle_cap: int = 1024
-    corrupt_constant: tuple | None = None
+    oracle_enabled: bool
+    oracle_n_max: int
+    oracle_cap: int
+    corrupt_constant: tuple | None
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -735,8 +735,11 @@ def brst_suite() -> list:
         return CheckResult.exact(bad)
 
     def abelian_decomposition(ctx):
-        dec = bv.ghost_lagrangian_decompose(bv.TheorySpec.make(lie_mod.u1()))
-        return CheckResult.exact(dec.residual.n_terms)
+        th = bv.TheorySpec.make(lie_mod.u1())
+        dec = bv.ghost_lagrangian_decompose(th)
+        bad = dec.residual.n_terms
+        bad += (dec.lagrangian - bv.lagrangian_ghost(th)).n_terms
+        return CheckResult.exact(bad)
 
     def negative_control(ctx):
         th = bv.TheorySpec.make(lie_mod.su2())
@@ -762,11 +765,7 @@ def brst_suite() -> list:
     def fp_noether(ctx):
         th = ctx.theory
         v = bv.ghost_number_derivation(th)
-        lk = bv.FiberPoly.sum(
-            (bv.FiberPoly.coord(th.omegabar(li, (lam,))) *
-             bv.covariant_domega(th, li, lam)).scale(ScalarExpr.rational(METRIC[lam]))
-            for li in range(th.d_lie) for lam in range(4))
-        currents = bv.noether_current(v, lk, None, order=1)
+        currents = bv.noether_current(v, bv.lagrangian_ghost(th), None, order=1)
         bad = 0
         for lam in range(4):
             g = ScalarExpr.rational(METRIC[lam])
@@ -784,9 +783,8 @@ def brst_suite() -> list:
         s = bv.brst_operator(th)
         dec = bv.ghost_lagrangian_decompose(th)
         l0 = bv.lagrangian_matter(th) + bv.lagrangian_gauge(th)
-        m_forms = bv.brst_M_components(th)
         j1 = bv.noether_current(s, l0 + dec.lagrangian,
-                                [s(m) for m in m_forms], order=1)
+                                [s(m) for m in dec.m], order=1)
         j2 = bv.noether_current(s, l0 + dec.s_k, None, order=2)
         bad = sum((a - b).n_terms for a, b in zip(j1, j2))
         return CheckResult.exact(bad)

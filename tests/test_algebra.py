@@ -470,3 +470,32 @@ def test_koszul_swap_sign_flip_fails_the_same_identities(monkeypatch):
     failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
     assert len(report["identities"]) == 59
     assert failed == _SWAP_SIGN_KILLS
+
+
+#: the bv+brst identities that fail when `bv._splice` drops one of its signs
+_SPLICE_SIGN_KILLS = {
+    "brst.current_equivalence", "brst.matter_gauge_invariance",
+    "brst.nilpotent_generators", "brst.nilpotent_random",
+}
+
+
+@pytest.mark.parametrize("kept", ["sign < 0", "flip"], ids=["prefix", "merge"])
+def test_splice_sign_drop_fails_the_same_identities(monkeypatch, kept):
+    """Mutation rows: `bv._splice` without its prefix sign (keeping only the
+    merge sign) or without its merge sign (keeping only the prefix sign)
+    fails exactly the four identities above on the bv and brst suites."""
+    import inspect
+
+    from gradedqft import bv
+    from gradedqft.cli import load_config, run_verify
+
+    both = "(sign < 0) != flip"
+    source = inspect.getsource(bv._splice)
+    assert source.count(both) == 1
+    namespace = dict(vars(bv))
+    exec(source.replace(both, kept), namespace)
+    monkeypatch.setattr(bv, "_splice", namespace["_splice"])
+    report = run_verify(load_config(None), ["bv", "brst"])
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 14
+    assert failed == _SPLICE_SIGN_KILLS

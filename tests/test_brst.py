@@ -7,7 +7,6 @@ from gradedqft.bv import (
     FiberPoly,
     NotASymmetryError,
     TheorySpec,
-    brst_M_components,
     brst_operator,
     covariant_domega,
     euler_lagrange,
@@ -19,6 +18,7 @@ from gradedqft.bv import (
     lagrangian_matter,
     noether_current,
 )
+from gradedqft.gammas import METRIC
 from gradedqft.lie import su2, su3, u1
 from gradedqft.scalars import _CONST, ScalarExpr
 
@@ -33,6 +33,15 @@ THEORIES = {
 
 def theory(name):
     return THEORIES[name]
+
+
+def m_reference(th):
+    """M^lam = g^{lam mu} omegabar_I grad_mu omega^I, written out by hand."""
+    return [FiberPoly.sum((FiberPoly.coord(th.omegabar(li)) *
+                           covariant_domega(th, li, lam)).scale(
+                               ScalarExpr.rational(METRIC[lam]))
+                          for li in range(th.d_lie))
+            for lam in range(4)]
 
 
 def test_brst_on_ghost_is_half_c_omega_omega():
@@ -149,16 +158,26 @@ def test_ghost_lagrangian_decomposition(name):
     assert not dec.dh_m.is_zero()
 
 
-def test_ghost_lagrangian_is_the_decomposed_form():
-    th = theory("su2")
+@pytest.mark.parametrize("name", ["u1", "su2", "su3"])
+def test_ghost_lagrangian_is_the_decomposed_form(name):
+    th = theory(name)
     dec = ghost_lagrangian_decompose(th)
     assert dec.lagrangian == lagrangian_ghost(th)
 
 
-def test_ghost_decomposition_identity_checks_the_written_lagrangian(monkeypatch):
+@pytest.mark.parametrize("name", ["u1", "su2", "su3"])
+def test_decomposition_m_is_the_ghost_boundary_form(name):
+    # M^lam = -B^lam of the first variation of the gauge fermion
+    th = theory(name)
+    assert list(ghost_lagrangian_decompose(th).m) == m_reference(th)
+
+
+@pytest.mark.parametrize("identity", ["brst.ghost_decomposition",
+                                      "brst.ghost_decomposition_abelian"])
+def test_ghost_decomposition_identity_checks_the_written_lagrangian(monkeypatch,
+                                                                     identity):
     from gradedqft import bv, cli, identities
-    ident = next(i for i in identities.brst_suite()
-                 if i.name == "brst.ghost_decomposition")
+    ident = next(i for i in identities.brst_suite() if i.name == identity)
     ctx = cli.context_from_config(cli.load_config(None))
     assert ident.run(ctx).status == "pass"
     written = bv.lagrangian_ghost
@@ -178,7 +197,6 @@ def test_fp_symmetry_current_is_faddeev_popov():
     v = ghost_number_derivation(th)
     # ghost kinetic sector of the Lagrangian (covariant derivative kept)
     lk = FiberPoly.zero()
-    from gradedqft.gammas import METRIC
     for li in range(th.d_lie):
         for lam in range(4):
             lk = lk + (FiberPoly.coord(th.omegabar(li, (lam,))) *
@@ -213,14 +231,13 @@ def test_adding_dh_m_preserves_current():
     # order-1 current of L
     th = theory("su2")
     v = ghost_number_derivation(th)
-    from gradedqft.gammas import METRIC
     lk = FiberPoly.zero()
     for li in range(th.d_lie):
         for lam in range(4):
             lk = lk + (FiberPoly.coord(th.omegabar(li, (lam,))) *
                        covariant_domega(th, li, lam)).scale(
                            ScalarExpr.rational(METRIC[lam]))
-    m_forms = brst_M_components(th)
+    m_forms = m_reference(th)
     l2 = lk
     for lam in range(4):
         l2 = l2 + horizontal_diff(m_forms[lam], lam)
@@ -239,7 +256,7 @@ def test_brst_currents_of_equivalent_lagrangians_agree():
     dec = ghost_lagrangian_decompose(th)
     l0 = lagrangian_matter(th) + lagrangian_gauge(th)
     l_full = l0 + dec.lagrangian
-    m_forms = brst_M_components(th)
+    m_forms = m_reference(th)
     n_forms = [s(m) for m in m_forms]
     j1 = noether_current(s, l_full, n_forms, order=1)
     l_prime = l0 + dec.s_k
