@@ -147,8 +147,8 @@ def gradient(f: FiberPoly, right: bool = False) -> dict:
         pref = sum(x.parity for x in w) if right else 0
         for j, cj in enumerate(w):
             p_i = cj.parity
-            sign = -1 if (p_i and pref % 2) else 1
-            add_term(acc.setdefault(cj, {}), w[:j] + w[j + 1:], c * sign)
+            add_term(acc.setdefault(cj, {}), w[:j] + w[j + 1:],
+                     -c if (p_i and pref % 2) else c)
             pref += p_i
     return {cj: FiberPoly._wrap(d) for cj, d in acc.items()}
 

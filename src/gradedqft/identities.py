@@ -174,7 +174,28 @@ def _alg_jacobi(ctx: RunContext) -> CheckResult:
                 ScalarExpr.rational(sign))
         bad += (lhs - rhs).n_terms
         checked += 1
+    for x, y in _leibniz_cases():
+        xy, yx = alg.koszul_product(x, y), alg.koszul_product(y, x)
+        odd = alg.parity_of(x) == alg.parity_of(y) == "odd"
+        bad += (alg.super_bracket(x, y) - (xy + yx if odd else xy - yx)).n_terms
     return CheckResult.exact(bad)
+
+
+def _leibniz_cases() -> list:
+    """Fixed operand pairs whose bracket crosses an odd prefix or an odd
+    tail, checked against the two-product bracket XY - (-1)^{|X||Y|} YX:
+    [[psi, chi psi+]] = -chi passes psi over the odd prefix chi, and
+    [[psi+ omega, psi]] = -omega passes psi over the odd tail omega.  psi
+    and psi+ contract; chi and omega contract with neither.  The Jacobi
+    identity still holds with either sign of the Leibniz rule dropped, so
+    without these cases the check sees neither."""
+    psi = GradedExpr.of(OpGen(ABSORB, UPPER, "fermion", 1, (0,)))
+    psid = OpGen(EMIT, LOWER, "fermion", 1, (0,))
+    chi = OpGen(EMIT, LOWER, "fermion", 0, (0,))
+    omega = OpGen(ABSORB, UPPER, "ghost", 0, (0,))
+    one = ScalarExpr.one()
+    return [(psi, GradedExpr({(chi, psid): one})),
+            (GradedExpr({(psid, omega): one}), psi)]
 
 
 def _alg_normal_idempotent(ctx: RunContext) -> CheckResult:

@@ -32,13 +32,14 @@ class Letter:
 
     Letters are hash-consed (Filliatre and Conchon, "Type-safe modular
     hash-consing", 2006): a subclass's ``__new__`` returns the one object
-    per (class, field values) from its table, so equality is identity.
-    The hash is the hash of the field tuple, computed once; the parity and
-    the sort key are stored.  Every word used as a dict key rehashes its
-    letters, so these lookups are the fiber and operator layers' hot path.
+    per (class, field values) from its table.  So equality and hash both
+    come from identity (``object.__eq__`` and ``object.__hash__``; the
+    subclasses are dataclasses with ``eq=False``), and hashing a word
+    tuple, the fiber and operator layers' hot path, stays in C.  The
+    parity and the sort key are stored.
     """
 
-    __slots__ = ("_h", "_key", "parity")
+    __slots__ = ("_key", "parity")
 
     @classmethod
     def _interned(cls, table: dict, values: tuple, parity: int, sort_key: tuple):
@@ -47,14 +48,10 @@ class Letter:
         self = object.__new__(cls)
         for name, v in zip(cls.__match_args__, values):
             object.__setattr__(self, name, v)
-        object.__setattr__(self, "_h", hash(values))
         object.__setattr__(self, "_key", sort_key)
         object.__setattr__(self, "parity", parity)
         table[(cls, *values)] = self
         return self
-
-    def __hash__(self) -> int:
-        return self._h
 
     def sort_key(self) -> tuple:
         return self._key
@@ -68,14 +65,14 @@ def add_term(acc: dict, key, c: ScalarExpr) -> None:
     """acc[key] += c in place; a cancelled or zero entry is dropped."""
     old = acc.get(key)
     if old is None:
-        if not c.is_zero():
+        if c.terms:
             acc[key] = c
         return
     s = old + c
-    if s.is_zero():
-        del acc[key]
-    else:
+    if s.terms:
         acc[key] = s
+    else:
+        del acc[key]
 
 
 def add_into(acc: dict, terms: Mapping) -> None:
@@ -234,7 +231,10 @@ class LinearCombination:
                 if terms:
                     c12 = c1 * c2
                     for f, w in terms:
-                        add_term(acc, w, c12 * f)
+                        if type(f) is int:  # the sign 1 or -1
+                            add_term(acc, w, c12 if f > 0 else -c12)
+                        else:
+                            add_term(acc, w, c12 * f)
         return self._wrap(acc)
 
     def parity(self) -> str:

@@ -42,15 +42,17 @@ expression per constant value, in a table keyed by its reduced triple:
 ``gaussian``, ``rational``, ``one`` and ``zero`` return it, and so does
 every operation of this module whose result is a constant; a result that
 cancels is the one zero expression.  Almost every coefficient of the fiber
-layer is such a constant, so sums and products of two constants
-(``GaussianRational`` ``+``, ``-`` and ``*``) are looked up in two memo
-tables keyed by the pair of operand triples, and a repeated one takes no
+layer is such a constant, so sums and products of two constants are looked
+up in two memo tables keyed by the pair of operand triples.  An entry holds
+both the ``GaussianRational`` result and its interned expression, so
+``GaussianRational`` ``+``, ``-`` and ``*`` and ``ScalarExpr`` ``+`` and
+``*`` of two constants each take one lookup, and a repeated one takes no
 gcd and allocates nothing.  The tables have no size bound: they hold only
 the distinct constants, sums and products a process meets, and the
 coefficients of a finite lattice and a fixed Lie algebra are few: a
-default ``verify`` of all eight suites leaves 66 constants, 742 products
-and 652 sums in them, and the same run with the su3 algebra 83, 808 and
-743.
+default ``verify`` of all eight suites leaves 247 constants, 617 products
+and 443 sums in them, and the same run with the su3 algebra 258, 683 and
+537.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ class GaussianRational:
         key = (self._t, t)
         s = _CONST_SUM.get(key)
         if s is None:
-            s = _CONST_SUM[key] = _triple_sum(*key)
-        return s
+            s = _memo(_CONST_SUM, key, _triple_sum(*key))
+        return s[0]
 
     __radd__ = __add__
 
@@ -169,8 +171,8 @@ class GaussianRational:
         key = (self._t, (-a2, -b2, d2))
         s = _CONST_SUM.get(key)
         if s is None:
-            s = _CONST_SUM[key] = _triple_sum(*key)
-        return s
+            s = _memo(_CONST_SUM, key, _triple_sum(*key))
+        return s[0]
 
     def __rsub__(self, other) -> "GaussianRational":
         return -self + other
@@ -182,8 +184,8 @@ class GaussianRational:
         key = (self._t, t)
         p = _CONST_PRODUCT.get(key)
         if p is None:
-            p = _CONST_PRODUCT[key] = _triple_product(*key)
-        return p
+            p = _memo(_CONST_PRODUCT, key, _triple_product(*key))
+        return p[0]
 
     __rmul__ = __mul__
 
@@ -272,9 +274,19 @@ def _triple_product(t1: tuple, t2: tuple) -> GaussianRational:
 
 
 # Memo tables of constant arithmetic, keyed by the pair of operand triples.
-# They hold every sum and product of two constants the process has formed.
-_CONST_SUM: dict[tuple, GaussianRational] = {}
-_CONST_PRODUCT: dict[tuple, GaussianRational] = {}
+# They hold every sum and product of two constants the process has formed,
+# as the pair (value, interned constant expression), so that the
+# `GaussianRational` and the `ScalarExpr` operation each take one lookup.
+_CONST_SUM: dict[tuple, tuple] = {}
+_CONST_PRODUCT: dict[tuple, tuple] = {}
+
+
+def _memo(table: dict, key: tuple, value: GaussianRational) -> tuple:
+    """Enter ``value``, the sum or product of the triples in ``key``, as the
+    value object of its interned expression and that expression."""
+    e = _constant(value._t)
+    pair = table[key] = (e.terms.get(_CONST, GR_ZERO), e)
+    return pair
 
 
 def _triple(x) -> tuple | None:
@@ -461,6 +473,8 @@ class ScalarExpr:
 
     @staticmethod
     def rational(x: Rational) -> "ScalarExpr":
+        if type(x) is int:
+            return _constant((x, 0, 1))
         f = _frac(x)
         return _constant((f.numerator, 0, f.denominator))
 
@@ -545,7 +559,11 @@ class ScalarExpr:
         if not ot:
             return self
         if len(st) == 1 == len(ot) and _CONST in st and _CONST in ot:
-            return _constant((st[_CONST] + ot[_CONST])._t)
+            key = (st[_CONST]._t, ot[_CONST]._t)
+            s = _CONST_SUM.get(key)
+            if s is None:
+                s = _memo(_CONST_SUM, key, _triple_sum(*key))
+            return s[1]
         acc = dict(st)
         _add_into(acc, ot)
         return _wrap(acc)
@@ -571,7 +589,11 @@ class ScalarExpr:
         st, ot = self.terms, other.terms
         if len(ot) == 1 and _CONST in ot:
             if len(st) == 1 and _CONST in st:
-                return _constant((st[_CONST] * ot[_CONST])._t)
+                key = (st[_CONST]._t, ot[_CONST]._t)
+                p = _CONST_PRODUCT.get(key)
+                if p is None:
+                    p = _memo(_CONST_PRODUCT, key, _triple_product(*key))
+                return p[1]
             return _scaled(self, ot[_CONST])
         if len(st) == 1 and _CONST in st:
             return _scaled(other, st[_CONST])

@@ -241,7 +241,8 @@ def test_generators_are_interned():
     assert OpGen(*fields) is g
     assert OpGen(species=EMIT, position=UPPER, sector="gauge", mode=1,
                  internal=(2, 0)) is g
-    assert hash(g) == hash(fields)
+    # equality and hash come from identity
+    assert hash(g) == object.__hash__(g)
     assert g.sort_key() == (0, "gauge", 1, UPPER, (2, 0))
     assert OpGen(ABSORB, UPPER, "gauge", 1, (2, 0)).sort_key()[0] == 1
     assert copy.deepcopy(g) is g and pickle.loads(pickle.dumps(g)) is g
@@ -426,6 +427,31 @@ def test_leibniz_tail_sign():
     -omega: psi crosses the odd tail omega, (-1)^{|Y||w1[i+1:]|}."""
     word = GradedExpr({(_PSID, _OMEGA): ONE})
     assert super_bracket(word, GradedExpr.of(_PSI)) == -GradedExpr.of(_OMEGA)
+
+
+@pytest.mark.parametrize("kept", ["(odd_y and tail)", "(x.parity and head)"],
+                         ids=["prefix", "tail"])
+def test_leibniz_sign_drop_fails_jacobi(monkeypatch, kept):
+    """Mutation rows: `super_bracket` without its prefix sign (keeping only
+    the tail sign) or without its tail sign (keeping only the prefix sign)
+    fails exactly `algebra.jacobi` in the default `verify`, through its
+    fixed two-product cases; the Jacobi identity itself holds under
+    either drop."""
+    import inspect
+
+    from gradedqft import algebra
+    from gradedqft.cli import load_config, run_verify
+
+    both = "(odd_y and tail) ^ (x.parity and head)"
+    source = inspect.getsource(algebra.super_bracket)
+    assert source.count(both) == 1
+    namespace = dict(vars(algebra))
+    exec(source.replace(both, kept), namespace)
+    monkeypatch.setattr(algebra, "super_bracket", namespace["super_bracket"])
+    report = run_verify(load_config(None))
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 59
+    assert failed == {"algebra.jacobi"}
 
 
 #: the default-config identities that fail when a swap of two odd letters

@@ -429,7 +429,8 @@ def test_fiber_coords_are_interned():
     c = FiberCoord(*fields)
     assert FiberCoord(*fields) is c
     assert FiberCoord(sector="psi", kind="field", idx=(1, 0), jet=(0, 2)) is c
-    assert hash(c) == hash(fields) and c.sort_key() == fields
+    # equality and hash come from identity
+    assert hash(c) == object.__hash__(c) and c.sort_key() == fields
     assert copy.deepcopy(c) is c and pickle.loads(pickle.dumps(c)) is c
     for sector, p in SECTOR_PARITY.items():
         assert FiberCoord(sector, "field", (0,), ()).parity == p
@@ -552,3 +553,44 @@ def test_horizontal_diff_matches_the_sorted_prolongation(lie_name):
         # a lifted first-order jet is a second-order one
         second += any(len(x.jet) == 2 for w in got.terms for x in w)
     assert nonzero >= 40 and odd >= 20 and second >= 20
+
+
+#: (function, honest text, mutated text) -> the bv+brst identities it fails
+_FIBER_SIGN_KILLS = {
+    # the Koszul sign of the graded derivative, (-1)^{|i| |w[:j]|} (left)
+    # and (-1)^{|i| (|w| + |w[:j]|)} (right), dropped
+    ("gradient", "-c if (p_i and pref % 2) else c", "c"): {
+        "brst.current_equivalence", "brst.fp_noether_current",
+        "bv.bracket_antiderivation", "bv.canonical_pairs",
+        "bv.laplacian_nilpotent", "bv.laplacian_product"},
+    # the right derivative's whole-term sign (-1)^{|i||w|} alone, dropped
+    ("gradient", "sum(x.parity for x in w) if right else 0", "0"): {
+        "bv.bracket_antiderivation", "bv.canonical_pairs",
+        "bv.laplacian_product"},
+    # the pairing sign -(-1)^{(|f|+1)(|g|+1)} of the antibracket, flipped
+    ("bv_bracket", "sgn = (", "sgn = -("): {
+        "bv.canonical_pairs", "bv.laplacian_product"},
+}
+
+
+@pytest.mark.parametrize("mutation", list(_FIBER_SIGN_KILLS),
+                         ids=["derivative", "right", "pairing"])
+def test_fiber_sign_mutation_fails_the_same_identities(monkeypatch, mutation):
+    """Mutation rows: each sign of the fiber layer's derivatives and
+    antibracket, mutated as above, fails exactly its identities on the bv
+    and brst suites."""
+    import inspect
+
+    from gradedqft import bv
+    from gradedqft.cli import load_config, run_verify
+
+    name, honest, mutated = mutation
+    source = inspect.getsource(getattr(bv, name))
+    assert source.count(honest) == 1
+    namespace = dict(vars(bv))
+    exec(source.replace(honest, mutated), namespace)
+    monkeypatch.setattr(bv, name, namespace[name])
+    report = run_verify(load_config(None), ["bv", "brst"])
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 14
+    assert failed == _FIBER_SIGN_KILLS[mutation]

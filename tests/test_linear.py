@@ -20,6 +20,12 @@ WORDS = [(), ("a",), ("b",), ("a", "b"), ("b", "c"), ("c",)]
 CLASSES = [GradedExpr, FiberPoly]
 
 
+@pytest.mark.parametrize("cls", [OpGen, FiberCoord])
+def test_letters_compare_and_hash_by_identity(cls):
+    """Letters are interned, so equality and hash are the object's own."""
+    assert cls.__hash__ is object.__hash__ and cls.__eq__ is object.__eq__
+
+
 def test_add_term_drops_cancelled_and_zero_coefficients():
     acc = {}
     add_term(acc, ("a",), Q(2))

@@ -648,3 +648,43 @@ def test_warm_brst_derivation_makes_no_gcd_reduction(monkeypatch):
     monkeypatch.setattr(scalars, "_reduced", counted)
     assert (s(f), s(s(f))) == cold
     assert calls == []
+
+
+def test_constant_arithmetic_is_one_lookup_to_the_interned_result(monkeypatch):
+    """Constant `*` and `+` equal the `GaussianRational` result and return
+    the interned expression; once a pair of nonzero operand triples is in
+    the memo table, the operation builds no constant and takes no gcd."""
+    from gradedqft import scalars
+
+    rng = random.Random(24)
+
+    def gaussian():
+        den = rng.randint(1, 6)
+        return GaussianRational(F(rng.randint(-6, 6), den), F(rng.randint(-3, 3), den))
+
+    pairs = [(gaussian(), gaussian()) for _ in range(200)]
+    for gx, gy in pairs:
+        x, y = ScalarExpr.gaussian(gx), ScalarExpr.gaussian(gy)
+        assert x * y is ScalarExpr.gaussian(gx * gy)
+        assert x + y is ScalarExpr.gaussian(gx + gy)
+    calls = []
+
+    def counted(name):
+        honest = getattr(scalars, name)
+        monkeypatch.setattr(scalars, name, lambda *a: calls.append(name) or honest(*a))
+
+    for name in ("_constant", "_reduced", "_scaled", "_wrap"):
+        counted(name)
+    for gx, gy in pairs:
+        x, y = ScalarExpr.gaussian(gx), ScalarExpr.gaussian(gy)
+        if x.terms and y.terms:
+            calls.clear()
+            x * y, x + y
+            assert calls == []
+
+
+@pytest.mark.parametrize("n", [0, 1, -1, 7, -12, 10 ** 30, True, False])
+def test_rational_of_an_int_is_the_rational_of_its_fraction(n):
+    e = ScalarExpr.rational(n)
+    assert e is ScalarExpr.rational(F(n)) is ScalarExpr.gaussian(F(n))
+    assert all(type(x) is int for c in e.terms.values() for x in c._t)
