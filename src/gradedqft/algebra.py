@@ -221,7 +221,7 @@ def _letter_bracket(x: OpGen, y: OpGen) -> tuple:
     _merge(merged, canonical_terms((y, x), _contraction),
            1 if x.parity and y.parity else -1)
     br = tuple((f, w) for w, f in merged.items()
-               if (not f.is_zero() if type(f) is ScalarExpr else f != 0))
+               if (f != 0 if type(f) is int else not f.is_zero()))
     _LETTER_BRACKETS[(x, y)] = br
     return br
 
@@ -241,4 +241,4 @@ def _merge(merged: dict, terms: list, weight: int) -> None:
 
 
 def _scalar(f) -> ScalarExpr:
-    return f if type(f) is ScalarExpr else ScalarExpr.rational(f)
+    return ScalarExpr.rational(f) if type(f) is int else f

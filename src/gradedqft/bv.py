@@ -56,6 +56,7 @@ from .linear import (Letter, LinearCombination, add_into, add_term, canonical_te
 from .scalars import ScalarExpr
 
 F = Fraction
+_ONE = ScalarExpr.one()
 
 
 class BVError(Exception):
@@ -132,7 +133,8 @@ class FiberPoly(LinearCombination):
     def word(cls, coords: Sequence[FiberCoord],
              coeff: ScalarExpr | None = None) -> "FiberPoly":
         c = coeff if coeff is not None else ScalarExpr.one()
-        return cls({w: c * f for f, w in canonical_terms(tuple(coords))})
+        # the factors are the signs 1 and -1: no contraction is given
+        return cls({w: c if f > 0 else -c for f, w in canonical_terms(tuple(coords))})
 
     def partial_symbol(self, name: str) -> "FiberPoly":
         return FiberPoly({w: c.partial_symbol(name) for w, c in self.terms.items()})
@@ -188,11 +190,14 @@ def _splice(f: FiberPoly, parity: int, table) -> FiberPoly:
     has the canonical words and coefficients ``table(x)``, applied to f.
 
     On a word w each (u, c_u) of table(w[j]) merges into the canonical
-    remainder of w (`linear.merge_splice`); c_w c_u, negated by the merge
-    sign and the prefix sign (-1)^{parity |w[:j]|}, is added to the word."""
+    remainder of w (`linear.merge_splice`); c_w, negated by the merge sign
+    and the prefix sign (-1)^{parity |w[:j]|}, times c_u is added to the
+    word.  Both signs of c_w are formed once per word, and a c_u that is
+    the interned one is not multiplied."""
     acc: dict = {}
     for w, c in f.terms.items():
         keys = [g._key for g in w]
+        signed = (c, -c)
         flip = False  # (-1)^{parity |w[:j]|} = -1
         for j, cj in enumerate(w):
             terms = table(cj)
@@ -202,8 +207,8 @@ def _splice(f: FiberPoly, parity: int, table) -> FiberPoly:
                     term = merge_splice(rem, rkeys, j, u)
                     if term is not None:
                         sign, nw = term
-                        cc = c * cu
-                        add_term(acc, nw, -cc if (sign < 0) != flip else cc)
+                        cc = signed[(sign < 0) != flip]
+                        add_term(acc, nw, cc if cu is _ONE else cc * cu)
             if parity and cj.parity:
                 flip = not flip
     return FiberPoly._wrap(acc)
@@ -211,7 +216,7 @@ def _splice(f: FiberPoly, parity: int, table) -> FiberPoly:
 
 def horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
     """Total spacetime derivative via jet prolongation (even derivation)."""
-    return _splice(f, 0, lambda c: (((c.lift(lam),), 1),))
+    return _splice(f, 0, lambda c: (((c.lift(lam),), _ONE),))
 
 
 class VerticalDerivation:
@@ -417,7 +422,7 @@ def lagrangian_matter(theory: TheorySpec) -> FiberPoly:
                 for i in range(theory.n_f):
                     add_into(acc, FiberPoly.word(
                         (theory.psibar(al, i), theory.psi(be, i)), -theory.mass).terms)
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
 
 
 def lagrangian_gauge(theory: TheorySpec) -> FiberPoly:
@@ -430,7 +435,7 @@ def lagrangian_gauge(theory: TheorySpec) -> FiberPoly:
                 f1 = field_strength(theory, li, lam, nu)
                 add_into(acc, (f1 * f1).scale(
                     quarter * ScalarExpr.rational(METRIC[lam] * METRIC[nu])).terms)
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
 
 
 def gauge_fix_f(theory: TheorySpec, li: int) -> FiberPoly:
@@ -457,7 +462,7 @@ def lagrangian_ghost(theory: TheorySpec) -> FiberPoly:
                                ScalarExpr.rational(METRIC[lam])).terms)
         add_into(acc, (FiberPoly.coord(theory.nl(li)) *
                        _antighost_partner(theory, li)).terms)
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
 
 
 # --- variational calculus ---------------------------------------------------
@@ -484,7 +489,7 @@ def _euler_lagrange(grad: dict, base: FiberCoord, order: int) -> FiberPoly:
                 term = _jet_deriv(grad, base, (lam, mu))
                 if not term.is_zero():
                     add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
-    return FiberPoly(acc)
+    return FiberPoly._wrap(acc)
 
 
 def euler_lagrange(lagr: FiberPoly, base: FiberCoord, order: int = 1) -> FiberPoly:
@@ -513,7 +518,7 @@ def _first_variation(v: VerticalDerivation, lagr: FiberPoly,
                     if not second.is_zero():
                         add_into(acc, (horizontal_diff(comp, mu) * second -
                                        comp * horizontal_diff(second, mu)).terms)
-        boundary.append(FiberPoly(acc))
+        boundary.append(FiberPoly._wrap(acc))
     euler = FiberPoly.sum(comp * _euler_lagrange(grad, b, order)
                           for b, comp in comps.items())
     return euler, boundary
@@ -570,11 +575,14 @@ class GhostDecomposition:
         return self.residual.is_zero()
 
 
-def ghost_lagrangian_decompose(theory: TheorySpec) -> GhostDecomposition:
+def ghost_lagrangian_decompose(theory: TheorySpec,
+                               s: VerticalDerivation | None = None) -> GhostDecomposition:
     """L_ghost = sum_c S(c) ctilde, each antifield replaced by E_c(Psi), and
     L_ghost = S K + d_H M with K = Psi and M^lam = -B^lam, all from the
-    first variation S(Psi) = L_ghost + d_lam B^lam."""
-    s = brst_operator(theory)
+    first variation S(Psi) = L_ghost + d_lam B^lam.  ``s`` is the BRST
+    operator of ``theory``, built here when not given."""
+    if s is None:
+        s = brst_operator(theory)
     k = gauge_fermion(theory)
     lagr, boundary = _first_variation(s, k, order=1)
     m = tuple(-b for b in boundary)

@@ -546,7 +546,7 @@ class Evaluator:
                                 f"index(es)", args[len(sizes) + 1][2])
             idx = [self.index(a, n) for a, n in zip(args[1:], sizes)]
             idx += [0] * (len(sizes) - len(idx))
-            s = bv.brst_operator(th)
+            s = self.ctx.brst(th)
             return s(bv.FiberPoly.coord(getattr(th, method)(*idx)))
         raise EvalError(f"unknown function {fname!r}", pos)
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -84,9 +84,36 @@ class RunContext:
     oracle_n_max: int
     oracle_cap: int
     corrupt_constant: tuple | None
+    # Built on first use and kept for this run only: a new context starts
+    # empty, so no operator built before a kernel is patched can serve a
+    # run after it.
+    _presets: dict = dc_field(default_factory=dict, init=False, repr=False,
+                              compare=False)
+    _brst: dict = dc_field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
+
+    def preset_theory(self, name: str) -> bv.TheorySpec:
+        """The gauge theory over the Lie preset ``name``."""
+        th = self._presets.get(name)
+        if th is None:
+            th = self._presets[name] = bv.TheorySpec.make(lie_mod.PRESETS[name]())
+        return th
+
+    def brst(self, theory: bv.TheorySpec, constants=None) -> bv.VerticalDerivation:
+        """The BRST operator of ``theory`` (with ``constants`` in place of
+        the Lie ones, if given), one per Lie datum and constants, so that
+        its memo of prolonged values serves every identity of the run.  The
+        operator depends on nothing else; the key is the identity of both,
+        and the entry keeps them alive."""
+        cs = theory.lie.constants if constants is None else constants
+        key = (id(theory.lie), id(cs))
+        entry = self._brst.get(key)
+        if entry is None:
+            entry = self._brst[key] = (theory.lie, cs, bv.brst_operator(theory, cs))
+        return entry[2]
 
     def constants(self):
         cs = self.theory.lie.constants
@@ -719,18 +746,18 @@ def bv_suite() -> list:
 def brst_suite() -> list:
     def s_sq_generators(ctx):
         bad = 0
-        for maker in lie_mod.PRESETS.values():
-            th = bv.TheorySpec.make(maker())
-            s = bv.brst_operator(th)
+        for name in lie_mod.PRESETS:
+            th = ctx.preset_theory(name)
+            s = ctx.brst(th)
             for c in th.all_base_coords():
                 bad += s(s(bv.FiberPoly.coord(c))).n_terms
         return CheckResult.exact(bad)
 
     def s_sq_random(ctx):
         bad = 0
-        for name, maker in lie_mod.PRESETS.items():
-            th = bv.TheorySpec.make(maker())
-            s = bv.brst_operator(th)
+        for name in lie_mod.PRESETS:
+            th = ctx.preset_theory(name)
+            s = ctx.brst(th)
             coords = th.all_base_coords()
             coords = coords + [c.lift(1) for c in coords[: len(coords) // 2]]
             rng = ctx.rng(f"brst.{name}")
@@ -741,7 +768,7 @@ def brst_suite() -> list:
 
     def matter_gauge_invariance(ctx):
         th = ctx.theory
-        s = bv.brst_operator(th, ctx.constants())
+        s = ctx.brst(th, ctx.constants())
         l0 = bv.lagrangian_matter(th) + bv.lagrangian_gauge(th)
         return CheckResult.exact(s(l0).n_terms)
 
@@ -749,21 +776,21 @@ def brst_suite() -> list:
         th = ctx.theory
         if ctx.corrupt_constant is not None:
             th = replace(th, lie=replace(th.lie, constants=ctx.constants()))
-        dec = bv.ghost_lagrangian_decompose(th)
+        dec = bv.ghost_lagrangian_decompose(th, ctx.brst(th))
         bad = dec.residual.n_terms
         bad += dec.residual.partial_symbol("xi").n_terms
         bad += (dec.lagrangian - bv.lagrangian_ghost(th)).n_terms
         return CheckResult.exact(bad)
 
     def abelian_decomposition(ctx):
-        th = bv.TheorySpec.make(lie_mod.u1())
-        dec = bv.ghost_lagrangian_decompose(th)
+        th = ctx.preset_theory("u1")
+        dec = bv.ghost_lagrangian_decompose(th, ctx.brst(th))
         bad = dec.residual.n_terms
         bad += (dec.lagrangian - bv.lagrangian_ghost(th)).n_terms
         return CheckResult.exact(bad)
 
     def negative_control(ctx):
-        th = bv.TheorySpec.make(lie_mod.su2())
+        th = ctx.preset_theory("su2")
         s_bad = bv.brst_operator(
             th, lie_mod.corrupt_constants(th.lie.constants, (0, 0, 1)))
         broken = any(not s_bad(s_bad(bv.FiberPoly.coord(th.omega(li)))).is_zero()
@@ -773,7 +800,7 @@ def brst_suite() -> list:
 
     def d_commutes(ctx):
         th = ctx.theory
-        s = bv.brst_operator(th)
+        s = ctx.brst(th)
         bad = 0
         for c in (th.psi(0, 0), th.a_gauge(0, 1), th.omega(0),
                   th.omegabar(0), th.nl(0)):
@@ -801,8 +828,8 @@ def brst_suite() -> list:
 
     def current_equivalence(ctx):
         th = ctx.theory
-        s = bv.brst_operator(th)
-        dec = bv.ghost_lagrangian_decompose(th)
+        s = ctx.brst(th)
+        dec = bv.ghost_lagrangian_decompose(th, s)
         l0 = bv.lagrangian_matter(th) + bv.lagrangian_gauge(th)
         j1 = bv.noether_current(s, l0 + dec.lagrangian,
                                 [s(m) for m in dec.m], order=1)

@@ -82,10 +82,13 @@ def is_anti_hermitian(a: Matrix) -> bool:
     return _dagger(a) == tuple(tuple(-x for x in r) for r in a)
 
 
-def _solve_exact(cols: list[list[GaussianRational]], rhs: list[GaussianRational]):
-    """Solve sum_j c_j cols[j] = rhs exactly; return coefficients or None."""
-    m, k = len(rhs), len(cols)
-    aug = [[cols[j][i] for j in range(k)] + [rhs[i]] for i in range(m)]
+def _solve_exact(cols: list[list[GaussianRational]],
+                 rhss: list[list[GaussianRational]]) -> list:
+    """Solve sum_j c_j cols[j] = rhs exactly for every rhs of ``rhss`` by one
+    elimination; per rhs, the coefficients or None when there are none."""
+    m, k = len(rhss[0]), len(cols)
+    aug = [[cols[j][i] for j in range(k)] + [rhs[i] for rhs in rhss]
+           for i in range(m)]
     pivots = []
     r = 0
     for c in range(k):
@@ -103,14 +106,17 @@ def _solve_exact(cols: list[list[GaussianRational]], rhs: list[GaussianRational]
         r += 1
         if r == m:
             break
-    # inconsistency: a zero row with nonzero rhs
-    for i in range(r, m):
-        if not aug[i][k].is_zero():
-            return None
-    sol = [GR_ZERO] * k
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][k]
-    return sol
+    out = []
+    for col in range(k, k + len(rhss)):
+        # inconsistency: a zero row with nonzero rhs
+        if any(not aug[i][col].is_zero() for i in range(r, m)):
+            out.append(None)
+            continue
+        sol = [GR_ZERO] * k
+        for i, c in enumerate(pivots):
+            sol[c] = aug[i][col]
+        out.append(sol)
+    return out
 
 
 @dataclass(frozen=True)
@@ -141,7 +147,7 @@ class LieData:
         # unique and the trace metric singular
         cols = [[x for r in g for x in r] for g in gens]
         for k in range(len(cols)):
-            if _solve_exact(cols[:k], cols[k]) is not None:
+            if _solve_exact(cols[:k], [cols[k]])[0] is not None:
                 why = "l_0 is zero" if k == 0 else \
                     f"l_{k} is a combination of the generators before it"
                 raise LieError(f"generators must be linearly independent: {why}")
@@ -151,24 +157,23 @@ class LieData:
 
 
 def structure_constants(generators: Sequence[Matrix]) -> tuple:
-    """Exact expansion coefficients of [l_J, l_H] in the basis."""
+    """Exact expansion coefficients of [l_J, l_H] in the basis, every
+    commutator solved for in one elimination."""
     gens = [(_mat(g) if not isinstance(g, tuple) else g) for g in generators]
     d = len(gens)
-    n = len(gens[0])
-    cols = [[g[i][j] for i in range(n) for j in range(n)] for g in gens]
+    cols = [[x for row in g for x in row] for g in gens]
+    pairs = [(jj, hh) for jj in range(d) for hh in range(d)]
+    rhss = [[x for row in commutator(gens[jj], gens[hh]) for x in row]
+            for jj, hh in pairs]
     out = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
-    for jj in range(d):
-        for hh in range(d):
-            comm = commutator(gens[jj], gens[hh])
-            rhs = [comm[i][j] for i in range(n) for j in range(n)]
-            sol = _solve_exact(cols, rhs)
-            if sol is None:
-                raise NonClosureError(
-                    f"[l_{jj}, l_{hh}] is outside the span of the basis")
-            for ii, c in enumerate(sol):
-                if c.im != 0:
-                    raise NonClosureError("structure constants must be real")
-                out[ii][jj][hh] = c.re
+    for (jj, hh), sol in zip(pairs, _solve_exact(cols, rhss)):
+        if sol is None:
+            raise NonClosureError(
+                f"[l_{jj}, l_{hh}] is outside the span of the basis")
+        for ii, c in enumerate(sol):
+            if c.im != 0:
+                raise NonClosureError("structure constants must be real")
+            out[ii][jj][hh] = c.re
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
 
 

@@ -137,6 +137,17 @@ def merge_splice(rem: tuple, keys: list, j: int, u: tuple):
     rem[j:] with a smaller one.  An odd letter already in the remainder
     makes the word zero.
     """
+    if len(u) == 1:
+        x = u[0]
+        p = bisect_left(keys, x._key)
+        if not x.parity:
+            return 1, rem[:p] + u + rem[p:]
+        if p < len(keys) and keys[p] == x._key:
+            return None
+        odd = 0
+        for g in (rem[p:j] if p < j else rem[j:p]):
+            odd ^= g.parity
+        return (-1 if odd else 1), rem[:p] + u + rem[p:]
     odd = 0
     lo = 0
     out: list = []

@@ -42,17 +42,19 @@ expression per constant value, in a table keyed by its reduced triple:
 ``gaussian``, ``rational``, ``one`` and ``zero`` return it, and so does
 every operation of this module whose result is a constant; a result that
 cancels is the one zero expression.  Almost every coefficient of the fiber
-layer is such a constant, so sums and products of two constants are looked
-up in two memo tables keyed by the pair of operand triples.  An entry holds
-both the ``GaussianRational`` result and its interned expression, so
-``GaussianRational`` ``+``, ``-`` and ``*`` and ``ScalarExpr`` ``+`` and
-``*`` of two constants each take one lookup, and a repeated one takes no
-gcd and allocates nothing.  The tables have no size bound: they hold only
-the distinct constants, sums and products a process meets, and the
-coefficients of a finite lattice and a fixed Lie algebra are few: a
-default ``verify`` of all eight suites leaves 247 constants, 617 products
-and 443 sums in them, and the same run with the su3 algebra 258, 683 and
-537.
+layer is such a constant.  Each interned constant carries two memo tables
+of its own, its sums and its products with other interned constants, keyed
+by the other operand's ``id``, so ``ScalarExpr`` ``+`` and ``*`` of two
+constants met before are one dict lookup and hash no triple.
+``GaussianRational`` ``+``, ``-`` and ``*`` are memoized in two tables
+keyed by the pair of operand triples, so a repeated one takes no gcd.  The
+tables have no size bound: they hold only the distinct constants, sums and
+products a process meets, and the coefficients of a finite lattice and a
+fixed Lie algebra are few.  A default ``verify`` of all eight suites
+leaves 247 constants, 486 products and 388 sums of triples, and 879
+product and 581 sum entries in the constants' own tables (a pair is
+entered under both operands); the same run with the su3 algebra leaves
+258, 540, 464, 980 and 752.
 """
 
 from __future__ import annotations
@@ -137,6 +139,10 @@ class GaussianRational:
     def __setattr__(self, *a):
         raise AttributeError("GaussianRational is immutable")
 
+    def __reduce__(self):
+        # copies and unpickled values skip the immutability guard
+        return _adopt, (self._t,)
+
     @property
     def re(self) -> Fraction:
         return Fraction(self._t[0], self._t[2])
@@ -156,7 +162,7 @@ class GaussianRational:
         s = _CONST_SUM.get(key)
         if s is None:
             s = _memo(_CONST_SUM, key, _triple_sum(*key))
-        return s[0]
+        return s
 
     __radd__ = __add__
 
@@ -172,7 +178,7 @@ class GaussianRational:
         s = _CONST_SUM.get(key)
         if s is None:
             s = _memo(_CONST_SUM, key, _triple_sum(*key))
-        return s[0]
+        return s
 
     def __rsub__(self, other) -> "GaussianRational":
         return -self + other
@@ -185,7 +191,7 @@ class GaussianRational:
         p = _CONST_PRODUCT.get(key)
         if p is None:
             p = _memo(_CONST_PRODUCT, key, _triple_product(*key))
-        return p[0]
+        return p
 
     __rmul__ = __mul__
 
@@ -273,20 +279,18 @@ def _triple_product(t1: tuple, t2: tuple) -> GaussianRational:
     return _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * d2)
 
 
-# Memo tables of constant arithmetic, keyed by the pair of operand triples.
-# They hold every sum and product of two constants the process has formed,
-# as the pair (value, interned constant expression), so that the
-# `GaussianRational` and the `ScalarExpr` operation each take one lookup.
-_CONST_SUM: dict[tuple, tuple] = {}
-_CONST_PRODUCT: dict[tuple, tuple] = {}
+# Memo tables of `GaussianRational` arithmetic, keyed by the pair of
+# operand triples.  They hold every sum and product of two values the
+# process has formed, as the value object of the interned constant.
+_CONST_SUM: dict[tuple, GaussianRational] = {}
+_CONST_PRODUCT: dict[tuple, GaussianRational] = {}
 
 
-def _memo(table: dict, key: tuple, value: GaussianRational) -> tuple:
+def _memo(table: dict, key: tuple, value: GaussianRational) -> GaussianRational:
     """Enter ``value``, the sum or product of the triples in ``key``, as the
-    value object of its interned expression and that expression."""
-    e = _constant(value._t)
-    pair = table[key] = (e.terms.get(_CONST, GR_ZERO), e)
-    return pair
+    value object of its interned expression."""
+    v = table[key] = _constant(value._t).terms.get(_CONST, GR_ZERO)
+    return v
 
 
 def _triple(x) -> tuple | None:
@@ -369,6 +373,10 @@ class _Key(tuple):
     def __hash__(self):
         return self._h
 
+    def __reduce__(self):
+        # a copied or unpickled key is the interned one, its hash recomputed
+        return _intern, (tuple(self),)
+
 
 # The key of a pure coefficient, the only key of every rational constant,
 # stays a plain tuple: its C-level hash of two empty tuples is cheaper
@@ -449,6 +457,11 @@ class ScalarExpr:
 
     __slots__ = ("terms",)
 
+    # The memo tables of an interned constant (`_Constant`); every other
+    # expression has none.
+    _sums = None
+    _products = None
+
     def __init__(self, terms: Mapping[Term, GaussianRational] | None = None, _raw=False):
         """``_raw=True`` adopts ``terms``: a fresh dict already in canonical form."""
         if terms is None:
@@ -460,6 +473,10 @@ class ScalarExpr:
 
     def __setattr__(self, *a):
         raise AttributeError("ScalarExpr is immutable")
+
+    def __reduce__(self):
+        # a copied or unpickled constant is the interned one
+        return _wrap, (dict(self.terms),)
 
     # -- constructors ---------------------------------------------------
 
@@ -551,22 +568,25 @@ class ScalarExpr:
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "ScalarExpr") -> "ScalarExpr":
+        sums = self._sums
+        if sums is not None:
+            s = sums.get(id(other))
+            if s is not None:
+                return s
         if not isinstance(other, ScalarExpr):
             return NotImplemented
         st, ot = self.terms, other.terms
         if not st:
-            return other
-        if not ot:
-            return self
-        if len(st) == 1 == len(ot) and _CONST in st and _CONST in ot:
-            key = (st[_CONST]._t, ot[_CONST]._t)
-            s = _CONST_SUM.get(key)
-            if s is None:
-                s = _memo(_CONST_SUM, key, _triple_sum(*key))
-            return s[1]
-        acc = dict(st)
-        _add_into(acc, ot)
-        return _wrap(acc)
+            s = other
+        elif not ot:
+            s = self
+        else:
+            acc = dict(st)
+            _add_into(acc, ot)
+            s = _wrap(acc)
+        if sums is not None and other._sums is not None:
+            sums[id(other)] = other._sums[id(self)] = s
+        return s
 
     def __sub__(self, other: "ScalarExpr") -> "ScalarExpr":
         if not isinstance(other, ScalarExpr):
@@ -581,6 +601,11 @@ class ScalarExpr:
         return _wrap({t: -c for t, c in st.items()})
 
     def __mul__(self, other) -> "ScalarExpr":
+        products = self._products
+        if products is not None:
+            p = products.get(id(other))
+            if p is not None:
+                return p
         # A constant factor scales the coefficients of the other operand.
         if not isinstance(other, ScalarExpr):
             if isinstance(other, (int, Fraction, GaussianRational)):
@@ -588,40 +613,38 @@ class ScalarExpr:
             return NotImplemented
         st, ot = self.terms, other.terms
         if len(ot) == 1 and _CONST in ot:
-            if len(st) == 1 and _CONST in st:
-                key = (st[_CONST]._t, ot[_CONST]._t)
-                p = _CONST_PRODUCT.get(key)
-                if p is None:
-                    p = _memo(_CONST_PRODUCT, key, _triple_product(*key))
-                return p[1]
-            return _scaled(self, ot[_CONST])
-        if len(st) == 1 and _CONST in st:
-            return _scaled(other, st[_CONST])
-        # Merge coefficients on the raw product key first, then expand each
-        # raw key last-first: the order in which _normalize visits them,
-        # so the terms come out in the same order.
-        raw: dict[Term, GaussianRational] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = _PRODUCT.get((k1, k2))
-                if key is None:
-                    key = _memo_product(k1, k2)
-                c = c1 * c2
-                prev = raw.get(key)
-                raw[key] = c if prev is None else prev + c
-        out: dict[Term, GaussianRational] = {}
-        for key, c in reversed(raw.items()):
-            if c.is_zero():
-                continue
-            for term, f in _EXPANSION[key]:
-                cf = c if f is GR_ONE else c * f
-                prev = out.get(term)
-                s = cf if prev is None else prev + cf
-                if s.is_zero():
-                    del out[term]
-                else:
-                    out[term] = s
-        return _wrap(out)
+            p = _scaled(self, ot[_CONST])
+        elif len(st) == 1 and _CONST in st:
+            p = _scaled(other, st[_CONST])
+        else:
+            # Merge coefficients on the raw product key first, then expand
+            # each raw key last-first: the order in which _normalize visits
+            # them, so the terms come out in the same order.
+            raw: dict[Term, GaussianRational] = {}
+            for k1, c1 in st.items():
+                for k2, c2 in ot.items():
+                    key = _PRODUCT.get((k1, k2))
+                    if key is None:
+                        key = _memo_product(k1, k2)
+                    c = c1 * c2
+                    prev = raw.get(key)
+                    raw[key] = c if prev is None else prev + c
+            out: dict[Term, GaussianRational] = {}
+            for key, c in reversed(raw.items()):
+                if c.is_zero():
+                    continue
+                for term, f in _EXPANSION[key]:
+                    cf = c if f is GR_ONE else c * f
+                    prev = out.get(term)
+                    s = cf if prev is None else prev + cf
+                    if s.is_zero():
+                        del out[term]
+                    else:
+                        out[term] = s
+            return _wrap(out)
+        if products is not None and other._products is not None:
+            products[id(other)] = other._products[id(self)] = p
+        return p
 
     __rmul__ = __mul__
 
@@ -812,9 +835,10 @@ def _add_into(acc: dict, terms: Mapping[Term, GaussianRational]) -> None:
 def _scaled(e: ScalarExpr, k) -> ScalarExpr:
     """e times the constant k.  A nonzero constant keeps every term key
     canonical and every coefficient nonzero, so no _normalize is needed."""
-    if k == 0:
+    kt = k._t if type(k) is GaussianRational else _triple(k)
+    if kt == _ZERO_T:
         return _ZERO
-    if k == 1:
+    if kt == _ONE_T:
         return e
     return _wrap({t: c * k for t, c in e.terms.items()})
 
@@ -831,11 +855,25 @@ def _wrap(terms: dict) -> ScalarExpr:
     return ScalarExpr(terms, _raw=True)
 
 
+class _Constant(ScalarExpr):
+    """An interned constant, with its memo tables of sums and products with
+    other interned constants, keyed by the other operand's ``id``.  An id
+    names one constant for the life of the process, since ``_CONSTANTS``
+    keeps every interned constant alive."""
+
+    __slots__ = ("_sums", "_products")
+
+    def __init__(self, terms: dict):
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "_sums", {})
+        object.__setattr__(self, "_products", {})
+
+
 def _constant(t: tuple) -> ScalarExpr:
     """The one expression of the constant with the reduced triple ``t``."""
     e = _CONSTANTS.get(t)
     if e is None:
-        e = _CONSTANTS[t] = ScalarExpr({_CONST: _adopt(t)}, _raw=True)
+        e = _CONSTANTS[t] = _Constant({_CONST: _adopt(t)})
     return e
 
 
@@ -936,9 +974,10 @@ def _qsum_str(v: QSum) -> str:
     return " + ".join(str(c) if d == 1 else f"{c}√{d}" for d, c in v) or "0"
 
 
-_ZERO = ScalarExpr({}, _raw=True)
-_CONSTANTS: dict[tuple, ScalarExpr] = {GR_ZERO._t: _ZERO}  # triple -> expr
-_ONE = _constant(GR_ONE._t)
+_ZERO_T, _ONE_T = GR_ZERO._t, GR_ONE._t
+_ZERO = _Constant({})
+_CONSTANTS: dict[tuple, ScalarExpr] = {_ZERO_T: _ZERO}  # triple -> expr
+_ONE = _constant(_ONE_T)
 _I = _constant(GR_I._t)
 
 

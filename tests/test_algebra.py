@@ -250,6 +250,27 @@ def test_generators_are_interned():
         assert OpGen(ABSORB, LOWER, sector, 0, (0,)).parity == p
 
 
+def test_constants_are_interned_through_copies():
+    """Copies and unpickled scalars are usable values: a constant comes back
+    as the interned expression, a term key as the interned key."""
+    import copy
+    import pickle
+
+    from gradedqft.scalars import _KEYS
+
+    c = ScalarExpr.gaussian(GaussianRational(F(2, 3), -1))
+    for e in (c, ScalarExpr.zero(), ScalarExpr.one()):
+        assert copy.copy(e) is e and copy.deepcopy(e) is e
+        assert pickle.loads(pickle.dumps(e)) is e
+    g = GaussianRational(F(-1, 2), 3)
+    x = ScalarExpr.symbol("x") * c + ScalarExpr.radical(2)
+    for dup in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        assert dup(g) == g and dup(g)._t == g._t
+        y = dup(x)
+        assert y == x and all(k is _KEYS[k] for k in y.terms)
+        assert y * c == x * c
+
+
 @pytest.mark.parametrize("fields,error", [
     (("absorbs", UPPER, "scalar", 0, (0,)), "bad species"),
     ((EMIT, "middle", "scalar", 0, (0,)), "bad index position"),
@@ -525,3 +546,35 @@ def test_splice_sign_drop_fails_the_same_identities(monkeypatch, kept):
     failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
     assert len(report["identities"]) == 14
     assert failed == _SPLICE_SIGN_KILLS
+
+
+_SWAP_FLIP = "            if left.parity and right.parity:\n" \
+             "                factor = -factor\n"
+
+
+@pytest.mark.parametrize("module,name,honest,mutated,kills", [
+    ("bv", "_splice", "(sign < 0) != flip", "sign < 0", _SPLICE_SIGN_KILLS),
+    ("linear", "_insertion_sort", _SWAP_FLIP, "",
+     {k for k in _SWAP_SIGN_KILLS if k.split(".")[0] in ("bv", "brst")}),
+], ids=["splice_prefix", "swap_sign"])
+def test_run_scoped_caches_do_not_hide_a_mutation(monkeypatch, module, name,
+                                                   honest, mutated, kills):
+    """A clean bv+brst run first, then in the same process the kernel
+    mutated (`bv._splice` without its prefix sign, or the word rule without
+    its swap sign): the mutated run still fails exactly the identities it
+    fails from a cold start, so nothing the clean run built serves it."""
+    import importlib
+    import inspect
+
+    from gradedqft.cli import load_config, run_verify
+
+    assert run_verify(load_config(None), ["bv", "brst"])["failed"] == 0
+    mod = importlib.import_module(f"gradedqft.{module}")
+    source = inspect.getsource(getattr(mod, name))
+    assert source.count(honest) == 1
+    namespace = dict(vars(mod))
+    exec(source.replace(honest, mutated), namespace)
+    monkeypatch.setattr(mod, name, namespace[name])
+    report = run_verify(load_config(None), ["bv", "brst"])
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert failed == kills

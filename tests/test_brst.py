@@ -328,6 +328,25 @@ def test_run_verify_builds_each_preset_once(monkeypatch):
     assert sorted(built) == [1, 3, 8]
 
 
+def test_run_verify_builds_one_brst_operator_per_lie_datum(monkeypatch):
+    """The run context holds one BRST operator per (Lie data, constants):
+    the default theory shares the su2 preset's, and a new run builds anew."""
+    from gradedqft import bv, cli
+    built = []
+    honest = bv.brst_operator
+    monkeypatch.setattr(bv, "brst_operator", lambda th, cs=None: built.append(
+        (th.lie.dim, cs == th.lie.constants)) or honest(th, cs))
+    report = cli.run_verify(cli.load_config(None), ["bv", "brst"])
+    assert report["failed"] == 0
+    # u1, su2 and su3, and the negative control's corrupted su2
+    assert sorted(built) == [(1, True), (3, False), (3, True), (8, True)]
+    ctx, other = (cli.context_from_config(cli.load_config(None)) for _ in range(2))
+    s = ctx.brst(ctx.theory)
+    assert ctx.brst(ctx.preset_theory("su2")) is s
+    assert ctx.brst(ctx.theory, ctx.constants()) is s
+    assert other.brst(other.theory) is not s
+
+
 def test_every_constant_coefficient_of_s_is_the_interned_constant():
     th = theory("su2")
     s = brst_operator(th)

@@ -555,6 +555,22 @@ def test_horizontal_diff_matches_the_sorted_prolongation(lie_name):
     assert nonzero >= 40 and odd >= 20 and second >= 20
 
 
+def test_the_fiber_layer_hands_no_int_to_scalar_scaling(monkeypatch):
+    """The word rule's signs are applied by negation and the total
+    derivative's table holds the interned one, so on bv+brst the
+    constant-scaling route of `ScalarExpr.__mul__` never sees an int."""
+    from gradedqft import scalars
+    from gradedqft.cli import load_config, run_verify
+    from gradedqft.scalars import GaussianRational
+
+    seen = []
+    honest = scalars._scaled
+    monkeypatch.setattr(scalars, "_scaled",
+                        lambda e, k: seen.append(type(k)) or honest(e, k))
+    assert run_verify(load_config(None), ["bv", "brst"])["failed"] == 0
+    assert seen and set(seen) == {GaussianRational}
+
+
 #: (function, honest text, mutated text) -> the bv+brst identities it fails
 _FIBER_SIGN_KILLS = {
     # the Koszul sign of the graded derivative, (-1)^{|i| |w[:j]|} (left)

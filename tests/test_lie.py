@@ -7,6 +7,7 @@ from gradedqft.lie import (
     LieData,
     LieError,
     NonClosureError,
+    commutator,
     lower_first_index,
     structure_constants,
     su2,
@@ -197,6 +198,56 @@ def test_non_closure_detection():
     g3 = [[i, 0], [0, GaussianRational(0, -1)]]
     with pytest.raises(NonClosureError):
         structure_constants([g1, g3])
+
+
+def _reference_constants(generators) -> tuple:
+    """c^I_JH by one exact solve per pair (J, H): the real and imaginary
+    parts of sum_I c^I l_I = [l_J, l_H] as a rational system, eliminated
+    on its own."""
+    d = len(generators)
+
+    def parts(m):
+        return [p for row in m for x in row for p in (x.re, x.im)]
+
+    cols = [parts(g) for g in generators]
+    out = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for jj in range(d):
+        for hh in range(d):
+            rhs = parts(commutator(generators[jj], generators[hh]))
+            aug = [[col[i] for col in cols] + [rhs[i]] for i in range(len(rhs))]
+            row = 0
+            pivots = []
+            for c in range(d):
+                piv = next((i for i in range(row, len(aug)) if aug[i][c] != 0), None)
+                if piv is None:
+                    continue
+                aug[row], aug[piv] = aug[piv], aug[row]
+                aug[row] = [x / aug[row][c] for x in aug[row]]
+                for i in range(len(aug)):
+                    if i != row and aug[i][c] != 0:
+                        f = aug[i][c]
+                        aug[i] = [x - f * y for x, y in zip(aug[i], aug[row])]
+                pivots.append(c)
+                row += 1
+            assert all(r[d] == 0 for r in aug[row:]), (jj, hh)
+            for i, c in enumerate(pivots):
+                out[c][jj][hh] = aug[i][d]
+    return tuple(tuple(tuple(r) for r in plane) for plane in out)
+
+
+@pytest.mark.parametrize("preset", [u1, su2, su3], ids=["u1", "su2", "su3"])
+def test_one_elimination_matches_the_per_pair_solve(preset):
+    gens = preset().generators
+    assert structure_constants(gens) == _reference_constants(gens) == preset().constants
+
+
+def test_solve_exact_answers_each_right_hand_side():
+    from gradedqft.lie import _solve_exact
+    one, i = GaussianRational(1), GaussianRational(0, 1)
+    zero = GaussianRational(0)
+    cols = [[one, zero, zero], [zero, one, zero]]
+    sols = _solve_exact(cols, [[i, one, zero], [zero, zero, one], [one, i, zero]])
+    assert sols == [[i, one], None, [one, i]]
 
 
 def test_metric_cross_block_orthogonality_and_signature():

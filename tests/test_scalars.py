@@ -683,6 +683,23 @@ def test_constant_arithmetic_is_one_lookup_to_the_interned_result(monkeypatch):
             assert calls == []
 
 
+def test_constant_memo_tables_are_keyed_by_interned_operands():
+    """Each interned constant memoizes its sums and products with other
+    interned constants by their id, in both operands' tables; an equal
+    constant that is not interned gets the interned result but no entry."""
+    two, three = ScalarExpr.rational(2), ScalarExpr.rational(3)
+    loose = ScalarExpr({_CONST: GaussianRational(2)})
+    assert loose == two and loose is not two
+    assert three * loose is three * two is ScalarExpr.rational(6)
+    assert loose + three is three + two is ScalarExpr.rational(5)
+    assert three._products[id(two)] is two._products[id(three)] is ScalarExpr.rational(6)
+    assert three._sums[id(two)] is two._sums[id(three)] is ScalarExpr.rational(5)
+    assert id(loose) not in three._products and id(loose) not in three._sums
+    assert loose._products is None and loose._sums is None
+    zero = ScalarExpr.zero()
+    assert zero + three is three and three * zero is zero
+
+
 @pytest.mark.parametrize("n", [0, 1, -1, 7, -12, 10 ** 30, True, False])
 def test_rational_of_an_int_is_the_rational_of_its_fraction(n):
     e = ScalarExpr.rational(n)
