@@ -115,10 +115,12 @@ def _set_known(cfg: dict, section: str, key: str, value) -> None:
 
 
 def _number(value, what: str) -> Fraction:
+    """A config number as an exact rational; a float means the decimal it
+    prints as (0.1 is 1/10, not the nearest binary fraction)."""
     if isinstance(value, bool):  # F(True) == 1
         raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
-        return F(value)
+        return F(repr(value)) if isinstance(value, float) else F(value)
     except (TypeError, ValueError, ZeroDivisionError):
         raise ConfigError(f"{what}: expected a number, got {value!r}") from None
 

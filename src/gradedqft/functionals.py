@@ -6,6 +6,18 @@ derivatives at one symbolic point, multiplies under the modified rule
 the spatial symbol away via lattice plane-wave orthogonality, and
 compares the reduction against the closed number-operator form.
 
+Orthogonality, integral d^3x e^{i<p-q,x>} = delta_pq, keeps a term of the
+density iff its x-vector vanishes, and a product term's x-vector is the
+sum of its factors'.  So `_integral` never forms the whole density: it
+indexes the field's words by the x-vector of each coefficient term and
+multiplies only the pairs whose x-vectors cancel, O(M) of the O(M^2)
+word pairs for M modes.  The products still go through
+`canonical_terms` and the sum still passes through `spatial_integral`,
+so a phase in a foreign position still raises.  Each word of a field
+carries one plane wave, so a word pair is kept or dropped whole, and the
+result equals ``spatial_integral(density_product(...))`` word for word
+and term for term, in the same order.
+
 The reductions are sensitive to every sign in the conjugate-field
 prescription; a flipped anti-particle absorption term breaks them, which
 is exactly what the negative controls exercise.
@@ -34,7 +46,7 @@ from .fields import (
     field,
 )
 from .gammas import GAMMA, METRIC
-from .linear import add_into, add_term
+from .linear import add_into, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -159,10 +171,45 @@ def fp_charge_target(lattice: ModeLattice, lam: int) -> GradedExpr:
 _HALF_I = ScalarExpr.rational(F(1, 2)) * _I
 
 
+def _opposite(v):
+    """The x-vector that cancels ``v``; a phase-free term pairs with one."""
+    return None if v is None else tuple(-a for a in v)
+
+
+def _x_index(phi: FieldExpr, xname: str) -> dict:
+    """The words of ``phi`` indexed by x-vector: {v: [(word, part), ...]},
+    ``part`` the terms of the word's coefficient with x-vector v."""
+    index: dict = {}
+    for w, c in phi.expr.terms.items():
+        for v, part in c.by_position(xname).items():
+            index.setdefault(v, []).append((w, part))
+    return index
+
+
+def _matched_product(bar: FieldExpr, phi_index: dict, xname: str) -> GradedExpr:
+    """The terms of ``density_product(bar, phi)`` that survive the spatial
+    integral: only coefficient terms whose x-vectors cancel are multiplied,
+    word pairs in the order the full product takes them."""
+    acc: dict = {}
+    for w1, c1 in bar.expr.terms.items():
+        for v, c1v in c1.by_position(xname).items():
+            for w2, c2 in phi_index.get(_opposite(v), ()):
+                terms = canonical_terms(w1 + w2)
+                if terms:
+                    c12 = c1v * c2
+                    for f, w in terms:
+                        add_term(acc, w, c12 if f > 0 else -c12)
+    return GradedExpr._wrap(acc)
+
+
 def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
     """Spatial integral of the rows' density, normal-ordered.  Rows with
     the same fields are merged first, so each product is taken once, and
-    each derived field is built once."""
+    each derived field is built and indexed once.  Plane waves are
+    orthonormal on the lattice, so of each product only the word pairs
+    whose x-vectors cancel are formed (`_matched_product`);
+    `spatial_integral` then drops nothing but still rejects a foreign
+    position."""
     x = FieldPoint.make("t", "x")
     weights: dict = {}
     for w, a, mu, b, nu in rows:
@@ -178,9 +225,12 @@ def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
             derived[key] = f if lam is None else f.deriv(lam)
         return derived[key]
 
+    indexed: dict = {}
     dens: dict = {}
     for (a, mu, b, nu), w in weights.items():
-        prod = density_product(part(conjugate_field, a, mu), part(field, b, nu))
+        if (b, nu) not in indexed:
+            indexed[b, nu] = _x_index(part(field, b, nu), x.x)
+        prod = _matched_product(part(conjugate_field, a, mu), indexed[b, nu], x.x)
         add_into(dens, prod.scale(w).terms)
     return spatial_integral(GradedExpr(dens), x)
 

@@ -51,10 +51,19 @@ keyed by the pair of operand triples, so a repeated one takes no gcd.  The
 tables have no size bound: they hold only the distinct constants, sums and
 products a process meets, and the coefficients of a finite lattice and a
 fixed Lie algebra are few.  A default ``verify`` of all eight suites
-leaves 247 constants, 486 products and 388 sums of triples, and 879
+leaves 243 constants, 476 products and 385 sums of triples, and 879
 product and 581 sum entries in the constants' own tables (a pair is
 entered under both operands); the same run with the su3 algebra leaves
-258, 540, 464, 980 and 752.
+255, 528, 463, 980 and 752.
+
+Rationals inside term keys are canonical (``_rat``): a phase's x-vector
+components and ``qsum`` coefficients, the arguments of the ``wgt`` and
+``kw`` symbols, and ``ModeIndex.momentum`` are ``int`` when integral and
+``Fraction`` otherwise, whichever type they were built from.  Since
+``2 == Fraction(2)`` with equal hashes and order, this changes no key,
+interning or term order; it only spares ``Fraction`` hashing and gcd
+arithmetic, so a lattice of integer momenta hashes almost no
+``Fraction`` at all.
 """
 
 from __future__ import annotations
@@ -85,6 +94,15 @@ def _frac(x: Rational) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
+
+
+def _rat(x: Rational) -> Rational:
+    """The canonical form of a rational in a term key or a mode: an ``int``
+    when integral, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    x = _frac(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _squarefree(n: int) -> tuple[int, int]:
@@ -311,14 +329,14 @@ GR_I = GaussianRational(0, 1)
 
 # --- linear combinations over Q of sqrt(d), used in phase exponents ---
 
-QSum = tuple  # tuple[(d: int, c: Fraction)], sorted by d, c != 0
+QSum = tuple  # tuple[(d: int, c: Rational)], sorted by d, c != 0, c canonical
 
 
 def qsum(pairs: Iterable[tuple[int, Rational]]) -> QSum:
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Rational] = {}
     for d, c in pairs:
-        acc[d] = acc.get(d, Fraction(0)) + _frac(c)
-    return tuple(sorted((d, c) for d, c in acc.items() if c != 0))
+        acc[d] = acc.get(d, 0) + _rat(c)
+    return tuple(sorted((d, _rat(c)) for d, c in acc.items() if c != 0))
 
 
 def qsum_add(a: QSum, b: QSum) -> QSum:
@@ -330,10 +348,10 @@ def qsum_neg(a: QSum) -> QSum:
 
 
 def qsum_scale(a: QSum, s: Rational) -> QSum:
-    s = _frac(s)
+    s = _rat(s)
     if s == 0:
         return ()
-    return tuple((d, c * s) for d, c in a)
+    return tuple((d, _rat(c * s)) for d, c in a)
 
 
 def qsum_float(a: QSum) -> float:
@@ -352,7 +370,8 @@ def qsum_sqrt(q: Rational) -> QSum:
 # syms:    tuple of ((kind, ...), exponent) sorted
 # phase:   tuple of ((key, value)) sorted,
 #          key = ('c',) | ('t', name) | ('x', name)
-#          value = QSum for 'c'/'t', (Fraction, Fraction, Fraction) for 'x'
+#          value = QSum for 'c'/'t', a triple of rationals for 'x';
+#          every rational in canonical form (`_rat`)
 
 Term = tuple
 
@@ -403,8 +422,8 @@ def _phase_normal(entries: Iterable[tuple]) -> tuple:
     acc: dict = {}
     for key, val in entries:
         if key[0] == "x":
-            cur = acc.get(key, (Fraction(0),) * 3)
-            acc[key] = tuple(a + b for a, b in zip(cur, val))
+            cur = acc.get(key, (0, 0, 0))
+            acc[key] = tuple(_rat(a + b) for a, b in zip(cur, val))
         else:
             acc[key] = qsum_add(acc.get(key, ()), val)
     out = []
@@ -541,7 +560,7 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * c))
-        return _monomial(((("wgt", r), 1),), ())
+        return _monomial(((("wgt", _rat(r)), 1),), ())
 
     @staticmethod
     def boost_weight(m: Rational, r: Rational) -> "ScalarExpr":
@@ -550,7 +569,7 @@ class ScalarExpr:
         c, d = canonical_sqrt(r)
         if d == 1:
             return ScalarExpr.sqrt_rational(Fraction(1) / (2 * m * (c + m)))
-        return _monomial(((("kw", m, r), 1),), ())
+        return _monomial(((("kw", _rat(m), _rat(r)), 1),), ())
 
     @staticmethod
     def phase(entries: Iterable[tuple]) -> "ScalarExpr":
@@ -756,6 +775,27 @@ class ScalarExpr:
                         f"phase depends on foreign position {pkey[1]!r}")
             acc[key] = acc.get(key, GR_ZERO) + c
         return _wrap(acc)
+
+    def by_position(self, xname: str) -> dict:
+        """The terms grouped by their x-vector on the spatial symbol
+        ``xname`` (None for a term without one), as {vector: ScalarExpr};
+        groups and their terms keep the order of ``self``."""
+        xkey = ("x", xname)
+        groups: dict = {}
+        for key, c in self.terms.items():
+            v = None
+            for pkey, val in key[1]:
+                if pkey == xkey:
+                    v = val
+                    break
+            g = groups.get(v)
+            if g is None:
+                groups[v] = {key: c}
+            else:
+                g[key] = c
+        if len(groups) == 1:
+            return {v: self}
+        return {v: _wrap(g) for v, g in groups.items()}
 
     def has_time_dependence(self) -> bool:
         for (_, p) in self.terms:
@@ -988,7 +1028,7 @@ class ModeIndex:
 
     def __init__(self, mid: int, momentum):
         object.__setattr__(self, "id", mid)
-        object.__setattr__(self, "momentum", tuple(_frac(x) for x in momentum))
+        object.__setattr__(self, "momentum", tuple(_rat(x) for x in momentum))
 
     def __setattr__(self, *a):
         raise AttributeError("ModeIndex is immutable")

@@ -526,6 +526,29 @@ def test_lattice4_report_matches_the_golden_file():
     assert run.stdout == (data / "verify_lattice4.json").read_bytes()
 
 
+def test_fractional_lattice_report_matches_the_golden_file():
+    # tests/data/verify_lattice_frac.json holds `verify --config
+    # tests/data/lattice_frac.ini --format json`: momenta 0, +-(1/2,0,0)
+    # and +-(0,1/3,0), scalar mass 3/2, Dirac mass 2, the oracle off; it
+    # pins the Fraction path of the scalar layer, 53 identities
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    data = pathlib.Path(__file__).parent / "data"
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--config",
+           str(data / "lattice_frac.ini"), "--format", "json"]
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=src)
+    run = subprocess.run(cmd, env=env, capture_output=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == (data / "verify_lattice_frac.json").read_bytes()
+    report = json.loads(run.stdout)
+    assert report["failed"] == 0 and len(report["identities"]) == 53
+
+
 def test_verify_passes_with_one_scalar_component(tmp_path):
     cfg = tmp_path / "run.ini"
     cfg.write_text("[lattice]\nscalar_dim = 1\n")
@@ -634,3 +657,38 @@ def test_python_dash_m_runs_the_command_line():
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert "brst.nilpotent_random" in run.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "ini"])
+def test_float_momenta_read_as_their_decimals(tmp_path, fmt):
+    """A float in a config is the decimal it prints as: momenta +-0.1 are
+    +-1/10, not binary fractions with denominator 2^55 whose energies
+    would be factored by trial division.  `verify --suite functionals`
+    finishes within seconds and passes."""
+    import os
+    import subprocess
+    import sys
+    from fractions import Fraction
+
+    import gradedqft
+    momenta = "[[0.1, 0, 0], [-0.1, 0, 0]]"
+    if fmt == "json":
+        p = tmp_path / "run.json"
+        p.write_text('{"lattice": {"momenta": %s, "masses": '
+                     '{"scalar": 1.5, "fermion": 1, "dirac": 1}}}' % momenta)
+    else:
+        p = tmp_path / "run.ini"
+        p.write_text(f"[lattice]\nmomenta = {momenta}\n"
+                     'masses = {"scalar": 1.5, "fermion": 1, "dirac": 1}\n')
+    ctx = context_from_config(load_config(str(p)))
+    assert [m.momentum for m in ctx.lattice.modes] == \
+        [(Fraction(1, 10), 0, 0), (Fraction(-1, 10), 0, 0)]
+    assert ctx.lattice.mass("scalar") == Fraction(3, 2)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--suite", "functionals",
+           "--config", str(p), "--format", "json"]
+    run = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    report = json.loads(run.stdout)
+    assert report["failed"] == 0 and report["passed"] == len(report["identities"]) > 0

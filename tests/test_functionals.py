@@ -251,3 +251,133 @@ def test_negative_control_wrong_conjugate_sign_breaks_dirac_momentum():
                 ScalarExpr.rational(F(1, 2)) * i_ * g)
     red = spatial_integral(dens, x)
     assert red != dirac_momentum_target(lat, 0)
+
+
+# --- the matched product against the full density product ----------------
+
+def _reference_integral(lattice, sector, rows):
+    """`functionals._integral` by the full density product: every word pair
+    of the two fields is multiplied, and `spatial_integral` drops the
+    terms whose phase survives."""
+    from gradedqft.linear import add_into, add_term
+
+    x = FieldPoint.make("t", "x")
+    weights = {}
+    for w, a, mu, b, nu in rows:
+        if not isinstance(w, ScalarExpr):
+            w = ScalarExpr.rational(w)
+        add_term(weights, (a, mu, b, nu), w)
+
+    def part(make, c, lam):
+        f = make(sector, c, x, lattice)
+        return f if lam is None else f.deriv(lam)
+
+    dens = {}
+    for (a, mu, b, nu), w in weights.items():
+        prod = density_product(part(conjugate_field, a, mu), part(field, b, nu))
+        add_into(dens, prod.scale(w).terms)
+    return spatial_integral(GradedExpr(dens), x)
+
+
+def _every_builder(lat, lat_ghost):
+    """name -> reduced operator, for every functional builder; the ghost
+    sector, massless, runs on the lattice without its zero mode."""
+    out = {"dirac_charge": dirac_charge(lat).reduced}
+    for lam in range(4):
+        out[f"dirac_momentum[{lam}]"] = four_momentum("dirac", lam, lat).reduced
+        out[f"ghost_momentum[{lam}]"] = four_momentum("ghost", lam, lat_ghost).reduced
+        out[f"fp_current[{lam}]"] = fp_current_integral(lam, lat_ghost).reduced
+    for sector in ("scalar", "fermion"):
+        for name, piece in zip("tgm", scalar_h_pieces(lat, sector)):
+            out[f"{sector}_h_piece_{name}"] = piece
+    for sector in ("scalar", "fermion", "dirac"):
+        out[f"{sector}_hamiltonian"] = free_hamiltonian(sector, lat).reduced
+    out["ghost_hamiltonian"] = free_hamiltonian("ghost", lat_ghost).reduced
+    return out
+
+
+def _items(e):
+    """The terms of e, and of each coefficient, in their stored order."""
+    return [(w, list(c.terms.items())) for w, c in e.terms.items()]
+
+
+_HALF, _THIRD = F(1, 2), F(1, 3)
+
+
+@pytest.mark.parametrize("momenta, masses", [
+    ([(0, 0, 0), (1, 0, 0), (-1, 0, 0)], {}),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)], {}),
+    ([(0, 0, 0), (_HALF, 0, 0), (-_HALF, 0, 0), (0, _THIRD, 0), (0, -_THIRD, 0)],
+     {"scalar": F(3, 2), "dirac": 2}),
+], ids=["default", "lattice4", "fractional"])
+def test_matched_product_is_the_full_density_reduction(monkeypatch, momenta, masses):
+    """Every builder gives the same operator, word for word and term for
+    term in the same order, whether `_integral` forms only the pairs whose
+    x-vectors cancel or the whole density first.  The default lattice has
+    the non-square energy sqrt(2); the fractional one a scalar mass of
+    3/2 and the energies sqrt(5/2) and sqrt(37)/6."""
+    import gradedqft.functionals as functionals
+
+    lat = ModeLattice.make(momenta, masses, scalar_dim=2, lie_dim=2)
+    lat_ghost = ModeLattice.make([p for p in momenta if any(p)], masses,
+                                 scalar_dim=2, lie_dim=2)
+    matched = _every_builder(lat, lat_ghost)
+    monkeypatch.setattr(functionals, "_integral", _reference_integral)
+    full = _every_builder(lat, lat_ghost)
+    assert matched.keys() == full.keys()
+    for name in full:
+        assert _items(matched[name]) == _items(full[name]), name
+    assert sum(e.n_terms for e in full.values()) > 0
+
+
+def test_matched_product_still_rejects_a_foreign_position():
+    """The matched terms still pass through `spatial_integral`: the zero
+    mode of the field at x, phase-free in x, meets the terms of a field at
+    y that carry a phase in y, and the integral over x raises."""
+    import gradedqft.functionals as functionals
+    from gradedqft.scalars import NonIntegrablePhaseError
+
+    lat = lat_sym()
+    x, y = FieldPoint.make("t", "x"), FieldPoint.make("t", "y")
+    bar = conjugate_field("scalar", 0, x, lat)
+    index = functionals._x_index(field("scalar", 0, y, lat), "x")
+    prod = functionals._matched_product(bar, index, "x")
+    assert prod.n_terms
+    with pytest.raises(NonIntegrablePhaseError):
+        spatial_integral(prod, x)
+
+
+#: the default-config identities that fail when `_matched_product` pairs
+#: each x-vector with itself instead of its opposite: only the zero mode's
+#: phase-free terms still meet, so every reduction on a lattice with a
+#: nonzero momentum comes out wrong
+_MATCH_KILLS = {
+    "functional.dirac_charge", "functional.dirac_hamiltonian",
+    "functional.dirac_momentum.0", "functional.dirac_momentum.1",
+    "functional.fermion_hamiltonian", "functional.fp_charge",
+    "functional.fp_current_spatial", "functional.ghost_hamiltonian",
+    "functional.ghost_momentum.0", "functional.ghost_momentum.1",
+    "functional.scalar_hamiltonian", "oracle.functionals",
+}
+
+
+def test_unmatched_lookup_fails_the_functional_identities(monkeypatch):
+    """Mutation row: the lookup of the opposite x-vector replaced by the
+    same vector fails exactly the identities above in the default
+    `verify`."""
+    import inspect
+
+    import gradedqft.functionals as functionals
+    from gradedqft.cli import load_config, run_verify
+
+    honest = "phi_index.get(_opposite(v), ())"
+    source = inspect.getsource(functionals._matched_product)
+    assert source.count(honest) == 1
+    namespace = dict(vars(functionals))
+    exec(source.replace(honest, "phi_index.get(v, ())"), namespace)
+    monkeypatch.setattr(functionals, "_matched_product",
+                        namespace["_matched_product"])
+    report = run_verify(load_config(None))
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 59
+    assert failed == _MATCH_KILLS

@@ -705,3 +705,67 @@ def test_rational_of_an_int_is_the_rational_of_its_fraction(n):
     e = ScalarExpr.rational(n)
     assert e is ScalarExpr.rational(F(n)) is ScalarExpr.gaussian(F(n))
     assert all(type(x) is int for c in e.terms.values() for x in c._t)
+
+
+def _phase_entries(e):
+    (key,) = e.terms
+    return key, dict(key[1])
+
+
+def test_term_key_rationals_are_canonical():
+    """A rational in a term key or a mode is an int when integral and a
+    Fraction otherwise, whatever type it was built from; both routes
+    intern to the one key."""
+    from gradedqft.scalars import ModeIndex
+
+    by_fraction = ScalarExpr.phase([(("t", "t"), qsum([(1, F(4, 2)), (2, F(1, 2))])),
+                                    (("x", "x"), (F(2), F(1, 2), F(-6, 3)))])
+    by_int = ScalarExpr.phase([(("t", "t"), qsum([(1, 2), (2, F(1, 2))])),
+                               (("x", "x"), (2, F(1, 2), -2))])
+    (k1, p1), (k2, _) = _phase_entries(by_fraction), _phase_entries(by_int)
+    assert k1 is k2
+    assert [type(v) for v in p1[("x", "x")]] == [int, Fraction, int]
+    assert [type(c) for _, c in p1[("t", "t")]] == [int, Fraction]
+    # a product whose components become integral drops the Fraction
+    half = ScalarExpr.phase([(("x", "x"), (F(1, 2), F(1, 3), 0))])
+    _, p = _phase_entries(half * half * half * half * half * half)
+    assert p[("x", "x")] == (3, 2, 0)
+    assert all(type(v) is int for v in p[("x", "x")])
+    # qsum scaling, as the plane waves use it
+    assert all(type(c) is int for _, c in qsum_sqrt(F(4)) + qsum_rat(F(6, 3)))
+
+    m_frac, m_int = ModeIndex(0, (F(2), F(0), F(1, 3))), ModeIndex(0, (2, 0, F(1, 3)))
+    assert m_frac == m_int and hash(m_frac) == hash(m_int)
+    assert [type(x) for x in m_frac.momentum] == [int, int, Fraction]
+    assert repr(m_frac) == repr(m_int) == "p0('2', '0', '1/3')"
+
+    # the weight symbols' rationals too
+    for a, b in ((ScalarExpr.mode_weight(F(2)), ScalarExpr.mode_weight(2)),
+                 (ScalarExpr.boost_weight(F(1), F(2)), ScalarExpr.boost_weight(1, 2))):
+        (ka,), (kb,) = a.terms, b.terms
+        assert ka is kb
+        ((sym, _),) = ka[0]
+        assert all(type(v) is int for v in sym[1:])
+
+
+def test_by_position_groups_terms_by_their_x_vector():
+    """`by_position` splits an expression by the x-vector of each term on
+    one spatial symbol, None for the terms without one; the groups sum to
+    the expression, and a one-group expression is its own group."""
+    px = ScalarExpr.phase([(("x", "x"), (1, 0, F(1, 2)))])
+    mx = ScalarExpr.phase([(("x", "x"), (-1, 0, F(-1, 2))),
+                           (("t", "t"), qsum_sqrt(2))])
+    py = ScalarExpr.phase([(("x", "y"), (1, 0, 0))])
+    three = rat(3)
+    e = px + mx * rat(2) + three + py + px * _X
+    groups = e.by_position("x")
+    assert list(groups) == [(1, 0, F(1, 2)), (-1, 0, F(-1, 2)), None]
+    assert groups[(1, 0, F(1, 2))] == px + px * _X
+    assert groups[(-1, 0, F(-1, 2))] == mx * rat(2)
+    assert groups[None] == three + py
+    assert ScalarExpr.sum(groups.values()) == e
+    assert three.by_position("x") == {None: three}
+    assert three.by_position("x")[None] is three
+    assert px.by_position("y") == {None: px}
+    # a constant group is the interned constant
+    assert (px + three).by_position("x")[None] is three
