@@ -37,9 +37,13 @@ Lagrangian) fixes the remaining component conventions:
     grad_lam psi = psi_{,lam} - A^I_lam l_I psi
     F^I_{lam nu} = A^I_{nu,lam} - A^I_{lam,nu} - c^I_{JH} A^J_lam A^H_nu
 
-One routine splits a variation, v(l) = sum_b v(b) E_b(l) + d_lam B^lam;
-Noether currents are J = B - N.  Gauge fixing substitutes ctilde = E_c(Psi)
-of the gauge fermion Psi: L_ghost = sum_c S(c) E_c(Psi) = S Psi - d_lam B^lam.
+The Euler operator is one sum over the sorted jets J of b present in l,
+E_b(l) = sum_J (-1)^{|J|} d_J D^J_b l, so a Lagrangian's order is read
+off its own jets.  One routine splits a variation,
+v(l) = sum_b v(b) E_b(l) + d_lam B^lam, each jet J giving B^{J_i} a 1/|J|
+share at each position i; Noether currents are J = B - N.  Gauge fixing
+substitutes ctilde = E_c(Psi) of the gauge fermion Psi:
+L_ghost = sum_c S(c) E_c(Psi) = S Psi - d_lam B^lam.
 """
 
 from __future__ import annotations
@@ -470,63 +474,56 @@ def lagrangian_ghost(theory: TheorySpec) -> FiberPoly:
 _HALF = ScalarExpr.rational(F(1, 2))
 
 
-def _jet_deriv(grad: dict, base: FiberCoord, jet: tuple) -> FiberPoly:
-    """D^jet_base l looked up in grad = gradient(l), with the symmetric-pair
-    weight 1/2 for distinct second-order labels."""
-    out = grad.get(FiberCoord(base.sector, base.kind, base.idx, tuple(sorted(jet))))
-    if out is None:
-        return FiberPoly.zero()
-    return out.scale(_HALF) if len(jet) == 2 and jet[0] != jet[1] else out
+def _jets(grad: dict) -> dict:
+    """grad = gradient(l) grouped by base coordinate: {b: [(J, D^J_b l)]}
+    over the sorted jets J of b present in l."""
+    out: dict = {}
+    for c, d in grad.items():
+        out.setdefault(FiberCoord(c.sector, c.kind, c.idx, ()), []).append((c.jet, d))
+    return out
 
 
-def _euler_lagrange(grad: dict, base: FiberCoord, order: int) -> FiberPoly:
-    acc = dict(grad.get(base, FiberPoly.zero()).terms)
-    for lam in range(4):
-        add_into(acc, (-horizontal_diff(_jet_deriv(grad, base, (lam,)), lam)).terms)
-    if order >= 2:
-        for lam in range(4):
-            for mu in range(4):
-                term = _jet_deriv(grad, base, (lam, mu))
-                if not term.is_zero():
-                    add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
+def _euler_lagrange(jets) -> FiberPoly:
+    """E_b(l) = sum_J (-d)_J D^J_b l over the jets [(J, D^J_b l)] of b."""
+    acc: dict = {}
+    for jet, d in jets:
+        for lam in jet:
+            d = horizontal_diff(d, lam)
+        add_into(acc, (-d if len(jet) % 2 else d).terms)
     return FiberPoly._wrap(acc)
 
 
-def euler_lagrange(lagr: FiberPoly, base: FiberCoord, order: int = 1) -> FiberPoly:
-    """E_i(l) = D_i l - d_lam D^lam_i l (+ d_lam d_mu D^{lam mu}_i l)."""
-    return _euler_lagrange(gradient(lagr), base, order)
+def euler_lagrange(lagr: FiberPoly, base: FiberCoord) -> FiberPoly:
+    """E_b(l) = sum_J (-1)^{|J|} d_J D^J_b l over the jets J of the jet-free
+    coordinate b in l."""
+    return _euler_lagrange(_jets(gradient(lagr)).get(base, ()))
 
 
-def _first_variation(v: VerticalDerivation, lagr: FiberPoly,
-                     order: int) -> tuple:
+def _first_variation(v: VerticalDerivation, lagr: FiberPoly) -> tuple:
     """The Euler part and the boundary forms B^lam of
     v(l) = sum_b v(b) E_b(l) + d_lam B^lam, over the jet-free field
-    coordinates b of l with v(b) != 0.  B^lam = sum_b v(b) D^lam_b l, plus
-    (d_mu v(b)) D^{lam mu}_b l - v(b) d_mu D^{lam mu}_b l at order 2."""
-    grad = gradient(lagr)
-    bases = dict.fromkeys(FiberCoord(c.sector, c.kind, c.idx, ())
-                          for c in grad if c.kind == "field")
-    comps = {b: comp for b in bases if not (comp := v.on_coord(b)).is_zero()}
-    boundary = []
-    for lam in range(4):
-        acc: dict = {}
-        for b, comp in comps.items():
-            add_into(acc, (comp * _jet_deriv(grad, b, (lam,))).terms)
-            if order == 2:
-                for mu in range(4):
-                    second = _jet_deriv(grad, b, (lam, mu))
-                    if not second.is_zero():
-                        add_into(acc, (horizontal_diff(comp, mu) * second -
-                                       comp * horizontal_diff(second, mu)).terms)
-        boundary.append(FiberPoly._wrap(acc))
-    euler = FiberPoly.sum(comp * _euler_lagrange(grad, b, order)
-                          for b, comp in comps.items())
-    return euler, boundary
+    coordinates b of l with v(b) != 0.  Each jet J of b gives B^{J_i} a
+    1/|J| share at each position i: v(b) D^J_b l at |J| = 1, and
+    (d_mu v(b)) D^J_b l - v(b) d_mu D^J_b l at |J| = 2, mu the other index."""
+    boundary: list = [{} for _ in range(4)]
+    euler: dict = {}
+    for b, jets in _jets(gradient(lagr)).items():
+        if b.kind != "field" or (comp := v.on_coord(b)).is_zero():
+            continue
+        for jet, d in jets:
+            if len(jet) == 1:
+                add_into(boundary[jet[0]], (comp * d).terms)
+            elif jet:  # |J| = 2, the jet cap
+                for lam, mu in (jet, jet[::-1]):
+                    share = (horizontal_diff(comp, mu) * d
+                             - comp * horizontal_diff(d, mu))
+                    add_into(boundary[lam], share.scale(_HALF).terms)
+        add_into(euler, (comp * _euler_lagrange(jets)).terms)
+    return FiberPoly._wrap(euler), [FiberPoly._wrap(acc) for acc in boundary]
 
 
 def noether_current(v: VerticalDerivation, lagr: FiberPoly,
-                    n_forms: Sequence[FiberPoly] | None = None,
-                    order: int = 1) -> list:
+                    n_forms: Sequence[FiberPoly] | None = None) -> list:
     """Conserved current components J^lam = B^lam - N^lam of the vertical
     symmetry v, with B^lam the boundary forms of its first variation.
 
@@ -535,8 +532,6 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     d_lam J^lam + sum_i v^i E_i(l) = delta[v] L - d_lam N^lam = 0 holds by
     construction and is re-checked.
     """
-    if order not in (1, 2):
-        raise BVError("Noether currents are implemented for order 1 and 2 only")
     n_forms = list(n_forms) if n_forms is not None else \
         [FiberPoly.zero() for _ in range(4)]
     varied = v(lagr)
@@ -545,7 +540,7 @@ def noether_current(v: VerticalDerivation, lagr: FiberPoly,
     if not resid.is_zero():
         raise NotASymmetryError("delta[v] L is not the stated horizontal "
                                 "differential", resid)
-    euler, boundary = _first_variation(v, lagr, order)
+    euler, boundary = _first_variation(v, lagr)
     currents = [b - n for b, n in zip(boundary, n_forms)]
     div = FiberPoly.sum(horizontal_diff(currents[lam], lam) for lam in range(4))
     if not (div + euler).is_zero():
@@ -584,7 +579,7 @@ def ghost_lagrangian_decompose(theory: TheorySpec,
     if s is None:
         s = brst_operator(theory)
     k = gauge_fermion(theory)
-    lagr, boundary = _first_variation(s, k, order=1)
+    lagr, boundary = _first_variation(s, k)
     m = tuple(-b for b in boundary)
     s_k = s(k)
     dh_m = FiberPoly.sum(horizontal_diff(m_lam, lam) for lam, m_lam in enumerate(m))

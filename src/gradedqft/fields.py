@@ -99,8 +99,18 @@ class ModeRow:
     inv_two_energy: ScalarExpr
 
 
+#: the largest numerator x denominator of a mode's E^2 that a lattice
+#: accepts: the exact square roots of E^2 factor that product by trial
+#: division, about 0.2 s at this size
+MAX_ENERGY_SQ_SIZE = 10 ** 12
+
+
+def _energy_sq(mass: Fraction, mode: ModeIndex) -> Fraction:
+    return mass ** 2 + sum(x * x for x in mode.momentum)
+
+
 def _mode_row(lattice: "ModeLattice", fsector: str, mode: ModeIndex) -> ModeRow:
-    esq = lattice.mass(fsector) ** 2 + sum(x * x for x in mode.momentum)
+    esq = _energy_sq(lattice.mass(fsector), mode)
     if esq == 0:
         raise LatticeError(
             f"zero mode is not allowed in massless sector {fsector!r}")
@@ -156,6 +166,14 @@ class ModeLattice:
         for sec in ("scalar", "fermion", "dirac"):
             if mm[sec] <= 0:
                 raise LatticeError(f"{sec} sector needs a positive mass")
+        for m in modes:
+            for sec, mass in mm.items():
+                esq = _energy_sq(mass, m)
+                if esq.numerator * esq.denominator > MAX_ENERGY_SQ_SIZE:
+                    raise LatticeError(
+                        f"momentum ({', '.join(map(str, m.momentum))}) gives the "
+                        f"{sec} sector E^2 = {esq}, whose numerator times "
+                        f"denominator exceeds {MAX_ENERGY_SQ_SIZE}")
         return ModeLattice(modes, mm, scalar_dim, lie_dim)
 
     def _cached(self, key: tuple, build: Callable[[], object]):

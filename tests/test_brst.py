@@ -4,14 +4,19 @@ from fractions import Fraction
 import pytest
 
 from gradedqft.bv import (
+    FiberCoord,
     FiberPoly,
     NotASymmetryError,
     TheorySpec,
     brst_operator,
+    _euler_lagrange,
+    _first_variation,
+    _jets,
     covariant_domega,
     euler_lagrange,
     ghost_lagrangian_decompose,
     ghost_number_derivation,
+    gradient,
     horizontal_diff,
     lagrangian_gauge,
     lagrangian_ghost,
@@ -20,6 +25,7 @@ from gradedqft.bv import (
 )
 from gradedqft.gammas import METRIC
 from gradedqft.lie import su2, su3, u1
+from gradedqft.linear import add_into
 from gradedqft.scalars import _CONST, ScalarExpr
 
 F = Fraction
@@ -202,7 +208,7 @@ def test_fp_symmetry_current_is_faddeev_popov():
             lk = lk + (FiberPoly.coord(th.omegabar(li, (lam,))) *
                        covariant_domega(th, li, lam)).scale(
                            ScalarExpr.rational(METRIC[lam]))
-    currents = noether_current(v, lk, None, order=1)
+    currents = noether_current(v, lk)
     for lam in range(4):
         want = FiberPoly.zero()
         for li in range(th.d_lie):
@@ -221,7 +227,7 @@ def test_not_a_symmetry_reports_residual():
     # a lone antighost bilinear carries ghost number -2: not a symmetry
     bad_l = FiberPoly.coord(th.omegabar(0)) * FiberPoly.coord(th.omegabar(0, (1,)))
     with pytest.raises(NotASymmetryError) as exc:
-        noether_current(v, bad_l, None, order=1)
+        noether_current(v, bad_l)
     assert exc.value.residual is not None and not exc.value.residual.is_zero()
 
 
@@ -241,9 +247,9 @@ def test_adding_dh_m_preserves_current():
     l2 = lk
     for lam in range(4):
         l2 = l2 + horizontal_diff(m_forms[lam], lam)
-    j1 = noether_current(v, lk, None, order=1)
+    j1 = noether_current(v, lk)
     n2 = [v(m_forms[lam]) for lam in range(4)]
-    j2 = noether_current(v, l2, n2, order=2)
+    j2 = noether_current(v, l2, n2)
     for lam in range(4):
         assert j1[lam] == j2[lam]
 
@@ -258,9 +264,9 @@ def test_brst_currents_of_equivalent_lagrangians_agree():
     l_full = l0 + dec.lagrangian
     m_forms = m_reference(th)
     n_forms = [s(m) for m in m_forms]
-    j1 = noether_current(s, l_full, n_forms, order=1)
+    j1 = noether_current(s, l_full, n_forms)
     l_prime = l0 + dec.s_k
-    j2 = noether_current(s, l_prime, None, order=2)
+    j2 = noether_current(s, l_prime)
     for lam in range(4):
         assert j1[lam] == j2[lam]
 
@@ -268,10 +274,129 @@ def test_brst_currents_of_equivalent_lagrangians_agree():
 def test_euler_lagrange_of_nl_field_gives_gauge_condition():
     # E_{n_I}(L_ghost) = f^I + xi n^I: the auxiliary field equation
     th = theory("u1")
-    e = euler_lagrange(lagrangian_ghost(th), th.nl(0), order=1)
+    e = euler_lagrange(lagrangian_ghost(th), th.nl(0))
     from gradedqft.bv import gauge_fix_f
     want = gauge_fix_f(th, 0) + FiberPoly.coord(th.nl(0), ScalarExpr.symbol("xi"))
     assert e == want
+
+
+_HALF = ScalarExpr.rational(F(1, 2))
+
+
+def _reference_jet_deriv(grad, base, jet):
+    """D^jet_base l with the symmetric-pair weight 1/2 for distinct
+    second-order labels: the order-driven code the sum over sorted jets
+    replaced, kept as a reference."""
+    out = grad.get(FiberCoord(base.sector, base.kind, base.idx, tuple(sorted(jet))))
+    if out is None:
+        return FiberPoly.zero()
+    return out.scale(_HALF) if len(jet) == 2 and jet[0] != jet[1] else out
+
+
+def _reference_euler_lagrange(grad, base, order):
+    acc = dict(grad.get(base, FiberPoly.zero()).terms)
+    for lam in range(4):
+        add_into(acc, (-horizontal_diff(_reference_jet_deriv(grad, base, (lam,)),
+                                        lam)).terms)
+    if order >= 2:
+        for lam in range(4):
+            for mu in range(4):
+                term = _reference_jet_deriv(grad, base, (lam, mu))
+                if not term.is_zero():
+                    add_into(acc, horizontal_diff(horizontal_diff(term, mu), lam).terms)
+    return FiberPoly._wrap(acc)
+
+
+def _reference_first_variation(v, lagr, order):
+    grad = gradient(lagr)
+    bases = dict.fromkeys(FiberCoord(c.sector, c.kind, c.idx, ())
+                          for c in grad if c.kind == "field")
+    comps = {b: comp for b in bases if not (comp := v.on_coord(b)).is_zero()}
+    boundary = []
+    for lam in range(4):
+        acc: dict = {}
+        for b, comp in comps.items():
+            add_into(acc, (comp * _reference_jet_deriv(grad, b, (lam,))).terms)
+            if order == 2:
+                for mu in range(4):
+                    second = _reference_jet_deriv(grad, b, (lam, mu))
+                    if not second.is_zero():
+                        add_into(acc, (horizontal_diff(comp, mu) * second -
+                                       comp * horizontal_diff(second, mu)).terms)
+        boundary.append(FiberPoly._wrap(acc))
+    euler = FiberPoly.sum(comp * _reference_euler_lagrange(grad, b, order)
+                          for b, comp in comps.items())
+    return euler, boundary
+
+
+def _ghost_kinetic(th):
+    """g^{lam lam} omegabar_{I,lam} grad_lam omega^I."""
+    return FiberPoly.sum((FiberPoly.coord(th.omegabar(li, (lam,))) *
+                          covariant_domega(th, li, lam)).scale(
+                              ScalarExpr.rational(METRIC[lam]))
+                         for li in range(th.d_lie) for lam in range(4))
+
+
+@pytest.mark.parametrize("name", ["u1", "su2", "su3"])
+def test_first_variation_equals_the_order_driven_reference(name):
+    """The sum over the Lagrangian's own sorted jets gives the Euler part,
+    every B^lam and every E_b of the order-driven reference, on first- and
+    second-order Lagrangians, under the BRST and ghost-number derivations."""
+    th = theory(name)
+    s, v = brst_operator(th), ghost_number_derivation(th)
+    l0 = lagrangian_matter(th) + lagrangian_gauge(th)
+    lk = _ghost_kinetic(th)
+    m = m_reference(th)
+    cases = [
+        (s, lagrangian_ghost(th), 1),
+        (s, l0 + lagrangian_ghost(th), 1),
+        (s, l0 + ghost_lagrangian_decompose(th, s).s_k, 2),
+        (v, lk, 1),
+        (v, lk + FiberPoly.sum(horizontal_diff(m[lam], lam) for lam in range(4)), 2),
+    ]
+    for deriv, lagr, order in cases:
+        grad = gradient(lagr)
+        assert max(len(c.jet) for c in grad) == order
+        euler, boundary = _first_variation(deriv, lagr)
+        want_euler, want_boundary = _reference_first_variation(deriv, lagr, order)
+        assert euler == want_euler and not euler.is_zero()
+        assert boundary == want_boundary and not any(b.is_zero() for b in boundary)
+        for b, jets in _jets(grad).items():
+            assert _euler_lagrange(jets) == _reference_euler_lagrange(grad, b, order)
+
+
+#: the one identity that fails when a mutation below enters the boundary
+#: forms of the second-order jets, and how
+_SECOND_ORDER_KILLS = {("brst.current_equivalence", "error",
+                        "BVError: internal error: Noether conservation "
+                        "identity failed")}
+
+
+@pytest.mark.parametrize("honest,mutated", [
+    ("share.scale(_HALF)", "share"),
+    ("- comp * horizontal_diff(d, mu)", "+ comp * horizontal_diff(d, mu)"),
+], ids=["half_share_dropped", "inner_sign_flipped"])
+def test_second_order_boundary_mutation_fails_current_equivalence(monkeypatch,
+                                                                  honest, mutated):
+    """Mutation rows: `bv._first_variation` without the 1/2 share of a
+    second-order jet, or with the sign of v(b) d_mu D^J_b l flipped, breaks
+    the conservation identity of the second-order BRST current, and only
+    `brst.current_equivalence` sees it in the bv and brst suites."""
+    import inspect
+
+    from gradedqft import bv
+    from gradedqft.cli import load_config, run_verify
+
+    source = inspect.getsource(bv._first_variation)
+    assert source.count(honest) == 1
+    namespace = dict(vars(bv))
+    exec(source.replace(honest, mutated), namespace)
+    monkeypatch.setattr(bv, "_first_variation", namespace["_first_variation"])
+    report = run_verify(load_config(None), ["bv", "brst"])
+    failed = {(e["identity"], e["status"], e["residual"])
+              for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 14
+    assert failed == _SECOND_ORDER_KILLS
 
 
 def _crossing_signs(rem, j, u):

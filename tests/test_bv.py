@@ -262,15 +262,6 @@ def test_partial_derivative_convention_switch():
                     ScalarExpr.rational(sign))
 
 
-def test_noether_order_validation():
-    from gradedqft.bv import TheorySpec, ghost_number_derivation, noether_current
-    from gradedqft.lie import u1
-    th = TheorySpec.make(u1())
-    v = ghost_number_derivation(th)
-    with pytest.raises(BVError):
-        noether_current(v, FiberPoly.unit(), None, order=3)
-
-
 def _reference_derivative(f: FiberPoly, coord: FiberCoord, right: bool) -> FiberPoly:
     """The one-coordinate scan that `gradient` replaced, kept as a reference."""
     acc: dict = {}
@@ -335,9 +326,13 @@ for _ in range(10):
     if "mixed" not in (f.parity(), g.parity()):
         print('B', terms(bv.bv_bracket(f, g)))
     print('L', terms(bv.bv_laplacian(f * g)))
+# the currents of a first-order Lagrangian and of a second-order one
+v = bv.ghost_number_derivation(th)
 lagr = bv.lagrangian_ghost(th)
-for order in (1, 2):
-    for cur in bv.noether_current(bv.ghost_number_derivation(th), lagr, None, order):
+m = bv.ghost_lagrangian_decompose(th).m
+lagr2 = lagr + bv.FiberPoly.sum(bv.horizontal_diff(m[lam], lam) for lam in range(4))
+for l, n_forms in ((lagr, None), (lagr2, [v(x) for x in m])):
+    for cur in bv.noether_current(v, l, n_forms):
         print('N', terms(cur))
 """
 

@@ -692,3 +692,31 @@ def test_float_momenta_read_as_their_decimals(tmp_path, fmt):
     assert run.returncode == 0, run.stderr
     report = json.loads(run.stdout)
     assert report["failed"] == 0 and report["passed"] == len(report["identities"]) > 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "ini"])
+def test_huge_denominator_momenta_exit_2_at_once(tmp_path, fmt):
+    """Momenta +-(1/1000000007, 0, 0) give E^2 a numerator times
+    denominator near 10^36, which the exact square root would factor by
+    trial division without end: the lattice rejects them, and
+    `verify --suite functionals` exits 2 within seconds."""
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    momenta = '[["1/1000000007", 0, 0], ["-1/1000000007", 0, 0]]'
+    if fmt == "json":
+        p = tmp_path / "run.json"
+        p.write_text('{"lattice": {"momenta": %s}}' % momenta)
+    else:
+        p = tmp_path / "run.ini"
+        p.write_text(f"[lattice]\nmomenta = {momenta}\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--suite", "functionals",
+           "--config", str(p)]
+    run = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2
+    assert run.stderr.startswith("error: lattice: momentum (1/1000000007, 0, 0)")
+    assert "Traceback" not in run.stderr and run.stdout == ""

@@ -77,6 +77,21 @@ def test_lattice_validation():
         lat.energy("ghost", lat.modes[0])
 
 
+def test_lattice_bounds_the_size_of_each_energy_squared():
+    """E^2 with numerator times denominator at 10^12 is accepted; one past
+    it, in any sector, from a momentum or from a mass, is rejected."""
+    big = 10 ** 6
+    assert fields.MAX_ENERGY_SQ_SIZE == big * big
+    heavy = {"scalar": big, "fermion": big, "dirac": big}
+    ModeLattice.make([(0, 0, 0)], heavy)  # matter E^2 = 10^12
+    with pytest.raises(LatticeError, match="scalar sector E.2 = 1000000000001"):
+        ModeLattice.make([(big, 0, 0)])
+    with pytest.raises(LatticeError, match="exceeds 1000000000000"):
+        ModeLattice.make([(1, 0, 0)], heavy)
+    with pytest.raises(LatticeError, match="dirac sector"):
+        ModeLattice.make([(0, 0, 0)], {"dirac": Fraction(1, big + 1)})
+
+
 def test_ghost_field_single_mode_shape():
     lat = ModeLattice.make([(1, 0, 0)], lie_dim=2)
     om = field("ghost", 1, X, lat)
