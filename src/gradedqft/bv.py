@@ -430,15 +430,15 @@ def lagrangian_matter(theory: TheorySpec) -> FiberPoly:
 
 
 def lagrangian_gauge(theory: TheorySpec) -> FiberPoly:
-    """-(1/4) F^I_{lam nu} F_I^{lam nu}."""
+    """-(1/4) F^I_{lam nu} F_I^{lam nu} = -(1/2) sum_{lam < nu}, F being
+    antisymmetric in lam and nu."""
     acc: dict = {}
-    quarter = ScalarExpr.rational(F(-1, 4))
     for li in range(theory.d_lie):
         for lam in range(4):
-            for nu in range(4):
+            for nu in range(lam + 1, 4):
                 f1 = field_strength(theory, li, lam, nu)
                 add_into(acc, (f1 * f1).scale(
-                    quarter * ScalarExpr.rational(METRIC[lam] * METRIC[nu])).terms)
+                    ScalarExpr.rational(F(-1, 2) * METRIC[lam] * METRIC[nu])).terms)
     return FiberPoly._wrap(acc)
 
 

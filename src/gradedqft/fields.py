@@ -31,7 +31,13 @@ Propagator mode sums:
     D+-_{,lam}(y) = -i sum_p (2 E)^{-1} p_lam e^{-+ i <p,y>}
 
 Equal-time identities cancel term-by-term only when the lattice is
-closed under p -> -p; the report functions check that up front.
+closed under p -> -p; the report functions check that up front.  The
+gauge and ghost momenta are not written out: each is read off the fiber
+Lagrangians of ``bv`` as Pi_c = (-1)^{|c|} L D~_{c,0}, the textbook right
+derivative by the velocity, and mapped to field operators by one
+dictionary (A^K_nu -> gauge field (nu, K), omega^I -> ghost, omegabar_I
+-> its conjugate, n^I -> -f^I in Feynman gauge; words -> modified
+products).  The scalar and Dirac momenta stay written out.
 
 Everything built from the lattice alone -- the per-mode rows (E^2, E,
 w_p, (2 E)^{-1}), the Dirac dressings, the field expansions and the
@@ -45,9 +51,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import bv
 from .algebra import (
     ABSORB,
     EMIT,
@@ -59,8 +67,7 @@ from .algebra import (
     super_bracket,
 )
 from .gammas import GAMMA, METRIC, OnShellMomentum, boost
-from .lie import constant_entries
-from .linear import add_into, add_term
+from .linear import add_term
 from .scalars import (
     GaussianRational,
     ModeIndex,
@@ -529,14 +536,46 @@ def _frame(lattice: ModeLattice):
     return x, y, delta_lattice([(1, x), (-1, y)], lattice)
 
 
-def _add_composite(acc: dict, constants, li: int, weight, left, right) -> None:
-    """acc += weight c_{li K H} left(K) right(H) under the modified rule,
-    with li lowered by delta; the abelian limit (no constants) adds nothing."""
-    if constants is None:
-        return
-    for kk, hh, c in constant_entries(constants, li):
-        prod = koszul_product(left[kk].expr, right[hh].expr, "modified")
-        add_into(acc, prod.scale(ScalarExpr.rational(weight * c)).terms)
+#: fiber sector -> (constructor, field sector) of its field operator
+_FIBER_FIELDS = {"A": (field, "gauge"), "omega": (field, "ghost"),
+                 "omegabar": (conjugate_field, "ghost")}
+
+
+def _fiber_letter(c: bv.FiberCoord, y: FieldPoint, lattice: ModeLattice) -> GradedExpr:
+    """The field operator of the fiber coordinate c at y: A^K_nu is the
+    gauge field (nu, K), omega^I the ghost and omegabar_I its conjugate,
+    each differentiated along the jet of c.  n^I is -f^I =
+    -g^{lam lam} A^I_{lam,lam}: Feynman gauge eliminates n = -f / xi at
+    xi = 1."""
+    if c.sector == "n" and c.kind == "field":
+        return GradedExpr.sum(
+            _fiber_letter(bv.FiberCoord("A", "field", (c.idx[0], lam), c.jet).lift(lam),
+                          y, lattice).scale(ScalarExpr.rational(-METRIC[lam]))
+            for lam in range(4))
+    if c.sector not in _FIBER_FIELDS or c.kind != "field":
+        raise FieldError(f"fiber coordinate {c!r} has no field operator")
+    make, sector = _FIBER_FIELDS[c.sector]
+    comp = c.idx[::-1] if c.sector == "A" else c.idx[0]
+    return reduce(FieldExpr.deriv, c.jet, make(sector, comp, y, lattice)).expr
+
+
+def _momentum_rule(lagr: bv.FiberPoly, y: FieldPoint,
+                   lattice: ModeLattice) -> Callable[[bv.FiberCoord], GradedExpr]:
+    """The momentum Pi_c = (-1)^{|c|} L D~_{c,0} of each fiber coordinate c
+    in the Lagrangian L, at y: the textbook right derivative by the
+    velocity of c, which is (-1)^{|c|} times `bv.gradient`'s.  A word of
+    the derivative maps to the modified product of its letters' fields."""
+    grad = bv.gradient(lagr, right=True)
+    letter = cache(lambda g: _fiber_letter(g, y, lattice))
+
+    def momentum(c: bv.FiberCoord) -> GradedExpr:
+        d = grad.get(c.lift(0), bv.FiberPoly.zero())
+        return GradedExpr.sum(
+            reduce(lambda p, g: koszul_product(p, letter(g), "modified"), w[1:],
+                   letter(w[0]).scale(k))
+            for w, k in (-d if c.parity else d).terms.items())
+
+    return momentum
 
 
 def _square(indices: range, pair: Callable) -> list:
@@ -569,7 +608,7 @@ def _pair_checks(sector: str, rows, dlat: ScalarExpr) -> list:
     return checks
 
 
-def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
+def _scalar_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
     """[phi, phibar], [phi, phi], [Pi, Pi] and the time derivatives."""
     x, y, dlat = _frame(lattice)
     ab = lattice.internal_range("scalar")
@@ -597,7 +636,7 @@ def _scalar_checks(lattice: ModeLattice, constants=None) -> list:
     ), dlat)
 
 
-def _dirac_checks(lattice: ModeLattice, constants=None) -> list:
+def _dirac_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
     """Pi = i (psibar gamma0) on sqrt(2m)-rescaled fields, and
     {psibar, gamma0 psi} = (1/2m) d dlat on the unscaled ones."""
     x, y, dlat = _frame(lattice)
@@ -622,32 +661,17 @@ def _dirac_checks(lattice: ModeLattice, constants=None) -> list:
     ), dlat)
 
 
-def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
-    """[A, Pi] in Feynman gauge, with the quadratic momentum terms kept."""
+def gauge_equal_time_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
+    """[A, Pi] in Feynman gauge, Pi^mu_J the momentum of A^J_mu in
+    L_gauge + L_ghost with its quadratic terms kept."""
     x, y, dlat = _frame(lattice)
     lie = range(lattice.lie_dim)
     a_x = [[field("gauge", (lam, li), x, lattice).expr for li in lie]
            for lam in range(4)]
-    a_y = [[field("gauge", (lam, li), y, lattice) for li in lie]
-           for lam in range(4)]
-
-    def pi_up(mu: int, lj: int) -> GradedExpr:
-        # g^{mu nu}(-A_{J nu,0} + A_{J 0,nu} - c_{JKH} A^K_nu A^H_0)
-        #   - g^{mu 0} g^{nu rho} A^J_{nu,rho}
-        # the metric is diagonal: only nu = mu contributes to g^{mu nu}
-        gmn = METRIC[mu]
-        acc = dict(a_y[mu][lj].deriv(0).expr.scale(
-            ScalarExpr.rational(-gmn)).terms)
-        add_into(acc, a_y[0][lj].deriv(mu).expr.scale(
-            ScalarExpr.rational(gmn)).terms)
-        _add_composite(acc, constants, lj, -gmn, a_y[mu], a_y[0])
-        if mu == 0:
-            for nu in range(4):
-                add_into(acc, a_y[nu][lj].deriv(nu).expr.scale(
-                    ScalarExpr.rational(-METRIC[nu])).terms)
-        return GradedExpr(acc)
-
-    pi = [[pi_up(mu, lj) for lj in lie] for mu in range(4)]
+    a_y = [field("gauge", (mu, 0), y, lattice).expr for mu in range(4)]
+    momentum = _momentum_rule(
+        bv.lagrangian_gauge(theory) + bv.lagrangian_ghost(theory), y, lattice)
+    pi = [[momentum(theory.a_gauge(lj, mu)) for lj in lie] for mu in range(4)]
     return _pair_checks("gauge", (
         ("A_pi", "[A^I_lam(x), Pi^mu_J(y)] = -i d^mu_lam d^I_J dlat(x-y), xi=1",
          [(f"{lam}{mu}{li}{lj}", a_x[lam][li], pi[mu][lj], (lam, li) == (mu, lj))
@@ -655,45 +679,42 @@ def gauge_equal_time_checks(lattice: ModeLattice, constants=None) -> list:
          -ScalarExpr.i()),
         # one representative pair per index choice
         ("A_A", "[A^I_lam(x), A^J_mu(y)] = 0 at x0=y0",
-         [(f"{lam}{mu}", a_x[lam][0], a_y[mu][0].expr, False)
+         [(f"{lam}{mu}", a_x[lam][0], a_y[mu], False)
           for lam in range(4) for mu in range(lam, 4)], None),
     ), dlat)
 
 
-def ghost_momentum_checks(lattice: ModeLattice, constants=None) -> list:
-    """The pairs with Pi_J[omega] = d0 omegabar_J, then
-    {omegabar_J(x), Pi^I(y)} = i d^I_J dlat with the covariant
-    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0)."""
+def ghost_momentum_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
+    """The ghost pairs, with Pi_J = d0 omegabar_J and the covariant
+    Pi^I = -(d0 omega^I + c^I_KH omega^K A^H_0) the momenta of omega^J and
+    omegabar_I in L_ghost."""
     x, y, dlat = _frame(lattice)
     lie = range(lattice.lie_dim)
     i_ = ScalarExpr.i()
-    om_y = [field("ghost", li, y, lattice) for li in lie]
-    a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
-    pi = []
-    for li in lie:
-        acc = dict(om_y[li].deriv(0).expr.scale(ScalarExpr.rational(-1)).terms)
-        _add_composite(acc, constants, li, -1, om_y, a0_y)
-        pi.append(GradedExpr(acc))
+    momentum = _momentum_rule(bv.lagrangian_ghost(theory), y, lattice)
+    pi_om = [momentum(theory.omega(li)) for li in lie]
+    pi_bar = [momentum(theory.omegabar(li)) for li in lie]
     om_x = _ops(field, "ghost", lie, x, lattice)
+    om_y = _ops(field, "ghost", lie, y, lattice)
     dom_x = _ops(field, "ghost", lie, x, lattice, 0)
     omb_x = _ops(conjugate_field, "ghost", lie, x, lattice)
     domb_x = _ops(conjugate_field, "ghost", lie, x, lattice, 0)
     omb_y = _ops(conjugate_field, "ghost", lie, y, lattice)
-    domb_y = _ops(conjugate_field, "ghost", lie, y, lattice, 0)
+    a0_y = [field("gauge", (0, li), y, lattice).expr for li in lie]
     # the labels name the omegabar index first
     return _pair_checks("ghost", (
         ("dbar_om", "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",
-         _square(lie, lambda i, j: (domb_x[i], om_y[j].expr)), i_),
+         _square(lie, lambda i, j: (domb_x[i], om_y[j])), i_),
         ("dom_bar", "{d0 omega^I(x), omegabar_J(y)} = -i d^I_J dlat(x-y)",
          _square(lie, lambda i, j: (dom_x[j], omb_y[i])), -i_),
         ("bar_om", "{omegabar_I(x), omega^J(y)} = 0 at x0=y0",
-         _square(lie, lambda i, j: (omb_x[i], om_y[j].expr)), None),
+         _square(lie, lambda i, j: (omb_x[i], om_y[j])), None),
         ("bar_A0", "{omegabar_I(x), A^J_0(y)} = 0",
-         _square(lie, lambda i, j: (omb_x[i], a0_y[j].expr)), None),
+         _square(lie, lambda i, j: (omb_x[i], a0_y[j])), None),
         ("om_pi", "{omega^I(x), Pi_J(y)} = i d^I_J dlat(x-y), Pi_J = d0 omegabar_J",
-         _square(lie, lambda i, j: (om_x[i], domb_y[j])), i_),
+         _square(lie, lambda i, j: (om_x[i], pi_om[j])), i_),
         ("bar_pi", "{omegabar_J(x), Pi^I(y)} = i d^I_J dlat(x-y)",
-         _square(lie, lambda j, i: (omb_x[j], pi[i])), i_),
+         _square(lie, lambda j, i: (omb_x[j], pi_bar[i])), i_),
     ), dlat)
 
 
@@ -706,16 +727,19 @@ _SECTOR_CHECKS = {
 }
 
 
-def equal_time_report(lattice: ModeLattice, constants=None,
+def equal_time_report(lattice: ModeLattice, theory: bv.TheorySpec,
                       sectors=("scalar", "dirac", "gauge", "ghost")) -> list:
     """Check the canonical equal-time super-commutators sector by sector.
 
-    ``constants`` are the gauge structure constants (nested Fractions);
-    when omitted the abelian limit is used for the composite momenta.
-    A name in ``sectors`` without equal-time checks is a FieldError.
+    The gauge and ghost momenta are read off the fiber Lagrangians of
+    ``theory``, whose Lie dimension must be the lattice's.  A name in
+    ``sectors`` without equal-time checks is a FieldError.
     """
+    if theory.d_lie != lattice.lie_dim:
+        raise FieldError(f"the theory's Lie dimension {theory.d_lie} is not "
+                         f"the lattice's {lattice.lie_dim}")
     for sector in sectors:
         if sector not in _SECTOR_CHECKS:
             raise FieldError(f"no equal-time checks for sector {sector!r}")
     return [check for sector, build in _SECTOR_CHECKS.items()
-            if sector in sectors for check in build(lattice, constants)]
+            if sector in sectors for check in build(lattice, theory)]

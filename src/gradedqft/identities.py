@@ -115,11 +115,17 @@ class RunContext:
             entry = self._brst[key] = (theory.lie, cs, bv.brst_operator(theory, cs))
         return entry[2]
 
-    def constants(self):
-        cs = self.theory.lie.constants
+    def configured_theory(self) -> bv.TheorySpec:
+        """The theory over the configured constants: ``theory`` itself
+        unless ``corrupt_constant`` is set."""
         if self.corrupt_constant is None:
-            return cs
-        return lie_mod.corrupt_constants(cs, self.corrupt_constant)
+            return self.theory
+        lie = self.theory.lie
+        return replace(self.theory, lie=replace(lie, constants=lie_mod.corrupt_constants(
+            lie.constants, self.corrupt_constant)))
+
+    def constants(self):
+        return self.configured_theory().lie.constants
 
 
 # -------------------------------------------------------------------------
@@ -330,7 +336,7 @@ _EQT_ANCHORS = {
 
 def equal_time_suite() -> list:
     def run_report(ctx, sector):
-        checks = equal_time_report(ctx.lattice_nozero, ctx.constants(),
+        checks = equal_time_report(ctx.lattice_nozero, ctx.configured_theory(),
                                    sectors=(sector,))
         return CheckResult.exact(sum(c.residual_terms for c in checks))
 
@@ -773,9 +779,7 @@ def brst_suite() -> list:
         return CheckResult.exact(s(l0).n_terms)
 
     def ghost_decomposition(ctx):
-        th = ctx.theory
-        if ctx.corrupt_constant is not None:
-            th = replace(th, lie=replace(th.lie, constants=ctx.constants()))
+        th = ctx.configured_theory()
         dec = bv.ghost_lagrangian_decompose(th, ctx.brst(th))
         bad = dec.residual.n_terms
         bad += dec.residual.partial_symbol("xi").n_terms

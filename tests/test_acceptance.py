@@ -191,7 +191,7 @@ def test_criterion_06_canonical_rules():
         lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)],
                                {"scalar": 1, "fermion": 1, "dirac": 1},
                                scalar_dim=1, lie_dim=3)
-        checks = equal_time_report(lat, lie_mod.su2().constants)
+        checks = equal_time_report(lat, bv.TheorySpec.make(lie_mod.su2()))
         bad = [c for c in checks if not c.ok]
         assert not bad, bad
         assert any(c.name.startswith("dirac.eqt.pi_psi") for c in checks)

@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from gradedqft import fields
+from gradedqft import bv, fields
 from gradedqft.algebra import (
     ABSORB,
     EMIT,
@@ -10,6 +11,7 @@ from gradedqft.algebra import (
     UPPER,
     GradedExpr,
     OpGen,
+    koszul_product,
     super_bracket,
 )
 from gradedqft.cli import load_config, run_verify
@@ -29,7 +31,7 @@ from gradedqft.fields import (
     star_field,
 )
 from gradedqft.gammas import OnShellMomentum, shell_projector
-from gradedqft.lie import su2, u1
+from gradedqft.lie import su2, su3, u1
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -397,7 +399,7 @@ def test_gauge_field_commutator_carries_metric():
 
 def test_equal_time_report_all_pass():
     lat = sym_lattice(lie_dim=1)
-    checks = equal_time_report(lat)
+    checks = equal_time_report(lat, bv.TheorySpec.make(u1()))
     assert checks and all(c.ok for c in checks)
 
 
@@ -405,7 +407,7 @@ def test_equal_time_report_with_su2_composites():
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)],
                            {"scalar": 1, "fermion": 1, "dirac": 1},
                            scalar_dim=1, lie_dim=3)
-    checks = equal_time_report(lat, su2().constants)
+    checks = equal_time_report(lat, bv.TheorySpec.make(su2()))
     assert checks and all(c.ok for c in checks)
 
 
@@ -427,53 +429,145 @@ def _equal_time_inventory(d: int) -> set:
     return names
 
 
-@pytest.mark.parametrize("lie_dim,constants,count", [
-    (3, su2().constants, 264), (3, None, 264), (1, u1().constants, 88)],
+def _abelian_su2():
+    """su2 with every structure constant zero: the abelian limit."""
+    lie = su2()
+    zeros = tuple(tuple(tuple(F(0) for _ in row) for row in plane)
+                  for plane in lie.constants)
+    return dataclasses.replace(lie, constants=zeros)
+
+
+@pytest.mark.parametrize("lie,count", [
+    (su2(), 264), (_abelian_su2(), 264), (u1(), 88)],
     ids=["su2", "abelian-limit", "u1"])
-def test_equal_time_check_inventory(lie_dim, constants, count):
-    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], scalar_dim=2, lie_dim=lie_dim)
-    checks = equal_time_report(lat, constants)
+def test_equal_time_check_inventory(lie, count):
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], scalar_dim=2, lie_dim=lie.dim)
+    checks = equal_time_report(lat, bv.TheorySpec.make(lie))
     names = [c.name for c in checks]
     assert len(names) == count == len(set(names))
-    assert set(names) == _equal_time_inventory(lie_dim)
+    assert set(names) == _equal_time_inventory(lie.dim)
     assert all(c.ok and c.residual_terms == 0 for c in checks)
 
 
 def test_equal_time_report_rejects_an_unknown_sector():
     with pytest.raises(FieldError, match="'gauges'"):
-        equal_time_report(sym_lattice(), sectors=("scalar", "gauges"))
+        equal_time_report(sym_lattice(), bv.TheorySpec.make(u1()),
+                          sectors=("scalar", "gauges"))
 
 
-@pytest.mark.parametrize("momentum", ["gauge", "ghost"])
-def test_composite_is_the_structure_constant_sum(momentum):
-    from gradedqft.algebra import koszul_product
-    from gradedqft.fields import _add_composite
-    lat = sym_lattice(lie_dim=3)
+@pytest.mark.parametrize("lie_dim,lie", [(1, su2()), (3, u1())],
+                         ids=["su2-on-1", "u1-on-3"])
+def test_equal_time_report_rejects_mismatched_lie_dimensions(lie_dim, lie):
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=lie_dim)
+    with pytest.raises(FieldError,
+                       match=f"dimension {lie.dim} is not the lattice's {lie_dim}"):
+        equal_time_report(lat, bv.TheorySpec.make(lie))
+
+
+def _reference_momenta(lat: ModeLattice, constants, y: FieldPoint) -> tuple:
+    """The gauge and ghost momenta written out by hand, without the fiber
+    layer: Pi^mu_J = g^{mu mu}(A^J_{0,mu} - A^J_{mu,0} - c_{JKH} A^K_mu A^H_0)
+    - g^{mu 0} g^{nu nu} A^J_{nu,nu},
+    Pi^I = -(omega^I_{,0} + c_{IKH} omega^K A^H_0) and Pi_J = omegabar_{J,0},
+    the products under the modified rule."""
+    lie = range(lat.lie_dim)
+    g = (1, -1, -1, -1)
+    a = [[field("gauge", (mu, k), y, lat) for k in lie] for mu in range(4)]
+    om = [field("ghost", k, y, lat) for k in lie]
+
+    def composite(li, left):  # c_{li K H} left^K A^H_0
+        return GradedExpr.sum(
+            koszul_product(left[kk].expr, a[0][hh].expr, "modified")
+            .scale(ScalarExpr.rational(constants[li][kk][hh]))
+            for kk in lie for hh in lie if constants[li][kk][hh])
+
+    gauge = {}
+    for mu in range(4):
+        for lj in lie:
+            pi = (a[0][lj].deriv(mu).expr - a[mu][lj].deriv(0).expr
+                  - composite(lj, a[mu])).scale(ScalarExpr.rational(g[mu]))
+            if mu == 0:
+                pi = pi - GradedExpr.sum(a[nu][lj].deriv(nu).expr.scale(
+                    ScalarExpr.rational(g[nu])) for nu in range(4))
+            gauge[mu, lj] = pi
+    pi_bar = [-(om[li].deriv(0).expr + composite(li, om)) for li in lie]
+    pi_om = [conjugate_field("ghost", lj, y, lat).deriv(0).expr for lj in lie]
+    return gauge, pi_bar, pi_om
+
+
+def _momentum_mismatch(lie) -> int:
+    """Surviving terms of the momenta read off L_gauge + L_ghost (gauge)
+    and L_ghost (ghost) minus the hand-written ones, over every mu, I, J."""
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=lie.dim)
+    th = bv.TheorySpec.make(lie)
     y = FieldPoint.make("t", "y")
-    a0 = [field("gauge", (0, h), y, lat) for h in range(3)]
-    if momentum == "gauge":  # in Pi^1_J: -g^{11} c_{JKH} A^K_1 A^H_0
-        left, weight = [field("gauge", (1, k), y, lat) for k in range(3)], 1
-    else:  # in Pi^I: -c_{IKH} omega^K A^H_0
-        left, weight = [field("ghost", k, y, lat) for k in range(3)], -1
-    c = su2().constants
-    for li in range(3):
-        acc = {}
-        _add_composite(acc, c, li, weight, left, a0)
-        want = GradedExpr.sum(
-            koszul_product(left[k].expr, a0[h].expr, "modified")
-            .scale(ScalarExpr.rational(weight * c[li][k][h]))
-            for k in range(3) for h in range(3))
-        assert not want.is_zero()
-        assert (GradedExpr(acc) - want).is_zero()
-        abelian = {}
-        _add_composite(abelian, None, li, weight, left, a0)
-        assert abelian == {}
+    gauge, pi_bar, pi_om = _reference_momenta(lat, lie.constants, y)
+    assert all(not p.is_zero() for p in [*gauge.values(), *pi_bar, *pi_om])
+    both = fields._momentum_rule(bv.lagrangian_gauge(th) + bv.lagrangian_ghost(th),
+                                 y, lat)
+    ghost = fields._momentum_rule(bv.lagrangian_ghost(th), y, lat)
+    return sum((both(th.a_gauge(lj, mu)) - want).n_terms
+               for (mu, lj), want in gauge.items()) + \
+        sum((ghost(th.omegabar(li)) - pi_bar[li]).n_terms
+            + (ghost(th.omega(li)) - pi_om[li]).n_terms for li in range(lie.dim))
+
+
+@pytest.mark.parametrize("lie", [u1(), su2(), su3()], ids=["u1", "su2", "su3"])
+def test_momenta_from_the_lagrangians_match_the_hand_written_ones(lie):
+    assert _momentum_mismatch(lie) == 0
+
+
+def _mutated_verify(monkeypatch, module, name, honest, mutated, suites) -> dict:
+    """The report of ``suites`` on the default config with ``honest``
+    replaced by ``mutated`` in the source of module.name."""
+    import inspect
+
+    source = inspect.getsource(getattr(module, name))
+    assert source.count(honest) == 1
+    namespace = dict(vars(module))
+    exec(source.replace(honest, mutated), namespace)
+    monkeypatch.setattr(module, name, namespace[name])
+    return run_verify(load_config(None), suites)
+
+
+@pytest.mark.parametrize("name,honest,mutated,kills", [
+    ("_fiber_letter", "-METRIC[lam]", "METRIC[lam]", {("equal_time.gauge", "3 terms")}),
+    ("_momentum_rule", "-d if c.parity else d", "d", {("equal_time.ghost", "6 terms")}),
+], ids=["n_is_plus_f", "textbook_sign_dropped"])
+def test_momentum_convention_mutation_fails_equal_time(monkeypatch, name, honest,
+                                                       mutated, kills):
+    """Mutation rows: n^I mapped to +f^I, or the momentum without its
+    (-1)^{|c|}, fails exactly one equal-time identity and the reference."""
+    report = _mutated_verify(monkeypatch, fields, name, honest, mutated, ["equal_time"])
+    failed = {(e["identity"], e["residual"])
+              for e in report["identities"] if e["status"] != "pass"}
+    assert failed == kills
+    assert _momentum_mismatch(su2()) > 0
+
+
+def test_field_strength_composite_has_one_source(monkeypatch):
+    """Mutation row: the structure-constant term of `bv.field_strength`
+    negated fails the matter+gauge invariance and the BRST current, and
+    the gauge momenta read off L_gauge change with it; the equal-time
+    identities still pass, since the composite drops out at x0 = y0."""
+    report = _mutated_verify(monkeypatch, bv, "field_strength",
+                             "ScalarExpr.rational(-c)", "ScalarExpr.rational(c)",
+                             ["bv", "brst", "equal_time"])
+    status = {e["identity"]: (e["status"], e["residual"]) for e in report["identities"]}
+    failed = {k: v for k, v in status.items() if v[0] != "pass"}
+    assert failed.keys() == {"brst.matter_gauge_invariance", "brst.current_equivalence"}
+    assert failed["brst.matter_gauge_invariance"] == ("fail", "288 terms")
+    assert failed["brst.current_equivalence"][0] == "error"
+    assert "NotASymmetryError" in failed["brst.current_equivalence"][1]
+    assert all(status[f"equal_time.{s}"][0] == "pass"
+               for s in ("scalar", "dirac", "gauge", "ghost"))
+    assert _momentum_mismatch(su2()) > 0
 
 
 def test_equal_time_requires_symmetric_lattice():
     lat = ModeLattice.make([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(LatticeError):
-        equal_time_report(lat)
+        equal_time_report(lat, bv.TheorySpec.make(u1()))
 
 
 def species_phase_consistent(f) -> bool:
