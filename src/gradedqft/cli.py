@@ -10,10 +10,12 @@ Verbs:
 
 Reports are deterministic for a fixed (config, seed): entries are sorted
 and the per-entry "millis" field stays null unless --timings is given
-(wall-clock noise would break byte-identical reruns).  The exit status is
-0 iff every selected check passed; a `verify` that selects no suite (an
-empty [run] suites, or only the oracle suite with the oracle off) stops
-with status 2, since it would check nothing.
+(wall-clock noise would break byte-identical reruns); they do not depend
+on how many forked workers, one per available CPU, ran the identities
+(`_run_all`).  The exit status is 0 iff every selected check passed; a
+`verify` that selects no suite (an empty [run] suites, or only the oracle
+suite with the oracle off) stops with status 2, since it would check
+nothing.
 """
 
 from __future__ import annotations
@@ -22,7 +24,9 @@ import argparse
 import ast
 import configparser
 import json
+import os
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -250,6 +254,120 @@ def context_from_config(cfg: dict) -> RunContext:
         else _corruption(corrupt, data.dim))
 
 
+def _run_one(ident, ctx: RunContext, timings: bool) -> dict:
+    """The report entry of one identity."""
+    t0 = time.perf_counter()
+    try:
+        result = ident.run(ctx)
+        status, residual = result.status, result.residual
+    except Exception as exc:  # a suite failure is reported, not thrown
+        status, residual = "error", f"{type(exc).__name__}: {exc}"
+    return {
+        "identity": ident.name, "anchor": ident.anchor,
+        "status": status, "residual": residual,
+        "millis": round((time.perf_counter() - t0) * 1000.0, 3)
+        if timings else None,
+    }
+
+
+def _worker_count(jobs: int) -> int:
+    """Processes to run ``jobs`` identities on: one per CPU this process
+    may run on, at most one per identity, and this process alone where
+    ``fork`` is missing or unsafe (another thread may hold a lock)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    if hasattr(os, "process_cpu_count"):
+        cpus = os.process_cpu_count()
+    elif hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count()
+    return max(1, min(cpus or 1, jobs))
+
+
+#: bytes of one task record: the index of an identity in the chosen list
+_RECORD = 4
+
+
+def _run_all(chosen: list, ctx: RunContext, timings: bool) -> list:
+    """The entries of the ``chosen`` identities, one each, in no order.
+
+    `_worker_count` processes share the work: this one and forked
+    children.  The indices of all identities go into one pipe before the
+    first fork; every worker then reads the next index and runs that
+    identity until the pipe is empty, so a long identity holds up only its
+    own worker.  A child sends its entries back as JSON on a pipe of its
+    own and leaves through ``os._exit``.  Each identity draws only from
+    its own ``ctx.rng(tag)``, so the entries do not depend on which worker
+    ran what.  Every child is reaped on every path; if this process
+    leaves on an exception, it kills its children first."""
+    tasks, feed = os.pipe()  # a few hundred bytes, well inside its buffer
+    os.write(feed, b"".join(i.to_bytes(_RECORD, "big") for i in range(len(chosen))))
+    os.close(feed)
+
+    def drain() -> list:
+        entries = []
+        while record := os.read(tasks, _RECORD):
+            entries.append(_run_one(chosen[int.from_bytes(record, "big")], ctx,
+                                    timings))
+        return entries
+
+    children = []  # (pid, the read end of its result pipe)
+    try:
+        for _ in range(_worker_count(len(chosen)) - 1):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child(drain, w)
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        entries = drain()
+        while children:
+            pid, results = children[-1]
+            data = results.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            children.pop()
+            results.close()
+            if code != 0:
+                raise RuntimeError(f"verify worker {pid} exited with status {code}")
+            try:
+                entries += json.loads(data)
+            except ValueError:
+                raise RuntimeError(f"verify worker {pid} exited with status "
+                                   f"{code} but sent malformed entries") from None
+    except BaseException:
+        import signal  # not at module level: it would add to every start-up
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(tasks)
+        for pid, results in children:
+            os.waitpid(pid, 0)
+            results.close()
+    if sorted(e["identity"] for e in entries) != sorted(i.name for i in chosen):
+        raise RuntimeError("the verify workers did not report every chosen "
+                           "identity exactly once")
+    return entries
+
+
+def _child(drain, out: int) -> None:
+    """A forked worker's whole life: run ``drain()``, write its entries to
+    the pipe ``out`` and leave without the parent's exit handlers or
+    buffered output; a worker that fails exits with status 1."""
+    status = 1
+    try:
+        entries = drain()
+        with open(out, "wb") as fh:
+            fh.write(json.dumps(entries).encode())
+        status = 0
+    except BaseException:  # reported by the exit status, never re-raised
+        sys.excepthook(*sys.exc_info())
+        sys.stderr.flush()
+    finally:
+        os._exit(status)
+
+
 def run_verify(cfg: dict, suites=None, timings: bool = False,
                oracle: str | None = None) -> dict:
     """Execute the selected suites and assemble the report document."""
@@ -267,22 +385,8 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
     if not selected:
         raise ConfigError("nothing to verify: no suite is selected (the "
                           "oracle suite is dropped while the oracle is off)")
-    entries = []
-    for ident in all_identities():
-        if ident.suite not in selected:
-            continue
-        t0 = time.perf_counter()
-        try:
-            result = ident.run(ctx)
-            status, residual = result.status, result.residual
-        except Exception as exc:  # a suite failure is reported, not thrown
-            status, residual = "error", f"{type(exc).__name__}: {exc}"
-        entries.append({
-            "identity": ident.name, "anchor": ident.anchor,
-            "status": status, "residual": residual,
-            "millis": round((time.perf_counter() - t0) * 1000.0, 3)
-            if timings else None,
-        })
+    chosen = [ident for ident in all_identities() if ident.suite in selected]
+    entries = _run_all(chosen, ctx, timings)
     entries.sort(key=lambda e: e["identity"])
     report = {
         "seed": ctx.seed,

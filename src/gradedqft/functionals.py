@@ -205,25 +205,24 @@ def _matched_product(bar: FieldExpr, phi_index: dict, xname: str) -> GradedExpr:
 def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
     """Spatial integral of the rows' density, normal-ordered.  Rows with
     the same fields are merged first, so each product is taken once, and
-    each derived field is built and indexed once.  Plane waves are
-    orthonormal on the lattice, so of each product only the word pairs
-    whose x-vectors cancel are formed (`_matched_product`);
-    `spatial_integral` then drops nothing but still rejects a foreign
-    position."""
+    each derived field is indexed once per call and built once per
+    lattice (in the lattice's memo).  Plane waves are orthonormal on the
+    lattice, so of each product only the word pairs whose x-vectors
+    cancel are formed (`_matched_product`); `spatial_integral` then drops
+    nothing but still rejects a foreign position."""
     x = FieldPoint.make("t", "x")
     weights: dict = {}
     for w, a, mu, b, nu in rows:
         if not isinstance(w, ScalarExpr):
             w = ScalarExpr.rational(w)
         add_term(weights, (a, mu, b, nu), w)
-    derived: dict = {}
 
     def part(make, c, lam) -> FieldExpr:
-        key = (make, c, lam)
-        if key not in derived:
-            f = make(sector, c, x, lattice)
-            derived[key] = f if lam is None else f.deriv(lam)
-        return derived[key]
+        f = make(sector, c, x, lattice)
+        if lam is None:
+            return f
+        return replace(f, expr=lattice._cached(
+            ("deriv", make.__name__, sector, c, x, lam), lambda: f.deriv(lam).expr))
 
     indexed: dict = {}
     dens: dict = {}

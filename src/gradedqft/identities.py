@@ -91,6 +91,8 @@ class RunContext:
                               compare=False)
     _brst: dict = dc_field(default_factory=dict, init=False, repr=False,
                            compare=False)
+    _configured: bv.TheorySpec | None = dc_field(default=None, init=False,
+                                                 repr=False, compare=False)
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -117,12 +119,16 @@ class RunContext:
 
     def configured_theory(self) -> bv.TheorySpec:
         """The theory over the configured constants: ``theory`` itself
-        unless ``corrupt_constant`` is set."""
+        unless ``corrupt_constant`` is set, and then built once, so that
+        its BRST operator is built once too."""
         if self.corrupt_constant is None:
             return self.theory
-        lie = self.theory.lie
-        return replace(self.theory, lie=replace(lie, constants=lie_mod.corrupt_constants(
-            lie.constants, self.corrupt_constant)))
+        if self._configured is None:
+            lie = self.theory.lie
+            self._configured = replace(self.theory, lie=replace(
+                lie, constants=lie_mod.corrupt_constants(
+                    lie.constants, self.corrupt_constant)))
+        return self._configured
 
     def constants(self):
         return self.configured_theory().lie.constants
@@ -774,7 +780,7 @@ def brst_suite() -> list:
 
     def matter_gauge_invariance(ctx):
         th = ctx.theory
-        s = ctx.brst(th, ctx.constants())
+        s = ctx.brst(ctx.configured_theory())
         l0 = bv.lagrangian_matter(th) + bv.lagrangian_gauge(th)
         return CheckResult.exact(s(l0).n_terms)
 

@@ -441,6 +441,7 @@ def test_negative_control_leaves_the_shared_su2_preset_intact():
 
 def test_run_verify_builds_each_preset_once(monkeypatch):
     from gradedqft import cli, lie
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     built = []
     honest = lie.LieData.from_generators
     monkeypatch.setattr(lie.LieData, "from_generators", staticmethod(
@@ -457,6 +458,7 @@ def test_run_verify_builds_one_brst_operator_per_lie_datum(monkeypatch):
     """The run context holds one BRST operator per (Lie data, constants):
     the default theory shares the su2 preset's, and a new run builds anew."""
     from gradedqft import bv, cli
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     built = []
     honest = bv.brst_operator
     monkeypatch.setattr(bv, "brst_operator", lambda th, cs=None: built.append(
@@ -470,6 +472,27 @@ def test_run_verify_builds_one_brst_operator_per_lie_datum(monkeypatch):
     assert ctx.brst(ctx.preset_theory("su2")) is s
     assert ctx.brst(ctx.theory, ctx.constants()) is s
     assert other.brst(other.theory) is not s
+
+
+def test_a_corrupted_config_builds_its_brst_operator_once(monkeypatch):
+    """theory.corrupt_constant is applied once per run context, so the brst
+    identities that use the configured constants share one operator: each
+    (Lie dimension, constants) gets one build."""
+    from collections import Counter
+
+    from gradedqft import bv, cli
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
+    built = Counter()
+    honest = bv.brst_operator
+    monkeypatch.setattr(bv, "brst_operator", lambda th, cs=None: built.update(
+        [(th.lie.dim, th.lie.constants if cs is None else cs)]) or honest(th, cs))
+    cfg = cli.load_config(None)
+    cfg["theory"]["corrupt_constant"] = [1, 2, 0]
+    report = cli.run_verify(cfg, ["brst"])
+    assert report["failed"] > 0
+    # u1, su2 and su3, the negative control's corrupted su2 and the
+    # configured one
+    assert len(built) == 5 and max(built.values()) == 1
 
 
 def test_every_constant_coefficient_of_s_is_the_interned_constant():

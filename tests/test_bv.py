@@ -554,10 +554,11 @@ def test_the_fiber_layer_hands_no_int_to_scalar_scaling(monkeypatch):
     """The word rule's signs are applied by negation and the total
     derivative's table holds the interned one, so on bv+brst the
     constant-scaling route of `ScalarExpr.__mul__` never sees an int."""
-    from gradedqft import scalars
+    from gradedqft import cli, scalars
     from gradedqft.cli import load_config, run_verify
     from gradedqft.scalars import GaussianRational
 
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     seen = []
     honest = scalars._scaled
     monkeypatch.setattr(scalars, "_scaled",

@@ -167,6 +167,7 @@ def test_a_non_central_equal_time_bracket_fails_with_a_term_count(
 def test_a_raising_identity_is_reported_as_an_error(monkeypatch):
     from gradedqft import cli
     from gradedqft.identities import CheckResult, Identity
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     ran = []
 
     def boom(ctx):

@@ -381,3 +381,28 @@ def test_unmatched_lookup_fails_the_functional_identities(monkeypatch):
     failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
     assert len(report["identities"]) == 59
     assert failed == _MATCH_KILLS
+
+
+def test_the_functionals_suite_derives_each_field_once(monkeypatch):
+    """Counts work, not time: over the functionals suite each derived
+    field -- (lattice, sector, component, field or conjugate, lambda) -- is
+    built once, in its lattice's memo, though many functionals share it."""
+    from collections import Counter
+
+    from gradedqft import cli, fields
+
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
+    built, alive = Counter(), []
+    honest = fields.FieldExpr.deriv
+
+    def counted(self, lam):
+        # a field's expression is its lattice's memo entry, one object per
+        # (lattice, sector, component, field or conjugate)
+        alive.append(self.expr)  # keeps every id distinct
+        built[id(self.expr), lam] += 1
+        return honest(self, lam)
+
+    monkeypatch.setattr(fields.FieldExpr, "deriv", counted)
+    report = cli.run_verify(cli.load_config(None), ["functionals"])
+    assert report["passed"] > 0 and report["failed"] == 0
+    assert built and max(built.values()) == 1

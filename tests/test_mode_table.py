@@ -150,7 +150,8 @@ def test_masses_are_read_only():
 def test_dirac_and_functionals_build_each_mode_datum_once(monkeypatch):
     """Counts work, not time: one boost per (lattice, mode) and one mode
     row per (lattice, sector, mode) over a whole verify run."""
-    from gradedqft import identities
+    from gradedqft import cli, identities
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     boosts, rows, alive, building = Counter(), Counter(), [], []
     dressing, build_boost = fields.dirac_dressing, fields.boost
     build_row = fields._mode_row

@@ -665,9 +665,11 @@ def test_engine_imports_neither_numpy_nor_scipy():
 def test_each_space_builds_a_generator_monomial_once(monkeypatch):
     from collections import Counter
 
+    import gradedqft.cli as cli
     import gradedqft.oracle as orc
     from gradedqft.cli import run_verify
 
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     builds, spaces = Counter(), []
     build = orc._monomial
 
