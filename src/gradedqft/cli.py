@@ -276,9 +276,7 @@ def _worker_count(jobs: int) -> int:
     ``fork`` is missing or unsafe (another thread may hold a lock)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    if hasattr(os, "process_cpu_count"):
-        cpus = os.process_cpu_count()
-    elif hasattr(os, "sched_getaffinity"):
+    if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
         cpus = os.cpu_count()

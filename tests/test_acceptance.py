@@ -290,7 +290,9 @@ def test_criterion_09_oracle_cross_checks():
         assert spd.dimension <= 1024
 
 
-def test_criterion_10_determinism():
+def test_criterion_10_determinism(monkeypatch):
+    import gradedqft.cli as cli
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     with Budget(10, "byte-identical reports for fixed config and seed", 60):
         cfg = load_config(None)
         cfg["lattice"]["momenta"] = [[1, 0, 0], [-1, 0, 0]]

@@ -566,8 +566,10 @@ def test_run_scoped_caches_do_not_hide_a_mutation(monkeypatch, module, name,
     import importlib
     import inspect
 
+    import gradedqft.cli as cli
     from gradedqft.cli import load_config, run_verify
 
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     assert run_verify(load_config(None), ["bv", "brst"])["failed"] == 0
     mod = importlib.import_module(f"gradedqft.{module}")
     source = inspect.getsource(getattr(mod, name))

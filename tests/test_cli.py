@@ -109,7 +109,9 @@ def test_verify_unknown_suite_rejected():
         run_verify(fast_cfg(), suites=["nonsense"])
 
 
-def test_reports_are_byte_identical():
+def test_reports_are_byte_identical(monkeypatch):
+    import gradedqft.cli as cli
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     cfg = fast_cfg()
     r1 = render_report(run_verify(cfg, suites=["algebra", "bv"]), "json")
     r2 = render_report(run_verify(cfg, suites=["algebra", "bv"]), "json")

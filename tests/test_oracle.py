@@ -642,7 +642,9 @@ def test_oracle_at_n_max_15_stays_under_100_mb():
 
 _NUMPY_FREE_CHILD = """
 import json, sys
+import gradedqft.cli as cli
 from gradedqft.cli import load_config, run_verify
+cli._worker_count = lambda jobs: 1  # every identity runs in this process
 full = run_verify(load_config(None))
 cfg = load_config(None)
 cfg["oracle"]["n_max"] = 3
