@@ -17,7 +17,8 @@ from gradedqft.identities import CheckResult, Identity, all_identities
 
 from test_algebra import _SPLICE_SIGN_KILLS
 
-GOLDEN = Path(__file__).parent / "data" / "verify_seed7.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "verify_seed7.json"
 
 
 def workers(monkeypatch, n: int) -> None:
@@ -28,6 +29,18 @@ def workers(monkeypatch, n: int) -> None:
 def test_any_worker_count_renders_the_golden_bytes(monkeypatch, n):
     workers(monkeypatch, n)
     assert render_report(run_verify(load_config(None)), "json") == GOLDEN.read_text()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_a_corrupted_config_renders_its_golden_bytes(monkeypatch, n):
+    """tests/data/verify_corrupt.json holds `verify --config
+    tests/data/corrupt.ini --format json`: the configured corruption
+    reaches the BRST operator of `brst.matter_gauge_invariance` alone."""
+    workers(monkeypatch, n)
+    report = run_verify(load_config(str(DATA / "corrupt.ini")))
+    assert render_report(report, "json") == (DATA / "verify_corrupt.json").read_text()
+    assert [e["identity"] for e in report["identities"] if e["status"] != "pass"] \
+        == ["brst.matter_gauge_invariance"]
 
 
 def test_no_child_outlives_run_verify(monkeypatch):
