@@ -87,6 +87,9 @@ def load_config(path: str | None) -> dict:
             raise ConfigError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
         except OSError as exc:
             raise ConfigError(str(exc))
+        if not isinstance(data, dict):
+            raise ConfigError(f"{path}: the top level must be a table of "
+                              f"sections, got {data!r}")
         for section, table in data.items():
             if section not in cfg:
                 raise ConfigError(f"unknown config section {section!r}")
@@ -147,11 +150,11 @@ def _flag(value, what: str) -> bool:
 
 
 def _momenta(value, what: str) -> list:
-    try:
-        return [tuple(_number(x, what) for x in m) for m in value]
-    except TypeError:
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(m, (list, tuple)) for m in value)):
         raise ConfigError(f"{what} must be a list of momentum lists, "
-                          f"got {value!r}") from None
+                          f"got {value!r}")
+    return [tuple(_number(x, what) for x in m) for m in value]
 
 
 def _corruption(value, dim: int) -> tuple:
@@ -221,6 +224,9 @@ def context_from_config(cfg: dict) -> RunContext:
         data = _custom_lie(name)
     lat_cfg = cfg["lattice"]
     momenta = _momenta(lat_cfg["momenta"], "lattice.momenta")
+    if not isinstance(lat_cfg["masses"], dict):
+        raise ConfigError("lattice.masses must be a table of sector masses, "
+                          f"got {lat_cfg['masses']!r}")
     masses = {k: _number(v, f"lattice.masses[{k!r}]")
               for k, v in lat_cfg["masses"].items()}
     scalar_dim = _integer(lat_cfg["scalar_dim"], "lattice.scalar_dim", 1)
@@ -234,6 +240,9 @@ def context_from_config(cfg: dict) -> RunContext:
         raise ConfigError("lattice needs at least one nonzero momentum")
     lattice_nozero = _lattice(nz, masses, scalar_dim, data.dim, "lattice")
     pm = lat_cfg["propagator_momenta"]
+    if isinstance(pm, str) and pm != "cube":
+        raise ConfigError('lattice.propagator_momenta must be "cube" or a list '
+                          f"of momentum lists, got {pm!r}")
     prop_momenta = _cube() if pm == "cube" else \
         _momenta(pm, "lattice.propagator_momenta")
     if not prop_momenta:
@@ -370,7 +379,12 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
                oracle: str | None = None) -> dict:
     """Execute the selected suites and assemble the report document."""
     ctx = context_from_config(cfg)
-    selected = list(suites) if suites is not None else list(cfg["run"]["suites"])
+    if suites is None:
+        suites = cfg["run"]["suites"]
+        if not isinstance(suites, (list, tuple)):
+            raise ConfigError("run.suites must be a list of suite names, "
+                              f"got {suites!r}")
+    selected = list(suites)
     for s in selected:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r} (have {SUITES})")

@@ -316,11 +316,17 @@ def test_unknown_key_in_known_section_rejected(tmp_path, suffix, text):
     ("theory", "corrupt_constant", [0, 1], "range"),
     ("lattice", "scalar_dim", 0, "scalar_dim"),
     ("run", "seed", "abc", "seed"),
+    ("lattice", "masses", [1, 2], "lattice.masses must be a table"),
+    ("lattice", "masses", 5, "lattice.masses must be a table"),
+    ("lattice", "momenta", "abc", "lattice.momenta must be a list"),
+    ("lattice", "propagator_momenta", "cubes",
+     'lattice.propagator_momenta must be "cube" or a list'),
 ], ids=["mass-nonnumeric", "momentum-nonnumeric", "momentum-not-a-list",
         "propagator-momentum-nonnumeric", "n_max-negative", "n_max-zero",
         "cap-zero", "n_max-string", "corrupt-j-equals-h", "corrupt-negative",
         "corrupt-out-of-range", "corrupt-two-indices", "scalar_dim-zero",
-        "seed-nonnumeric"])
+        "seed-nonnumeric", "masses-a-list", "masses-a-number",
+        "momenta-a-string", "propagator-momenta-a-misspelt-cube"])
 def test_bad_config_value_rejected(section, key, value, match):
     cfg = load_config(None)
     cfg[section][key] = value
@@ -343,6 +349,30 @@ def test_bad_config_exits_2_without_traceback(tmp_path, capsys):
     assert main(["verify", "--suite", "algebra", "--config", str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "n_max" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name,text,match", [
+    ("top.json", "[1, 2]", "the top level must be a table of sections"),
+    ("masses.json", json.dumps({"lattice": {"masses": [1, 2]}}),
+     "lattice.masses must be a table"),
+    ("masses.ini", "[lattice]\nmasses = 5\n", "lattice.masses must be a table"),
+    ("suites.json", json.dumps({"run": {"suites": 5}}),
+     "run.suites must be a list of suite names"),
+    ("suites.ini", "[run]\nsuites = brst\n",
+     "run.suites must be a list of suite names"),
+    ("propagator.ini", '[lattice]\npropagator_momenta = "cubes"\n',
+     'lattice.propagator_momenta must be "cube" or a list'),
+], ids=["json-top-level-a-list", "json-masses-a-list", "ini-masses-a-number",
+        "json-suites-a-number", "ini-suites-a-bare-name",
+        "ini-propagator-momenta-a-misspelt-cube"])
+def test_malformed_config_exits_2_saying_what_the_key_must_be(
+        tmp_path, capsys, name, text, match):
+    p = tmp_path / name
+    p.write_text(text)
+    assert main(["verify", "--config", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and match in err
     assert "Traceback" not in err
 
 
