@@ -61,6 +61,9 @@ from .scalars import ScalarExpr
 
 F = Fraction
 _ONE = ScalarExpr.one()
+#: the gauge parameter and the fermion mass, formal symbols throughout
+XI = ScalarExpr.symbol("xi")
+MASS = ScalarExpr.symbol("m")
 
 
 class BVError(Exception):
@@ -270,15 +273,6 @@ class TheorySpec:
     """Field content of the essential gauge theory over a Lie datum."""
 
     lie: LieData
-    xi: ScalarExpr
-    mass: ScalarExpr
-
-    @staticmethod
-    def make(lie: LieData, xi: ScalarExpr | None = None,
-             mass: ScalarExpr | None = None) -> "TheorySpec":
-        return TheorySpec(lie,
-                          xi if xi is not None else ScalarExpr.symbol("xi"),
-                          mass if mass is not None else ScalarExpr.symbol("m"))
 
     @property
     def n_f(self) -> int:
@@ -334,17 +328,9 @@ def _generator_entries(theory: TheorySpec, i: int, transposed: bool = False):
                 yield li, j, e
 
 
-def _covariant_domega(theory: TheorySpec, constants, li: int, lam: int) -> FiberPoly:
-    return FiberPoly.coord(theory.omega(li, (lam,))) + FiberPoly.sum(
-        FiberPoly.word((theory.omega(jj), theory.a_gauge(hh, lam)),
-                       ScalarExpr.rational(c))
-        for jj, hh, c in constant_entries(constants, li))
-
-
-def brst_components(theory: TheorySpec, constants=None) -> dict:
-    """The BRST component table; ``constants`` may override the Lie ones
-    (negative controls corrupt a single entry)."""
-    cs = constants if constants is not None else theory.lie.constants
+def brst_components(theory: TheorySpec) -> dict:
+    """The BRST component table over the structure constants of
+    ``theory.lie``."""
     comp: dict[FiberCoord, FiberPoly] = {}
     for al in range(4):
         for i in range(theory.n_f):
@@ -356,18 +342,18 @@ def brst_components(theory: TheorySpec, constants=None) -> dict:
                 for li, j, e in _generator_entries(theory, i, transposed=True))
     for li in range(theory.d_lie):
         for lam in range(4):
-            comp[theory.a_gauge(li, lam)] = _covariant_domega(theory, cs, li, lam)
+            comp[theory.a_gauge(li, lam)] = covariant_domega(theory, li, lam)
         comp[theory.omega(li)] = FiberPoly.sum(
             FiberPoly.word((theory.omega(jj), theory.omega(hh)),
                            ScalarExpr.rational(F(c) / 2))
-            for jj, hh, c in constant_entries(cs, li))
+            for jj, hh, c in constant_entries(theory.lie.constants, li))
         comp[theory.omegabar(li)] = FiberPoly.coord(theory.nl(li))
         comp[theory.nl(li)] = FiberPoly.zero()
     return comp
 
 
-def brst_operator(theory: TheorySpec, constants=None) -> VerticalDerivation:
-    return VerticalDerivation(brst_components(theory, constants), parity=1)
+def brst_operator(theory: TheorySpec) -> VerticalDerivation:
+    return VerticalDerivation(brst_components(theory), parity=1)
 
 
 def ghost_number_derivation(theory: TheorySpec) -> VerticalDerivation:
@@ -395,7 +381,10 @@ def covariant_dpsibar(theory: TheorySpec, al: int, i: int, lam: int) -> FiberPol
 
 
 def covariant_domega(theory: TheorySpec, li: int, lam: int) -> FiberPoly:
-    return _covariant_domega(theory, theory.lie.constants, li, lam)
+    return FiberPoly.coord(theory.omega(li, (lam,))) + FiberPoly.sum(
+        FiberPoly.word((theory.omega(jj), theory.a_gauge(hh, lam)),
+                       ScalarExpr.rational(c))
+        for jj, hh, c in constant_entries(theory.lie.constants, li))
 
 
 def field_strength(theory: TheorySpec, li: int, lam: int, nu: int) -> FiberPoly:
@@ -425,7 +414,7 @@ def lagrangian_matter(theory: TheorySpec) -> FiberPoly:
             if al == be:
                 for i in range(theory.n_f):
                     add_into(acc, FiberPoly.word(
-                        (theory.psibar(al, i), theory.psi(be, i)), -theory.mass).terms)
+                        (theory.psibar(al, i), theory.psi(be, i)), -MASS).terms)
     return FiberPoly._wrap(acc)
 
 
@@ -453,7 +442,7 @@ def gauge_fix_f(theory: TheorySpec, li: int) -> FiberPoly:
 def _antighost_partner(theory: TheorySpec, li: int) -> FiberPoly:
     """f^I + (xi/2) n^I, the factor of omegabar_I in the gauge fermion."""
     return gauge_fix_f(theory, li) + FiberPoly.coord(
-        theory.nl(li), theory.xi * ScalarExpr.rational(F(1, 2)))
+        theory.nl(li), XI * ScalarExpr.rational(F(1, 2)))
 
 
 def lagrangian_ghost(theory: TheorySpec) -> FiberPoly:

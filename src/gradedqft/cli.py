@@ -254,7 +254,7 @@ def context_from_config(cfg: dict) -> RunContext:
     orc_cfg = cfg["oracle"]
     return RunContext(
         lattice=lattice, lattice_nozero=lattice_nozero, lattice_prop=lattice_prop,
-        theory=bv.TheorySpec.make(data),
+        theory=bv.TheorySpec(data),
         seed=_integer(cfg["run"]["seed"], "run.seed"),
         oracle_enabled=_flag(orc_cfg["enabled"], "oracle.enabled"),
         oracle_n_max=_integer(orc_cfg["n_max"], "oracle.n_max", 1),

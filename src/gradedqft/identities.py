@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
@@ -84,54 +84,36 @@ class RunContext:
     oracle_n_max: int
     oracle_cap: int
     corrupt_constant: tuple | None
+    # the theory over the configured constants: ``theory`` itself unless
+    # ``corrupt_constant`` is set
+    configured: bv.TheorySpec = dc_field(init=False, repr=False, compare=False)
     # Built on first use and kept for this run only: a new context starts
     # empty, so no operator built before a kernel is patched can serve a
     # run after it.
-    _presets: dict = dc_field(default_factory=dict, init=False, repr=False,
-                              compare=False)
     _brst: dict = dc_field(default_factory=dict, init=False, repr=False,
                            compare=False)
-    _configured: bv.TheorySpec | None = dc_field(default=None, init=False,
-                                                 repr=False, compare=False)
+
+    def __post_init__(self):
+        self.configured = self.theory if self.corrupt_constant is None else \
+            bv.TheorySpec(lie_mod.corrupted(self.theory.lie, self.corrupt_constant))
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
 
     def preset_theory(self, name: str) -> bv.TheorySpec:
         """The gauge theory over the Lie preset ``name``."""
-        th = self._presets.get(name)
-        if th is None:
-            th = self._presets[name] = bv.TheorySpec.make(lie_mod.PRESETS[name]())
-        return th
+        return bv.TheorySpec(lie_mod.PRESETS[name]())
 
-    def brst(self, theory: bv.TheorySpec, constants=None) -> bv.VerticalDerivation:
-        """The BRST operator of ``theory`` (with ``constants`` in place of
-        the Lie ones, if given), one per Lie datum and constants, so that
-        its memo of prolonged values serves every identity of the run.  The
-        operator depends on nothing else; the key is the identity of both,
-        and the entry keeps them alive."""
-        cs = theory.lie.constants if constants is None else constants
-        key = (id(theory.lie), id(cs))
-        entry = self._brst.get(key)
+    def brst(self, theory: bv.TheorySpec) -> bv.VerticalDerivation:
+        """The BRST operator of ``theory``, one per Lie datum, so that its
+        memo of prolonged values serves every identity of the run.  The
+        operator depends on nothing else; the key is the datum's identity,
+        and the entry keeps the datum alive."""
+        entry = self._brst.get(id(theory.lie))
         if entry is None:
-            entry = self._brst[key] = (theory.lie, cs, bv.brst_operator(theory, cs))
-        return entry[2]
-
-    def configured_theory(self) -> bv.TheorySpec:
-        """The theory over the configured constants: ``theory`` itself
-        unless ``corrupt_constant`` is set, and then built once, so that
-        its BRST operator is built once too."""
-        if self.corrupt_constant is None:
-            return self.theory
-        if self._configured is None:
-            lie = self.theory.lie
-            self._configured = replace(self.theory, lie=replace(
-                lie, constants=lie_mod.corrupt_constants(
-                    lie.constants, self.corrupt_constant)))
-        return self._configured
-
-    def constants(self):
-        return self.configured_theory().lie.constants
+            entry = self._brst[id(theory.lie)] = (theory.lie,
+                                                  bv.brst_operator(theory))
+        return entry[1]
 
 
 # -------------------------------------------------------------------------
@@ -342,7 +324,7 @@ _EQT_ANCHORS = {
 
 def equal_time_suite() -> list:
     def run_report(ctx, sector):
-        checks = equal_time_report(ctx.lattice_nozero, ctx.configured_theory(),
+        checks = equal_time_report(ctx.lattice_nozero, ctx.configured,
                                    sectors=(sector,))
         return CheckResult.exact(sum(c.residual_terms for c in checks))
 
@@ -780,12 +762,12 @@ def brst_suite() -> list:
 
     def matter_gauge_invariance(ctx):
         th = ctx.theory
-        s = ctx.brst(ctx.configured_theory())
+        s = ctx.brst(ctx.configured)
         l0 = bv.lagrangian_matter(th) + bv.lagrangian_gauge(th)
         return CheckResult.exact(s(l0).n_terms)
 
     def ghost_decomposition(ctx):
-        th = ctx.configured_theory()
+        th = ctx.configured
         dec = bv.ghost_lagrangian_decompose(th, ctx.brst(th))
         bad = dec.residual.n_terms
         bad += dec.residual.partial_symbol("xi").n_terms
@@ -800,9 +782,8 @@ def brst_suite() -> list:
         return CheckResult.exact(bad)
 
     def negative_control(ctx):
-        th = ctx.preset_theory("su2")
-        s_bad = bv.brst_operator(
-            th, lie_mod.corrupt_constants(th.lie.constants, (0, 0, 1)))
+        th = bv.TheorySpec(lie_mod.corrupted(lie_mod.su2(), (0, 0, 1)))
+        s_bad = bv.brst_operator(th)
         broken = any(not s_bad(s_bad(bv.FiberPoly.coord(th.omega(li)))).is_zero()
                      for li in range(3))
         return CheckResult.boolean(broken, "corruption detected" if broken

@@ -17,7 +17,7 @@ process, on first use, and shared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -186,15 +186,16 @@ def constant_entries(constants, li: int):
                 yield jj, hh, constants[li][jj][hh]
 
 
-def corrupt_constants(constants, at: tuple) -> tuple:
-    """A copy of the structure constants with +1 at [i][j][h] and -1 at
-    [i][h][j], at = (i, j, h): the index antisymmetry survives, so the
-    damage shows only in identities that need the true constants."""
+def corrupted(lie: LieData, at: tuple) -> LieData:
+    """``lie`` with +1 added to c[i][j][h] and -1 to c[i][h][j],
+    at = (i, j, h): the index antisymmetry survives, so the damage shows
+    only in identities that need the true constants."""
     i, j, h = at
-    bad = [[list(row) for row in plane] for plane in constants]
+    bad = [[list(row) for row in plane] for plane in lie.constants]
     bad[i][j][h] += 1
     bad[i][h][j] -= 1
-    return tuple(tuple(tuple(row) for row in plane) for plane in bad)
+    return replace(lie, constants=tuple(tuple(tuple(row) for row in plane)
+                                        for plane in bad))
 
 
 def trace_metric(generators: Sequence[Matrix]) -> tuple[tuple, tuple]:

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -31,9 +32,9 @@ from gradedqft.scalars import _CONST, ScalarExpr
 F = Fraction
 
 THEORIES = {
-    "u1": TheorySpec.make(u1()),
-    "su2": TheorySpec.make(su2()),
-    "su3": TheorySpec.make(su3()),
+    "u1": TheorySpec(u1()),
+    "su2": TheorySpec(su2()),
+    "su3": TheorySpec(su3()),
 }
 
 
@@ -126,7 +127,8 @@ def test_negative_control_corrupted_constant_breaks_nilpotency(name):
     bad = [[[x for x in row] for row in plane] for plane in th.lie.constants]
     bad[0][0][1] = bad[0][0][1] + 1
     bad[0][1][0] = bad[0][1][0] - 1  # keep index antisymmetry: the damage is Jacobi
-    s_bad = brst_operator(th, tuple(tuple(tuple(r) for r in p) for p in bad))
+    s_bad = brst_operator(TheorySpec(dataclasses.replace(
+        th.lie, constants=tuple(tuple(tuple(r) for r in p) for p in bad))))
     broken = any(
         not s_bad(s_bad(FiberPoly.coord(th.omega(li)))).is_zero()
         for li in range(th.d_lie))
@@ -455,14 +457,15 @@ def test_run_verify_builds_each_preset_once(monkeypatch):
 
 
 def test_run_verify_builds_one_brst_operator_per_lie_datum(monkeypatch):
-    """The run context holds one BRST operator per (Lie data, constants):
-    the default theory shares the su2 preset's, and a new run builds anew."""
-    from gradedqft import bv, cli
+    """The run context holds one BRST operator per Lie datum: the default
+    theory shares the su2 preset's, and a new run builds anew."""
+    from gradedqft import bv, cli, lie
     monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     built = []
     honest = bv.brst_operator
-    monkeypatch.setattr(bv, "brst_operator", lambda th, cs=None: built.append(
-        (th.lie.dim, cs == th.lie.constants)) or honest(th, cs))
+    presets = [maker() for maker in lie.PRESETS.values()]
+    monkeypatch.setattr(bv, "brst_operator", lambda th: built.append(
+        (th.lie.dim, th.lie in presets)) or honest(th))
     report = cli.run_verify(cli.load_config(None), ["bv", "brst"])
     assert report["failed"] == 0
     # u1, su2 and su3, and the negative control's corrupted su2
@@ -470,7 +473,7 @@ def test_run_verify_builds_one_brst_operator_per_lie_datum(monkeypatch):
     ctx, other = (cli.context_from_config(cli.load_config(None)) for _ in range(2))
     s = ctx.brst(ctx.theory)
     assert ctx.brst(ctx.preset_theory("su2")) is s
-    assert ctx.brst(ctx.theory, ctx.constants()) is s
+    assert ctx.brst(ctx.configured) is s
     assert other.brst(other.theory) is not s
 
 
@@ -484,8 +487,8 @@ def test_a_corrupted_config_builds_its_brst_operator_once(monkeypatch):
     monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     built = Counter()
     honest = bv.brst_operator
-    monkeypatch.setattr(bv, "brst_operator", lambda th, cs=None: built.update(
-        [(th.lie.dim, th.lie.constants if cs is None else cs)]) or honest(th, cs))
+    monkeypatch.setattr(bv, "brst_operator", lambda th: built.update(
+        [(th.lie.dim, th.lie.constants)]) or honest(th))
     cfg = cli.load_config(None)
     cfg["theory"]["corrupt_constant"] = [1, 2, 0]
     report = cli.run_verify(cfg, ["brst"])
@@ -493,6 +496,34 @@ def test_a_corrupted_config_builds_its_brst_operator_once(monkeypatch):
     # u1, su2 and su3, the negative control's corrupted su2 and the
     # configured one
     assert len(built) == 5 and max(built.values()) == 1
+
+
+def test_a_corrupted_context_keeps_its_clean_and_corrupted_su2_apart(monkeypatch):
+    """Under theory.corrupt_constant one context holds two su2 operators,
+    keyed by two Lie data: each is built once, and only the corrupted one
+    breaks S^2(omega) = 0."""
+    from collections import Counter
+
+    from gradedqft import bv, cli
+    built = Counter()
+    honest = bv.brst_operator
+    monkeypatch.setattr(bv, "brst_operator", lambda th: built.update(
+        [id(th.lie)]) or honest(th))
+    cfg = cli.load_config(None)
+    cfg["theory"]["corrupt_constant"] = [0, 0, 1]
+    ctx = cli.context_from_config(cfg)
+    clean, bad = ctx.brst(ctx.theory), ctx.brst(ctx.configured)
+    assert bad is not clean
+    assert ctx.brst(ctx.theory) is clean and ctx.brst(ctx.configured) is bad
+    assert ctx.brst(ctx.preset_theory("su2")) is clean
+    assert sorted(built.values()) == [1, 1]
+    th = ctx.theory
+
+    def s_squared_on_omega(s):
+        return sum(s(s(FiberPoly.coord(th.omega(li)))).n_terms for li in range(3))
+
+    assert s_squared_on_omega(clean) == 0
+    assert s_squared_on_omega(bad) > 0
 
 
 def test_every_constant_coefficient_of_s_is_the_interned_constant():

@@ -311,7 +311,7 @@ def terms(p):
     return [(repr(w), repr(c)) for w, c in p.terms.items()]
 
 rng = random.Random(3)
-th = bv.TheorySpec.make(lie.su2())
+th = bv.TheorySpec(lie.su2())
 coords = th.all_base_coords()[:6]
 coords = coords + [c.partner() for c in coords]
 
@@ -398,7 +398,7 @@ def _jet_alphabet(rng, bases):
 def test_spliced_derivation_matches_the_word_products(lie_name, derivation):
     from gradedqft import lie
     from gradedqft.bv import TheorySpec, brst_operator, ghost_number_derivation
-    th = TheorySpec.make(lie.PRESETS[lie_name]())
+    th = TheorySpec(lie.PRESETS[lie_name]())
     v = brst_operator(th) if derivation == "brst" else ghost_number_derivation(th)
     rng = random.Random(f"{lie_name}-{derivation}")
     acting = list(v.components)
@@ -497,7 +497,7 @@ def test_derivation_rejects_a_component_of_the_wrong_parity(comp, parity):
 
 def test_a_warm_derivation_calls_no_sort(monkeypatch):
     from gradedqft import bv, lie
-    th = bv.TheorySpec.make(lie.su2())
+    th = bv.TheorySpec(lie.su2())
     s = bv.brst_operator(th)
     coords = th.all_base_coords()
     alphabet = _jet_alphabet(random.Random(4), coords[::5])
@@ -530,7 +530,7 @@ def _reference_horizontal_diff(f: FiberPoly, lam: int) -> FiberPoly:
 def test_horizontal_diff_matches_the_sorted_prolongation(lie_name):
     from gradedqft import lie
     from gradedqft.bv import TheorySpec
-    th = TheorySpec.make(lie.PRESETS[lie_name]())
+    th = TheorySpec(lie.PRESETS[lie_name]())
     coords = th.all_base_coords()
     rng = random.Random(f"dh-{lie_name}")
     nonzero = odd = second = 0

@@ -399,7 +399,7 @@ def test_gauge_field_commutator_carries_metric():
 
 def test_equal_time_report_all_pass():
     lat = sym_lattice(lie_dim=1)
-    checks = equal_time_report(lat, bv.TheorySpec.make(u1()))
+    checks = equal_time_report(lat, bv.TheorySpec(u1()))
     assert checks and all(c.ok for c in checks)
 
 
@@ -407,7 +407,7 @@ def test_equal_time_report_with_su2_composites():
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)],
                            {"scalar": 1, "fermion": 1, "dirac": 1},
                            scalar_dim=1, lie_dim=3)
-    checks = equal_time_report(lat, bv.TheorySpec.make(su2()))
+    checks = equal_time_report(lat, bv.TheorySpec(su2()))
     assert checks and all(c.ok for c in checks)
 
 
@@ -442,7 +442,7 @@ def _abelian_su2():
     ids=["su2", "abelian-limit", "u1"])
 def test_equal_time_check_inventory(lie, count):
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], scalar_dim=2, lie_dim=lie.dim)
-    checks = equal_time_report(lat, bv.TheorySpec.make(lie))
+    checks = equal_time_report(lat, bv.TheorySpec(lie))
     names = [c.name for c in checks]
     assert len(names) == count == len(set(names))
     assert set(names) == _equal_time_inventory(lie.dim)
@@ -451,7 +451,7 @@ def test_equal_time_check_inventory(lie, count):
 
 def test_equal_time_report_rejects_an_unknown_sector():
     with pytest.raises(FieldError, match="'gauges'"):
-        equal_time_report(sym_lattice(), bv.TheorySpec.make(u1()),
+        equal_time_report(sym_lattice(), bv.TheorySpec(u1()),
                           sectors=("scalar", "gauges"))
 
 
@@ -461,7 +461,7 @@ def test_equal_time_report_rejects_mismatched_lie_dimensions(lie_dim, lie):
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=lie_dim)
     with pytest.raises(FieldError,
                        match=f"dimension {lie.dim} is not the lattice's {lie_dim}"):
-        equal_time_report(lat, bv.TheorySpec.make(lie))
+        equal_time_report(lat, bv.TheorySpec(lie))
 
 
 def _reference_momenta(lat: ModeLattice, constants, y: FieldPoint) -> tuple:
@@ -499,7 +499,7 @@ def _momentum_mismatch(lie) -> int:
     """Surviving terms of the momenta read off L_gauge + L_ghost (gauge)
     and L_ghost (ghost) minus the hand-written ones, over every mu, I, J."""
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=lie.dim)
-    th = bv.TheorySpec.make(lie)
+    th = bv.TheorySpec(lie)
     y = FieldPoint.make("t", "y")
     gauge, pi_bar, pi_om = _reference_momenta(lat, lie.constants, y)
     assert all(not p.is_zero() for p in [*gauge.values(), *pi_bar, *pi_om])
@@ -567,7 +567,7 @@ def test_field_strength_composite_has_one_source(monkeypatch):
 def test_equal_time_requires_symmetric_lattice():
     lat = ModeLattice.make([(1, 0, 0), (0, 1, 0)])
     with pytest.raises(LatticeError):
-        equal_time_report(lat, bv.TheorySpec.make(u1()))
+        equal_time_report(lat, bv.TheorySpec(u1()))
 
 
 def species_phase_consistent(f) -> bool:

@@ -631,7 +631,7 @@ def test_warm_brst_derivation_makes_no_gcd_reduction(monkeypatch):
     from gradedqft.bv import FiberPoly, TheorySpec, brst_operator
     from gradedqft.lie import su2
 
-    th = TheorySpec.make(su2())
+    th = TheorySpec(su2())
     s = brst_operator(th)
     f = (FiberPoly.word((th.omega(0), th.a_gauge(1, 2)), rat(3))
          + FiberPoly.word((th.psi(0, 1), th.omegabar(2, (1,)), th.omega(1)), rat(F(-1, 2)))
