@@ -34,8 +34,6 @@ metric as weight in the gauge case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .gammas import METRIC
 from .linear import Letter, LinearCombination, add_term, canonical_terms
 from .scalars import ScalarExpr
@@ -69,17 +67,13 @@ class MixedParityError(AlgebraError):
 _GENS: dict = {}
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class OpGen(Letter):
     """One elementary generator, identified by species, index position,
     sector, lattice mode id and internal index tuple; interned, one
     object per field values."""
 
-    species: str
-    position: str
-    sector: str
-    mode: int
-    internal: tuple
+    __slots__ = __match_args__ = ("species", "position", "sector", "mode",
+                                  "internal")
 
     def __new__(cls, species: str, position: str, sector: str, mode: int,
                 internal: tuple):

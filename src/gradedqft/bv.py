@@ -48,15 +48,14 @@ L_ghost = sum_c S(c) E_c(Psi) = S Psi - d_lam B^lam.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData, constant_entries
-from .linear import (Letter, LinearCombination, add_into, add_term, canonical_terms,
-                     merge_splice)
+from .linear import (Frozen, Letter, LinearCombination, add_into, add_term,
+                     canonical_terms, merge_splice)
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -86,14 +85,12 @@ SECTOR_PARITY = {"psi": 1, "psibar": 1, "A": 0, "omega": 1, "omegabar": 1, "n": 
 _COORDS: dict = {}
 
 
-@dataclass(frozen=True, slots=True, eq=False, init=False)
 class FiberCoord(Letter):
-    """A fiber/jet coordinate, interned: one object per field values."""
+    """A fiber/jet coordinate, interned: one object per field values:
+    sector, kind ('field' | 'anti'), idx and jet (sorted spacetime
+    indices, length <= 2)."""
 
-    sector: str
-    kind: str  # 'field' | 'anti'
-    idx: tuple
-    jet: tuple  # sorted spacetime indices, length <= 2
+    __slots__ = __match_args__ = ("sector", "kind", "idx", "jet")
 
     def __new__(cls, sector: str, kind: str, idx: tuple, jet: tuple):
         c = _COORDS.get((cls, sector, kind, idx, jet))
@@ -268,11 +265,13 @@ class VerticalDerivation:
 
 # --- the gauge theory ------------------------------------------------------
 
-@dataclass(frozen=True)
-class TheorySpec:
+class TheorySpec(Frozen):
     """Field content of the essential gauge theory over a Lie datum."""
 
-    lie: LieData
+    __slots__ = __match_args__ = ("lie",)
+
+    def __init__(self, lie: LieData):
+        object.__setattr__(self, "lie", lie)
 
     @property
     def n_f(self) -> int:
@@ -546,13 +545,19 @@ def gauge_fermion(theory: TheorySpec) -> FiberPoly:
                          for li in range(theory.d_lie))
 
 
-@dataclass(frozen=True)
-class GhostDecomposition:
-    lagrangian: FiberPoly
-    s_k: FiberPoly
-    m: tuple  # M^lam, lam = 0..3
-    dh_m: FiberPoly
-    residual: FiberPoly
+class GhostDecomposition(Frozen):
+    """L_ghost = S K + d_H M: the Lagrangian, S K, M^lam (lam = 0..3),
+    d_H M and the residual of the equation."""
+
+    __slots__ = __match_args__ = ("lagrangian", "s_k", "m", "dh_m", "residual")
+
+    def __init__(self, lagrangian: FiberPoly, s_k: FiberPoly, m: tuple,
+                 dh_m: FiberPoly, residual: FiberPoly):
+        object.__setattr__(self, "lagrangian", lagrangian)
+        object.__setattr__(self, "s_k", s_k)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "dh_m", dh_m)
+        object.__setattr__(self, "residual", residual)
 
     @property
     def match(self) -> bool:

@@ -20,9 +20,6 @@ nothing.
 
 from __future__ import annotations
 
-import argparse
-import ast
-import configparser
 import json
 import os
 import sys
@@ -68,6 +65,7 @@ DEFAULT_CONFIG = {
 
 
 def _literal(text: str):
+    import ast  # INI values only: not on the library's import path
     try:
         return ast.literal_eval(text)
     except (ValueError, SyntaxError):
@@ -98,6 +96,7 @@ def load_config(path: str | None) -> dict:
             for key, value in table.items():
                 _set_known(cfg, section, key, value)
         return cfg
+    import configparser  # INI files only: not on the library's import path
     parser = configparser.ConfigParser()
     try:
         with open(path) as fh:
@@ -384,10 +383,11 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
         if not isinstance(suites, (list, tuple)):
             raise ConfigError("run.suites must be a list of suite names, "
                               f"got {suites!r}")
-    selected = list(suites)
-    for s in selected:
+    suites = list(suites)
+    for s in suites:
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r} (have {SUITES})")
+    selected = [s for s in SUITES if s in suites]  # a repeated name counts once
     if oracle == "off":
         ctx.oracle_enabled = False
     elif oracle == "on":
@@ -653,7 +653,7 @@ class Evaluator:
         if fname == "S":
             if not args:
                 raise EvalError("S needs a coordinate", pos)
-            th = self.ctx.theory
+            th = self.ctx.configured
             cname = args[0][1]
             if args[0][0] != "name" or cname not in _S_COORDS:
                 raise EvalError(f"unknown coordinate {cname!r}", args[0][2])
@@ -716,6 +716,7 @@ def eval_expr(cfg: dict, text: str) -> str:
 # --- entry point ---------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse  # the command line only: not on the library's import path
     ap = argparse.ArgumentParser(
         prog="gradedqft",
         description="Verify graded free-field, BV and BRST identities on a "

@@ -48,8 +48,6 @@ depends only on its arguments, so it is built once per process.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from types import MappingProxyType
@@ -67,7 +65,7 @@ from .algebra import (
     super_bracket,
 )
 from .gammas import GAMMA, METRIC, OnShellMomentum, boost
-from .linear import add_term
+from .linear import Frozen, add_term
 from .scalars import (
     GaussianRational,
     ModeIndex,
@@ -95,21 +93,30 @@ class RealSectorError(FieldError):
 FIELD_SECTORS = {"scalar": 0, "fermion": 1, "dirac": 1, "gauge": 0, "ghost": 1}
 
 
-@dataclass(frozen=True)
-class ModeRow:
+class ModeRow(Frozen):
     """Everything one lattice mode contributes in one sector, as exact
     values: E^2, E, the field weight w = (2 E)^{-1/2} and (2 E)^{-1} = w^2."""
 
-    energy_sq: Fraction
-    energy: ScalarExpr
-    weight: ScalarExpr
-    inv_two_energy: ScalarExpr
+    __slots__ = __match_args__ = ("energy_sq", "energy", "weight",
+                                  "inv_two_energy")
+
+    def __init__(self, energy_sq: Fraction, energy: ScalarExpr,
+                 weight: ScalarExpr, inv_two_energy: ScalarExpr):
+        object.__setattr__(self, "energy_sq", energy_sq)
+        object.__setattr__(self, "energy", energy)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "inv_two_energy", inv_two_energy)
 
 
 #: the largest numerator x denominator of a mode's E^2 that a lattice
 #: accepts: the exact square roots of E^2 factor that product by trial
 #: division, about 0.2 s at this size
 MAX_ENERGY_SQ_SIZE = 10 ** 12
+
+#: the largest scalar_dim that a lattice accepts: the scalar and fermion
+#: checks grow about as its square, and `verify --oracle off` on the
+#: default lattice takes about 6 s at this size on two CPUs
+MAX_SCALAR_DIM = 64
 
 
 def _energy_sq(mass: Fraction, mode: ModeIndex) -> Fraction:
@@ -125,8 +132,7 @@ def _mode_row(lattice: "ModeLattice", fsector: str, mode: ModeIndex) -> ModeRow:
     return ModeRow(esq, ScalarExpr.energy(esq), w, w * w)
 
 
-@dataclass(frozen=True)
-class ModeLattice:
+class ModeLattice(Frozen):
     """Finite momentum lattice with per-sector masses and internal sizes.
 
     The lattice is immutable (``masses`` is a read-only mapping), so what
@@ -136,22 +142,36 @@ class ModeLattice:
     stores nothing, so a bad request raises again every time.  No memo
     value refers back to the lattice (the memo keeps a field's operator
     expression, not the ``FieldExpr``), so a lattice that nobody holds is
-    freed at once rather than by the cycle collector.
+    freed at once rather than by the cycle collector.  Equality and the
+    repr read the four defining values, never the memo.
     """
 
-    modes: tuple
-    masses: Mapping
-    scalar_dim: int = 2
-    lie_dim: int = 1
-    _memo: dict = dataclasses.field(default_factory=dict, init=False,
-                                    compare=False, repr=False)
+    __match_args__ = ("modes", "masses", "scalar_dim", "lie_dim")
 
-    def __post_init__(self):
-        object.__setattr__(self, "masses", MappingProxyType(dict(self.masses)))
+    def __init__(self, modes: tuple, masses: Mapping, scalar_dim: int = 2,
+                 lie_dim: int = 1):
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "masses", MappingProxyType(dict(masses)))
+        object.__setattr__(self, "scalar_dim", scalar_dim)
+        object.__setattr__(self, "lie_dim", lie_dim)
+        object.__setattr__(self, "_memo", {})
+
+    def __eq__(self, other):
+        if type(other) is not ModeLattice:
+            return NotImplemented
+        return (self.modes, self.masses, self.scalar_dim, self.lie_dim) == \
+            (other.modes, other.masses, other.scalar_dim, other.lie_dim)
+
+    def __repr__(self) -> str:
+        return (f"ModeLattice(modes={self.modes!r}, masses={self.masses!r}, "
+                f"scalar_dim={self.scalar_dim!r}, lie_dim={self.lie_dim!r})")
 
     @staticmethod
     def make(momenta: Iterable, masses: Mapping | None = None,
              scalar_dim: int = 2, lie_dim: int = 1) -> "ModeLattice":
+        if scalar_dim > MAX_SCALAR_DIM:
+            raise LatticeError(f"scalar_dim = {scalar_dim} exceeds "
+                               f"{MAX_SCALAR_DIM}, the largest a lattice accepts")
         modes = tuple(ModeIndex.make(i, m) for i, m in enumerate(momenta))
         seen = set()
         for m in modes:
@@ -244,12 +264,27 @@ class ModeLattice:
         raise FieldError(f"no single internal range for sector {fsector!r}")
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """Spacetime point: symbolic (names) or concrete (rationals)."""
+class FieldPoint(Frozen):
+    """Spacetime point: symbolic (names) or concrete (rationals).  ``t`` is
+    a str or a Fraction, ``x`` a str or (Fraction, Fraction, Fraction).
+    Points key the lattice memos and the phase table, so the hash of the
+    values is taken once."""
 
-    t: object  # str or Fraction
-    x: object  # str or (Fraction, Fraction, Fraction)
+    __match_args__ = ("t", "x")
+    __slots__ = __match_args__ + ("_hash",)
+
+    def __init__(self, t, x):
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "_hash", hash((t, x)))
+
+    def __eq__(self, other):
+        if type(other) is not FieldPoint:
+            return NotImplemented
+        return self.t == other.t and self.x == other.x
+
+    def __hash__(self):
+        return self._hash
 
     @staticmethod
     def make(t, x) -> "FieldPoint":
@@ -296,15 +331,26 @@ def plane_phase(sign: int, esq: Fraction, momentum,
     return phase
 
 
-@dataclass(frozen=True)
-class FieldExpr:
+class FieldExpr(Frozen):
     """A field component: operator-valued sum with phase coefficients."""
 
-    expr: GradedExpr
-    sector: str
-    component: object
-    point: FieldPoint
-    lattice: ModeLattice
+    __slots__ = __match_args__ = ("expr", "sector", "component", "point",
+                                  "lattice")
+
+    def __init__(self, expr: GradedExpr, sector: str, component,
+                 point: FieldPoint, lattice: ModeLattice):
+        object.__setattr__(self, "expr", expr)
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "component", component)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "lattice", lattice)
+
+    def __eq__(self, other):
+        if type(other) is not FieldExpr:
+            return NotImplemented
+        return (self.expr, self.sector, self.component, self.point,
+                self.lattice) == (other.expr, other.sector, other.component,
+                                  other.point, other.lattice)
 
     def scale(self, s: ScalarExpr) -> "FieldExpr":
         return FieldExpr(self.expr.scale(s), self.sector, self.component,
@@ -519,12 +565,14 @@ def delta_lattice(points: Sequence[tuple], lattice: ModeLattice) -> ScalarExpr:
 
 # --- equal-time suite -----------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    name: str
-    anchor: str
-    ok: bool
-    residual_terms: int
+class IdentityCheck(Frozen):
+    __slots__ = __match_args__ = ("name", "anchor", "ok", "residual_terms")
+
+    def __init__(self, name: str, anchor: str, ok: bool, residual_terms: int):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "anchor", anchor)
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "residual_terms", residual_terms)
 
 
 def _frame(lattice: ModeLattice):

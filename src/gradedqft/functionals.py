@@ -25,7 +25,6 @@ is exactly what the negative controls exercise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .algebra import (
@@ -46,7 +45,7 @@ from .fields import (
     field,
 )
 from .gammas import GAMMA, METRIC
-from .linear import add_into, add_term, canonical_terms
+from .linear import Frozen, add_into, add_term, canonical_terms
 from .scalars import ScalarExpr
 
 F = Fraction
@@ -57,11 +56,13 @@ class FunctionalError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class FunctionalResult:
-    name: str
-    reduced: GradedExpr
-    target: GradedExpr
+class FunctionalResult(Frozen):
+    __slots__ = __match_args__ = ("name", "reduced", "target")
+
+    def __init__(self, name: str, reduced: GradedExpr, target: GradedExpr):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "target", target)
 
     @property
     def residual(self) -> GradedExpr:
@@ -221,8 +222,9 @@ def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
         f = make(sector, c, x, lattice)
         if lam is None:
             return f
-        return replace(f, expr=lattice._cached(
-            ("deriv", make.__name__, sector, c, x, lam), lambda: f.deriv(lam).expr))
+        return FieldExpr(lattice._cached(
+            ("deriv", make.__name__, sector, c, x, lam), lambda: f.deriv(lam).expr),
+            f.sector, f.component, f.point, f.lattice)
 
     indexed: dict = {}
     dens: dict = {}
@@ -297,7 +299,8 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
                                 dirac_momentum_target(lattice, 0))
     if sector == "ghost":
         # the ghost Hamiltonian density is the 4-momentum density at lam = 0
-        return replace(four_momentum("ghost", 0, lattice), name="ghost_hamiltonian")
+        p0 = four_momentum("ghost", 0, lattice)
+        return FunctionalResult("ghost_hamiltonian", p0.reduced, p0.target)
     raise FunctionalError(f"no free Hamiltonian for sector {sector!r}")
 
 

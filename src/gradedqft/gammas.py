@@ -24,10 +24,10 @@ p_lambda = (E, p1, p2, p3) literally and slash(p) = p_lambda gamma^lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .linear import Frozen
 from .scalars import GR_I, GR_ONE, GR_ZERO, ScalarExpr
 
 F = Fraction
@@ -160,14 +160,16 @@ def anticommutator(a: SpinMatrix, b: SpinMatrix) -> SpinMatrix:
     return a @ b + b @ a
 
 
-@dataclass(frozen=True, slots=True)
-class OnShellMomentum:
+class OnShellMomentum(Frozen):
     """Covariant spatial momentum components with mass and the on-shell
     energy squared; the energy itself is the exact ``energy_scalar``."""
 
-    spatial: tuple
-    mass: Fraction
-    energy_sq: Fraction
+    __slots__ = __match_args__ = ("spatial", "mass", "energy_sq")
+
+    def __init__(self, spatial: tuple, mass: Fraction, energy_sq: Fraction):
+        object.__setattr__(self, "spatial", spatial)
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "energy_sq", energy_sq)
 
     @staticmethod
     def make(spatial, mass) -> "OnShellMomentum":

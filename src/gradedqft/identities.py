@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Callable
 
@@ -46,10 +45,10 @@ SUITES = ("algebra", "propagators", "equal_time", "functionals", "dirac",
           "bv", "brst", "oracle")
 
 
-@dataclass
 class CheckResult:
-    status: str  # "pass" | "fail"
-    residual: str
+    def __init__(self, status: str, residual: str):
+        self.status = status  # "pass" | "fail"
+        self.residual = residual
 
     @staticmethod
     def exact(n_residual_terms: int) -> "CheckResult":
@@ -65,37 +64,37 @@ class CheckResult:
         return CheckResult("pass" if ok else "fail", note or ("0" if ok else "1"))
 
 
-@dataclass
 class Identity:
-    name: str
-    suite: str
-    anchor: str
-    run: Callable[["RunContext"], CheckResult]
+    def __init__(self, name: str, suite: str, anchor: str,
+                 run: Callable[["RunContext"], CheckResult]):
+        self.name = name
+        self.suite = suite
+        self.anchor = anchor
+        self.run = run
 
 
-@dataclass
 class RunContext:
-    lattice: ModeLattice            # configured base lattice (massive ok)
-    lattice_nozero: ModeLattice     # symmetric, no zero mode (massless ok)
-    lattice_prop: ModeLattice       # propagator lattice (cube by default)
-    theory: bv.TheorySpec
-    seed: int
-    oracle_enabled: bool
-    oracle_n_max: int
-    oracle_cap: int
-    corrupt_constant: tuple | None
-    # the theory over the configured constants: ``theory`` itself unless
-    # ``corrupt_constant`` is set
-    configured: bv.TheorySpec = dc_field(init=False, repr=False, compare=False)
-    # Built on first use and kept for this run only: a new context starts
-    # empty, so no operator built before a kernel is patched can serve a
-    # run after it.
-    _brst: dict = dc_field(default_factory=dict, init=False, repr=False,
-                           compare=False)
-
-    def __post_init__(self):
-        self.configured = self.theory if self.corrupt_constant is None else \
-            bv.TheorySpec(lie_mod.corrupted(self.theory.lie, self.corrupt_constant))
+    def __init__(self, lattice: ModeLattice, lattice_nozero: ModeLattice,
+                 lattice_prop: ModeLattice, theory: bv.TheorySpec, seed: int,
+                 oracle_enabled: bool, oracle_n_max: int, oracle_cap: int,
+                 corrupt_constant: tuple | None):
+        self.lattice = lattice                # configured base lattice (massive ok)
+        self.lattice_nozero = lattice_nozero  # symmetric, no zero mode (massless ok)
+        self.lattice_prop = lattice_prop      # propagator lattice (cube by default)
+        self.theory = theory
+        self.seed = seed
+        self.oracle_enabled = oracle_enabled
+        self.oracle_n_max = oracle_n_max
+        self.oracle_cap = oracle_cap
+        self.corrupt_constant = corrupt_constant
+        # the theory over the configured constants: ``theory`` itself unless
+        # ``corrupt_constant`` is set
+        self.configured = theory if corrupt_constant is None else \
+            bv.TheorySpec(lie_mod.corrupted(theory.lie, corrupt_constant))
+        # Built on first use and kept for this run only: a new context
+        # starts empty, so no operator built before a kernel is patched can
+        # serve a run after it.
+        self._brst: dict = {}
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")

@@ -17,10 +17,10 @@ process, on first use, and shared.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
+from .linear import Frozen
 from .scalars import GR_ZERO, GaussianRational
 
 F = Fraction
@@ -65,13 +65,6 @@ def _sub(a: Matrix, b: Matrix) -> Matrix:
 def _dagger(a: Matrix) -> Matrix:
     n = len(a)
     return tuple(tuple(a[j][i].conjugate() for j in range(n)) for i in range(n))
-
-
-def _trace(a: Matrix) -> GaussianRational:
-    t = GR_ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
@@ -119,15 +112,30 @@ def _solve_exact(cols: list[list[GaussianRational]],
     return out
 
 
-@dataclass(frozen=True)
-class LieData:
-    """Generator basis with derived structure constants and trace metrics."""
+class LieData(Frozen):
+    """Generator basis with derived structure constants and trace metrics:
+    ``constants`` c[I][J][H] as Fractions, ``metric_g`` Re Tr(l_I l_J) and
+    ``metric_h`` Tr(l_I+ l_J) (positive definite) as Fraction matrices.
+    Two data are equal when all five values are."""
 
-    dim_f: int
-    generators: tuple
-    constants: tuple  # c[I][J][H] as Fraction
-    metric_g: tuple   # Re Tr(l_I l_J), Fraction matrix
-    metric_h: tuple   # Tr(l_I+ l_J), Fraction matrix (positive definite)
+    __slots__ = __match_args__ = ("dim_f", "generators", "constants",
+                                  "metric_g", "metric_h")
+
+    def __init__(self, dim_f: int, generators: tuple, constants: tuple,
+                 metric_g: tuple, metric_h: tuple):
+        object.__setattr__(self, "dim_f", dim_f)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "constants", constants)
+        object.__setattr__(self, "metric_g", metric_g)
+        object.__setattr__(self, "metric_h", metric_h)
+
+    def __eq__(self, other):
+        if type(other) is not LieData:
+            return NotImplemented
+        return (self.dim_f, self.generators, self.constants, self.metric_g,
+                self.metric_h) == (other.dim_f, other.generators,
+                                   other.constants, other.metric_g,
+                                   other.metric_h)
 
     @property
     def dim(self) -> int:
@@ -158,15 +166,16 @@ class LieData:
 
 def structure_constants(generators: Sequence[Matrix]) -> tuple:
     """Exact expansion coefficients of [l_J, l_H] in the basis, every
-    commutator solved for in one elimination."""
+    commutator with J < H solved for in one elimination; the rest follow
+    from [l_J, l_J] = 0 and [l_H, l_J] = -[l_J, l_H]."""
     gens = [(_mat(g) if not isinstance(g, tuple) else g) for g in generators]
     d = len(gens)
     cols = [[x for row in g for x in row] for g in gens]
-    pairs = [(jj, hh) for jj in range(d) for hh in range(d)]
+    pairs = [(jj, hh) for jj in range(d) for hh in range(jj + 1, d)]
     rhss = [[x for row in commutator(gens[jj], gens[hh]) for x in row]
             for jj, hh in pairs]
     out = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
-    for (jj, hh), sol in zip(pairs, _solve_exact(cols, rhss)):
+    for (jj, hh), sol in zip(pairs, _solve_exact(cols, rhss) if pairs else ()):
         if sol is None:
             raise NonClosureError(
                 f"[l_{jj}, l_{hh}] is outside the span of the basis")
@@ -174,6 +183,7 @@ def structure_constants(generators: Sequence[Matrix]) -> tuple:
             if c.im != 0:
                 raise NonClosureError("structure constants must be real")
             out[ii][jj][hh] = c.re
+            out[ii][hh][jj] = -c.re
     return tuple(tuple(tuple(r) for r in plane) for plane in out)
 
 
@@ -194,22 +204,30 @@ def corrupted(lie: LieData, at: tuple) -> LieData:
     bad = [[list(row) for row in plane] for plane in lie.constants]
     bad[i][j][h] += 1
     bad[i][h][j] -= 1
-    return replace(lie, constants=tuple(tuple(tuple(row) for row in plane)
-                                        for plane in bad))
+    return LieData(lie.dim_f, lie.generators,
+                   tuple(tuple(tuple(row) for row in plane) for plane in bad),
+                   lie.metric_g, lie.metric_h)
 
 
 def trace_metric(generators: Sequence[Matrix]) -> tuple[tuple, tuple]:
     """(G, H): G_IJ = Re Tr(l_I l_J) as Fractions and the Hermitian form
-    H_IJ = Tr(l_I+ l_J) as Gaussian rationals (complex on mixed bases)."""
+    H_IJ = Tr(l_I+ l_J) as Gaussian rationals (complex on mixed bases),
+    each a sum of entry products: Tr(AB) = sum A_rc B_cr and
+    Tr(A+ B) = sum conj(A_rc) B_rc."""
     gens = [(_mat(g) if not isinstance(g, tuple) else g) for g in generators]
-    d = len(gens)
-    g_m = [[F(0)] * d for _ in range(d)]
-    h_m = [[GR_ZERO] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            g_m[i][j] = _trace(_mul(gens[i], gens[j])).re
-            h_m[i][j] = _trace(_mul(_dagger(gens[i]), gens[j]))
-    return tuple(tuple(r) for r in g_m), tuple(tuple(r) for r in h_m)
+    flat = [[x for row in g for x in row] for g in gens]
+    flat_t = [[x for col in zip(*g) for x in col] for g in gens]
+    flat_c = [[x.conjugate() for x in f] for f in flat]
+    g_m = tuple(tuple(_dot(a, b).re for b in flat_t) for a in flat)
+    h_m = tuple(tuple(_dot(a, b) for b in flat) for a in flat_c)
+    return g_m, h_m
+
+
+def _dot(a: list, b: list) -> GaussianRational:
+    t = GR_ZERO
+    for x, y in zip(a, b):
+        t = t + x * y
+    return t
 
 
 def hermitian_real_part(h_m) -> tuple:

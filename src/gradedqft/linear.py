@@ -9,7 +9,8 @@ all come from `canonical_terms`, and `merge_splice` is the same rule
 for a canonical word spliced into a canonical word (the fiber layer's
 derivations), without the re-sort.  A letter provides only `sort_key()`,
 which must be injective, and `parity` (0 or 1); both letter classes
-derive from `Letter`, which interns them.
+derive from `Letter`, which interns them.  `Letter` derives from
+`Frozen`, the base of the engine's immutable records.
 
 A zero coefficient is never stored, so equality is dictionary equality.
 Loops accumulate in place on a plain dict through `add_term` and
@@ -27,16 +28,34 @@ from .scalars import ScalarExpr
 _MINUS_ONE = ScalarExpr.rational(-1)
 
 
-class Letter:
+class Frozen:
+    """Base of the engine's immutable records.  A subclass names its
+    constructor's arguments, in order, in ``__match_args__``; a copy or an
+    unpickled value is rebuilt from them by the constructor.  Assignment
+    and deletion of an attribute raise."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+class Letter(Frozen):
     """Base of the interned word letters (`algebra.OpGen`, `bv.FiberCoord`).
 
     Letters are hash-consed (Filliatre and Conchon, "Type-safe modular
     hash-consing", 2006): a subclass's ``__new__`` returns the one object
     per (class, field values) from its table.  So equality and hash both
-    come from identity (``object.__eq__`` and ``object.__hash__``; the
-    subclasses are dataclasses with ``eq=False``), and hashing a word
-    tuple, the fiber and operator layers' hot path, stays in C.  The
-    parity and the sort key are stored.
+    come from identity (``object.__eq__`` and ``object.__hash__``), and
+    hashing a word tuple, the fiber and operator layers' hot path, stays
+    in C.  The parity and the sort key are stored.  A subclass names its
+    field values in ``__match_args__``, which are also its slots; a copy
+    or an unpickled letter goes back through the table.
     """
 
     __slots__ = ("_key", "parity")
@@ -55,10 +74,6 @@ class Letter:
 
     def sort_key(self) -> tuple:
         return self._key
-
-    def __reduce__(self):
-        # copies and unpickled letters go back through the table
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 def add_term(acc: dict, key, c: ScalarExpr) -> None:

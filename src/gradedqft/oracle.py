@@ -30,13 +30,12 @@ from __future__ import annotations
 
 from array import array
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import repeat
 
 from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
 from .fields import ModeLattice
 from .gammas import METRIC
+from .linear import Frozen
 
 
 class OracleError(Exception):
@@ -54,21 +53,34 @@ def slot_key(gen: OpGen) -> tuple:
     return (gen.sector, gen.mode, _family(gen), gen.internal)
 
 
-@dataclass(frozen=True)
-class Slot:
-    key: tuple
-    fermionic: bool
-    dim: int
-    eta: int  # contraction weight of the slot (gauge: g_{lam lam})
+class Slot(Frozen):
+    """One mode slot: its key, statistics, dimension and contraction
+    weight eta (gauge: g_{lam lam})."""
+
+    __slots__ = __match_args__ = ("key", "fermionic", "dim", "eta")
+
+    def __init__(self, key: tuple, fermionic: bool, dim: int, eta: int):
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "fermionic", fermionic)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "eta", eta)
 
 
-@dataclass(frozen=True)
-class OracleSpace:
-    slots: tuple
-    index: dict
-    dimension: int
-    n_max: int
-    strides: tuple  # state c holds (c // strides[j]) % slots[j].dim in slot j
+class OracleSpace(Frozen):
+    """The truncated Fock space of some slots: state c holds
+    (c // strides[j]) % slots[j].dim quanta in slot j."""
+
+    __match_args__ = ("slots", "index", "dimension", "n_max", "strides")
+    __slots__ = __match_args__ + ("_monomials",)
+
+    def __init__(self, slots: tuple, index: dict, dimension: int, n_max: int,
+                 strides: tuple):
+        object.__setattr__(self, "slots", slots)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "strides", strides)
+        object.__setattr__(self, "_monomials", {})
 
     @staticmethod
     def make(lattice: ModeLattice, sectors=("scalar",), n_max: int = 3,
@@ -114,10 +126,6 @@ class OracleSpace:
             raise OracleError(f"oracle dimension {dim} exceeds cap {cap}")
         index = {s.key: i for i, s in enumerate(slots)}
         return OracleSpace(slots, index, dim, n_max, tuple(reversed(strides)))
-
-    @cached_property
-    def _monomials(self) -> dict:
-        return {}
 
     def monomial(self, gen: OpGen) -> tuple:
         """The monomial form ``(rows, weights)`` of one generator (see

@@ -1,4 +1,5 @@
 import json
+import pathlib
 import re
 
 import pytest
@@ -119,6 +120,30 @@ def test_reports_are_byte_identical(monkeypatch):
     cfg["run"]["seed"] = 8
     r3 = render_report(run_verify(cfg, suites=["algebra", "bv"]), "json")
     assert r1 != r3  # the seed is recorded in the report
+
+
+def test_a_suite_named_twice_is_run_and_reported_once(tmp_path, capsys):
+    once, twice = tmp_path / "once.json", tmp_path / "twice.json"
+    assert main(["verify", "--suite", "bv", "--output", str(once)]) == 0
+    assert main(["verify", "--suite", "bv", "--suite", "bv",
+                 "--output", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    config = tmp_path / "run.ini"
+    config.write_text('[run]\nsuites = ["bv", "bv"]\n')
+    assert main(["verify", "--config", str(config), "--output", str(twice)]) == 0
+    assert twice.read_bytes() == once.read_bytes()
+    report = json.loads(once.read_text())
+    assert report["suites"] == ["bv"] and report["passed"] == 5
+
+
+def test_eval_s_reads_the_corrupted_constants(capsys):
+    # corrupt.ini adds +1 at c^0_{01}: S(omega^0) gains omega[0]·omega[1]
+    corrupt = str(pathlib.Path(__file__).parent / "data" / "corrupt.ini")
+    assert main(["eval", "S(omega, 0)"]) == 0
+    assert capsys.readouterr().out == "(1)·omega[1]·omega[2]\n"
+    assert main(["eval", "--config", corrupt, "S(omega, 0)"]) == 0
+    assert capsys.readouterr().out == \
+        "(1)·omega[0]·omega[1] + (1)·omega[1]·omega[2]\n"
 
 
 def test_corrupted_constants_fail_brst_only():
@@ -524,7 +549,6 @@ def test_default_report_matches_the_golden_file(seed, hash_seed):
     # --format json` report; a change that alters the report on purpose
     # regenerates them with PYTHONHASHSEED=0
     import os
-    import pathlib
     import subprocess
     import sys
 
@@ -544,7 +568,6 @@ def test_lattice4_report_matches_the_golden_file():
     # tests/data/lattice4.ini --format json`: the 4-mode lattice
     # {+-e1, +-e2} with the oracle off, 53 identities
     import os
-    import pathlib
     import subprocess
     import sys
 
@@ -565,7 +588,6 @@ def test_fractional_lattice_report_matches_the_golden_file():
     # and +-(0,1/3,0), scalar mass 3/2, Dirac mass 2, the oracle off; it
     # pins the Fraction path of the scalar layer, 53 identities
     import os
-    import pathlib
     import subprocess
     import sys
 
@@ -753,3 +775,23 @@ def test_huge_denominator_momenta_exit_2_at_once(tmp_path, fmt):
     assert run.returncode == 2
     assert run.stderr.startswith("error: lattice: momentum (1/1000000007, 0, 0)")
     assert "Traceback" not in run.stderr and run.stdout == ""
+
+
+def test_huge_scalar_dim_exits_2_at_once():
+    """tests/data/scalar_dim_huge.ini sets lattice.scalar_dim = 10^6, past
+    fields.MAX_SCALAR_DIM: `verify` exits 2 within seconds, naming the
+    key, where it used to run for longer than anyone waits."""
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    config = pathlib.Path(__file__).parent / "data" / "scalar_dim_huge.ini"
+    cmd = [sys.executable, "-m", "gradedqft", "verify", "--config", str(config)]
+    run = subprocess.run(cmd, env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 2
+    assert run.stderr == ("error: lattice: scalar_dim = 1000000 exceeds 64, "
+                          "the largest a lattice accepts\n")
+    assert run.stdout == ""

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -31,7 +30,7 @@ from gradedqft.fields import (
     star_field,
 )
 from gradedqft.gammas import OnShellMomentum, shell_projector
-from gradedqft.lie import su2, su3, u1
+from gradedqft.lie import LieData, su2, su3, u1
 from gradedqft.scalars import ScalarExpr
 
 F = Fraction
@@ -92,6 +91,14 @@ def test_lattice_bounds_the_size_of_each_energy_squared():
         ModeLattice.make([(1, 0, 0)], heavy)
     with pytest.raises(LatticeError, match="dirac sector"):
         ModeLattice.make([(0, 0, 0)], {"dirac": Fraction(1, big + 1)})
+
+
+def test_lattice_bounds_the_scalar_dim():
+    assert fields.MAX_SCALAR_DIM == 64
+    lat = ModeLattice.make([(1, 0, 0)], scalar_dim=64)
+    assert lat.internal_range("scalar") == range(64)
+    with pytest.raises(LatticeError, match="^scalar_dim = 65 exceeds 64"):
+        ModeLattice.make([(1, 0, 0)], scalar_dim=65)
 
 
 def test_ghost_field_single_mode_shape():
@@ -434,7 +441,7 @@ def _abelian_su2():
     lie = su2()
     zeros = tuple(tuple(tuple(F(0) for _ in row) for row in plane)
                   for plane in lie.constants)
-    return dataclasses.replace(lie, constants=zeros)
+    return LieData(lie.dim_f, lie.generators, zeros, lie.metric_g, lie.metric_h)
 
 
 @pytest.mark.parametrize("lie,count", [

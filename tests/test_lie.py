@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from typing import Sequence
 
@@ -7,7 +8,11 @@ from gradedqft.lie import (
     LieData,
     LieError,
     NonClosureError,
+    _dagger,
+    _mul,
+    _solve_exact,
     commutator,
+    hermitian_real_part,
     lower_first_index,
     structure_constants,
     su2,
@@ -241,6 +246,60 @@ def test_one_elimination_matches_the_per_pair_solve(preset):
     assert structure_constants(gens) == _reference_constants(gens) == preset().constants
 
 
+def _full_solve_constants(gens) -> tuple:
+    """c^I_JH with every commutator [l_J, l_H], J and H in any order,
+    solved for in one elimination."""
+    d = len(gens)
+    cols = [[x for row in g for x in row] for g in gens]
+    pairs = [(jj, hh) for jj in range(d) for hh in range(d)]
+    rhss = [[x for row in commutator(gens[jj], gens[hh]) for x in row]
+            for jj, hh in pairs]
+    out = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
+    for (jj, hh), sol in zip(pairs, _solve_exact(cols, rhss)):
+        assert sol is not None, (jj, hh)
+        for ii, c in enumerate(sol):
+            assert c.im == 0
+            out[ii][jj][hh] = c.re
+    return tuple(tuple(tuple(r) for r in plane) for plane in out)
+
+
+def _full_product_metrics(gens) -> tuple:
+    """(G, H) from full matrix products: Re Tr(l_I l_J) and Tr(l_I+ l_J)."""
+    def trace(m):
+        return sum((m[i][i] for i in range(len(m))), start=GaussianRational(0))
+    g_m = tuple(tuple(trace(_mul(a, b)).re for b in gens) for a in gens)
+    h_m = tuple(tuple(trace(_mul(_dagger(a), b)) for b in gens) for a in gens)
+    return g_m, h_m
+
+
+def _reference_lie_data(gens) -> LieData:
+    g_m, h_m = _full_product_metrics(gens)
+    return LieData(len(gens[0]), gens, _full_solve_constants(gens), g_m,
+                   hermitian_real_part(h_m))
+
+
+@pytest.mark.parametrize("preset", [u1, su2, su3], ids=["u1", "su2", "su3"])
+def test_presets_match_the_full_solve_and_full_product_routines(preset):
+    data = preset()
+    assert data == _reference_lie_data(data.generators)
+
+
+def test_a_random_rational_su2_basis_matches_the_full_routines():
+    rng = random.Random(5)
+    base = su2().generators
+    mix = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base] for _ in base]
+    gens = tuple(
+        tuple(tuple(sum((GaussianRational(w) * g[r][c] for w, g in zip(row, base)),
+                        start=GaussianRational(0)) for c in range(2))
+              for r in range(2))
+        for row in mix)
+    data = LieData.from_generators(gens)  # raises unless the mix is invertible
+    assert data == _reference_lie_data(gens)
+    # a mixed basis: the metric is not diagonal, the constants not epsilon
+    assert any(data.metric_h[i][j] for i in range(3) for j in range(3) if i != j)
+    assert {abs(c) for plane in data.constants for row in plane for c in row} - {0, 1}
+
+
 def test_solve_exact_answers_each_right_hand_side():
     from gradedqft.lie import _solve_exact
     one, i = GaussianRational(1), GaussianRational(0, 1)
@@ -315,16 +374,15 @@ def _frozen_all_the_way_down(value) -> bool:
 
 
 def test_presets_are_built_once_and_shared_immutable():
-    import dataclasses
-
     from gradedqft.lie import PRESETS
     for name, preset in PRESETS.items():
         data = preset()
         assert preset() is data and PRESETS[name] is preset
-        for field in dataclasses.fields(LieData):
-            value = getattr(data, field.name)
-            assert isinstance(value, tuple) or field.name == "dim_f"
-            assert _frozen_all_the_way_down(value), field.name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            data.constants = ()
+        for field in ("dim_f", "generators", "constants", "metric_g", "metric_h"):
+            value = getattr(data, field)
+            assert isinstance(value, tuple) or field == "dim_f"
+            assert _frozen_all_the_way_down(value), field
+            with pytest.raises(AttributeError):
+                setattr(data, field, ())
+            assert getattr(data, field) is value
     assert su3() is su3()

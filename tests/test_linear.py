@@ -1,8 +1,8 @@
 """The shared linear-combination core behind GradedExpr and FiberPoly."""
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -207,9 +207,18 @@ def _sort_word(word: tuple):
     return sign, tuple(w)
 
 
-@dataclass(frozen=True, order=True)
-class _OrderedCoord(FiberCoord):
-    """FiberCoord with the generated field-tuple ordering `_sort_word` used."""
+class _OrderedCoord(NamedTuple):
+    """A fiber coordinate ordered by its field tuple (sector, kind, idx,
+    jet), the order `_sort_word` sorts by."""
+
+    sector: str
+    kind: str
+    idx: tuple
+    jet: tuple
+
+    @property
+    def parity(self) -> int:
+        return FiberCoord(*self).parity
 
 
 def _as_scalar(f):
@@ -326,3 +335,39 @@ def test_merge_splice_equals_the_sorted_splice():
                             for g in tail for k in odd_u)
         seen["even_repeat"] += len(set(word)) < len(word)
     assert all(seen.values()), seen
+
+
+def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
+    """A copied or unpickled value is rebuilt from its constructor's
+    arguments, so it holds equal values (a point's stored hash included);
+    no attribute can be assigned or deleted."""
+    import copy
+    import pickle
+
+    from gradedqft.bv import TheorySpec
+    from gradedqft.fields import FieldPoint, ModeLattice, field
+    from gradedqft.gammas import OnShellMomentum
+    from gradedqft.lie import su2
+    from gradedqft.oracle import OracleSpace
+
+    lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)])
+    x = FieldPoint.make("t", (1, F(1, 2), 0))
+    values = [su2(), TheorySpec(su2()), x, OnShellMomentum.make((1, 0, 0), 2),
+              lat.row("scalar", lat.modes[0]), OracleSpace.make(lat, n_max=1).slots[0]]
+    for value in values:
+        for dup in (copy.copy, copy.deepcopy,
+                    lambda v: pickle.loads(pickle.dumps(v))):
+            twin = dup(value)
+            assert type(twin) is type(value)
+            for name in value.__match_args__:
+                assert getattr(twin, name) == getattr(value, name), name
+        name = value.__match_args__[0]
+        before = getattr(value, name)
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert getattr(value, name) is before
+    assert pickle.loads(pickle.dumps(x)) == x and hash(copy.copy(x)) == hash(x)
+    f = field("scalar", 0, x, lat)
+    assert copy.copy(f) == f and copy.copy(lat) == lat
