@@ -54,9 +54,9 @@ from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
 from .lie import LieData, constant_entries
-from .linear import (Frozen, Letter, LinearCombination, add_into, add_term,
+from .linear import (Letter, LinearCombination, add_into, add_term,
                      canonical_terms, merge_splice)
-from .scalars import ScalarExpr
+from .scalars import Frozen, ScalarExpr
 
 F = Fraction
 _ONE = ScalarExpr.one()
@@ -481,12 +481,6 @@ def _euler_lagrange(jets) -> FiberPoly:
     return FiberPoly._wrap(acc)
 
 
-def euler_lagrange(lagr: FiberPoly, base: FiberCoord) -> FiberPoly:
-    """E_b(l) = sum_J (-1)^{|J|} d_J D^J_b l over the jets J of the jet-free
-    coordinate b in l."""
-    return _euler_lagrange(_jets(gradient(lagr)).get(base, ()))
-
-
 def _first_variation(v: VerticalDerivation, lagr: FiberPoly) -> tuple:
     """The Euler part and the boundary forms B^lam of
     v(l) = sum_b v(b) E_b(l) + d_lam B^lam, over the jet-free field
@@ -558,10 +552,6 @@ class GhostDecomposition(Frozen):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "dh_m", dh_m)
         object.__setattr__(self, "residual", residual)
-
-    @property
-    def match(self) -> bool:
-        return self.residual.is_zero()
 
 
 def ghost_lagrangian_decompose(theory: TheorySpec,

@@ -249,6 +249,10 @@ def context_from_config(cfg: dict) -> RunContext:
         raise ConfigError("lattice.propagator_momenta needs at least one momentum")
     lattice_prop = _lattice(prop_momenta, masses, scalar_dim, data.dim,
                             "lattice.propagator_momenta")
+    if not lattice_prop.is_symmetric:
+        # the propagator identities pair each mode with its negative
+        raise ConfigError("lattice.propagator_momenta must be closed under "
+                          "p -> -p")
     corrupt = theory_cfg["corrupt_constant"]
     orc_cfg = cfg["oracle"]
     return RunContext(
@@ -749,46 +753,55 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _run(ns) -> int:
+    """Run the verb of the parsed command line; the exit status."""
+    cfg = load_config(ns.config)
+    if ns.seed is not None:
+        cfg["run"]["seed"] = ns.seed
+    if ns.verb == "verify":
+        report = run_verify(cfg, ns.suite, ns.timings, ns.oracle)
+        text = render_report(report, ns.format)
+        if ns.output:
+            with open(ns.output, "w") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+        return 0 if report["failed"] == 0 else 1
+    if ns.verb == "eval":
+        sys.stdout.write(eval_expr(cfg, ns.expr) + "\n")
+    elif ns.verb == "list-identities":
+        for ident in all_identities():
+            sys.stdout.write(f"{ident.suite:<12} {ident.name:<36} "
+                             f"{ident.anchor}\n")
+    elif ns.verb == "dump-lattice":
+        ctx = context_from_config(cfg)
+        for name, lat in (("base", ctx.lattice),
+                          ("nozero", ctx.lattice_nozero),
+                          ("propagator", ctx.lattice_prop)):
+            sys.stdout.write(f"[{name}] {len(lat.modes)} modes, masses "
+                             f"{ {k: str(v) for k, v in lat.masses.items()} }\n")
+            for m in lat.modes:
+                sys.stdout.write(
+                    f"  p{m.id} = {tuple(str(x) for x in m.momentum)}  "
+                    f"E_scalar^2 = {lat.energy_sq('scalar', m)}\n")
+    return 0
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
-    ns = ap.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
-        cfg = load_config(ns.config)
-        if ns.seed is not None:
-            cfg["run"]["seed"] = ns.seed
-        if ns.verb == "verify":
-            report = run_verify(cfg, ns.suite, ns.timings, ns.oracle)
-            text = render_report(report, ns.format)
-            if ns.output:
-                with open(ns.output, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0 if report["failed"] == 0 else 1
-        if ns.verb == "eval":
-            sys.stdout.write(eval_expr(cfg, ns.expr) + "\n")
-            return 0
-        if ns.verb == "list-identities":
-            for ident in all_identities():
-                sys.stdout.write(f"{ident.suite:<12} {ident.name:<36} "
-                                 f"{ident.anchor}\n")
-            return 0
-        if ns.verb == "dump-lattice":
-            ctx = context_from_config(cfg)
-            for name, lat in (("base", ctx.lattice),
-                              ("nozero", ctx.lattice_nozero),
-                              ("propagator", ctx.lattice_prop)):
-                sys.stdout.write(f"[{name}] {len(lat.modes)} modes, masses "
-                                 f"{ {k: str(v) for k, v in lat.masses.items()} }\n")
-                for m in lat.modes:
-                    sys.stdout.write(
-                        f"  p{m.id} = {tuple(str(x) for x in m.momentum)}  "
-                        f"E_scalar^2 = {lat.energy_sq('scalar', m)}\n")
-            return 0
+        status = _run(ns)
+        sys.stdout.flush()  # a reader that left shows here, inside the try
     except (ConfigError, EvalError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    return 0
+    except BrokenPipeError:
+        # the reader closed the pipe (`| head`): as the Python signal docs
+        # advise, send what is left to devnull so that the flush at exit
+        # fails no more, and exit with status 1
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -65,8 +65,9 @@ from .algebra import (
     super_bracket,
 )
 from .gammas import GAMMA, METRIC, OnShellMomentum, boost
-from .linear import Frozen, add_term
+from .linear import add_term
 from .scalars import (
+    Frozen,
     GaussianRational,
     ModeIndex,
     ScalarExpr,
@@ -135,15 +136,15 @@ def _mode_row(lattice: "ModeLattice", fsector: str, mode: ModeIndex) -> ModeRow:
 class ModeLattice(Frozen):
     """Finite momentum lattice with per-sector masses and internal sizes.
 
-    The lattice is immutable (``masses`` is a read-only mapping), so what
+    The lattice never changes (``masses`` is a read-only mapping), so what
     is derived from it alone -- mode rows, Dirac dressings, field
     expansions and propagator sums -- is built on first use and kept in a
     private memo that lives and dies with the lattice.  A build that raises
     stores nothing, so a bad request raises again every time.  No memo
     value refers back to the lattice (the memo keeps a field's operator
     expression, not the ``FieldExpr``), so a lattice that nobody holds is
-    freed at once rather than by the cycle collector.  Equality and the
-    repr read the four defining values, never the memo.
+    freed at once rather than by the cycle collector.  Equality, copies and
+    pickles read the four defining values, never the memo.
     """
 
     __match_args__ = ("modes", "masses", "scalar_dim", "lie_dim")
@@ -162,9 +163,10 @@ class ModeLattice(Frozen):
         return (self.modes, self.masses, self.scalar_dim, self.lie_dim) == \
             (other.modes, other.masses, other.scalar_dim, other.lie_dim)
 
-    def __repr__(self) -> str:
-        return (f"ModeLattice(modes={self.modes!r}, masses={self.masses!r}, "
-                f"scalar_dim={self.scalar_dim!r}, lie_dim={self.lie_dim!r})")
+    def __reduce__(self):
+        # a copy rebuilds the read-only masses from a plain dict
+        return ModeLattice, (self.modes, dict(self.masses), self.scalar_dim,
+                             self.lie_dim)
 
     @staticmethod
     def make(momenta: Iterable, masses: Mapping | None = None,
@@ -172,7 +174,7 @@ class ModeLattice(Frozen):
         if scalar_dim > MAX_SCALAR_DIM:
             raise LatticeError(f"scalar_dim = {scalar_dim} exceeds "
                                f"{MAX_SCALAR_DIM}, the largest a lattice accepts")
-        modes = tuple(ModeIndex.make(i, m) for i, m in enumerate(momenta))
+        modes = tuple(ModeIndex(i, m) for i, m in enumerate(momenta))
         seen = set()
         for m in modes:
             if len(m.momentum) != 3:
@@ -223,10 +225,6 @@ class ModeLattice(Frozen):
 
     def energy(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
         return self.row(fsector, mode).energy
-
-    def weight(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
-        """(2 E)^{-1/2}."""
-        return self.row(fsector, mode).weight
 
     def inv_two_energy(self, fsector: str, mode: ModeIndex) -> ScalarExpr:
         """(2 E)^{-1} = weight squared."""
@@ -351,13 +349,6 @@ class FieldExpr(Frozen):
         return (self.expr, self.sector, self.component, self.point,
                 self.lattice) == (other.expr, other.sector, other.component,
                                   other.point, other.lattice)
-
-    def scale(self, s: ScalarExpr) -> "FieldExpr":
-        return FieldExpr(self.expr.scale(s), self.sector, self.component,
-                         self.point, self.lattice)
-
-    def __neg__(self) -> "FieldExpr":
-        return self.scale(ScalarExpr.rational(-1))
 
     def translate(self, shift_name: str) -> "FieldExpr":
         """Shift the spatial argument by a formal vector symbol."""

@@ -15,8 +15,9 @@ word pairs for M modes.  The products still go through
 `canonical_terms` and the sum still passes through `spatial_integral`,
 so a phase in a foreign position still raises.  Each word of a field
 carries one plane wave, so a word pair is kept or dropped whole, and the
-result equals ``spatial_integral(density_product(...))`` word for word
-and term for term, in the same order.
+result equals the spatial integral of the whole density word for word
+and term for term, in the same order; ``density_product`` in
+``tests/test_functionals.py`` forms that density, as the reference.
 
 The reductions are sensitive to every sign in the conjugate-field
 prescription; a flipped anti-particle absorption term breaks them, which
@@ -34,7 +35,6 @@ from .algebra import (
     UPPER,
     GradedExpr,
     OpGen,
-    koszul_product,
     normal_order,
 )
 from .fields import (
@@ -45,8 +45,8 @@ from .fields import (
     field,
 )
 from .gammas import GAMMA, METRIC
-from .linear import Frozen, add_into, add_term, canonical_terms
-from .scalars import ScalarExpr
+from .linear import add_into, add_term, canonical_terms
+from .scalars import Frozen, ScalarExpr
 
 F = Fraction
 _I = ScalarExpr.i()
@@ -69,24 +69,8 @@ class FunctionalResult(Frozen):
         return self.reduced - self.target
 
     @property
-    def match(self) -> bool:
-        return self.residual.is_zero()
-
-    @property
     def time_independent(self) -> bool:
         return not any(c.has_time_dependence() for c in self.reduced.terms.values())
-
-
-def density_product(*factors: FieldExpr) -> GradedExpr:
-    """Product of field components at a common point, modified rule."""
-    point = factors[0].point
-    for f in factors[1:]:
-        if f.point != point:
-            raise FunctionalError("density factors must share one point")
-    acc = factors[0].expr
-    for f in factors[1:]:
-        acc = koszul_product(acc, f.expr, "modified")
-    return acc
 
 
 def spatial_integral(density: GradedExpr, x: FieldPoint) -> GradedExpr:
@@ -188,9 +172,10 @@ def _x_index(phi: FieldExpr, xname: str) -> dict:
 
 
 def _matched_product(bar: FieldExpr, phi_index: dict, xname: str) -> GradedExpr:
-    """The terms of ``density_product(bar, phi)`` that survive the spatial
-    integral: only coefficient terms whose x-vectors cancel are multiplied,
-    word pairs in the order the full product takes them."""
+    """The terms of the density bar phi (the modified-rule product) that
+    survive the spatial integral: only coefficient terms whose x-vectors
+    cancel are multiplied, word pairs in the order the full product takes
+    them."""
     acc: dict = {}
     for w1, c1 in bar.expr.terms.items():
         for v, c1v in c1.by_position(xname).items():

@@ -27,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from .linear import Frozen
-from .scalars import GR_I, GR_ONE, GR_ZERO, ScalarExpr
+from .scalars import GR_I, GR_ONE, GR_ZERO, Frozen, ScalarExpr
 
 F = Fraction
 
@@ -45,20 +44,17 @@ def _scalar(x) -> ScalarExpr:
     return x if isinstance(x, ScalarExpr) else ScalarExpr.gaussian(x)
 
 
-class SpinMatrix:
+class SpinMatrix(Frozen):
     """4x4 matrix over exact scalars (GaussianRational, int and Fraction
     entries are coerced to ``ScalarExpr``); ``m[i, j]`` is an entry."""
 
-    __slots__ = ("rows",)
+    __slots__ = __match_args__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise GammaError("SpinMatrix must be 4x4")
         object.__setattr__(self, "rows",
                            tuple(tuple(_scalar(x) for x in r) for r in rows))
-
-    def __setattr__(self, *a):
-        raise AttributeError("SpinMatrix is immutable")
 
     @staticmethod
     def zero() -> "SpinMatrix":
@@ -82,9 +78,6 @@ class SpinMatrix:
     def __sub__(self, other: "SpinMatrix") -> "SpinMatrix":
         return SpinMatrix([[a - b for a, b in zip(r1, r2)]
                            for r1, r2 in zip(self.rows, other.rows)])
-
-    def __neg__(self) -> "SpinMatrix":
-        return SpinMatrix([[-a for a in r] for r in self.rows])
 
     def scale(self, s) -> "SpinMatrix":
         """s times each entry, with s multiplying from the left."""
@@ -110,15 +103,8 @@ class SpinMatrix:
             return NotImplemented
         return self.rows == other.rows
 
-    def __hash__(self):
-        return hash(self.rows)
-
     def to_complex(self) -> list[list[complex]]:
         return [[x.evaluate() for x in r] for r in self.rows]
-
-    def __repr__(self) -> str:
-        return "SpinMatrix(" + "; ".join(
-            " ".join(repr(x) for x in r) for r in self.rows) + ")"
 
 
 _PAULI = (

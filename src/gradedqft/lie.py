@@ -20,8 +20,7 @@ import functools
 from fractions import Fraction
 from typing import Sequence
 
-from .linear import Frozen
-from .scalars import GR_ZERO, GaussianRational
+from .scalars import GR_ZERO, Frozen, GaussianRational
 
 F = Fraction
 

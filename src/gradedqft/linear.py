@@ -9,8 +9,9 @@ all come from `canonical_terms`, and `merge_splice` is the same rule
 for a canonical word spliced into a canonical word (the fiber layer's
 derivations), without the re-sort.  A letter provides only `sort_key()`,
 which must be injective, and `parity` (0 or 1); both letter classes
-derive from `Letter`, which interns them.  `Letter` derives from
-`Frozen`, the base of the engine's immutable records.
+derive from `Letter`, which interns them.  `Letter` and
+`LinearCombination` derive from `scalars.Frozen`, the base of the
+engine's immutable values.
 
 A zero coefficient is never stored, so equality is dictionary equality.
 Loops accumulate in place on a plain dict through `add_term` and
@@ -23,26 +24,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Mapping
 
-from .scalars import ScalarExpr
+from .scalars import Frozen, ScalarExpr
 
 _MINUS_ONE = ScalarExpr.rational(-1)
-
-
-class Frozen:
-    """Base of the engine's immutable records.  A subclass names its
-    constructor's arguments, in order, in ``__match_args__``; a copy or an
-    unpickled value is rebuilt from them by the constructor.  Assignment
-    and deletion of an attribute raise."""
-
-    __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
 
 class Letter(Frozen):
@@ -181,10 +165,10 @@ def merge_splice(rem: tuple, keys: list, j: int, u: tuple):
     return (-1 if odd else 1), tuple(out)
 
 
-class LinearCombination:
+class LinearCombination(Frozen):
     """Immutable finite sum of words (tuples) with nonzero coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = __match_args__ = ("terms",)
 
     def __init__(self, terms: Mapping[tuple, ScalarExpr] | None = None):
         clean = {w: c for w, c in (terms or {}).items() if not c.is_zero()}
@@ -196,9 +180,6 @@ class LinearCombination:
         out = object.__new__(cls)
         object.__setattr__(out, "terms", terms)
         return out
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
     def zero(cls):

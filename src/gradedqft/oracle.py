@@ -35,7 +35,7 @@ from itertools import repeat
 from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
 from .fields import ModeLattice
 from .gammas import METRIC
-from .linear import Frozen
+from .scalars import Frozen
 
 
 class OracleError(Exception):

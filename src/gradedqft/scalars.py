@@ -71,7 +71,7 @@ from __future__ import annotations
 import cmath
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Rational = Union[int, Fraction]
 
@@ -133,7 +133,28 @@ def canonical_sqrt(q: Rational) -> tuple[Fraction, int]:
     return Fraction(a, q.denominator), d
 
 
-class GaussianRational:
+class Frozen:
+    """Base of the engine's immutable values.  The one rule: assignment and
+    deletion of an attribute raise, and a copy or an unpickled value goes
+    back through the constructor, or through the intern table where the
+    class hash-conses its values.  A subclass names its constructor's
+    arguments, in order, in ``__match_args__``, from which ``__reduce__``
+    rebuilds it; an interned class overrides ``__reduce__`` to return the
+    interned value.  A constructor sets its fields with
+    ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+
+
+class GaussianRational(Frozen):
     """Complex number with exact rational real and imaginary parts.
 
     Stored as one integer triple ``(a, b, den)`` meaning ``(a + b*i)/den``,
@@ -154,11 +175,8 @@ class GaussianRational:
             t = (re.numerator * (den // p), im.numerator * (den // q), den)
         object.__setattr__(self, "_t", t)
 
-    def __setattr__(self, *a):
-        raise AttributeError("GaussianRational is immutable")
-
     def __reduce__(self):
-        # copies and unpickled values skip the immutability guard
+        # the triple is reduced already: the copy skips the constructor's gcd
         return _adopt, (self._t,)
 
     @property
@@ -197,9 +215,6 @@ class GaussianRational:
         if s is None:
             s = _memo(_CONST_SUM, key, _triple_sum(*key))
         return s
-
-    def __rsub__(self, other) -> "GaussianRational":
-        return -self + other
 
     def __mul__(self, other) -> "GaussianRational":
         t = other._t if type(other) is GaussianRational else _triple(other)
@@ -252,9 +267,6 @@ class GaussianRational:
     def __complex__(self) -> complex:
         a, b, den = self._t
         return complex(a / den, b / den)
-
-    def __abs__(self) -> float:
-        return abs(complex(self))
 
     def __repr__(self) -> str:
         re, im = self.re, self.im
@@ -471,7 +483,7 @@ def _square_value(key: tuple) -> "ScalarExpr":
     raise ScalarError(f"symbol {key} has no defined square")
 
 
-class ScalarExpr:
+class ScalarExpr(Frozen):
     """Canonical-form exact scalar expression."""
 
     __slots__ = ("terms",)
@@ -489,9 +501,6 @@ class ScalarExpr:
             object.__setattr__(self, "terms", terms)
         else:
             object.__setattr__(self, "terms", _normalize(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ScalarExpr is immutable")
 
     def __reduce__(self):
         # a copied or unpickled constant is the interned one
@@ -692,9 +701,6 @@ class ScalarExpr:
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
-
-    def __iter__(self) -> Iterator[tuple[Term, GaussianRational]]:
-        return iter(sorted(self.terms.items()))
 
     @property
     def n_terms(self) -> int:
@@ -1021,21 +1027,14 @@ _ONE = _constant(_ONE_T)
 _I = _constant(GR_I._t)
 
 
-class ModeIndex:
+class ModeIndex(Frozen):
     """One lattice mode: small id plus exact covariant spatial momentum."""
 
-    __slots__ = ("id", "momentum")
+    __slots__ = __match_args__ = ("id", "momentum")
 
     def __init__(self, mid: int, momentum):
         object.__setattr__(self, "id", mid)
         object.__setattr__(self, "momentum", tuple(_rat(x) for x in momentum))
-
-    def __setattr__(self, *a):
-        raise AttributeError("ModeIndex is immutable")
-
-    @staticmethod
-    def make(mid: int, momentum) -> "ModeIndex":
-        return ModeIndex(mid, momentum)
 
     def __eq__(self, other):
         if not isinstance(other, ModeIndex):
@@ -1044,6 +1043,3 @@ class ModeIndex:
 
     def __hash__(self):
         return hash((self.id, self.momentum))
-
-    def __repr__(self):
-        return f"p{self.id}{tuple(str(x) for x in self.momentum)}"

@@ -450,6 +450,9 @@ _BAD_LATTICES = {
     "duplicate-momentum": ("momenta = [[1, 0, 0], [1, 0, 0]]", "duplicate"),
     "duplicate-propagator-momentum":
         ("propagator_momenta = [[0, 1, 0], [0, 1, 0]]", "propagator_momenta"),
+    "open-propagator-momenta":
+        ("propagator_momenta = [[1, 0, 0]]",
+         "lattice.propagator_momenta must be closed under p -> -p"),
     "zero-scalar-mass":
         ('masses = {"scalar": 0, "fermion": 1, "dirac": 1}', "positive mass"),
     "negative-dirac-mass":
@@ -795,3 +798,31 @@ def test_huge_scalar_dim_exits_2_at_once():
     assert run.stderr == ("error: lattice: scalar_dim = 1000000 exceeds 64, "
                           "the largest a lattice accepts\n")
     assert run.stdout == ""
+
+
+def test_a_closed_pipe_ends_the_output_without_a_traceback(tmp_path):
+    """A reader that leaves early (`dump-lattice | head -1`) ends the run
+    with exit status 1 and nothing on stderr.  The lattice's 1331 modes
+    print some 100 kB, more than a pipe holds, so the writer is still
+    writing when the reader closes its end."""
+    import os
+    import subprocess
+    import sys
+
+    import gradedqft
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gradedqft.__file__)))
+    r = range(-5, 6)
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(
+        {"lattice": {"momenta": [[i, j, k] for i in r for j in r for k in r]}}))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gradedqft", "dump-lattice", "--config", str(config)],
+        env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert first.startswith(b"[base] 1331 modes")
+    assert b"Traceback" not in err and err == b""

@@ -104,7 +104,7 @@ def test_lattice_bounds_the_scalar_dim():
 def test_ghost_field_single_mode_shape():
     lat = ModeLattice.make([(1, 0, 0)], lie_dim=2)
     om = field("ghost", 1, X, lat)
-    w = lat.weight("ghost", lat.modes[0])
+    w = lat.row("ghost", lat.modes[0]).weight
     esq = lat.energy_sq("ghost", lat.modes[0])
     from gradedqft.fields import plane_phase
     want = GradedExpr.of(OpGen(ABSORB, UPPER, "ghost", 0, (1,)),
@@ -117,7 +117,7 @@ def test_ghost_field_single_mode_shape():
 def test_antighost_field_has_minus_absorption():
     lat = ModeLattice.make([(1, 0, 0)], lie_dim=1)
     omb = conjugate_field("ghost", 0, X, lat)
-    w = lat.weight("ghost", lat.modes[0])
+    w = lat.row("ghost", lat.modes[0]).weight
     esq = lat.energy_sq("ghost", lat.modes[0])
     from gradedqft.fields import plane_phase
     want = GradedExpr.of(OpGen(ABSORB, LOWER, "antighost", 0, (0,)),
@@ -131,7 +131,7 @@ def test_scalar_field_at_origin_phases_collapse():
     lat = one_mode_lattice()
     origin = FieldPoint.make(0, (0, 0, 0))
     f = field("scalar", 0, origin, lat)
-    w = lat.weight("scalar", lat.modes[0])
+    w = lat.row("scalar", lat.modes[0]).weight
     want = GradedExpr.of(OpGen(ABSORB, UPPER, "scalar", 0, (0,)), w) + \
         GradedExpr.of(OpGen(EMIT, UPPER, "scalar", 0, (0,)), w)
     assert f.expr == want

@@ -71,7 +71,7 @@ def test_clifford_relations_all_pairs():
 def test_gamma_hermiticity():
     assert dagger(gamma(0)) == gamma(0)
     for i in (1, 2, 3):
-        assert dagger(gamma(i)) == -gamma(i)
+        assert dagger(gamma(i)) == gamma(i).scale(-1)
 
 
 def test_gamma_index_range():

@@ -339,29 +339,42 @@ def test_merge_splice_equals_the_sorted_splice():
 
 def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
     """A copied or unpickled value is rebuilt from its constructor's
-    arguments, so it holds equal values (a point's stored hash included);
-    no attribute can be assigned or deleted."""
+    arguments, or is the interned value, so it holds equal values (a
+    point's stored hash included); no attribute can be assigned or
+    deleted."""
     import copy
     import pickle
 
     from gradedqft.bv import TheorySpec
     from gradedqft.fields import FieldPoint, ModeLattice, field
-    from gradedqft.gammas import OnShellMomentum
+    from gradedqft.gammas import OnShellMomentum, boost
     from gradedqft.lie import su2
     from gradedqft.oracle import OracleSpace
+    from gradedqft.scalars import GaussianRational, ModeIndex
 
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)])
     x = FieldPoint.make("t", (1, F(1, 2), 0))
-    values = [su2(), TheorySpec(su2()), x, OnShellMomentum.make((1, 0, 0), 2),
-              lat.row("scalar", lat.modes[0]), OracleSpace.make(lat, n_max=1).slots[0]]
+    f = field("scalar", 0, FieldPoint.make("t", "x"), lat)
+    th = TheorySpec(su2())
+    values = [su2(), th, x, OnShellMomentum.make((1, 0, 0), 2),
+              lat.row("scalar", lat.modes[0]), OracleSpace.make(lat, n_max=1).slots[0],
+              f.expr, FiberPoly.coord(th.omega(1), ScalarExpr.symbol("xi")),
+              boost(OnShellMomentum.make((1, 2, 0), 1))[0],
+              ModeIndex(3, (F(1, 2), 0, -1)), next(iter(f.expr.terms.values())),
+              Q(F(2, 3)), GaussianRational(F(1, 2), 3), lat, f]
     for value in values:
+        # an interned value's one field is its slot
+        names = getattr(value, "__match_args__", None) or \
+            (("_t",) if isinstance(value, GaussianRational) else ("terms",))
         for dup in (copy.copy, copy.deepcopy,
                     lambda v: pickle.loads(pickle.dumps(v))):
             twin = dup(value)
             assert type(twin) is type(value)
-            for name in value.__match_args__:
+            for name in names:
                 assert getattr(twin, name) == getattr(value, name), name
-        name = value.__match_args__[0]
+            if type(value).__eq__ is not object.__eq__:
+                assert twin == value
+        name = names[0]
         before = getattr(value, name)
         with pytest.raises(AttributeError):
             setattr(value, name, None)
@@ -369,5 +382,6 @@ def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
             delattr(value, name)
         assert getattr(value, name) is before
     assert pickle.loads(pickle.dumps(x)) == x and hash(copy.copy(x)) == hash(x)
+    assert copy.deepcopy(Q(F(2, 3))) is Q(F(2, 3))
     f = field("scalar", 0, x, lat)
     assert copy.copy(f) == f and copy.copy(lat) == lat

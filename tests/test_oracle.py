@@ -234,7 +234,7 @@ def test_scalar_hamiltonian_spectrum():
     lat = ModeLattice.make([(4, 0, 0)], {"scalar": 3}, scalar_dim=1)
     sp = OracleSpace.make(lat, sectors=("scalar",), n_max=3)
     res = free_hamiltonian("scalar", lat)
-    assert res.match
+    assert res.residual.is_zero()
     m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
@@ -247,7 +247,7 @@ def test_dirac_charge_spectrum():
     lat = ModeLattice.make([(4, 0, 0)], {"dirac": 3})
     sp = OracleSpace.make(lat, sectors=("dirac_particle", "dirac_antiparticle"))
     res = dirac_charge(lat)
-    assert res.match
+    assert res.residual.is_zero()
     m = _dense_represent(res.reduced, sp, BIND)
     assert np.max(np.abs(m - m.conj().T)) < 1e-12
     evals = np.sort(np.linalg.eigvalsh(m).real)
