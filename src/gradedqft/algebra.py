@@ -222,17 +222,10 @@ def _letter_bracket(x: OpGen, y: OpGen) -> tuple:
 
 def _merge(merged: dict, terms: list, weight: int) -> None:
     """merged[w] += weight * f for each (f, w) of ``terms``; a factor is an
-    int until a contraction's `ScalarExpr` has multiplied into it."""
+    int until a contraction's `ScalarExpr` has multiplied into it.  Only
+    the empty word carries a `ScalarExpr`, and it comes from one order of
+    the pair alone, so a sum never mixes an int with a `ScalarExpr`."""
     for f, w in terms:
         f = f * weight
         old = merged.get(w)
-        if old is None:
-            merged[w] = f
-        elif type(old) is int and type(f) is int:
-            merged[w] = old + f
-        else:
-            merged[w] = _scalar(old) + _scalar(f)
-
-
-def _scalar(f) -> ScalarExpr:
-    return ScalarExpr.rational(f) if type(f) is int else f
+        merged[w] = f if old is None else old + f

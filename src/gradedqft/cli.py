@@ -13,9 +13,8 @@ and the per-entry "millis" field stays null unless --timings is given
 (wall-clock noise would break byte-identical reruns); they do not depend
 on how many forked workers, one per available CPU, ran the identities
 (`_run_all`).  The exit status is 0 iff every selected check passed; a
-`verify` that selects no suite (an empty [run] suites, or only the oracle
-suite with the oracle off) stops with status 2, since it would check
-nothing.
+`verify` that selects no suite stops with status 2, since it would check
+nothing, and so does one whose oracle spaces exceed oracle.cap.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
 from .identities import RunContext, SUITES, all_identities
 from .linear import add_term
+from .oracle import OracleError
 from .scalars import GaussianRational, ScalarExpr
 
 F = Fraction
@@ -60,7 +60,7 @@ DEFAULT_CONFIG = {
         "scalar_dim": 2,
         "propagator_momenta": "cube",
     },
-    "oracle": {"enabled": True, "n_max": 3, "cap": 1024},
+    "oracle": {"n_max": 3, "cap": 1024},
 }
 
 
@@ -137,15 +137,6 @@ def _integer(value, what: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"{what} must be >= {minimum}, got {value}")
     return value
-
-
-def _flag(value, what: str) -> bool:
-    """A JSON ``true``/``false``, or INI ``true``/``false`` in any case."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, str) and value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    raise ConfigError(f"{what} must be true or false, got {value!r}")
 
 
 def _momenta(value, what: str) -> list:
@@ -259,7 +250,6 @@ def context_from_config(cfg: dict) -> RunContext:
         lattice=lattice, lattice_nozero=lattice_nozero, lattice_prop=lattice_prop,
         theory=bv.TheorySpec(data),
         seed=_integer(cfg["run"]["seed"], "run.seed"),
-        oracle_enabled=_flag(orc_cfg["enabled"], "oracle.enabled"),
         oracle_n_max=_integer(orc_cfg["n_max"], "oracle.n_max", 1),
         oracle_cap=_integer(orc_cfg["cap"], "oracle.cap", 1),
         corrupt_constant=None if corrupt is None
@@ -378,8 +368,7 @@ def _child(drain, out: int) -> None:
         os._exit(status)
 
 
-def run_verify(cfg: dict, suites=None, timings: bool = False,
-               oracle: str | None = None) -> dict:
+def run_verify(cfg: dict, suites=None, timings: bool = False) -> dict:
     """Execute the selected suites and assemble the report document."""
     ctx = context_from_config(cfg)
     if suites is None:
@@ -392,15 +381,16 @@ def run_verify(cfg: dict, suites=None, timings: bool = False,
         if s not in SUITES:
             raise ConfigError(f"unknown suite {s!r} (have {SUITES})")
     selected = [s for s in SUITES if s in suites]  # a repeated name counts once
-    if oracle == "off":
-        ctx.oracle_enabled = False
-    elif oracle == "on":
-        ctx.oracle_enabled = True
-    if not ctx.oracle_enabled:
-        selected = [s for s in selected if s != "oracle"]
     if not selected:
-        raise ConfigError("nothing to verify: no suite is selected (the "
-                          "oracle suite is dropped while the oracle is off)")
+        raise ConfigError("nothing to verify: no suite is selected")
+    if "oracle" in selected:
+        try:
+            ctx.oracle_spaces()
+        except OracleError as exc:
+            raise ConfigError(
+                f"{exc} (oracle.cap = {ctx.oracle_cap}, oracle.n_max = "
+                f"{ctx.oracle_n_max}): raise oracle.cap or leave \"oracle\" "
+                "out of run.suites") from None
     chosen = [ident for ident in all_identities() if ident.suite in selected]
     entries = _run_all(chosen, ctx, timings)
     entries.sort(key=lambda e: e["identity"])
@@ -737,7 +727,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", action="append", choices=SUITES,
                    help="restrict to a suite (repeatable)")
     v.add_argument("--format", choices=("json", "text"), default="json")
-    v.add_argument("--oracle", choices=("on", "off"), default=None)
     v.add_argument("--output", metavar="PATH", help="write the report here")
     v.add_argument("--timings", action="store_true",
                    help="record wall-clock millis (breaks byte determinism)")
@@ -759,7 +748,7 @@ def _run(ns) -> int:
     if ns.seed is not None:
         cfg["run"]["seed"] = ns.seed
     if ns.verb == "verify":
-        report = run_verify(cfg, ns.suite, ns.timings, ns.oracle)
+        report = run_verify(cfg, ns.suite, ns.timings)
         text = render_report(report, ns.format)
         if ns.output:
             with open(ns.output, "w") as fh:

@@ -115,8 +115,8 @@ class ModeRow(Frozen):
 MAX_ENERGY_SQ_SIZE = 10 ** 12
 
 #: the largest scalar_dim that a lattice accepts: the scalar and fermion
-#: checks grow about as its square, and `verify --oracle off` on the
-#: default lattice takes about 6 s at this size on two CPUs
+#: checks grow about as its square, and `verify` of every suite but
+#: `oracle` on the default lattice takes about 6 s at this size on two CPUs
 MAX_SCALAR_DIM = 64
 
 

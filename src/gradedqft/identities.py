@@ -76,14 +76,13 @@ class Identity:
 class RunContext:
     def __init__(self, lattice: ModeLattice, lattice_nozero: ModeLattice,
                  lattice_prop: ModeLattice, theory: bv.TheorySpec, seed: int,
-                 oracle_enabled: bool, oracle_n_max: int, oracle_cap: int,
+                 oracle_n_max: int, oracle_cap: int,
                  corrupt_constant: tuple | None):
         self.lattice = lattice                # configured base lattice (massive ok)
         self.lattice_nozero = lattice_nozero  # symmetric, no zero mode (massless ok)
         self.lattice_prop = lattice_prop      # propagator lattice (cube by default)
         self.theory = theory
         self.seed = seed
-        self.oracle_enabled = oracle_enabled
         self.oracle_n_max = oracle_n_max
         self.oracle_cap = oracle_cap
         self.corrupt_constant = corrupt_constant
@@ -113,6 +112,21 @@ class RunContext:
             entry = self._brst[id(theory.lie)] = (theory.lie,
                                                   bv.brst_operator(theory))
         return entry[1]
+
+    def oracle_spaces(self) -> dict:
+        """The Fock spaces of the oracle suite, by name, built anew on
+        each call; an `oracle.OracleError` if one is past ``oracle_cap``."""
+        lat, n, cap = self.lattice_nozero, self.oracle_n_max, self.oracle_cap
+        make = orc.OracleSpace.make
+        return {
+            "fermion": make(lat, ("fermion",), n, cap),
+            "scalar": make(lat, ("scalar",), n, cap, scalar_dim=1),
+            "dirac": make(lat, ("dirac_particle", "dirac_antiparticle"), n, cap),
+            "ghost": make(lat, ("ghost", "antighost"), n, cap, lie_dim=1),
+            "fermion_ghost": make(lat, ("fermion", "ghost", "antighost"), n, cap,
+                                  scalar_dim=1, lie_dim=1),
+            "one_mode": make(_one_mode_lattice(), ("scalar",), n, cap),
+        }
 
 
 # -------------------------------------------------------------------------
@@ -860,38 +874,29 @@ def brst_suite() -> list:
 _BIND = {"t": 0.37, "t2": -0.11, "x": (0.2, -0.4, 0.15), "y": (-0.3, 0.05, 0.5)}
 
 
-def oracle_suite() -> list:
-    def spaces(ctx):
-        lat = ctx.lattice_nozero
-        spf = orc.OracleSpace.make(lat, sectors=("fermion",), n_max=ctx.oracle_n_max,
-                                   cap=ctx.oracle_cap)
-        spb = orc.OracleSpace.make(lat, sectors=("scalar",), n_max=ctx.oracle_n_max,
-                                   cap=ctx.oracle_cap, scalar_dim=1)
-        spd = orc.OracleSpace.make(lat, sectors=("dirac_particle",
-                                                 "dirac_antiparticle"),
-                                   cap=ctx.oracle_cap)
-        spg = orc.OracleSpace.make(lat, sectors=("ghost", "antighost"),
-                                   cap=ctx.oracle_cap, lie_dim=1)
-        return lat, spf, spb, spd, spg
+def _one_mode_lattice() -> ModeLattice:
+    """The one-mode scalar lattice of ``oracle.functionals``."""
+    return ModeLattice.make([(4, 0, 0)], {"scalar": 3}, scalar_dim=1)
 
+
+def oracle_suite() -> list:
     def brackets(ctx):
-        lat, spf, spb, _, _ = spaces(ctx)
+        sp = ctx.oracle_spaces()
         worst = 0.0
         for p, a, b in itertools.product(range(2), range(2), range(2)):
             x = alg.super_bracket(_gen(ABSORB, UPPER, "fermion", p, a),
                                   _gen(EMIT, LOWER, "fermion", p, b))
             want = GradedExpr.unit() if a == b else GradedExpr.zero()
-            worst = max(worst, orc.residual(x, want, spf, _BIND))
+            worst = max(worst, orc.residual(x, want, sp["fermion"], _BIND))
         for p in range(2):
             x = alg.super_bracket(_gen(ABSORB, UPPER, "scalar", p, 0),
                                   _gen(EMIT, LOWER, "scalar", p, 0))
-            worst = max(worst, orc.residual(x, GradedExpr.unit(), spb, _BIND))
+            worst = max(worst, orc.residual(x, GradedExpr.unit(), sp["scalar"],
+                                            _BIND))
         return CheckResult.numeric(worst)
 
     def homomorphism(ctx):
-        lat = ctx.lattice_nozero
-        sp = orc.OracleSpace.make(lat, sectors=("fermion", "ghost", "antighost"),
-                                  cap=ctx.oracle_cap, scalar_dim=1, lie_dim=1)
+        sp = ctx.oracle_spaces()["fermion_ghost"]
         rng = ctx.rng("oracle.hom")
         worst = 0.0
         for _ in range(25):
@@ -905,7 +910,7 @@ def oracle_suite() -> list:
         return CheckResult.numeric(worst)
 
     def table(ctx):
-        lat, spf, _, _, _ = spaces(ctx)
+        lat, spf = ctx.lattice_nozero, ctx.oracle_spaces()["fermion"]
         x = FieldPoint.make("t", "x")
         y = FieldPoint.make("t2", "y")
         f = field("fermion", 0, x, lat)
@@ -916,7 +921,7 @@ def oracle_suite() -> list:
         return CheckResult.numeric(orc.residual(br, target, spf, _BIND))
 
     def dirac_ops(ctx):
-        lat, _, _, spd, _ = spaces(ctx)
+        lat, spd = ctx.lattice_nozero, ctx.oracle_spaces()["dirac"]
         worst = 0.0
         for mode in lat.modes:
             k, kinv = dirac_dressing(lat, mode)
@@ -931,7 +936,8 @@ def oracle_suite() -> list:
         return CheckResult.numeric(worst)
 
     def functionals_oracle(ctx):
-        lat, _, spb1, spd, spg = spaces(ctx)
+        lat, sp = ctx.lattice_nozero, ctx.oracle_spaces()
+        spd, spg = sp["dirac"], sp["ghost"]
         worst = 0.0
         res = fn.dirac_charge(lat)
         worst = max(worst, orc.residual(res.reduced, res.target, spd, _BIND))
@@ -945,15 +951,13 @@ def oracle_suite() -> list:
         worst = max(worst, orc.residual(res.reduced, res.target, spg, _BIND))
         res = fn.fp_current_integral(0, lat_g)
         worst = max(worst, orc.residual(res.reduced, res.target, spg, _BIND))
-        lat1 = ModeLattice.make([(4, 0, 0)], {"scalar": 3}, scalar_dim=1)
-        sp1 = orc.OracleSpace.make(lat1, sectors=("scalar",),
-                                   n_max=ctx.oracle_n_max, cap=ctx.oracle_cap)
-        res = fn.free_hamiltonian("scalar", lat1)
-        worst = max(worst, orc.residual(res.reduced, res.target, sp1, _BIND))
+        res = fn.free_hamiltonian("scalar", _one_mode_lattice())
+        worst = max(worst, orc.residual(res.reduced, res.target, sp["one_mode"],
+                                        _BIND))
         return CheckResult.numeric(worst)
 
     def negative_control(ctx):
-        lat, spf, _, _, _ = spaces(ctx)
+        lat, spf = ctx.lattice_nozero, ctx.oracle_spaces()["fermion"]
         x = FieldPoint.make("t", "x")
         y = FieldPoint.make("t2", "y")
         f = field("fermion", 0, x, lat)

@@ -88,21 +88,17 @@ def test_verify_selected_suites_pass():
     assert all(e["millis"] is None for e in report["identities"])
 
 
-@pytest.mark.parametrize("configured,suites,enabled,oracle", [
-    ([], None, True, None),
-    (["algebra"], [], True, None),
-    (["oracle"], None, True, "off"),
-    (["oracle"], None, False, None),
-], ids=["empty-config", "empty-argument", "oracle-flag-off", "oracle-config-off"])
-def test_run_verify_rejects_an_empty_selection(monkeypatch, configured, suites,
-                                               enabled, oracle):
+@pytest.mark.parametrize("configured,suites", [
+    ([], None),
+    (["algebra"], []),
+], ids=["empty-config", "empty-argument"])
+def test_run_verify_rejects_an_empty_selection(monkeypatch, configured, suites):
     import gradedqft.cli as cli
     cfg = fast_cfg()
     cfg["run"]["suites"] = configured
-    cfg["oracle"]["enabled"] = enabled
     monkeypatch.setattr(cli, "all_identities", lambda: pytest.fail("ran identities"))
     with pytest.raises(ConfigError, match="^nothing to verify: no suite is selected"):
-        run_verify(cfg, suites, oracle=oracle)
+        run_verify(cfg, suites)
 
 
 def test_verify_unknown_suite_rejected():
@@ -317,7 +313,9 @@ def test_custom_generator_config():
     (".ini", "[run]\nsed = 9\n"),
     (".json", json.dumps({"run": {"sed": 9}})),
     (".json", json.dumps({"oracle": {"n_max": 3, "capp": 8}})),
-], ids=["ini", "json", "json-oracle"])
+    (".ini", "[oracle]\nenabled = false\n"),
+    (".json", json.dumps({"oracle": {"enabled": False}})),
+], ids=["ini", "json", "json-oracle", "ini-oracle-enabled", "json-oracle-enabled"])
 def test_unknown_key_in_known_section_rejected(tmp_path, suffix, text):
     p = tmp_path / f"typo{suffix}"
     p.write_text(text)
@@ -399,43 +397,6 @@ def test_malformed_config_exits_2_saying_what_the_key_must_be(
     err = capsys.readouterr().err
     assert err.startswith("error:") and match in err
     assert "Traceback" not in err
-
-
-def _ini(tmp_path, text):
-    p = tmp_path / "run.ini"
-    p.write_text(text)
-    return load_config(str(p))
-
-
-@pytest.mark.parametrize("raw,expected", [
-    ("false", False), ("FALSE", False), ("False", False),
-    ("true", True), ("TRUE", True), ("True", True),
-], ids=["false", "FALSE", "False", "true", "TRUE", "True"])
-def test_ini_oracle_enabled_is_read_as_a_bool(tmp_path, raw, expected):
-    cfg = _ini(tmp_path, f"[oracle]\nenabled = {raw}\n")
-    assert context_from_config(cfg).oracle_enabled is expected
-
-
-@pytest.mark.parametrize("value", [True, False])
-def test_json_oracle_enabled_bool(tmp_path, value):
-    p = tmp_path / "run.json"
-    p.write_text(json.dumps({"oracle": {"enabled": value}}))
-    assert context_from_config(load_config(str(p))).oracle_enabled is value
-
-
-@pytest.mark.parametrize("raw", ["no", "off", "0", "1", "[]", "maybe"])
-def test_ini_oracle_enabled_rejects_non_bool(tmp_path, raw):
-    cfg = _ini(tmp_path, f"[oracle]\nenabled = {raw}\n")
-    with pytest.raises(ConfigError, match="oracle.enabled"):
-        context_from_config(cfg)
-
-
-@pytest.mark.parametrize("value", [0, 1, None, "yes", []])
-def test_json_oracle_enabled_rejects_non_bool(tmp_path, value):
-    p = tmp_path / "run.json"
-    p.write_text(json.dumps({"oracle": {"enabled": value}}))
-    with pytest.raises(ConfigError, match="oracle.enabled"):
-        context_from_config(load_config(str(p)))
 
 
 @pytest.mark.parametrize("value", [[], 0, ""], ids=["empty-list", "zero", "empty-string"])
@@ -569,7 +530,7 @@ def test_default_report_matches_the_golden_file(seed, hash_seed):
 def test_lattice4_report_matches_the_golden_file():
     # tests/data/verify_lattice4.json holds `verify --config
     # tests/data/lattice4.ini --format json`: the 4-mode lattice
-    # {+-e1, +-e2} with the oracle off, 53 identities
+    # {+-e1, +-e2}, every suite but oracle, 53 identities
     import os
     import subprocess
     import sys
@@ -588,7 +549,7 @@ def test_lattice4_report_matches_the_golden_file():
 def test_fractional_lattice_report_matches_the_golden_file():
     # tests/data/verify_lattice_frac.json holds `verify --config
     # tests/data/lattice_frac.ini --format json`: momenta 0, +-(1/2,0,0)
-    # and +-(0,1/3,0), scalar mass 3/2, Dirac mass 2, the oracle off; it
+    # and +-(0,1/3,0), scalar mass 3/2, Dirac mass 2, no oracle suite; it
     # pins the Fraction path of the scalar layer, 53 identities
     import os
     import subprocess
@@ -685,21 +646,36 @@ def test_empty_propagator_lattice_exits_2(tmp_path, capsys, suffix, text):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
-@pytest.mark.parametrize("argv,text", [
-    (["--oracle", "off", "--suite", "oracle"], None),
-    ([], "[run]\nsuites = []\n"),
-    ([], '[run]\nsuites = ["oracle"]\n\n[oracle]\nenabled = false\n'),
-], ids=["oracle-flag-off", "empty-suites", "oracle-config-off"])
-def test_verify_selecting_nothing_exits_2(tmp_path, capsys, argv, text):
+@pytest.mark.parametrize("text", ["[run]\nsuites = []\n"], ids=["empty-suites"])
+def test_verify_selecting_nothing_exits_2(tmp_path, capsys, text):
     # a run that checks no identity must not report success
-    if text is not None:
-        p = tmp_path / "run.ini"
-        p.write_text(text)
-        argv = argv + ["--config", str(p)]
-    assert main(["verify"] + argv) == 2
+    p = tmp_path / "run.ini"
+    p.write_text(text)
+    assert main(["verify", "--config", str(p)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: nothing to verify: no suite is "
                                    "selected")
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv,text", [
+    (["--config", str(pathlib.Path(__file__).parent / "data" / "lattice4.ini"),
+      "--suite", "oracle"], None),
+    ([], "[oracle]\nn_max = 1000000\n"),
+    ([], "[lattice]\nscalar_dim = 3\n"),
+], ids=["lattice4", "n_max", "scalar_dim"])
+def test_oracle_space_past_the_cap_exits_2(monkeypatch, tmp_path, capsys, argv,
+                                           text):
+    # the oracle spaces are built and checked before any identity runs
+    import gradedqft.cli as cli
+    monkeypatch.setattr(cli, "all_identities", lambda: pytest.fail("ran identities"))
+    if text is not None:
+        p = tmp_path / "run.ini"
+        p.write_text(text)
+        argv = ["--config", str(p)]
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "oracle.cap" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
 
 
