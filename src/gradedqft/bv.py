@@ -53,7 +53,7 @@ from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .gammas import GAMMA, METRIC
-from .lie import LieData, constant_entries
+from .lie import constant_entries
 from .linear import (Letter, LinearCombination, add_into, add_term,
                      canonical_terms, merge_splice)
 from .scalars import Frozen, ScalarExpr
@@ -269,9 +269,6 @@ class TheorySpec(Frozen):
     """Field content of the essential gauge theory over a Lie datum."""
 
     __slots__ = __match_args__ = ("lie",)
-
-    def __init__(self, lie: LieData):
-        object.__setattr__(self, "lie", lie)
 
     @property
     def n_f(self) -> int:
@@ -544,14 +541,6 @@ class GhostDecomposition(Frozen):
     d_H M and the residual of the equation."""
 
     __slots__ = __match_args__ = ("lagrangian", "s_k", "m", "dh_m", "residual")
-
-    def __init__(self, lagrangian: FiberPoly, s_k: FiberPoly, m: tuple,
-                 dh_m: FiberPoly, residual: FiberPoly):
-        object.__setattr__(self, "lagrangian", lagrangian)
-        object.__setattr__(self, "s_k", s_k)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "dh_m", dh_m)
-        object.__setattr__(self, "residual", residual)
 
 
 def ghost_lagrangian_decompose(theory: TheorySpec,

@@ -101,13 +101,6 @@ class ModeRow(Frozen):
     __slots__ = __match_args__ = ("energy_sq", "energy", "weight",
                                   "inv_two_energy")
 
-    def __init__(self, energy_sq: Fraction, energy: ScalarExpr,
-                 weight: ScalarExpr, inv_two_energy: ScalarExpr):
-        object.__setattr__(self, "energy_sq", energy_sq)
-        object.__setattr__(self, "energy", energy)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "inv_two_energy", inv_two_energy)
-
 
 #: the largest numerator x denominator of a mode's E^2 that a lattice
 #: accepts: the exact square roots of E^2 factor that product by trial
@@ -151,10 +144,8 @@ class ModeLattice(Frozen):
 
     def __init__(self, modes: tuple, masses: Mapping, scalar_dim: int = 2,
                  lie_dim: int = 1):
-        object.__setattr__(self, "modes", modes)
-        object.__setattr__(self, "masses", MappingProxyType(dict(masses)))
-        object.__setattr__(self, "scalar_dim", scalar_dim)
-        object.__setattr__(self, "lie_dim", lie_dim)
+        super().__init__(modes, MappingProxyType(dict(masses)), scalar_dim,
+                         lie_dim)
         object.__setattr__(self, "_memo", {})
 
     def __eq__(self, other):
@@ -272,8 +263,7 @@ class FieldPoint(Frozen):
     __slots__ = __match_args__ + ("_hash",)
 
     def __init__(self, t, x):
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "x", x)
+        super().__init__(t, x)
         object.__setattr__(self, "_hash", hash((t, x)))
 
     def __eq__(self, other):
@@ -334,14 +324,6 @@ class FieldExpr(Frozen):
 
     __slots__ = __match_args__ = ("expr", "sector", "component", "point",
                                   "lattice")
-
-    def __init__(self, expr: GradedExpr, sector: str, component,
-                 point: FieldPoint, lattice: ModeLattice):
-        object.__setattr__(self, "expr", expr)
-        object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "component", component)
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "lattice", lattice)
 
     def __eq__(self, other):
         if type(other) is not FieldExpr:
@@ -558,12 +540,6 @@ def delta_lattice(points: Sequence[tuple], lattice: ModeLattice) -> ScalarExpr:
 
 class IdentityCheck(Frozen):
     __slots__ = __match_args__ = ("name", "anchor", "ok", "residual_terms")
-
-    def __init__(self, name: str, anchor: str, ok: bool, residual_terms: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "anchor", anchor)
-        object.__setattr__(self, "ok", ok)
-        object.__setattr__(self, "residual_terms", residual_terms)
 
 
 def _frame(lattice: ModeLattice):

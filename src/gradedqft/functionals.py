@@ -59,11 +59,6 @@ class FunctionalError(Exception):
 class FunctionalResult(Frozen):
     __slots__ = __match_args__ = ("name", "reduced", "target")
 
-    def __init__(self, name: str, reduced: GradedExpr, target: GradedExpr):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "target", target)
-
     @property
     def residual(self) -> GradedExpr:
         return self.reduced - self.target

@@ -152,11 +152,6 @@ class OnShellMomentum(Frozen):
 
     __slots__ = __match_args__ = ("spatial", "mass", "energy_sq")
 
-    def __init__(self, spatial: tuple, mass: Fraction, energy_sq: Fraction):
-        object.__setattr__(self, "spatial", spatial)
-        object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "energy_sq", energy_sq)
-
     @staticmethod
     def make(spatial, mass) -> "OnShellMomentum":
         spatial = tuple(F(x) for x in spatial)

@@ -2,9 +2,11 @@
 
 Generators are anti-Hermitian n x n matrices over Gaussian rationals.
 ``structure_constants`` expands commutators exactly in the given basis
-(raising a non-closure error when the expansion has a residual), the
-trace forms G(X,Y) = Re Tr(XY) and H(X,Y) = Tr(X+ Y) are computed
-exactly, and index lowering uses the positive metric H.
+(raising a non-closure error when the expansion has a residual), and
+``trace_metric`` computes the one trace form H(X,Y) = Tr(X+ Y) exactly.
+On an anti-Hermitian basis H is real, symmetric and positive definite,
+and Re Tr(XY) = -H(X,Y), so no second form is stored.  No index is
+lowered: the engine contracts every Lie index with delta.
 
 Presets: u(1), su(2) with l_I = -(i/2) sigma_I (structure constants are
 the Levi-Civita epsilon), and su(3) in a rescaled Gell-Mann basis whose
@@ -112,29 +114,19 @@ def _solve_exact(cols: list[list[GaussianRational]],
 
 
 class LieData(Frozen):
-    """Generator basis with derived structure constants and trace metrics:
-    ``constants`` c[I][J][H] as Fractions, ``metric_g`` Re Tr(l_I l_J) and
-    ``metric_h`` Tr(l_I+ l_J) (positive definite) as Fraction matrices.
-    Two data are equal when all five values are."""
+    """Generator basis with derived structure constants and trace form:
+    ``constants`` c[I][J][H] and ``metric_h`` Tr(l_I+ l_J) (positive
+    definite), both as Fractions.  Two data are equal when all four values
+    are."""
 
     __slots__ = __match_args__ = ("dim_f", "generators", "constants",
-                                  "metric_g", "metric_h")
-
-    def __init__(self, dim_f: int, generators: tuple, constants: tuple,
-                 metric_g: tuple, metric_h: tuple):
-        object.__setattr__(self, "dim_f", dim_f)
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "constants", constants)
-        object.__setattr__(self, "metric_g", metric_g)
-        object.__setattr__(self, "metric_h", metric_h)
+                                  "metric_h")
 
     def __eq__(self, other):
         if type(other) is not LieData:
             return NotImplemented
-        return (self.dim_f, self.generators, self.constants, self.metric_g,
-                self.metric_h) == (other.dim_f, other.generators,
-                                   other.constants, other.metric_g,
-                                   other.metric_h)
+        return (self.dim_f, self.generators, self.constants, self.metric_h) \
+            == (other.dim_f, other.generators, other.constants, other.metric_h)
 
     @property
     def dim(self) -> int:
@@ -158,9 +150,7 @@ class LieData(Frozen):
                 why = "l_0 is zero" if k == 0 else \
                     f"l_{k} is a combination of the generators before it"
                 raise LieError(f"generators must be linearly independent: {why}")
-        constants = structure_constants(gens)
-        g_m, h_m = trace_metric(gens)
-        return LieData(n, gens, constants, g_m, hermitian_real_part(h_m))
+        return LieData(n, gens, structure_constants(gens), trace_metric(gens))
 
 
 def structure_constants(generators: Sequence[Matrix]) -> tuple:
@@ -205,21 +195,15 @@ def corrupted(lie: LieData, at: tuple) -> LieData:
     bad[i][h][j] -= 1
     return LieData(lie.dim_f, lie.generators,
                    tuple(tuple(tuple(row) for row in plane) for plane in bad),
-                   lie.metric_g, lie.metric_h)
+                   lie.metric_h)
 
 
-def trace_metric(generators: Sequence[Matrix]) -> tuple[tuple, tuple]:
-    """(G, H): G_IJ = Re Tr(l_I l_J) as Fractions and the Hermitian form
-    H_IJ = Tr(l_I+ l_J) as Gaussian rationals (complex on mixed bases),
-    each a sum of entry products: Tr(AB) = sum A_rc B_cr and
-    Tr(A+ B) = sum conj(A_rc) B_rc."""
-    gens = [(_mat(g) if not isinstance(g, tuple) else g) for g in generators]
-    flat = [[x for row in g for x in row] for g in gens]
-    flat_t = [[x for col in zip(*g) for x in col] for g in gens]
-    flat_c = [[x.conjugate() for x in f] for f in flat]
-    g_m = tuple(tuple(_dot(a, b).re for b in flat_t) for a in flat)
-    h_m = tuple(tuple(_dot(a, b) for b in flat) for a in flat_c)
-    return g_m, h_m
+def trace_metric(generators: Sequence[Matrix]) -> tuple:
+    """H_IJ = Tr(l_I+ l_J) = sum conj(l_I rc) (l_J rc) as Fractions: real,
+    because ``LieData.from_generators`` admits only anti-Hermitian bases."""
+    flat = [[x for row in g for x in row] for g in generators]
+    return tuple(tuple(_dot(a, b).re for b in flat)
+                 for a in ([x.conjugate() for x in f] for f in flat))
 
 
 def _dot(a: list, b: list) -> GaussianRational:
@@ -227,31 +211,6 @@ def _dot(a: list, b: list) -> GaussianRational:
     for x, y in zip(a, b):
         t = t + x * y
     return t
-
-
-def hermitian_real_part(h_m) -> tuple:
-    """H as a Fraction matrix; raises when any entry is not real."""
-    out = []
-    for row in h_m:
-        r = []
-        for x in row:
-            if x.im != 0:
-                raise LieError("Hermitian trace form is not real on this basis")
-            r.append(x.re)
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def lower_first_index(constants, h_metric) -> tuple:
-    """c_IJH = H_II' c^I'_JH."""
-    d = len(constants)
-    out = [[[F(0)] * d for _ in range(d)] for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            for h in range(d):
-                out[i][j][h] = sum((h_metric[i][ip] * constants[ip][j][h]
-                                    for ip in range(d)), start=F(0))
-    return tuple(tuple(tuple(r) for r in plane) for plane in out)
 
 
 # --- presets -----------------------------------------------------------

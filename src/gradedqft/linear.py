@@ -44,6 +44,9 @@ class Letter(Frozen):
 
     __slots__ = ("_key", "parity")
 
+    # a letter comes whole from ``__new__``: no Python-level constructor
+    __init__ = object.__init__
+
     @classmethod
     def _interned(cls, table: dict, values: tuple, parity: int, sort_key: tuple):
         """Build ``cls(*values)``, already validated, and enter it in

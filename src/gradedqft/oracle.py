@@ -59,12 +59,6 @@ class Slot(Frozen):
 
     __slots__ = __match_args__ = ("key", "fermionic", "dim", "eta")
 
-    def __init__(self, key: tuple, fermionic: bool, dim: int, eta: int):
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "fermionic", fermionic)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "eta", eta)
-
 
 class OracleSpace(Frozen):
     """The truncated Fock space of some slots: state c holds
@@ -73,13 +67,8 @@ class OracleSpace(Frozen):
     __match_args__ = ("slots", "index", "dimension", "n_max", "strides")
     __slots__ = __match_args__ + ("_monomials",)
 
-    def __init__(self, slots: tuple, index: dict, dimension: int, n_max: int,
-                 strides: tuple):
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "strides", strides)
+    def __init__(self, *values):
+        super().__init__(*values)
         object.__setattr__(self, "_monomials", {})
 
     @staticmethod

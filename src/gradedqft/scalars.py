@@ -140,10 +140,21 @@ class Frozen:
     class hash-conses its values.  A subclass names its constructor's
     arguments, in order, in ``__match_args__``, from which ``__reduce__``
     rebuilds it; an interned class overrides ``__reduce__`` to return the
-    interned value.  A constructor sets its fields with
-    ``object.__setattr__``."""
+    interned value.  The base constructor takes one value per name of
+    ``__match_args__``, in order, stores each under its name and raises
+    ``TypeError`` on a wrong count.  A subclass that derives or converts a
+    field writes its own constructor, storing with ``object.__setattr__``
+    or through this one."""
 
     __slots__ = ()
+
+    def __init__(self, *values):
+        names = self.__match_args__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__}({', '.join(names)}) "
+                            f"got {len(values)} values")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")

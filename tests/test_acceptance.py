@@ -272,8 +272,7 @@ def test_criterion_08_brst_suite():
         bad[0][1][0] -= 1
         s_bad = bv.brst_operator(bv.TheorySpec(lie_mod.LieData(
             th2.lie.dim_f, th2.lie.generators,
-            tuple(tuple(tuple(r) for r in p) for p in bad),
-            th2.lie.metric_g, th2.lie.metric_h)))
+            tuple(tuple(tuple(r) for r in p) for p in bad), th2.lie.metric_h)))
         assert any(not s_bad(s_bad(bv.FiberPoly.coord(th2.omega(i)))).is_zero()
                    for i in range(3))
 

@@ -127,8 +127,7 @@ def test_negative_control_corrupted_constant_breaks_nilpotency(name):
     bad[0][1][0] = bad[0][1][0] - 1  # keep index antisymmetry: the damage is Jacobi
     s_bad = brst_operator(TheorySpec(LieData(
         th.lie.dim_f, th.lie.generators,
-        tuple(tuple(tuple(r) for r in p) for p in bad),
-        th.lie.metric_g, th.lie.metric_h)))
+        tuple(tuple(tuple(r) for r in p) for p in bad), th.lie.metric_h)))
     broken = any(
         not s_bad(s_bad(FiberPoly.coord(th.omega(li)))).is_zero()
         for li in range(th.d_lie))

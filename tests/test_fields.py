@@ -441,7 +441,7 @@ def _abelian_su2():
     lie = su2()
     zeros = tuple(tuple(tuple(F(0) for _ in row) for row in plane)
                   for plane in lie.constants)
-    return LieData(lie.dim_f, lie.generators, zeros, lie.metric_g, lie.metric_h)
+    return LieData(lie.dim_f, lie.generators, zeros, lie.metric_h)
 
 
 @pytest.mark.parametrize("lie,count", [
@@ -569,6 +569,94 @@ def test_field_strength_composite_has_one_source(monkeypatch):
     assert all(status[f"equal_time.{s}"][0] == "pass"
                for s in ("scalar", "dirac", "gauge", "ghost"))
     assert _momentum_mismatch(su2()) > 0
+
+
+def _flip_energy_sign(monkeypatch):
+    """`_plane_wave` with the sign of its energy term flipped."""
+    import inspect
+
+    honest = "qsum_scale(qsum_sqrt(esq), s)"
+    source = inspect.getsource(fields._plane_wave)
+    assert source.count(honest) == 1
+    namespace = dict(vars(fields))
+    exec(source.replace(honest, "qsum_scale(qsum_sqrt(esq), -s)"), namespace)
+    monkeypatch.setattr(fields, "_plane_wave", namespace["_plane_wave"])
+
+
+def _negate_metric(monkeypatch):
+    """`gammas.METRIC` negated in every module of the package that binds it."""
+    import importlib
+    import pkgutil
+
+    import gradedqft
+    from gradedqft import gammas
+
+    honest = gammas.METRIC
+    flipped = tuple(-g for g in honest)
+    binders = []
+    for info in pkgutil.iter_modules(gradedqft.__path__):
+        module = importlib.import_module(f"gradedqft.{info.name}")
+        if getattr(module, "METRIC", None) is honest:
+            monkeypatch.setattr(module, "METRIC", flipped)
+            binders.append(info.name)
+    assert binders == ["algebra", "bv", "fields", "functionals", "gammas",
+                       "identities", "oracle"]
+
+
+def _swap_boost(monkeypatch):
+    """`gammas.boost` returning (K^-1, K), where every caller binds it."""
+    from gradedqft import gammas, identities
+
+    honest = gammas.boost
+
+    def swapped(p):
+        k, kinv = honest(p)
+        return kinv, k
+
+    for module in (gammas, fields, identities):
+        assert module.boost is honest
+        monkeypatch.setattr(module, "boost", swapped)
+
+
+#: the default-config identities that fail under each convention flip
+_ENERGY_SIGN_KILLS = {
+    "equal_time.gauge", "equal_time.ghost", "equal_time.scalar",
+    "functional.dirac_momentum.0", "functional.fp_charge",
+    "functional.fp_current_spatial", "functional.ghost_momentum.1",
+    "oracle.functionals",
+    "table.supercommutators.fermion", "table.supercommutators.scalar",
+}
+_SIGNATURE_KILLS = {
+    "dirac.clifford", "equal_time.gauge", "equal_time.ghost",
+    "functional.fermion_hamiltonian", "functional.ghost_hamiltonian",
+    "functional.ghost_momentum.0", "functional.scalar_hamiltonian",
+    "oracle.functionals",
+}
+_BOOST_SWAP_KILLS = {
+    "dirac.field_anticommutator", "dirac.frames", "dirac.mode_brackets",
+    "functional.dirac_hamiltonian", "oracle.dirac",
+}
+
+
+@pytest.mark.parametrize("flip,kills", [
+    (_flip_energy_sign, _ENERGY_SIGN_KILLS),
+    (_negate_metric, _SIGNATURE_KILLS),
+    (_swap_boost, _BOOST_SWAP_KILLS),
+], ids=["energy_sign", "signature", "boost_swap"])
+def test_convention_flip_fails_the_pinned_identities(monkeypatch, flip, kills):
+    """Mutation rows: the plane wave's energy sign flipped, the metric
+    signature negated, or K swapped with K^-1 in the Dirac dressing fails
+    exactly the identities above in the default `verify`, starting from
+    empty phase and letter-bracket tables."""
+    from gradedqft import algebra
+
+    monkeypatch.setattr(fields, "_PHASES", {})
+    monkeypatch.setattr(algebra, "_LETTER_BRACKETS", {})
+    flip(monkeypatch)
+    report = run_verify(load_config(None))
+    failed = {e["identity"] for e in report["identities"] if e["status"] != "pass"}
+    assert len(report["identities"]) == 59
+    assert failed == kills
 
 
 def test_equal_time_requires_symmetric_lattice():

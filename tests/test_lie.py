@@ -12,12 +12,9 @@ from gradedqft.lie import (
     _mul,
     _solve_exact,
     commutator,
-    hermitian_real_part,
-    lower_first_index,
     structure_constants,
     su2,
     su3,
-    trace_metric,
     u1,
 )
 from gradedqft.scalars import GaussianRational
@@ -81,6 +78,15 @@ def _inverse(sym: Sequence[Sequence[Fraction]]) -> list[list[Fraction]]:
                 f = aug[i][c]
                 aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
     return [row[n:] for row in aug]
+
+
+def lower_first_index(constants, h_metric) -> tuple:
+    """c_IJH = H_II' c^I'_JH."""
+    d = len(constants)
+    return tuple(tuple(tuple(sum((h_metric[i][ip] * constants[ip][j][h]
+                                  for ip in range(d)), start=F(0))
+                             for h in range(d)) for j in range(d))
+                 for i in range(d))
 
 
 def raise_first_index(lowered, h_metric) -> tuple:
@@ -170,10 +176,11 @@ def test_u1_is_abelian():
 
 def test_su2_trace_metric_is_half_identity():
     d = su2()
+    g_m, _ = _full_product_metrics(d.generators)
     for i in range(3):
         for j in range(3):
             assert d.metric_h[i][j] == (F(1, 2) if i == j else 0)
-            assert d.metric_g[i][j] == (F(-1, 2) if i == j else 0)
+            assert g_m[i][j] == (F(-1, 2) if i == j else 0)
 
 
 def test_su3_closure_and_identities():
@@ -273,9 +280,14 @@ def _full_product_metrics(gens) -> tuple:
 
 
 def _reference_lie_data(gens) -> LieData:
+    """The data from the full routines; on an anti-Hermitian basis
+    Tr(l_I+ l_J) is real and equals -Re Tr(l_I l_J)."""
     g_m, h_m = _full_product_metrics(gens)
-    return LieData(len(gens[0]), gens, _full_solve_constants(gens), g_m,
-                   hermitian_real_part(h_m))
+    for g_row, h_row in zip(g_m, h_m):
+        for g, h in zip(g_row, h_row):
+            assert h.im == 0 and h.re == -g
+    return LieData(len(gens[0]), gens, _full_solve_constants(gens),
+                   tuple(tuple(h.re for h in row) for row in h_m))
 
 
 @pytest.mark.parametrize("preset", [u1, su2, su3], ids=["u1", "su2", "su3"])
@@ -284,10 +296,19 @@ def test_presets_match_the_full_solve_and_full_product_routines(preset):
     assert data == _reference_lie_data(data.generators)
 
 
-def test_a_random_rational_su2_basis_matches_the_full_routines():
-    rng = random.Random(5)
+_RNG = random.Random(5)
+
+
+@pytest.mark.parametrize("mix", [
+    [[F(_RNG.randint(-3, 3), _RNG.randint(1, 3)) for _ in range(3)] for _ in range(3)],
+    # non-orthonormal: the two brst identities fail on it while every Lie
+    # index is contracted with delta
+    [[1, 1, 0], [0, 2, 1], [1, 0, 1]],
+], ids=["random", "integer"])
+def test_a_rational_su2_basis_matches_the_full_routines(mix):
+    """l'_I = mix_IJ l_J over su2: the data match the full routines, the
+    metric is not diagonal and the constants are not epsilon."""
     base = su2().generators
-    mix = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in base] for _ in base]
     gens = tuple(
         tuple(tuple(sum((GaussianRational(w) * g[r][c] for w, g in zip(row, base)),
                         start=GaussianRational(0)) for c in range(2))
@@ -295,7 +316,6 @@ def test_a_random_rational_su2_basis_matches_the_full_routines():
         for row in mix)
     data = LieData.from_generators(gens)  # raises unless the mix is invertible
     assert data == _reference_lie_data(gens)
-    # a mixed basis: the metric is not diagonal, the constants not epsilon
     assert any(data.metric_h[i][j] for i in range(3) for j in range(3) if i != j)
     assert {abs(c) for plane in data.constants for row in plane for c in row} - {0, 1}
 
@@ -313,7 +333,7 @@ def test_metric_cross_block_orthogonality_and_signature():
     # G on (L, iL) for n=2: off-blocks vanish, signature is (4, 4)
     base = unitary_basis(2)
     ibase = [[[GaussianRational(0, 1) * x for x in row] for row in m] for m in base]
-    g, _ = trace_metric(base + ibase)
+    g, _ = _full_product_metrics(base + ibase)
     d = len(base)
     for a in range(d):
         for b in range(d):
@@ -378,7 +398,7 @@ def test_presets_are_built_once_and_shared_immutable():
     for name, preset in PRESETS.items():
         data = preset()
         assert preset() is data and PRESETS[name] is preset
-        for field in ("dim_f", "generators", "constants", "metric_g", "metric_h"):
+        for field in ("dim_f", "generators", "constants", "metric_h"):
             value = getattr(data, field)
             assert isinstance(value, tuple) or field == "dim_f"
             assert _frozen_all_the_way_down(value), field

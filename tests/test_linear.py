@@ -385,3 +385,52 @@ def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
     assert copy.deepcopy(Q(F(2, 3))) is Q(F(2, 3))
     f = field("scalar", 0, x, lat)
     assert copy.copy(f) == f and copy.copy(lat) == lat
+
+
+def _frozen_sample(name: str):
+    """One value of each class that takes the base `Frozen` constructor."""
+    from gradedqft import bv, fields, functionals, gammas, lie, oracle
+
+    lat = fields.ModeLattice.make([(1, 0, 0), (-1, 0, 0)])
+    return {
+        "TheorySpec": lambda: bv.TheorySpec(lie.u1()),
+        "GhostDecomposition":
+            lambda: bv.ghost_lagrangian_decompose(bv.TheorySpec(lie.u1())),
+        "ModeRow": lambda: lat.row("scalar", lat.modes[0]),
+        "FieldExpr":
+            lambda: fields.field("scalar", 0, fields.FieldPoint.make("t", "x"), lat),
+        "IdentityCheck": lambda: fields.IdentityCheck("name", "anchor", True, 0),
+        "FunctionalResult": lambda: functionals.free_hamiltonian("scalar", lat),
+        "OnShellMomentum": lambda: gammas.OnShellMomentum.make((1, 2, 0), 1),
+        "LieData": lie.su2,
+        "Slot": lambda: oracle.OracleSpace.make(lat, n_max=1).slots[0],
+    }[name]()
+
+
+@pytest.mark.parametrize("name", [
+    "TheorySpec", "GhostDecomposition", "ModeRow", "FieldExpr", "IdentityCheck",
+    "FunctionalResult", "OnShellMomentum", "LieData", "Slot"])
+def test_base_frozen_constructor_stores_its_values_in_order(name):
+    """The classes without a constructor of their own: a wrong count of
+    values raises TypeError, the values land under ``__match_args__`` in
+    order, a copy, deep copy or pickle holds equal fields, and no field can
+    be assigned."""
+    import copy
+    import pickle
+
+    value = _frozen_sample(name)
+    cls = type(value)
+    assert cls.__name__ == name and "__init__" not in vars(cls)
+    fields = tuple(getattr(value, n) for n in cls.__match_args__)
+    for wrong in (fields[:-1], fields + (None,)):
+        with pytest.raises(TypeError, match=rf"^{name}\(.*\) got {len(wrong)} values$"):
+            cls(*wrong)
+    rebuilt = cls(*fields)
+    assert all(getattr(rebuilt, n) is v for n, v in zip(cls.__match_args__, fields))
+    for dup in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        twin = dup(value)
+        assert type(twin) is cls
+        assert tuple(getattr(twin, n) for n in cls.__match_args__) == fields
+    for n in cls.__match_args__:
+        with pytest.raises(AttributeError):
+            setattr(value, n, None)

@@ -42,8 +42,6 @@ DATA = pathlib.Path(__file__).resolve().parent / "data"
 KEPT = {
     "cli._child": "runs only in a forked verify worker, which a run "
                   "pinned to one CPU never starts",
-    "lie.lower_first_index": "the su3 metric's lowered constants: waits for "
-                             "the Lie metric through both layers",
     "scalars.ScalarExpr.partial_symbol": "waits for the one check-level "
                                          "result core",
     "scalars.ScalarExpr.conjugate": "the exact boost check gamma0 K+ gamma0 "
