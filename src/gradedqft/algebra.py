@@ -97,8 +97,8 @@ class OpGen(Letter):
         return f"a{dag}{pos}({self.sector},p{self.mode},{self.internal})"
 
 
-def _contraction(g1: OpGen, g2: OpGen) -> ScalarExpr | None:
-    """Super-bracket value of an adjacent (absorb, emit) pair, or None."""
+def _contraction(g1: OpGen, g2: OpGen) -> int | None:
+    """Super-bracket sign of an adjacent (absorb, emit) pair, or None."""
     if g1.species != ABSORB or g2.species != EMIT:
         return None
     if g1.sector != g2.sector or g1.mode != g2.mode:
@@ -112,10 +112,10 @@ def _contraction(g1: OpGen, g2: OpGen) -> ScalarExpr | None:
         lam2, i2 = g2.internal
         if lam1 != lam2 or i1 != i2:
             return None
-        return ScalarExpr.rational(METRIC[lam1])
+        return int(METRIC[lam1])
     if g1.internal != g2.internal:
         return None
-    return ScalarExpr.one()
+    return 1
 
 
 class GradedExpr(LinearCombination):
@@ -193,8 +193,7 @@ def super_bracket(a: GradedExpr, b: GradedExpr) -> GradedExpr:
                             f = f * sign
                             for g, w in canonical_terms(left + u + right,
                                                         _contraction):
-                                add_term(acc, w, c12 * (g * f if type(f) is int
-                                                        else f * g))
+                                add_term(acc, w, c12 * (g * f))
                     head ^= y.parity
     return GradedExpr._wrap(acc)
 
@@ -214,17 +213,13 @@ def _letter_bracket(x: OpGen, y: OpGen) -> tuple:
     _merge(merged, canonical_terms((x, y), _contraction), 1)
     _merge(merged, canonical_terms((y, x), _contraction),
            1 if x.parity and y.parity else -1)
-    br = tuple((f, w) for w, f in merged.items()
-               if (f != 0 if type(f) is int else not f.is_zero()))
+    br = tuple((f, w) for w, f in merged.items() if f)
     _LETTER_BRACKETS[(x, y)] = br
     return br
 
 
 def _merge(merged: dict, terms: list, weight: int) -> None:
-    """merged[w] += weight * f for each (f, w) of ``terms``; a factor is an
-    int until a contraction's `ScalarExpr` has multiplied into it.  Only
-    the empty word carries a `ScalarExpr`, and it comes from one order of
-    the pair alone, so a sum never mixes an int with a `ScalarExpr`."""
+    """merged[w] += weight * f for each (f, w) of ``terms``, in integers."""
     for f, w in terms:
         f = f * weight
         old = merged.get(w)

@@ -148,11 +148,7 @@ class ModeLattice(Frozen):
                          lie_dim)
         object.__setattr__(self, "_memo", {})
 
-    def __eq__(self, other):
-        if type(other) is not ModeLattice:
-            return NotImplemented
-        return (self.modes, self.masses, self.scalar_dim, self.lie_dim) == \
-            (other.modes, other.masses, other.scalar_dim, other.lie_dim)
+    __hash__ = None  # the masses are a mapping
 
     def __reduce__(self):
         # a copy rebuilds the read-only masses from a plain dict
@@ -266,11 +262,6 @@ class FieldPoint(Frozen):
         super().__init__(t, x)
         object.__setattr__(self, "_hash", hash((t, x)))
 
-    def __eq__(self, other):
-        if type(other) is not FieldPoint:
-            return NotImplemented
-        return self.t == other.t and self.x == other.x
-
     def __hash__(self):
         return self._hash
 
@@ -324,13 +315,6 @@ class FieldExpr(Frozen):
 
     __slots__ = __match_args__ = ("expr", "sector", "component", "point",
                                   "lattice")
-
-    def __eq__(self, other):
-        if type(other) is not FieldExpr:
-            return NotImplemented
-        return (self.expr, self.sector, self.component, self.point,
-                self.lattice) == (other.expr, other.sector, other.component,
-                                  other.point, other.lattice)
 
     def translate(self, shift_name: str) -> "FieldExpr":
         """Shift the spatial argument by a formal vector symbol."""

@@ -98,11 +98,6 @@ class SpinMatrix(Frozen):
         return tuple(ScalarExpr.sum(self.rows[i][k] * v[k] for k in range(4))
                      for i in range(4))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpinMatrix):
-            return NotImplemented
-        return self.rows == other.rows
-
     def to_complex(self) -> list[list[complex]]:
         return [[x.evaluate() for x in r] for r in self.rows]
 

@@ -105,13 +105,12 @@ class RunContext:
     def brst(self, theory: bv.TheorySpec) -> bv.VerticalDerivation:
         """The BRST operator of ``theory``, one per Lie datum, so that its
         memo of prolonged values serves every identity of the run.  The
-        operator depends on nothing else; the key is the datum's identity,
-        and the entry keeps the datum alive."""
-        entry = self._brst.get(id(theory.lie))
-        if entry is None:
-            entry = self._brst[id(theory.lie)] = (theory.lie,
-                                                  bv.brst_operator(theory))
-        return entry[1]
+        operator depends on nothing else, so the key is the datum itself:
+        two equal data share one operator."""
+        s = self._brst.get(theory.lie)
+        if s is None:
+            s = self._brst[theory.lie] = bv.brst_operator(theory)
+        return s
 
     def oracle_spaces(self) -> dict:
         """The Fock spaces of the oracle suite, by name, built anew on

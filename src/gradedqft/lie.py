@@ -122,12 +122,6 @@ class LieData(Frozen):
     __slots__ = __match_args__ = ("dim_f", "generators", "constants",
                                   "metric_h")
 
-    def __eq__(self, other):
-        if type(other) is not LieData:
-            return NotImplemented
-        return (self.dim_f, self.generators, self.constants, self.metric_h) \
-            == (other.dim_f, other.generators, other.constants, other.metric_h)
-
     @property
     def dim(self) -> int:
         return len(self.generators)

@@ -44,8 +44,10 @@ class Letter(Frozen):
 
     __slots__ = ("_key", "parity")
 
-    # a letter comes whole from ``__new__``: no Python-level constructor
+    # a letter comes whole from ``__new__``: no Python-level constructor,
+    # and no field-wise equality, which would take word hashing out of C
     __init__ = object.__init__
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     @classmethod
     def _interned(cls, table: dict, values: tuple, parity: int, sort_key: tuple):
@@ -92,8 +94,8 @@ def canonical_terms(word: tuple, contract=None) -> list:
     pair whose contraction is not None first branches into the word
     without the pair, weighted by the contraction (Wick's rule); that
     branch's terms come before the swapped word's.  A sorted word that
-    repeats an odd letter is zero and yields no term.  The factor is the
-    int 1 or -1 unless a contraction multiplied into it.
+    repeats an odd letter is zero and yields no term.  The factor is an
+    int, since a contraction is an integer sign.
     """
     out: list = []
     _insertion_sort(list(word), [g.sort_key() for g in word], 1, 1,
@@ -220,12 +222,8 @@ class LinearCombination(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return self.terms == other.terms
-
     def __hash__(self):
+        # the terms are a dict: hash them as a set of (word, hash) pairs
         return hash(frozenset((w, hash(c)) for w, c in self.terms.items()))
 
     @property
@@ -241,10 +239,7 @@ class LinearCombination(Frozen):
                 if terms:
                     c12 = c1 * c2
                     for f, w in terms:
-                        if type(f) is int:  # the sign 1 or -1
-                            add_term(acc, w, c12 if f > 0 else -c12)
-                        else:
-                            add_term(acc, w, c12 * f)
+                        add_term(acc, w, c12 if f > 0 else -c12)
         return self._wrap(acc)
 
     def parity(self) -> str:

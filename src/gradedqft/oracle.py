@@ -66,6 +66,7 @@ class OracleSpace(Frozen):
 
     __match_args__ = ("slots", "index", "dimension", "n_max", "strides")
     __slots__ = __match_args__ + ("_monomials",)
+    __hash__ = None  # the index is a dict
 
     def __init__(self, *values):
         super().__init__(*values)

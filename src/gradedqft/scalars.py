@@ -144,7 +144,13 @@ class Frozen:
     ``__match_args__``, in order, stores each under its name and raises
     ``TypeError`` on a wrong count.  A subclass that derives or converts a
     field writes its own constructor, storing with ``object.__setattr__``
-    or through this one."""
+    or through this one.
+
+    Values compare and hash by their fields: two are equal when they are
+    of one class with equal ``__match_args__`` values.  The exceptions:
+    interned letters compare by identity, ``GaussianRational`` and
+    ``ScalarExpr`` compare across types, and ``ModeLattice`` and
+    ``OracleSpace`` hold a dict, so they have no hash."""
 
     __slots__ = ()
 
@@ -161,8 +167,20 @@ class Frozen:
 
     __delattr__ = __setattr__
 
+    def _values(self) -> tuple:
+        """The field values, in the order of ``__match_args__``."""
+        return tuple([getattr(self, n) for n in self.__match_args__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
     def __reduce__(self):
-        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
+        return type(self), self._values()
 
 
 class GaussianRational(Frozen):
@@ -1046,11 +1064,3 @@ class ModeIndex(Frozen):
     def __init__(self, mid: int, momentum):
         object.__setattr__(self, "id", mid)
         object.__setattr__(self, "momentum", tuple(_rat(x) for x in momentum))
-
-    def __eq__(self, other):
-        if not isinstance(other, ModeIndex):
-            return NotImplemented
-        return self.id == other.id and self.momentum == other.momentum
-
-    def __hash__(self):
-        return hash((self.id, self.momentum))

@@ -92,6 +92,29 @@ def test_gauge_contraction_carries_metric():
     assert super_bracket(a, c).is_zero()
 
 
+def test_every_contraction_is_an_integer_sign():
+    """`_contraction` gives None or the int 1 or -1 on every letter pair of an
+    alphabet over all eight sectors and the gauge indices lambda = 0..3, so
+    every factor of the word rule is an int."""
+    from collections import Counter
+
+    from gradedqft.algebra import SECTORS, _contraction
+
+    letters = [OpGen(species, position, sector, mode, internal)
+               for sector in SECTORS
+               for internal in ([(lam, i) for lam in range(4) for i in range(2)]
+                                if sector == "gauge" else [(0,), (1,)])
+               for species in (ABSORB, EMIT) for position in (UPPER, LOWER)
+               for mode in (0, 1)]
+    seen = Counter()
+    for x in letters:
+        for y in letters:
+            c = _contraction(x, y)
+            assert c is None or (type(c) is int and c in (1, -1)), (x, y, c)
+            seen[c] += 1
+    assert seen[1] and seen[-1]
+
+
 def test_already_normal_word_unchanged():
     w = koszul_product(emit_dn("scalar", 0, 1), absorb_up("scalar", 1, 1), "physical")
     assert list(w.terms) == [(OpGen(EMIT, LOWER, "scalar", 0, (1,)),

@@ -531,6 +531,22 @@ def test_a_corrupted_context_keeps_its_clean_and_corrupted_su2_apart(monkeypatch
     assert s_squared_on_omega(bad) > 0
 
 
+def test_equal_lie_data_share_one_brst_operator():
+    """The run context keys its BRST operators on the Lie datum's value: an
+    su2 rebuilt from its generators is a distinct but equal datum and gets
+    the preset's operator, while the corrupted su2 gets its own."""
+    from gradedqft import cli, lie
+
+    ctx = cli.context_from_config(cli.load_config(None))
+    rebuilt = lie.LieData.from_generators(lie.su2().generators)
+    assert rebuilt is not lie.su2() and rebuilt == lie.su2()
+    s = ctx.brst(TheorySpec(lie.su2()))
+    assert ctx.brst(TheorySpec(rebuilt)) is s
+    bad = ctx.brst(TheorySpec(lie.corrupted(lie.su2(), (0, 0, 1))))
+    assert bad is not s
+    assert ctx.brst(TheorySpec(lie.corrupted(lie.su2(), (0, 0, 1)))) is bad
+
+
 def test_every_constant_coefficient_of_s_is_the_interned_constant():
     th = theory("su2")
     s = brst_operator(th)

@@ -388,11 +388,19 @@ def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
 
 
 def _frozen_sample(name: str):
-    """One value of each class that takes the base `Frozen` constructor."""
-    from gradedqft import bv, fields, functionals, gammas, lie, oracle
+    """One value of the `Frozen` class ``name``."""
+    from gradedqft import bv, fields, functionals, gammas, lie, oracle, scalars
 
     lat = fields.ModeLattice.make([(1, 0, 0), (-1, 0, 0)])
     return {
+        "ModeLattice": lambda: lat,
+        "OracleSpace": lambda: oracle.OracleSpace.make(lat, n_max=1),
+        "FieldPoint": lambda: fields.FieldPoint.make(1, (0, F(1, 2), 0)),
+        "SpinMatrix": lambda: gammas.GAMMA[2],
+        "ModeIndex": lambda: scalars.ModeIndex(3, (F(1, 2), 0, -1)),
+        "GradedExpr": lambda: GradedExpr.of(OpGen(EMIT, UPPER, "gauge", 1, (2, 0))),
+        "OpGen": lambda: OpGen(ABSORB, LOWER, "ghost", 0, (1,)),
+        "FiberCoord": lambda: FiberCoord("A", "field", (0, 1), (2,)),
         "TheorySpec": lambda: bv.TheorySpec(lie.u1()),
         "GhostDecomposition":
             lambda: bv.ghost_lagrangian_decompose(bv.TheorySpec(lie.u1())),
@@ -434,3 +442,48 @@ def test_base_frozen_constructor_stores_its_values_in_order(name):
     for n in cls.__match_args__:
         with pytest.raises(AttributeError):
             setattr(value, n, None)
+
+
+#: the classes whose values hold a dict (a field through its lattice), so
+#: that ``hash`` raises
+_UNHASHABLE = {"ModeLattice", "OracleSpace", "FieldExpr"}
+
+
+@pytest.mark.parametrize("name", [
+    "TheorySpec", "GhostDecomposition", "ModeRow", "FieldExpr", "IdentityCheck",
+    "FunctionalResult", "OnShellMomentum", "LieData", "Slot", "ModeLattice",
+    "OracleSpace", "FieldPoint", "SpinMatrix", "ModeIndex", "GradedExpr",
+    "OpGen", "FiberCoord"])
+def test_frozen_values_compare_and_hash_by_their_fields(name):
+    """A copy, deep copy or pickle of a value equals it and, where the value
+    is hashable, hashes alike; a value of another class with the same
+    fields is unequal; a lattice and an oracle space have no hash, and a
+    field has none through its lattice; letters compare by identity."""
+    import copy
+    import pickle
+
+    from gradedqft.linear import Letter
+    from gradedqft.scalars import Frozen
+
+    value = _frozen_sample(name)
+    cls = type(value)
+    assert cls.__name__ == name
+    twins = [dup(value) for dup in (copy.copy, copy.deepcopy,
+                                    lambda v: pickle.loads(pickle.dumps(v)))]
+    for twin in twins:
+        assert twin == value and not twin != value
+    if isinstance(value, Letter):
+        # a second object with the same fields is another letter
+        stray = object.__new__(cls)
+        for n in cls.__match_args__ + ("_key", "parity"):
+            object.__setattr__(stray, n, getattr(value, n))
+        assert stray != value and all(twin is value for twin in twins)
+    elif name in _UNHASHABLE:
+        assert (cls.__hash__ is None) == (name != "FieldExpr")
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)
+    else:
+        assert {hash(twin) for twin in twins} == {hash(value)}
+    fields = tuple(getattr(value, n) for n in cls.__match_args__)
+    other = type(name, (Frozen,), {"__match_args__": cls.__match_args__})(*fields)
+    assert other != value and value != other and not other == value
