@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import bv
 from . import lie as lie_mod
-from .fields import FieldError, FieldExpr, FieldPoint, LatticeError, ModeLattice, \
+from .fields import FieldError, FieldPoint, LatticeError, ModeLattice, \
     conjugate_field, field, propagator_D, propagator_D_total
 from .algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product, normal_order, super_bracket
@@ -519,6 +519,15 @@ _S_COORDS = {
 }
 
 
+#: the calls that `Evaluator.field` builds
+_FIELD_CALLS = ("field", "conj", "deriv")
+
+
+def _need(fname: str, pos: int, args: list, n: int) -> None:
+    if len(args) != n:
+        raise EvalError(f"{fname} takes {n} argument(s), got {len(args)}", pos)
+
+
 class Evaluator:
     """Evaluate mini-grammar expressions against the configured context."""
 
@@ -570,10 +579,8 @@ class Evaluator:
         raise EvalError(f"unknown sector {text!r}", pos)
 
     def operator(self, node) -> GradedExpr:
-        """Evaluate ``node`` to an operator expression; a field gives its own."""
+        """Evaluate ``node`` to an operator expression."""
         value = self.eval(node)
-        if isinstance(value, FieldExpr):
-            return value.expr
         if not isinstance(value, GradedExpr):
             raise EvalError("expected an operator expression", node[2])
         return value
@@ -585,34 +592,37 @@ class Evaluator:
         if kind == "name":
             raise EvalError(f"unknown identifier {node[1]!r}", node[2])
         _, fname, pos, args = node
+        if fname in _FIELD_CALLS:
+            return self.field(node)[0]
+        return self.call(fname, pos, args)
+
+    def field(self, node) -> tuple:
+        """The ``field``, ``conj`` or ``deriv`` call ``node`` as (operator
+        sum, (make, sector, component, point, jet)), the second the
+        arguments of its constructor; a ``deriv`` adds its index to the jet
+        of its field.  A FieldError points at the call that raised it."""
+        _, fname, pos, args = node
+        _need(fname, pos, args, 2 if fname == "deriv" else 3)
+        if fname != "deriv":
+            sec, idx = self.sector(args[0]), self.index(args[1])
+            spec = (field if fname == "field" else conjugate_field, sec,
+                    (0, idx) if sec == "gauge" else idx, self.point(args[2]), ())
+        elif args[0][0] == "call" and args[0][1] in _FIELD_CALLS:
+            *spec, jet = self.field(args[0])[1]
+            spec = (*spec, jet + (self.index(args[1]),))
+        else:
+            self.eval(args[0])  # an error of the operand comes first
+            raise EvalError("deriv needs a field", args[0][2])
+        make, sec, comp, x, jet = spec
         try:
-            return self.call(fname, pos, args)
+            return make(sec, comp, x, self.ctx.lattice_nozero, jet), spec
         except FieldError as exc:
             raise EvalError(str(exc), pos) from None
 
     def call(self, fname: str, pos: int, args: list):
         def need(n):
-            if len(args) != n:
-                raise EvalError(
-                    f"{fname} takes {n} argument(s), got {len(args)}", pos)
+            _need(fname, pos, args, n)
 
-        lat = self.ctx.lattice_nozero
-        if fname == "field":
-            need(3)
-            sec = self.sector(args[0])
-            comp = (0, self.index(args[1])) if sec == "gauge" \
-                else self.index(args[1])
-            return field(sec, comp, self.point(args[2]), lat)
-        if fname == "conj":
-            need(3)
-            return conjugate_field(self.sector(args[0]), self.index(args[1]),
-                                   self.point(args[2]), lat)
-        if fname == "deriv":
-            need(2)
-            f = self.eval(args[0])
-            if not isinstance(f, FieldExpr):
-                raise EvalError("deriv needs a field", args[0][2])
-            return f.deriv(self.index(args[1]))
         if fname == "scomm":
             need(2)
             return super_bracket(self.operator(args[0]), self.operator(args[1]))
@@ -691,8 +701,6 @@ def eval_expr(cfg: dict, text: str) -> str:
     ctx = context_from_config(cfg)
     node = _Parser(text).parse()
     value = Evaluator(ctx).eval(node)
-    if hasattr(value, "expr"):  # FieldExpr
-        value = value.expr
     lines = [repr(value)]
     if isinstance(value, GradedExpr):
         sc = value.scalar_part()

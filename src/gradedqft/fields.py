@@ -24,6 +24,10 @@ Conventions, fixed once for the whole engine:
   absorption, plus for bosons and minus for fermions (for ghosts the
   minus lands on the anti-ghost absorption).  The real gauge field has
   no conjugate.
+* a constructor returns the field's operator sum and takes its
+  derivative as a jet, a tuple of spacetime indices in any order (Olver,
+  *Applications of Lie Groups to Differential Equations*, ch. 2-4):
+  ``field(s, a, x, lat, (lam,))`` is d_lam phi, acting on the phases.
 
 Propagator mode sums:
 
@@ -40,9 +44,9 @@ dictionary (A^K_nu -> gauge field (nu, K), omega^I -> ghost, omegabar_I
 products).  The scalar and Dirac momenta stay written out.
 
 Everything built from the lattice alone -- the per-mode rows (E^2, E,
-w_p, (2 E)^{-1}), the Dirac dressings, the field expansions and the
-propagator mode sums -- is built once per lattice, on first use, and
-shared as an immutable value by every later caller.  A plane wave
+w_p, (2 E)^{-1}), the Dirac dressings, the field expansions under each
+jet and the propagator mode sums -- is built once per lattice, on first
+use, and shared as an immutable value by every later caller.  A plane wave
 depends only on its arguments, so it is built once per process.
 """
 
@@ -132,12 +136,13 @@ class ModeLattice(Frozen):
     The lattice never changes (``masses`` is a read-only mapping), so what
     is derived from it alone -- mode rows, Dirac dressings, field
     expansions and propagator sums -- is built on first use and kept in a
-    private memo that lives and dies with the lattice.  A build that raises
-    stores nothing, so a bad request raises again every time.  No memo
-    value refers back to the lattice (the memo keeps a field's operator
-    expression, not the ``FieldExpr``), so a lattice that nobody holds is
-    freed at once rather than by the cycle collector.  Equality, copies and
-    pickles read the four defining values, never the memo.
+    private memo that lives and dies with the lattice.  A field is keyed
+    by its sorted jet and derived from the entry whose jet is one index
+    shorter.  A build that raises stores nothing, so a bad request raises
+    again every time.  No memo value refers back to the lattice, so a
+    lattice that nobody holds is freed at once rather than by the cycle
+    collector.  Equality, copies and pickles read the four defining
+    values, never the memo.
     """
 
     __match_args__ = ("modes", "masses", "scalar_dim", "lie_dim")
@@ -310,36 +315,6 @@ def plane_phase(sign: int, esq: Fraction, momentum,
     return phase
 
 
-class FieldExpr(Frozen):
-    """A field component: operator-valued sum with phase coefficients."""
-
-    __slots__ = __match_args__ = ("expr", "sector", "component", "point",
-                                  "lattice")
-
-    def translate(self, shift_name: str) -> "FieldExpr":
-        """Shift the spatial argument by a formal vector symbol."""
-        if not isinstance(self.point.x, str):
-            raise FieldError("translation needs a symbolic position")
-        xn = self.point.x
-        return FieldExpr(self.expr.map_coeff(lambda c: c.translate_space(xn, shift_name)),
-                         self.sector, self.component, self.point, self.lattice)
-
-    def deriv(self, lam: int) -> "FieldExpr":
-        """Formal d/dx^lambda acting on the phases."""
-        if lam not in range(4):
-            raise FieldError(f"derivative index {lam!r} is outside 0..3")
-        if lam == 0:
-            if not isinstance(self.point.t, str):
-                raise FieldError("time derivative needs a symbolic time")
-            fn = lambda c: c.d_dt(self.point.t)
-        else:
-            if not isinstance(self.point.x, str):
-                raise FieldError("space derivative needs a symbolic position")
-            fn = lambda c: c.d_dx(self.point.x, lam - 1)
-        return FieldExpr(self.expr.map_coeff(fn), self.sector, self.component,
-                         self.point, self.lattice)
-
-
 # --- Dirac dressing ------------------------------------------------------
 
 def dirac_dressing(lattice: ModeLattice, mode: ModeIndex):
@@ -404,10 +379,10 @@ for _s, _rows in _FIELD_ROWS.items():
 
 
 def _expand(kind: str, sector: str, component, x: FieldPoint,
-            lattice: ModeLattice) -> FieldExpr:
-    """Mode sum of one table entry, a FieldError when the table holds none.
-    The operator expression is built once per lattice for each (kind,
-    sector, internal index, point) and shared by every FieldExpr."""
+            lattice: ModeLattice, jet: tuple = ()) -> GradedExpr:
+    """Mode sum of one table entry under d_jet, a FieldError when the table
+    holds none.  A jet is a tuple of spacetime indices in any order: d/dt
+    needs a symbolic time, d/dx^i a symbolic position."""
     if (kind, sector) not in _EXPANSIONS:
         raise FieldError(f"no {kind} expansion for sector {sector!r}")
     if sector == "gauge":
@@ -419,9 +394,34 @@ def _expand(kind: str, sector: str, component, x: FieldPoint,
         inside = internal[0] in lattice.internal_range(sector)
     if not inside:
         raise FieldError(f"component {component!r} is outside the {sector} sector")
-    expr = lattice._cached(("expand", kind, sector, internal, x),
-                           lambda: _mode_sum(kind, sector, internal, x, lattice))
-    return FieldExpr(expr, sector, component, x, lattice)
+    for lam in jet:
+        if lam not in range(4):
+            raise FieldError(f"derivative index {lam!r} is outside 0..3")
+        if lam == 0 and not isinstance(x.t, str):
+            raise FieldError("time derivative needs a symbolic time")
+        if lam != 0 and not isinstance(x.x, str):
+            raise FieldError("space derivative needs a symbolic position")
+    return _jet_entry(lattice, (kind, sector, internal, x), tuple(sorted(jet)))
+
+
+def _jet_entry(lattice: ModeLattice, key: tuple, jet: tuple) -> GradedExpr:
+    """The memo entry of the field ``key`` = (kind, sector, internal index,
+    point) under the sorted ``jet``: built once per lattice, from the
+    entry whose jet is one index shorter."""
+    def build() -> GradedExpr:
+        if not jet:
+            return _mode_sum(*key, lattice)
+        return _derivative(_jet_entry(lattice, key, jet[:-1]), jet[-1], key[3])
+
+    return lattice._cached(("expand", *key, jet), build)
+
+
+def _derivative(e: GradedExpr, lam: int, x: FieldPoint) -> GradedExpr:
+    """d/dx^lam of the operator sum ``e`` at x: the formal derivative of
+    each phase coefficient."""
+    if lam == 0:
+        return e.map_coeff(lambda c: c.d_dt(x.t))
+    return e.map_coeff(lambda c: c.d_dx(x.x, lam - 1))
 
 
 def _mode_sum(kind: str, sector: str, internal: tuple, x: FieldPoint,
@@ -451,32 +451,35 @@ def _mode_sum(kind: str, sector: str, internal: tuple, x: FieldPoint,
     return GradedExpr(acc)
 
 
-def field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
+def field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
+          jet: tuple = ()) -> GradedExpr:
     """The free field component at x (particle absorption plus
-    anti-particle emission)."""
-    return _expand("field", sector, component, x, lattice)
+    anti-particle emission), under d_jet."""
+    return _expand("field", sector, component, x, lattice, jet)
 
 
 def conjugate_field(sector: str, component, x: FieldPoint,
-                    lattice: ModeLattice) -> FieldExpr:
+                    lattice: ModeLattice, jet: tuple = ()) -> GradedExpr:
     """The conjugate free field: particle emission and anti-particle
     absorption, the latter with +1 for bosons and -1 for fermions."""
     if sector in ("gauge", "nl"):
         raise RealSectorError(f"sector {sector!r} is real; no conjugate field")
-    return _expand("conjugate", sector, component, x, lattice)
+    return _expand("conjugate", sector, component, x, lattice, jet)
 
 
-def star_field(sector: str, component, x: FieldPoint, lattice: ModeLattice) -> FieldExpr:
+def star_field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
+               jet: tuple = ()) -> GradedExpr:
     """Operator transpose of the field: emissions ride the absorption
     phase and vice versa (generic sectors only)."""
-    return _expand("star", sector, component, x, lattice)
+    return _expand("star", sector, component, x, lattice, jet)
 
 
 def conj_C_field(sector: str, component, x: FieldPoint, lattice: ModeLattice,
-                 star: bool = False) -> FieldExpr:
+                 star: bool = False, jet: tuple = ()) -> GradedExpr:
     """Plain complex conjugate of the field (and its transpose when
     ``star``): lowered-index operators with observer-dependent phases."""
-    return _expand("conj_C_star" if star else "conj_C", sector, component, x, lattice)
+    return _expand("conj_C_star" if star else "conj_C", sector, component, x,
+                   lattice, jet)
 
 
 # --- propagators ---------------------------------------------------------
@@ -555,7 +558,7 @@ def _fiber_letter(c: bv.FiberCoord, y: FieldPoint, lattice: ModeLattice) -> Grad
         raise FieldError(f"fiber coordinate {c!r} has no field operator")
     make, sector = _FIBER_FIELDS[c.sector]
     comp = c.idx[::-1] if c.sector == "A" else c.idx[0]
-    return reduce(FieldExpr.deriv, c.jet, make(sector, comp, y, lattice)).expr
+    return make(sector, comp, y, lattice, c.jet)
 
 
 def _momentum_rule(lagr: bv.FiberPoly, y: FieldPoint,
@@ -583,14 +586,6 @@ def _square(indices: range, pair: Callable) -> list:
     return [(f"{i}{j}", *pair(i, j), i == j) for i in indices for j in indices]
 
 
-def _ops(make: Callable, sector: str, indices, point: FieldPoint,
-         lattice: ModeLattice, lam: int | None = None) -> list:
-    """Operator sums of the components make(sector, i, point) for i in
-    indices, each under d_lam unless lam is None."""
-    comps = (make(sector, i, point, lattice) for i in indices)
-    return [(f if lam is None else f.deriv(lam)).expr for f in comps]
-
-
 def _pair_checks(sector: str, rows, dlat: ScalarExpr) -> list:
     """One check per row (tag, anchor, cases, weight) and case (label,
     left, right, diagonal): the super-bracket of the operator sums left
@@ -612,12 +607,12 @@ def _scalar_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
     x, y, dlat = _frame(lattice)
     ab = lattice.internal_range("scalar")
     i_ = ScalarExpr.i()
-    phi = _ops(field, "scalar", ab, x, lattice)
-    phi_y = _ops(field, "scalar", ab, y, lattice)
-    phib = _ops(conjugate_field, "scalar", ab, y, lattice)
-    dphi = _ops(field, "scalar", ab, x, lattice, 0)
-    dphib = _ops(conjugate_field, "scalar", ab, y, lattice, 0)
-    dphib_x = _ops(conjugate_field, "scalar", ab, x, lattice, 0)
+    phi = [field("scalar", a, x, lattice) for a in ab]
+    phi_y = [field("scalar", a, y, lattice) for a in ab]
+    phib = [conjugate_field("scalar", a, y, lattice) for a in ab]
+    dphi = [field("scalar", a, x, lattice, (0,)) for a in ab]
+    dphib = [conjugate_field("scalar", a, y, lattice, (0,)) for a in ab]
+    dphib_x = [conjugate_field("scalar", a, x, lattice, (0,)) for a in ab]
     pi = [f.scale(ScalarExpr.rational(F(1, 2))) for f in dphib]
     return _pair_checks("scalar", (
         ("comm", "[phi^a(x), phibar_b(y)] = 0 at x0=y0",
@@ -643,8 +638,8 @@ def _dirac_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
     m = lattice.mass("dirac")
     scale = ScalarExpr.sqrt_rational(2 * m)
     spins = range(4)
-    psi = _ops(field, "dirac", spins, y, lattice)
-    psib = _ops(conjugate_field, "dirac", spins, x, lattice)
+    psi = [field("dirac", al, y, lattice) for al in spins]
+    psib = [conjugate_field("dirac", al, x, lattice) for al in spins]
     psi_s = [f.scale(scale) for f in psi]
     # Pi_al = i sqrt(2m) psibar_rho gamma0^rho_al and (gamma0 psi)^be
     pi = [GradedExpr.sum(psib[rho].scale(i_ * scale * GAMMA[0][rho, al])
@@ -665,9 +660,9 @@ def gauge_equal_time_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list
     L_gauge + L_ghost with its quadratic terms kept."""
     x, y, dlat = _frame(lattice)
     lie = range(lattice.lie_dim)
-    a_x = [[field("gauge", (lam, li), x, lattice).expr for li in lie]
+    a_x = [[field("gauge", (lam, li), x, lattice) for li in lie]
            for lam in range(4)]
-    a_y = [field("gauge", (mu, 0), y, lattice).expr for mu in range(4)]
+    a_y = [field("gauge", (mu, 0), y, lattice) for mu in range(4)]
     momentum = _momentum_rule(
         bv.lagrangian_gauge(theory) + bv.lagrangian_ghost(theory), y, lattice)
     pi = [[momentum(theory.a_gauge(lj, mu)) for lj in lie] for mu in range(4)]
@@ -693,13 +688,13 @@ def ghost_momentum_checks(lattice: ModeLattice, theory: bv.TheorySpec) -> list:
     momentum = _momentum_rule(bv.lagrangian_ghost(theory), y, lattice)
     pi_om = [momentum(theory.omega(li)) for li in lie]
     pi_bar = [momentum(theory.omegabar(li)) for li in lie]
-    om_x = _ops(field, "ghost", lie, x, lattice)
-    om_y = _ops(field, "ghost", lie, y, lattice)
-    dom_x = _ops(field, "ghost", lie, x, lattice, 0)
-    omb_x = _ops(conjugate_field, "ghost", lie, x, lattice)
-    domb_x = _ops(conjugate_field, "ghost", lie, x, lattice, 0)
-    omb_y = _ops(conjugate_field, "ghost", lie, y, lattice)
-    a0_y = [field("gauge", (0, li), y, lattice).expr for li in lie]
+    om_x = [field("ghost", li, x, lattice) for li in lie]
+    om_y = [field("ghost", li, y, lattice) for li in lie]
+    dom_x = [field("ghost", li, x, lattice, (0,)) for li in lie]
+    omb_x = [conjugate_field("ghost", li, x, lattice) for li in lie]
+    domb_x = [conjugate_field("ghost", li, x, lattice, (0,)) for li in lie]
+    omb_y = [conjugate_field("ghost", li, y, lattice) for li in lie]
+    a0_y = [field("gauge", (0, li), y, lattice) for li in lie]
     # the labels name the omegabar index first
     return _pair_checks("ghost", (
         ("dbar_om", "{d0 omegabar_J(x), omega^I(y)} = i d^I_J dlat(x-y)",

@@ -37,13 +37,7 @@ from .algebra import (
     OpGen,
     normal_order,
 )
-from .fields import (
-    FieldExpr,
-    FieldPoint,
-    ModeLattice,
-    conjugate_field,
-    field,
-)
+from .fields import FieldPoint, ModeLattice, conjugate_field, field
 from .gammas import GAMMA, METRIC
 from .linear import add_into, add_term, canonical_terms
 from .scalars import Frozen, ScalarExpr
@@ -143,10 +137,10 @@ def fp_charge_target(lattice: ModeLattice, lam: int) -> GradedExpr:
 
 # --- functional builders ---------------------------------------------------
 #
-# A functional is a list of rows (w, a, mu, b, nu) over one sector; a row
-# stands for the term  integral of  w d_mu phibar_a d_nu phi_b,  where the
-# weight w is a ScalarExpr or a rational and None in place of mu or nu
-# means no derivative.
+# A functional is a list of rows (w, a, J, b, K) over one sector; a row
+# stands for the term  integral of  w d_J phibar_a d_K phi_b,  where the
+# weight w is a ScalarExpr or a rational and the jets J and K are tuples
+# of spacetime indices, () for no derivative.
 
 _HALF_I = ScalarExpr.rational(F(1, 2)) * _I
 
@@ -156,23 +150,23 @@ def _opposite(v):
     return None if v is None else tuple(-a for a in v)
 
 
-def _x_index(phi: FieldExpr, xname: str) -> dict:
+def _x_index(phi: GradedExpr, xname: str) -> dict:
     """The words of ``phi`` indexed by x-vector: {v: [(word, part), ...]},
     ``part`` the terms of the word's coefficient with x-vector v."""
     index: dict = {}
-    for w, c in phi.expr.terms.items():
+    for w, c in phi.terms.items():
         for v, part in c.by_position(xname).items():
             index.setdefault(v, []).append((w, part))
     return index
 
 
-def _matched_product(bar: FieldExpr, phi_index: dict, xname: str) -> GradedExpr:
+def _matched_product(bar: GradedExpr, phi_index: dict, xname: str) -> GradedExpr:
     """The terms of the density bar phi (the modified-rule product) that
     survive the spatial integral: only coefficient terms whose x-vectors
     cancel are multiplied, word pairs in the order the full product takes
     them."""
     acc: dict = {}
-    for w1, c1 in bar.expr.terms.items():
+    for w1, c1 in bar.terms.items():
         for v, c1v in c1.by_position(xname).items():
             for w2, c2 in phi_index.get(_opposite(v), ()):
                 terms = canonical_terms(w1 + w2)
@@ -186,67 +180,60 @@ def _matched_product(bar: FieldExpr, phi_index: dict, xname: str) -> GradedExpr:
 def _integral(lattice: ModeLattice, sector: str, rows) -> GradedExpr:
     """Spatial integral of the rows' density, normal-ordered.  Rows with
     the same fields are merged first, so each product is taken once, and
-    each derived field is indexed once per call and built once per
-    lattice (in the lattice's memo).  Plane waves are orthonormal on the
+    each derived field is indexed once per call (and built once per
+    lattice, by its constructor).  Plane waves are orthonormal on the
     lattice, so of each product only the word pairs whose x-vectors
     cancel are formed (`_matched_product`); `spatial_integral` then drops
     nothing but still rejects a foreign position."""
     x = FieldPoint.make("t", "x")
     weights: dict = {}
-    for w, a, mu, b, nu in rows:
+    for w, a, j, b, k in rows:
         if not isinstance(w, ScalarExpr):
             w = ScalarExpr.rational(w)
-        add_term(weights, (a, mu, b, nu), w)
-
-    def part(make, c, lam) -> FieldExpr:
-        f = make(sector, c, x, lattice)
-        if lam is None:
-            return f
-        return FieldExpr(lattice._cached(
-            ("deriv", make.__name__, sector, c, x, lam), lambda: f.deriv(lam).expr),
-            f.sector, f.component, f.point, f.lattice)
+        add_term(weights, (a, j, b, k), w)
 
     indexed: dict = {}
     dens: dict = {}
-    for (a, mu, b, nu), w in weights.items():
-        if (b, nu) not in indexed:
-            indexed[b, nu] = _x_index(part(field, b, nu), x.x)
-        prod = _matched_product(part(conjugate_field, a, mu), indexed[b, nu], x.x)
+    for (a, j, b, k), w in weights.items():
+        if (b, k) not in indexed:
+            indexed[b, k] = _x_index(field(sector, b, x, lattice, k), x.x)
+        prod = _matched_product(conjugate_field(sector, a, x, lattice, j),
+                                indexed[b, k], x.x)
         add_into(dens, prod.scale(w).terms)
     return spatial_integral(GradedExpr(dens), x)
 
 
-def _diagonal(lattice: ModeLattice, sector: str, w, mu, nu) -> list:
-    """Rows w d_mu phibar_a d_nu phi_a, one per internal index a."""
-    return [(w, a, mu, a, nu) for a in lattice.internal_range(sector)]
+def _diagonal(lattice: ModeLattice, sector: str, w, j: tuple, k: tuple) -> list:
+    """Rows w d_J phibar_a d_K phi_a, one per internal index a."""
+    return [(w, a, j, a, k) for a in lattice.internal_range(sector)]
 
 
-def _gamma_rows(lam: int, w: ScalarExpr, mu, nu) -> list:
-    """Rows w gamma^lam_{al be} d_mu psibar_al d_nu psi_be."""
-    return [(w * GAMMA[lam][al, be], al, mu, be, nu)
+def _gamma_rows(lam: int, w: ScalarExpr, j: tuple, k: tuple) -> list:
+    """Rows w gamma^lam_{al be} d_J psibar_al d_K psi_be."""
+    return [(w * GAMMA[lam][al, be], al, j, be, k)
             for al in range(4) for be in range(4)]
 
 
 def dirac_charge(lattice: ModeLattice) -> FunctionalResult:
     """Spatial integral of psibar gamma^0 psi."""
-    red = _integral(lattice, "dirac", _gamma_rows(0, ScalarExpr.one(), None, None))
+    red = _integral(lattice, "dirac", _gamma_rows(0, ScalarExpr.one(), (), ()))
     return FunctionalResult("dirac_charge", red, dirac_charge_target(lattice))
 
 
 def four_momentum(sector: str, lam: int, lattice: ModeLattice) -> FunctionalResult:
     if sector == "dirac":
         # (i/2)(psibar gamma0 d_lam psi - d_lam psibar gamma0 psi)
-        rows = _gamma_rows(0, -_HALF_I, lam, None) + \
-            _gamma_rows(0, _HALF_I, None, lam)
+        rows = _gamma_rows(0, -_HALF_I, (lam,), ()) + \
+            _gamma_rows(0, _HALF_I, (), (lam,))
         target = dirac_momentum_target(lattice, lam)
     elif sector == "ghost":
         # d0 omegabar d_lam omega + d_lam omegabar d0 omega
         #   - d^0_lam g^{mu nu} d_mu omegabar d_nu omega
-        rows = _diagonal(lattice, "ghost", 1, 0, lam) + \
-            _diagonal(lattice, "ghost", 1, lam, 0)
+        rows = _diagonal(lattice, "ghost", 1, (0,), (lam,)) + \
+            _diagonal(lattice, "ghost", 1, (lam,), (0,))
         if lam == 0:
             rows += [row for nu in range(4)
-                     for row in _diagonal(lattice, "ghost", -METRIC[nu], nu, nu)]
+                     for row in _diagonal(lattice, "ghost", -METRIC[nu], (nu,), (nu,))]
         target = ghost_momentum_target(lattice, lam)
     else:
         raise FunctionalError(f"no 4-momentum builder for sector {sector!r}")
@@ -259,10 +246,10 @@ def scalar_h_pieces(lattice: ModeLattice, sector: str = "scalar"):
     spatially integrated but not summed: time, gradient, mass."""
     m = lattice.mass(sector)
     return tuple(_integral(lattice, sector, rows) for rows in (
-        _diagonal(lattice, sector, F(1, 2), 0, 0),
+        _diagonal(lattice, sector, F(1, 2), (0,), (0,)),
         [row for i in range(1, 4)
-         for row in _diagonal(lattice, sector, F(-METRIC[i], 2), i, i)],
-        _diagonal(lattice, sector, m * m / 2, None, None)))
+         for row in _diagonal(lattice, sector, F(-METRIC[i], 2), (i,), (i,))],
+        _diagonal(lattice, sector, m * m / 2, (), ())))
 
 
 def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
@@ -273,8 +260,8 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
     if sector == "dirac":
         # (i/2)(d_i psibar gamma^i psi - psibar gamma^i d_i psi) + m psibar psi
         rows = [row for i in range(1, 4) for row in
-                _gamma_rows(i, _HALF_I, i, None) + _gamma_rows(i, -_HALF_I, None, i)]
-        rows += _diagonal(lattice, "dirac", lattice.mass("dirac"), None, None)
+                _gamma_rows(i, _HALF_I, (i,), ()) + _gamma_rows(i, -_HALF_I, (), (i,))]
+        rows += _diagonal(lattice, "dirac", lattice.mass("dirac"), (), ())
         return FunctionalResult("dirac_hamiltonian", _integral(lattice, "dirac", rows),
                                 dirac_momentum_target(lattice, 0))
     if sector == "ghost":
@@ -287,7 +274,7 @@ def free_hamiltonian(sector: str, lattice: ModeLattice) -> FunctionalResult:
 def fp_current_integral(lam: int, lattice: ModeLattice) -> FunctionalResult:
     """g^{lam mu} integral of (d_mu omegabar_I omega^I - omegabar_I d_mu omega^I)."""
     g = METRIC[lam]
-    rows = _diagonal(lattice, "ghost", g, lam, None) + \
-        _diagonal(lattice, "ghost", -g, None, lam)
+    rows = _diagonal(lattice, "ghost", g, (lam,), ()) + \
+        _diagonal(lattice, "ghost", -g, (), (lam,))
     return FunctionalResult(f"fp_current[{lam}]", _integral(lattice, "ghost", rows),
                             fp_charge_target(lattice, lam))

@@ -94,6 +94,7 @@ class RunContext:
         # starts empty, so no operator built before a kernel is patched can
         # serve a run after it.
         self._brst: dict = {}
+        self._oracle_spaces: dict | None = None
 
     def rng(self, tag: str) -> random.Random:
         return random.Random(f"{self.seed}:{tag}")
@@ -113,19 +114,24 @@ class RunContext:
         return s
 
     def oracle_spaces(self) -> dict:
-        """The Fock spaces of the oracle suite, by name, built anew on
-        each call; an `oracle.OracleError` if one is past ``oracle_cap``."""
-        lat, n, cap = self.lattice_nozero, self.oracle_n_max, self.oracle_cap
-        make = orc.OracleSpace.make
-        return {
-            "fermion": make(lat, ("fermion",), n, cap),
-            "scalar": make(lat, ("scalar",), n, cap, scalar_dim=1),
-            "dirac": make(lat, ("dirac_particle", "dirac_antiparticle"), n, cap),
-            "ghost": make(lat, ("ghost", "antighost"), n, cap, lie_dim=1),
-            "fermion_ghost": make(lat, ("fermion", "ghost", "antighost"), n, cap,
-                                  scalar_dim=1, lie_dim=1),
-            "one_mode": make(_one_mode_lattice(), ("scalar",), n, cap),
-        }
+        """The Fock spaces of the oracle suite, by name, built on the first
+        call and shared after it; an `oracle.OracleError` if one is past
+        ``oracle_cap``.  The scalar and ghost spaces take one internal index."""
+        if self._oracle_spaces is None:
+            lat, n, cap = self.lattice_nozero, self.oracle_n_max, self.oracle_cap
+            one = ModeLattice.make([m.momentum for m in lat.modes], lat.masses,
+                                   scalar_dim=1, lie_dim=1)
+            one_mode = ModeLattice.make([(4, 0, 0)], {"scalar": 3}, scalar_dim=1)
+            make = orc.OracleSpace.make
+            self._oracle_spaces = {
+                "fermion": make(lat, ("fermion",), n, cap),
+                "scalar": make(one, ("scalar",), n, cap),
+                "dirac": make(lat, ("dirac_particle", "dirac_antiparticle"), n, cap),
+                "ghost": make(one, ("ghost", "antighost"), n, cap),
+                "fermion_ghost": make(one, ("fermion", "ghost", "antighost"), n, cap),
+                "one_mode": make(one_mode, ("scalar",), n, cap),
+            }
+        return self._oracle_spaces
 
 
 # -------------------------------------------------------------------------
@@ -359,9 +365,6 @@ def _table_identity(ctx, sector):
     zero, one = ScalarExpr.zero(), ScalarExpr.one()
     sgn = ScalarExpr.rational(1 if sector == "scalar" else -1)
 
-    def d(f, lam):
-        return f if lam is None else f.deriv(lam)
-
     def prop(points, s_minus, lam, flip=False):
         """(D+ + s_minus D-)_{,lam} at points, negated when ``flip``."""
         got = propagator_D(+1, points, lat, sector, deriv=lam) + \
@@ -374,23 +377,25 @@ def _table_identity(ctx, sector):
             d_ab = one if a == b else zero
             f = field(sector, a, x, lat)
             fb = conjugate_field(sector, b, y, lat)
-            g = field(sector, b, y, lat)
-            gs = star_field(sector, b, y, lat)
             fs = star_field(sector, a, x, lat)
-            cphi = conj_C_field(sector, b, y, lat)
-            cphis = conj_C_field(sector, b, y, lat, star=True)
             for lam in (None, *range(4)):
                 # d/dy of a function of x - y is minus d/dx
                 dy = lam is not None
-                rows = [(f, d(g, lam), zero), (f, d(gs, lam), zero),
-                        (fs, d(gs, lam), zero),
-                        (f, d(fb, lam), d_ab * prop(xy, one, lam, dy)),
-                        (f, d(cphi, lam), d_ab * prop(xpy, sgn, lam)),
-                        (f, d(cphis, lam), d_ab * prop(xy, sgn, lam, dy))]
+                jet = (lam,) if dy else ()
+                gs = star_field(sector, b, y, lat, jet)
+                rows = [(f, field(sector, b, y, lat, jet), zero), (f, gs, zero),
+                        (fs, gs, zero),
+                        (f, conjugate_field(sector, b, y, lat, jet),
+                         d_ab * prop(xy, one, lam, dy)),
+                        (f, conj_C_field(sector, b, y, lat, jet=jet),
+                         d_ab * prop(xpy, sgn, lam)),
+                        (f, conj_C_field(sector, b, y, lat, True, jet),
+                         d_ab * prop(xy, sgn, lam, dy))]
                 if dy:
-                    rows.append((f.deriv(lam), fb, d_ab * prop(xy, one, lam)))
+                    rows.append((field(sector, a, x, lat, jet), fb,
+                                 d_ab * prop(xy, one, lam)))
                 for left, right, want in rows:
-                    br = alg.super_bracket(left.expr, right.expr)
+                    br = alg.super_bracket(left, right)
                     bad += (br - GradedExpr.unit(want)).n_terms
     return CheckResult.exact(bad)
 
@@ -401,8 +406,10 @@ def _table_translation(ctx):
     y = FieldPoint.make("t2", "y")
     f = field("scalar", 0, x, lat)
     fb = conjugate_field("scalar", 0, y, lat)
-    before = alg.super_bracket(f.expr, fb.expr)
-    after = alg.super_bracket(f.translate("a").expr, fb.translate("a").expr)
+    before = alg.super_bracket(f, fb)
+    # both spatial arguments moved by the formal vector a
+    after = alg.super_bracket(f.map_coeff(lambda c: c.translate_space("x", "a")),
+                              fb.map_coeff(lambda c: c.translate_space("y", "a")))
     return CheckResult.exact((before - after).n_terms)
 
 
@@ -523,8 +530,8 @@ def dirac_suite() -> list:
         bad = 0
         for al in range(4):
             for be in range(4):
-                got = alg.super_bracket(conjugate_field("dirac", al, x, lat).expr,
-                                        field("dirac", be, y, lat).expr)
+                got = alg.super_bracket(conjugate_field("dirac", al, x, lat),
+                                        field("dirac", be, y, lat))
                 want = ScalarExpr.zero()
                 if al == be:
                     want = want + ScalarExpr.rational(-m) * d_tot
@@ -873,11 +880,6 @@ def brst_suite() -> list:
 _BIND = {"t": 0.37, "t2": -0.11, "x": (0.2, -0.4, 0.15), "y": (-0.3, 0.05, 0.5)}
 
 
-def _one_mode_lattice() -> ModeLattice:
-    """The one-mode scalar lattice of ``oracle.functionals``."""
-    return ModeLattice.make([(4, 0, 0)], {"scalar": 3}, scalar_dim=1)
-
-
 def oracle_suite() -> list:
     def brackets(ctx):
         sp = ctx.oracle_spaces()
@@ -914,7 +916,7 @@ def oracle_suite() -> list:
         y = FieldPoint.make("t2", "y")
         f = field("fermion", 0, x, lat)
         fb = conjugate_field("fermion", 0, y, lat)
-        br = alg.super_bracket(f.expr, fb.expr)
+        br = alg.super_bracket(f, fb)
         target = GradedExpr.unit(propagator_D_total([(1, x), (-1, y)], lat,
                                                     "fermion"))
         return CheckResult.numeric(orc.residual(br, target, spf, _BIND))
@@ -943,14 +945,12 @@ def oracle_suite() -> list:
         for lam in range(4):
             res = fn.four_momentum("dirac", lam, lat)
             worst = max(worst, orc.residual(res.reduced, res.target, spd, _BIND))
-        # ghost reductions on a one-generator lattice matching the space
-        lat_g = ModeLattice.make([m.momentum for m in lat.modes], lat.masses,
-                                 scalar_dim=lat.scalar_dim, lie_dim=1)
-        res = fn.free_hamiltonian("ghost", lat_g)
+        # ghost reductions on the one-generator lattice of their space
+        res = fn.free_hamiltonian("ghost", spg.lattice)
         worst = max(worst, orc.residual(res.reduced, res.target, spg, _BIND))
-        res = fn.fp_current_integral(0, lat_g)
+        res = fn.fp_current_integral(0, spg.lattice)
         worst = max(worst, orc.residual(res.reduced, res.target, spg, _BIND))
-        res = fn.free_hamiltonian("scalar", _one_mode_lattice())
+        res = fn.free_hamiltonian("scalar", sp["one_mode"].lattice)
         worst = max(worst, orc.residual(res.reduced, res.target, sp["one_mode"],
                                         _BIND))
         return CheckResult.numeric(worst)
@@ -963,7 +963,7 @@ def oracle_suite() -> list:
         fb_wrong = conj_C_field("fermion", 0, y, lat, star=True)
         target = GradedExpr.unit(propagator_D_total([(1, x), (-1, y)], lat,
                                                     "fermion"))
-        bad = orc.residual(alg.super_bracket(f.expr, fb_wrong.expr), target,
+        bad = orc.residual(alg.super_bracket(f, fb_wrong), target,
                            spf, _BIND)
         return CheckResult.boolean(bad >= 0.1, f"{bad:.3e}")
 

@@ -32,7 +32,7 @@ from array import array
 from collections import Counter
 from itertools import repeat
 
-from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen
+from .algebra import ABSORB, EMIT, SECTORS, UPPER, GradedExpr, OpGen, koszul_product
 from .fields import ModeLattice
 from .gammas import METRIC
 from .scalars import Frozen
@@ -61,10 +61,10 @@ class Slot(Frozen):
 
 
 class OracleSpace(Frozen):
-    """The truncated Fock space of some slots: state c holds
+    """The truncated Fock space of some slots of a lattice: state c holds
     (c // strides[j]) % slots[j].dim quanta in slot j."""
 
-    __match_args__ = ("slots", "index", "dimension", "n_max", "strides")
+    __match_args__ = ("lattice", "slots", "index", "dimension", "n_max", "strides")
     __slots__ = __match_args__ + ("_monomials",)
     __hash__ = None  # the index is a dict
 
@@ -74,11 +74,9 @@ class OracleSpace(Frozen):
 
     @staticmethod
     def make(lattice: ModeLattice, sectors=("scalar",), n_max: int = 3,
-             cap: int = 4096, scalar_dim: int | None = None,
-             lie_dim: int | None = None) -> "OracleSpace":
-        """Enumerate slots for the requested operator sectors."""
-        sdim = scalar_dim if scalar_dim is not None else lattice.scalar_dim
-        ldim = lie_dim if lie_dim is not None else lattice.lie_dim
+             cap: int = 4096) -> "OracleSpace":
+        """Enumerate the lattice's slots for the requested operator sectors."""
+        sdim, ldim = lattice.scalar_dim, lattice.lie_dim
         keys: list[tuple[tuple, bool, int]] = []
         for sector in sectors:
             parity, real = SECTORS[sector]
@@ -115,7 +113,8 @@ class OracleSpace(Frozen):
         if dim > cap:
             raise OracleError(f"oracle dimension {dim} exceeds cap {cap}")
         index = {s.key: i for i, s in enumerate(slots)}
-        return OracleSpace(slots, index, dim, n_max, tuple(reversed(strides)))
+        return OracleSpace(lattice, slots, index, dim, n_max,
+                           tuple(reversed(strides)))
 
     def monomial(self, gen: OpGen) -> tuple:
         """The monomial form ``(rows, weights)`` of one generator (see
@@ -253,7 +252,6 @@ def product_residual(a: GradedExpr, b: GradedExpr, space: OracleSpace,
                      bindings=None) -> float:
     """Homomorphism defect: the entries of a *phys* b against the
     composition of every word pair (wa, wb) of ``a`` and ``b``."""
-    from .algebra import koszul_product
     tests = _safe_digits(space, map(sum, zip(_climb(a, space),
                                              _climb(b, space))))
     prod = koszul_product(a, b, "physical")

@@ -404,20 +404,20 @@ def test_leibniz_bracket_on_repeated_odd_letters():
 def test_leibniz_bracket_equals_two_products_on_fields():
     lat = ModeLattice.make([(1, 0, 0), (-1, 0, 0)], lie_dim=2)
     x, y = FieldPoint.make("t", "x"), FieldPoint.make("t2", "y")
-    ops = [field("scalar", 0, x, lat).expr, conjugate_field("scalar", 0, y, lat).expr,
-           field("scalar", 0, x, lat).deriv(0).expr]
-    ops += [field("dirac", al, x, lat).expr for al in (0, 3)]
-    ops += [conjugate_field("dirac", al, y, lat).expr for al in (0, 2)]
-    ops += [field("ghost", 1, x, lat).expr, conjugate_field("ghost", 1, y, lat).expr,
-            conjugate_field("ghost", 0, y, lat).expr]
-    ops += [field("gauge", (lam, 1), y, lat).expr for lam in (0, 2)]
-    ops += [field("gauge", (2, 1), x, lat).deriv(1).expr]
+    ops = [field("scalar", 0, x, lat), conjugate_field("scalar", 0, y, lat),
+           field("scalar", 0, x, lat, (0,))]
+    ops += [field("dirac", al, x, lat) for al in (0, 3)]
+    ops += [conjugate_field("dirac", al, y, lat) for al in (0, 2)]
+    ops += [field("ghost", 1, x, lat), conjugate_field("ghost", 1, y, lat),
+            conjugate_field("ghost", 0, y, lat)]
+    ops += [field("gauge", (lam, 1), y, lat) for lam in (0, 2)]
+    ops += [field("gauge", (2, 1), x, lat, (1,))]
     # quadratic composites under the modified rule, as the equal-time
     # momenta build them: one even, one odd
-    ops += [koszul_product(field("gauge", (2, 0), x, lat).expr,
-                           field("gauge", (0, 1), x, lat).deriv(0).expr, "modified"),
-            koszul_product(field("ghost", 0, x, lat).expr,
-                           field("gauge", (0, 1), x, lat).expr, "modified")]
+    ops += [koszul_product(field("gauge", (2, 0), x, lat),
+                           field("gauge", (0, 1), x, lat, (0,)), "modified"),
+            koszul_product(field("ghost", 0, x, lat),
+                           field("gauge", (0, 1), x, lat), "modified")]
     nonzero = 0
     for a in ops:
         for b in ops:

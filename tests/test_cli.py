@@ -171,12 +171,9 @@ def test_a_non_central_equal_time_bracket_fails_with_a_term_count(
     extra = GradedExpr.of(OpGen(EMIT, UPPER, "fermion", 0, (0,)))
     plain = fields.field
 
-    def carrying(sector_, component, x, lattice):
-        f = plain(sector_, component, x, lattice)
-        if sector_ != sector:
-            return f
-        return fields.FieldExpr(koszul_product(f.expr, extra), f.sector,
-                                f.component, f.point, f.lattice)
+    def carrying(sector_, component, x, lattice, jet=()):
+        f = plain(sector_, component, x, lattice, jet)
+        return koszul_product(f, extra) if sector_ == sector else f
 
     monkeypatch.setattr(fields, "field", carrying)
     monkeypatch.setattr(identities, "field", carrying)
@@ -460,7 +457,39 @@ _BAD_EVALS = {
     "absorb-sector-as-mode": ("normal(pprod(absorb(fermion,p), emit(fermion,q)))",
                               20, "'fermion' is not a valid mode; absorb(mode, "
                               "index) builds a scalar-sector generator"),
+    "deriv-of-a-bad-component": ("deriv(field(scalar,7,x),0)", 6,
+                                 "outside the scalar sector"),
+    "deriv-of-a-generator": ("deriv(absorb(p,0),0)", 6, "deriv needs a field"),
+    "second-deriv-index-9": ("deriv(deriv(field(scalar,0,x),0),9)", 0,
+                             "derivative index 9"),
 }
+
+
+#: expression -> its `eval` output on the default config, term by term
+_DERIVED_EVALS = {
+    "deriv(field(ghost,0,x),1)": [
+        "(1/2i·√2·e^{i[(1)·t + (1,0,0)·x]})·a+^(antighost,p0,(0,))",
+        "(-1/2i·√2·e^{i[(1)·t + (-1,0,0)·x]})·a+^(antighost,p1,(0,))",
+        "(-1/2i·√2·e^{i[(-1)·t + (-1,0,0)·x]})·a^(ghost,p0,(0,))",
+        "(1/2i·√2·e^{i[(-1)·t + (1,0,0)·x]})·a^(ghost,p1,(0,))"],
+    "deriv(deriv(field(scalar,0,x),0),1)": [
+        "(-1·√2·(2E[2])^-½·e^{i[(1√2)·t + (1,0,0)·x]})·a+^(scalar,p0,(0,))",
+        "(1·√2·(2E[2])^-½·e^{i[(1√2)·t + (-1,0,0)·x]})·a+^(scalar,p1,(0,))",
+        "(-1·√2·(2E[2])^-½·e^{i[(-1√2)·t + (-1,0,0)·x]})·a^(scalar,p0,(0,))",
+        "(1·√2·(2E[2])^-½·e^{i[(-1√2)·t + (1,0,0)·x]})·a^(scalar,p1,(0,))"],
+    "scomm(field(ghost,I,x), deriv(conj(ghost,I,y),0))": [
+        "(1/2i·e^{i[(-1)·t + (1)·t2 + (-1,0,0)·x + (1,0,0)·y]}",
+        "1/2i·e^{i[(-1)·t + (1)·t2 + (1,0,0)·x + (-1,0,0)·y]}",
+        "1/2i·e^{i[(1)·t + (-1)·t2 + (-1,0,0)·x + (1,0,0)·y]}",
+        "1/2i·e^{i[(1)·t + (-1)·t2 + (1,0,0)·x + (-1,0,0)·y]})·1"],
+}
+
+
+@pytest.mark.parametrize("text", sorted(_DERIVED_EVALS))
+def test_eval_of_a_derived_field_keeps_its_output(text):
+    """`deriv` of a field, of a derived field and inside a bracket prints
+    what it printed when a field carried its own derivative."""
+    assert eval_expr(load_config(None), text) == " + ".join(_DERIVED_EVALS[text])
 
 
 @pytest.mark.parametrize("case", sorted(_BAD_EVALS))

@@ -4,9 +4,8 @@ import pytest
 
 from gradedqft.algebra import ABSORB, EMIT, LOWER, UPPER, GradedExpr, OpGen, \
     koszul_product
-from gradedqft.fields import FieldExpr, FieldPoint, ModeLattice, conjugate_field, field
+from gradedqft.fields import FieldPoint, ModeLattice, conjugate_field, field
 from gradedqft.functionals import (
-    FunctionalError,
     dirac_charge,
     four_momentum,
     fp_current_integral,
@@ -19,16 +18,12 @@ from gradedqft.scalars import ScalarExpr
 F = Fraction
 
 
-def density_product(*factors: FieldExpr) -> GradedExpr:
-    """Product of field components at a common point, modified rule: the
-    whole density, the reference that `functionals._integral` matches."""
-    point = factors[0].point
+def density_product(*factors: GradedExpr) -> GradedExpr:
+    """Product of field components, modified rule: the whole density, the
+    reference that `functionals._integral` matches."""
+    acc = factors[0]
     for f in factors[1:]:
-        if f.point != point:
-            raise FunctionalError("density factors must share one point")
-    acc = factors[0].expr
-    for f in factors[1:]:
-        acc = koszul_product(acc, f.expr, "modified")
+        acc = koszul_product(acc, f, "modified")
     return acc
 
 
@@ -93,8 +88,6 @@ def test_nonintegrable_density_flagged():
     from gradedqft.scalars import NonIntegrablePhaseError
     with pytest.raises(NonIntegrablePhaseError):
         spatial_integral(bad, y)
-    with pytest.raises(FunctionalError):
-        density_product(field("scalar", 0, x, lat), field("scalar", 0, y, lat))
 
 
 @pytest.mark.parametrize("make_lat", [lat_sym, lat_pyth])
@@ -246,8 +239,7 @@ def test_negative_control_wrong_conjugate_sign_breaks_dirac_momentum():
                 expr = expr + GradedExpr.of(
                     OpGen(EMIT, LOWER, "dirac_particle", mode.id, (aa,)),
                     kinv[aa, al] * w * ph_p)
-        from gradedqft.fields import FieldExpr
-        return FieldExpr(expr, "dirac", al, x, lat)
+        return expr
 
     i_ = ScalarExpr.i()
     dens = GradedExpr.zero()
@@ -258,9 +250,10 @@ def test_negative_control_wrong_conjugate_sign_breaks_dirac_momentum():
                 continue
             pb = psibar_wrong(al)
             ps = field("dirac", be, x, lat)
-            dens = dens + density_product(pb.deriv(0), ps).scale(
+            d0_pb = pb.map_coeff(lambda c: c.d_dt("t"))
+            dens = dens + density_product(d0_pb, ps).scale(
                 -(ScalarExpr.rational(F(1, 2)) * i_ * g))
-            dens = dens + density_product(pb, ps.deriv(0)).scale(
+            dens = dens + density_product(pb, field("dirac", be, x, lat, (0,))).scale(
                 ScalarExpr.rational(F(1, 2)) * i_ * g)
     red = spatial_integral(dens, x)
     assert red != dirac_momentum_target(lat, 0)
@@ -276,18 +269,15 @@ def _reference_integral(lattice, sector, rows):
 
     x = FieldPoint.make("t", "x")
     weights = {}
-    for w, a, mu, b, nu in rows:
+    for w, a, j, b, k in rows:
         if not isinstance(w, ScalarExpr):
             w = ScalarExpr.rational(w)
-        add_term(weights, (a, mu, b, nu), w)
-
-    def part(make, c, lam):
-        f = make(sector, c, x, lattice)
-        return f if lam is None else f.deriv(lam)
+        add_term(weights, (a, j, b, k), w)
 
     dens = {}
-    for (a, mu, b, nu), w in weights.items():
-        prod = density_product(part(conjugate_field, a, mu), part(field, b, nu))
+    for (a, j, b, k), w in weights.items():
+        prod = density_product(conjugate_field(sector, a, x, lattice, j),
+                               field(sector, b, x, lattice, k))
         add_into(dens, prod.scale(w).terms)
     return spatial_integral(GradedExpr(dens), x)
 
@@ -396,26 +386,27 @@ def test_unmatched_lookup_fails_the_functional_identities(monkeypatch):
     assert failed == _MATCH_KILLS
 
 
-def test_the_functionals_suite_derives_each_field_once(monkeypatch):
-    """Counts work, not time: over the functionals suite each derived
-    field -- (lattice, sector, component, field or conjugate, lambda) -- is
-    built once, in its lattice's memo, though many functionals share it."""
+def test_the_fields_suites_derive_each_field_once(monkeypatch):
+    """Counts work, not time: over the five suites of the field layer each
+    derived field -- (lattice, field, point, jet) -- is built once, in its
+    lattice's memo, though many identities and functionals share it."""
     from collections import Counter
 
     from gradedqft import cli, fields
 
     monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
     built, alive = Counter(), []
-    honest = fields.FieldExpr.deriv
+    honest = fields._derivative
 
-    def counted(self, lam):
-        # a field's expression is its lattice's memo entry, one object per
-        # (lattice, sector, component, field or conjugate)
-        alive.append(self.expr)  # keeps every id distinct
-        built[id(self.expr), lam] += 1
-        return honest(self, lam)
+    def counted(e, lam, x):
+        # e is a memo entry: one object per (lattice, field, point, jet)
+        alive.append(e)  # keeps every id distinct
+        built[id(e), lam] += 1
+        return honest(e, lam, x)
 
-    monkeypatch.setattr(fields.FieldExpr, "deriv", counted)
-    report = cli.run_verify(cli.load_config(None), ["functionals"])
-    assert report["passed"] > 0 and report["failed"] == 0
+    monkeypatch.setattr(fields, "_derivative", counted)
+    report = cli.run_verify(cli.load_config(None), ["algebra", "propagators",
+                                                    "equal_time", "functionals",
+                                                    "dirac"])
+    assert report["passed"] == 39 and report["failed"] == 0
     assert built and max(built.values()) == 1

@@ -358,10 +358,10 @@ def test_frozen_values_copy_through_their_constructor_and_stay_frozen():
     th = TheorySpec(su2())
     values = [su2(), th, x, OnShellMomentum.make((1, 0, 0), 2),
               lat.row("scalar", lat.modes[0]), OracleSpace.make(lat, n_max=1).slots[0],
-              f.expr, FiberPoly.coord(th.omega(1), ScalarExpr.symbol("xi")),
+              f, FiberPoly.coord(th.omega(1), ScalarExpr.symbol("xi")),
               boost(OnShellMomentum.make((1, 2, 0), 1))[0],
-              ModeIndex(3, (F(1, 2), 0, -1)), next(iter(f.expr.terms.values())),
-              Q(F(2, 3)), GaussianRational(F(1, 2), 3), lat, f]
+              ModeIndex(3, (F(1, 2), 0, -1)), next(iter(f.terms.values())),
+              Q(F(2, 3)), GaussianRational(F(1, 2), 3), lat]
     for value in values:
         # an interned value's one field is its slot
         names = getattr(value, "__match_args__", None) or \
@@ -405,8 +405,6 @@ def _frozen_sample(name: str):
         "GhostDecomposition":
             lambda: bv.ghost_lagrangian_decompose(bv.TheorySpec(lie.u1())),
         "ModeRow": lambda: lat.row("scalar", lat.modes[0]),
-        "FieldExpr":
-            lambda: fields.field("scalar", 0, fields.FieldPoint.make("t", "x"), lat),
         "IdentityCheck": lambda: fields.IdentityCheck("name", "anchor", True, 0),
         "FunctionalResult": lambda: functionals.free_hamiltonian("scalar", lat),
         "OnShellMomentum": lambda: gammas.OnShellMomentum.make((1, 2, 0), 1),
@@ -416,7 +414,7 @@ def _frozen_sample(name: str):
 
 
 @pytest.mark.parametrize("name", [
-    "TheorySpec", "GhostDecomposition", "ModeRow", "FieldExpr", "IdentityCheck",
+    "TheorySpec", "GhostDecomposition", "ModeRow", "IdentityCheck",
     "FunctionalResult", "OnShellMomentum", "LieData", "Slot"])
 def test_base_frozen_constructor_stores_its_values_in_order(name):
     """The classes without a constructor of their own: a wrong count of
@@ -444,21 +442,20 @@ def test_base_frozen_constructor_stores_its_values_in_order(name):
             setattr(value, n, None)
 
 
-#: the classes whose values hold a dict (a field through its lattice), so
-#: that ``hash`` raises
-_UNHASHABLE = {"ModeLattice", "OracleSpace", "FieldExpr"}
+#: the classes whose values hold a dict, so that ``hash`` raises
+_UNHASHABLE = {"ModeLattice", "OracleSpace"}
 
 
 @pytest.mark.parametrize("name", [
-    "TheorySpec", "GhostDecomposition", "ModeRow", "FieldExpr", "IdentityCheck",
+    "TheorySpec", "GhostDecomposition", "ModeRow", "IdentityCheck",
     "FunctionalResult", "OnShellMomentum", "LieData", "Slot", "ModeLattice",
     "OracleSpace", "FieldPoint", "SpinMatrix", "ModeIndex", "GradedExpr",
     "OpGen", "FiberCoord"])
 def test_frozen_values_compare_and_hash_by_their_fields(name):
     """A copy, deep copy or pickle of a value equals it and, where the value
     is hashable, hashes alike; a value of another class with the same
-    fields is unequal; a lattice and an oracle space have no hash, and a
-    field has none through its lattice; letters compare by identity."""
+    fields is unequal; a lattice and an oracle space have no hash; letters
+    compare by identity."""
     import copy
     import pickle
 
@@ -479,7 +476,7 @@ def test_frozen_values_compare_and_hash_by_their_fields(name):
             object.__setattr__(stray, n, getattr(value, n))
         assert stray != value and all(twin is value for twin in twins)
     elif name in _UNHASHABLE:
-        assert (cls.__hash__ is None) == (name != "FieldExpr")
+        assert cls.__hash__ is None
         with pytest.raises(TypeError, match="unhashable"):
             hash(value)
     else:

@@ -17,6 +17,8 @@ from gradedqft.fields import (
     FieldPoint,
     LatticeError,
     ModeLattice,
+    conj_C_field,
+    conjugate_field,
     dirac_dressing,
     field,
     propagator_D,
@@ -47,29 +49,73 @@ def test_memoised_expansion_equals_a_fresh_build(kind, sector, point):
     first = fields._expand(kind, sector, component, x, lat)
     again = fields._expand(kind, sector, component, x, lat)
     fresh = fields._expand(kind, sector, component, x, lattice())
-    assert again.expr is first.expr
-    assert again.expr == fresh.expr and not fresh.expr.is_zero()
-    assert again == fresh
+    assert again is first
+    assert again == fresh and not fresh.is_zero()
 
 
 def test_field_and_star_field_at_one_point_differ():
     lat, x = lattice(), _POINTS["symbolic"]
     f = field("scalar", 0, x, lat)
     s = star_field("scalar", 0, x, lat)
-    assert f.expr != s.expr
-    assert field("scalar", 0, x, lat).expr is f.expr
-    assert star_field("scalar", 0, x, lat).expr is s.expr
+    assert f != s
+    assert field("scalar", 0, x, lat) is f
+    assert star_field("scalar", 0, x, lat) is s
 
 
 def test_repeated_requests_return_the_identical_value():
     lat, x = lattice(), _POINTS["symbolic"]
-    assert field("dirac", 2, x, lat).expr is field("dirac", 2, x, lat).expr
+    assert field("dirac", 2, x, lat) is field("dirac", 2, x, lat)
     mode = lat.modes[2]
     assert dirac_dressing(lat, mode) is dirac_dressing(lat, mode)
     pts = [(1, x), (-1, FieldPoint.make("t2", "y"))]
     assert propagator_D(1, pts, lat, "ghost", deriv=2) is \
         propagator_D(1, tuple(pts), lat, "ghost", deriv=2)
     assert propagator_D(1, pts, lat, "ghost") != propagator_D(-1, pts, lat, "ghost")
+
+
+#: the four constructors, each on a sector it builds
+_JET_FIELDS = {
+    "field": lambda x, lat, jet: field("gauge", (2, 1), x, lat, jet),
+    "conjugate_field": lambda x, lat, jet: conjugate_field("dirac", 3, x, lat, jet),
+    "star_field": lambda x, lat, jet: star_field("scalar", 1, x, lat, jet),
+    "conj_C_field": lambda x, lat, jet: conj_C_field("fermion", 0, x, lat, True, jet),
+}
+
+
+@pytest.mark.parametrize("ctor", sorted(_JET_FIELDS))
+def test_a_jet_is_built_once_in_any_order(ctor):
+    lat, x = lattice(), _POINTS["symbolic"]
+    make = _JET_FIELDS[ctor]
+    assert make(x, lat, (1, 0)) is make(x, lat, (0, 1))
+    assert make(x, lat, (3, 0, 3)) is make(x, lat, (3, 3, 0))
+    assert make(x, lat, (1, 0)) is not make(x, lat, (1,))
+
+
+@pytest.mark.parametrize("ctor", sorted(_JET_FIELDS))
+def test_a_one_index_jet_is_the_derivative_of_each_coefficient(ctor):
+    lat, x = lattice(), _POINTS["symbolic"]
+    make = _JET_FIELDS[ctor]
+    plain = make(x, lat, ())
+    assert make(x, lat, (0,)) == plain.map_coeff(lambda c: c.d_dt("t"))
+    for i in range(3):
+        want = plain.map_coeff(lambda c: c.d_dx("x", i))
+        assert make(x, lat, (i + 1,)) == want and not want.is_zero()
+
+
+@pytest.mark.parametrize("jet,point,message", [
+    ((4,), "symbolic", "derivative index 4 is outside 0..3"),
+    ((0, -1), "symbolic", "derivative index -1 is outside 0..3"),
+    (("t",), "symbolic", "derivative index 't' is outside 0..3"),
+    ((0,), "concrete", "time derivative needs a symbolic time"),
+    ((2,), "concrete", "space derivative needs a symbolic position"),
+])
+def test_a_bad_jet_raises_on_every_call(jet, point, message):
+    lat, x = lattice(), _POINTS[point]
+    for make in _JET_FIELDS.values():
+        for _ in range(2):
+            with pytest.raises(FieldError) as info:
+                make(x, lat, jet)
+            assert str(info.value) == message
 
 
 def test_dressing_is_immutable():
@@ -84,8 +130,7 @@ def test_dressing_is_immutable():
 def test_gauge_component_as_a_list_shares_the_tuple_entry():
     lat, x = lattice(), _POINTS["symbolic"]
     from_list = field("gauge", [2, 1], x, lat)
-    assert from_list.expr is field("gauge", (2, 1), x, lat).expr
-    assert from_list.component == [2, 1]
+    assert from_list is field("gauge", (2, 1), x, lat)
 
 
 @pytest.mark.parametrize("sector,component", [

@@ -177,10 +177,9 @@ def _random_word(rng, sectors, n_int=2, modes=2, length=3):
 
 def test_homomorphism_physical_product_randomised():
     rng = random.Random(77)
-    lat = lat2()
-    sp = OracleSpace.make(lat, sectors=("fermion", "ghost", "antighost"),
-                          scalar_dim=1, lie_dim=1)
-    spb = OracleSpace.make(lat, sectors=("scalar",), n_max=3, scalar_dim=1)
+    lat = lat2(scalar_dim=1)
+    sp = OracleSpace.make(lat, sectors=("fermion", "ghost", "antighost"))
+    spb = OracleSpace.make(lat, sectors=("scalar",), n_max=3)
     for _ in range(40):
         a = _random_word(rng, ["fermion", "ghost", "antighost"], n_int=1,
                          length=rng.randint(1, 3))
@@ -222,7 +221,7 @@ def test_field_table_identity_numerically():
     y = FieldPoint.make("t2", "y")
     f = field("fermion", 0, x, lat)
     fb = conjugate_field("fermion", 0, y, lat)
-    br = super_bracket(f.expr, fb.expr)
+    br = super_bracket(f, fb)
     target = GradedExpr.unit(propagator_D_total([(1, x), (-1, y)], lat, "fermion"))
     assert residual(br, target, sp, BIND) < 1e-12
 
@@ -264,7 +263,7 @@ def test_functional_reductions_cross_checked_numerically():
     for lam in range(4):
         res = four_momentum("dirac", lam, lat)
         assert residual(res.reduced, res.target, spd, BIND) < 1e-12
-    spg = OracleSpace.make(lat, sectors=("ghost", "antighost"), lie_dim=1)
+    spg = OracleSpace.make(lat, sectors=("ghost", "antighost"))
     res = free_hamiltonian("ghost", lat)
     assert residual(res.reduced, res.target, spg, BIND) < 1e-12
 
@@ -281,8 +280,8 @@ def test_negative_control_sign_flip_has_large_residual():
     from gradedqft.fields import conj_C_field
     fb_wrong = conj_C_field("fermion", 0, y, lat, star=True)
     target = GradedExpr.unit(propagator_D_total([(1, x), (-1, y)], lat, "fermion"))
-    ok = residual(super_bracket(f.expr, fb.expr), target, sp, BIND)
-    bad = residual(super_bracket(f.expr, fb_wrong.expr), target, sp, BIND)
+    ok = residual(super_bracket(f, fb), target, sp, BIND)
+    bad = residual(super_bracket(f, fb_wrong), target, sp, BIND)
     assert ok < 1e-12
     assert bad > 0.1
 
@@ -471,7 +470,7 @@ _MIXED = ["fermion", "ghost", "antighost", "scalar"]
 
 def _mixed_space(n_max):
     return OracleSpace.make(ModeLattice.make(_ONE_MODE, scalar_dim=1),
-                            sectors=tuple(_MIXED), n_max=n_max, lie_dim=1)
+                            sectors=tuple(_MIXED), n_max=n_max)
 
 
 def _random_expr(rng, max_terms=4, max_length=4):
@@ -690,3 +689,31 @@ def test_each_space_builds_a_generator_monomial_once(monkeypatch):
             assert isinstance(weights, memoryview) and weights.readonly
             assert (rows.format, weights.format) == ("q", "d")
             assert len(rows) == len(weights) == space.dimension
+
+
+def test_an_oracle_run_builds_each_space_once(monkeypatch):
+    """Counts work, not time: the context builds its six oracle spaces on
+    the first call and hands out the same dict after it, so a one-worker
+    oracle run makes each space once and every identity reads its
+    monomials."""
+    from gradedqft import cli
+    from gradedqft.cli import context_from_config, load_config, run_verify
+
+    monkeypatch.setattr(cli, "_worker_count", lambda jobs: 1)
+    made = []
+    honest = OracleSpace.make
+
+    def counted(*args, **kwargs):
+        made.append(args[1])
+        return honest(*args, **kwargs)
+
+    monkeypatch.setattr(OracleSpace, "make", staticmethod(counted))
+    report = run_verify(load_config(None), ["oracle"])
+    assert report["passed"] == 6 and report["failed"] == 0
+    assert len(made) == 6
+    ctx = context_from_config(load_config(None))
+    spaces = ctx.oracle_spaces()
+    assert ctx.oracle_spaces() is spaces and len(made) == 12
+    assert spaces["scalar"].lattice is spaces["ghost"].lattice is \
+        spaces["fermion_ghost"].lattice
+    assert spaces["fermion"].lattice is ctx.lattice_nozero
